@@ -80,7 +80,7 @@ class _Suite:
         start = time.monotonic()
         try:
             ok = bool(fn())
-        except AssertionError:
+        except (AssertionError, ArithmeticError):
             ok = False
         seconds = time.monotonic() - start
         print(f"{name}: {seconds:.3f}s", file=sys.stderr)
@@ -896,7 +896,7 @@ def main(argv=None) -> int:
         return 0 if report["passed"] else 1
     try:
         data = _COMPUTES[args.what](cfg)
-    except (ValueError, FileNotFoundError, AssertionError) as exc:
+    except (ValueError, FileNotFoundError, AssertionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {

@@ -54,6 +54,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .polyring import demazure_exponents
+
 
 # -- scalars: Q(q) with tracked unit denominators -------------------------
 
@@ -328,20 +330,13 @@ class HeckeBridge:
         """Componentwise divided difference (P - s_i P)/(x_{i+1}-x_i)."""
         out = {}
         for (v, exps), c in el.items():
-            a, b = exps[i - 1], exps[i]
-            if a == b:
+            sign, monomials = demazure_exponents(exps, i)
+            if not monomials:
                 continue
-            sign = self.F.from_int(-1 if a > b else 1)
-            for t in range(abs(a - b)):
-                e2 = list(exps)
-                if a > b:
-                    e2[i - 1], e2[i] = a - 1 - t, b + t
-                else:
-                    e2[i - 1], e2[i] = a + t, b - 1 - t
-                key = (v, tuple(e2))
-                val = c * sign
-                if key in out:
-                    val = out[key] + val
+            term = c * self.F.from_int(sign)
+            for e2 in monomials:
+                key = (v, e2)
+                val = out[key] + term if key in out else term
                 if self.F.is_zero(val):
                     out.pop(key, None)
                 else:

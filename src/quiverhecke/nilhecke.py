@@ -16,6 +16,8 @@ operator d_i and X_i to multiplication.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .coxeter import Permutation
 from .polyring import MPoly, staircase_monomial
 
@@ -101,11 +103,7 @@ class NilHeckeElement:
         assert self.n == other.n and self.params == other.params
         out = dict(self.terms)
         for w, p in other.terms.items():
-            s = out.get(w, MPoly.zero(self.n, self.params)) + p
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _accumulate(out, w, p)
         return NilHeckeElement(self.n, out, self.params)
 
     __radd__ = __add__
@@ -131,34 +129,28 @@ class NilHeckeElement:
 
     def _lmul_t(self, i):
         """Left multiply by T_i: T_i * P T_w = s_i(P) T_i T_w + d_i(P) T_w."""
-        out = NilHeckeElement.zero(self.n, self.params)
+        out = {}
         si = Permutation.simple(i, self.n)
         for w, p in self.terms.items():
-            siw = si * w
-            if siw.length() == w.length() + 1:
-                out = out + NilHeckeElement(self.n, {siw: p.act_simple(i)}, self.params)
-            d = p.demazure(i)
-            if not d.is_zero():
-                out = out + NilHeckeElement(self.n, {w: d}, self.params)
-        return out
-
-    def _lmul_poly(self, p: MPoly):
-        return NilHeckeElement(
-            self.n, {w: p * q for w, q in self.terms.items()}, self.params
-        )
+            # l(s_i w) > l(w) exactly when i precedes i+1 in one-line notation
+            if w.images.index(i) < w.images.index(i + 1):
+                _accumulate(out, si * w, p.act_simple(i))
+            _accumulate(out, w, p.demazure(i))
+        return NilHeckeElement(self.n, out, self.params)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         assert self.n == other.n and self.params == other.params
-        out = NilHeckeElement.zero(self.n, self.params)
+        out = {}
         for w, p in self.terms.items():
             # (P T_w) * other: apply T letters of w from the right inward
             acc = other
             for i in reversed(w.canonical_word()):
                 acc = acc._lmul_t(i)
-            out = out + acc._lmul_poly(p)
-        return out
+            for v, q in acc.terms.items():
+                _accumulate(out, v, p * q)
+        return NilHeckeElement(self.n, out, self.params)
 
     __rmul__ = scale
 
@@ -203,16 +195,11 @@ class NilHeckeElement:
 
     def gamma(self) -> "NilHeckeElement":
         """Algebra automorphism: X_i -> X_{n-i+1}, T_i -> -T_{n-i}."""
-        n = self.n
-        w0 = Permutation.longest(n)
-        out = NilHeckeElement.zero(n, self.params)
-        for w, p in self.terms.items():
-            wp = w0 * w * w0
-            sign = -1 if w.length() % 2 else 1
-            out = out + NilHeckeElement(
-                n, {wp: p.act(w0) * sign}, self.params
-            )
-        return out
+        w0 = Permutation.longest(self.n)
+        return NilHeckeElement(self.n, {
+            w0 * w * w0: p.act(w0) * (-1 if w.length() % 2 else 1)
+            for w, p in self.terms.items()
+        }, self.params)
 
     def trace_t0(self):
         """Frobenius form on the finite part: the coefficient of T_{w0},
@@ -232,7 +219,7 @@ class NilHeckeElement:
 
     def trace_tprime(self) -> MPoly:
         """t'(a) = t(a * [w0]), with [w0] the group element of the longest word."""
-        return (self * group_element(Permutation.longest(self.n), self.params)).trace_t()
+        return (self * _longest_group_element(self.n, self.params)).trace_t()
 
     def __repr__(self):
         if not self.terms:
@@ -256,6 +243,19 @@ def group_element(w: Permutation, params=()) -> NilHeckeElement:
         ) * NilHeckeElement.t(i, n, params) + NilHeckeElement.one(n, params)
         out = out * factor
     return out
+
+
+@lru_cache(maxsize=None)
+def _longest_group_element(n, params):
+    """group_element(w0), built once per (n, params); never mutated, since
+    every NilHeckeElement operation returns a new object."""
+    return group_element(Permutation.longest(n), params)
+
+
+def _accumulate(terms, w, p):
+    """terms[w] += p; zero sums are dropped by the NilHeckeElement constructor."""
+    if not p.is_zero():
+        terms[w] = terms[w] + p if w in terms else p
 
 
 def idempotent_b(n: int, params=()) -> NilHeckeElement:

@@ -7,8 +7,9 @@ is carried along untouched by the group action.  Coefficients are exact
 (int, promoted to Fraction on demand).  Each X variable sits in degree
 2, parameters declare their own degrees.
 
-The Demazure operator is d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i); the
-divisions here are exact by antisymmetry and are checked by assertion.
+The Demazure operator d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i) is applied in
+closed form monomial by monomial (`demazure_exponents`), without division.
+Exact division by X_a - X_b raises ArithmeticError when it is not exact.
 """
 
 from __future__ import annotations
@@ -235,10 +236,20 @@ class MPoly:
         return self._like(out)
 
     def demazure(self, i):
-        """d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i), exact."""
-        assert 1 <= i < self.nx
-        diff = self - self.act_simple(i)
-        return _divide_by_x_difference(diff, i + 1, i)
+        """d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i), term by term in closed form."""
+        if not 1 <= i < self.nx:
+            raise ValueError(f"d_{i} is undefined on {self.nx} variables")
+        out = {}
+        for e, c in self.terms.items():
+            sign, monomials = demazure_exponents(e, i)
+            c = c if sign > 0 else -c
+            for m in monomials:
+                s = out.get(m, 0) + c
+                if s == 0:
+                    out.pop(m, None)
+                else:
+                    out[m] = s
+        return self._like(out)
 
     def demazure_word(self, word):
         """Compose Demazure operators along a word: d_{i_1} o ... o d_{i_r}."""
@@ -296,30 +307,25 @@ class MPoly:
         return out
 
 
-def _divide_by_x_difference(p: MPoly, a: int, b: int) -> MPoly:
-    """Exact division of p by (X_a - X_b); asserts zero remainder."""
-    if p.is_zero():
-        return p
-    coeffs = p.coefficients_in_x(a)
-    d = max(coeffs)
-    xb = MPoly.x(b, p.nx, p.params)
-    quot_coeffs = {}
-    carry = MPoly.zero(p.nx, p.params)  # quotient coefficient one degree up
-    for k in range(d, 0, -1):
-        q = coeffs.get(k, MPoly.zero(p.nx, p.params)) + xb * carry
-        quot_coeffs[k - 1] = q
-        carry = q
-    remainder = coeffs.get(0, MPoly.zero(p.nx, p.params)) + xb * carry
-    assert remainder.is_zero(), "division by (X_a - X_b) is not exact"
-    xa = MPoly.x(a, p.nx, p.params)
-    out = MPoly.zero(p.nx, p.params)
-    for k, q in quot_coeffs.items():
-        out = out + q * xa ** k
-    return out
+def demazure_exponents(e, i):
+    """d_i of the monomial with exponents e, as (sign, exponent tuples).
+
+    With a = e[i-1], b = e[i]: d_i(X_i^a X_{i+1}^b) = sign * (sum of the |a-b|
+    monomials X_i^r X_{i+1}^s, r + s = a + b - 1, r, s >= min(a, b)), where
+    sign = -1 if a > b else +1.  The other exponents are untouched."""
+    a, b = e[i - 1], e[i]
+    head, tail = e[: i - 1], e[i + 1:]
+    if a > b:
+        return -1, [head + (a - 1 - t, b + t) + tail for t in range(a - b)]
+    return 1, [head + (a + t, b - 1 - t) + tail for t in range(b - a)]
 
 
 def divide_exact_by_x_difference(p: MPoly, a: int, b: int) -> MPoly:
-    return _divide_by_x_difference(p, a, b)
+    """Quotient p / (X_a - X_b); raises ArithmeticError if it is not exact."""
+    q = try_divide_by_x_difference(p, a, b)
+    if q is None:
+        raise ArithmeticError(f"{p} is not divisible by X{a} - X{b}")
+    return q
 
 
 def try_divide_by_x_difference(p: MPoly, a: int, b: int):
@@ -327,19 +333,16 @@ def try_divide_by_x_difference(p: MPoly, a: int, b: int):
     if p.is_zero():
         return p
     coeffs = p.coefficients_in_x(a)
-    d = max(coeffs)
+    zero = MPoly.zero(p.nx, p.params)
     xb = MPoly.x(b, p.nx, p.params)
     quot_coeffs = {}
-    carry = MPoly.zero(p.nx, p.params)
-    for k in range(d, 0, -1):
-        q = coeffs.get(k, MPoly.zero(p.nx, p.params)) + xb * carry
-        quot_coeffs[k - 1] = q
-        carry = q
-    remainder = coeffs.get(0, MPoly.zero(p.nx, p.params)) + xb * carry
-    if not remainder.is_zero():
+    carry = zero  # quotient coefficient one degree up
+    for k in range(max(coeffs), 0, -1):
+        carry = quot_coeffs[k - 1] = coeffs.get(k, zero) + xb * carry
+    if not (coeffs.get(0, zero) + xb * carry).is_zero():
         return None
     xa = MPoly.x(a, p.nx, p.params)
-    out = MPoly.zero(p.nx, p.params)
+    out = zero
     for k, q in quot_coeffs.items():
         out = out + q * xa ** k
     return out

@@ -4,6 +4,7 @@ import random
 from quiverhecke.coxeter import Permutation
 from quiverhecke.nilhecke import (
     NilHeckeElement,
+    _longest_group_element,
     gram_matrix_tprime,
     group_element,
     idempotent_b,
@@ -274,6 +275,42 @@ def test_tprime_symmetric_random_n4():
         a = random_element(rng, n, nterms=1)
         b = random_element(rng, n, nterms=1)
         assert (a * b).trace_tprime() == (b * a).trace_tprime()
+
+
+def test_lmul_t_length_test_matches_permutation_length():
+    # T_i T_w = T_{s_i w} if l(s_i w) = l(w) + 1, else 0
+    n = 4
+    for w in Permutation.all(n):
+        for i in range(1, n):
+            siw = Permutation.simple(i, n) * w
+            prod = NilHeckeElement.t_perm(w)._lmul_t(i)
+            if siw.length() > w.length():
+                assert prod == NilHeckeElement.t_perm(siw)
+            else:
+                assert prod.is_zero()
+
+
+def test_tprime_matches_fresh_group_element():
+    rng = random.Random(21)
+    for n in (1, 2, 3):
+        w0 = Permutation.longest(n)
+        for _ in range(8):
+            a = random_element(rng, n)
+            assert a.trace_tprime() == (a * group_element(w0)).trace_t()
+
+
+def test_tprime_memo_is_not_mutated():
+    rng = random.Random(22)
+    n = 3
+    g = _longest_group_element(n, ())
+    snapshot = {w: dict(p.terms) for w, p in g.terms.items()}
+    for _ in range(10):
+        a = random_element(rng, n)
+        (a * a).trace_tprime()
+        a.trace_tprime()
+    assert _longest_group_element(n, ()) is g
+    assert {w: dict(p.terms) for w, p in g.terms.items()} == snapshot
+    assert g == group_element(Permutation.longest(n))
 
 
 def test_grading_multiplicative():

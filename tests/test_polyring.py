@@ -1,16 +1,25 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from quiverhecke.coxeter import Permutation
 from quiverhecke.laurent import Laurent
 from quiverhecke.polyring import (
     MPoly,
     count_monomials_by_degree,
+    divide_exact_by_x_difference,
     elementary_symmetric,
     grdim_polynomial_ring,
     grdim_symmetric_ring,
     schubert_basis_element,
     schubert_coordinates,
     staircase_monomial,
+    try_divide_by_x_difference,
 )
 
 
@@ -190,10 +199,53 @@ def test_elementary_symmetric_identity():
 def test_exact_division_assertion():
     n = 2
     p = x(1, n)  # not divisible by X_2 - X_1
-    try:
-        from quiverhecke.polyring import divide_exact_by_x_difference
-
+    with pytest.raises(ArithmeticError):
         divide_exact_by_x_difference(p, 2, 1)
-    except AssertionError:
-        return
-    raise AssertionError("expected inexact division to be rejected")
+
+
+def test_inexact_division_raises_under_optimize():
+    # the check must survive `python -O`, which strips assert statements
+    code = (
+        "import sys\n"
+        "from quiverhecke.polyring import MPoly, divide_exact_by_x_difference\n"
+        "try:\n"
+        "    divide_exact_by_x_difference(MPoly.x(1, 2) + 1, 1, 2)\n"
+        "except ArithmeticError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised", "1"]
+
+
+def random_coeff(rng, field):
+    c = rng.randrange(-5, 6)
+    return Fraction(c, rng.choice((1, 2, 3))) if field is Fraction else c
+
+
+def test_closed_form_demazure_matches_division():
+    # oracle: d_i(p) = (p - s_i p) / (X_{i+1} - X_i) by exact division
+    rng = random.Random(23)
+    for n in (2, 3, 4):
+        for params in ((), ("z1",), ("q", "t")):
+            width = n + len(params)
+            for field in (int, Fraction):
+                for _ in range(6):
+                    terms = {
+                        tuple(rng.randrange(0, 4) for _ in range(width)):
+                            random_coeff(rng, field)
+                        for _ in range(rng.randrange(1, 7))
+                    }
+                    p = MPoly(n, params, terms)
+                    for i in range(1, n):
+                        expected = try_divide_by_x_difference(
+                            p - p.act_simple(i), i + 1, i
+                        )
+                        assert expected is not None
+                        assert p.demazure(i) == expected
