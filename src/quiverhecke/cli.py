@@ -562,6 +562,8 @@ def suite_fock(cfg, rng):
     s = _Suite()
     p = cfg["p"]
     max_size = cfg["max_size"]
+    if p < 1:
+        raise ValueError(f"--p must be at least 1, got {p}")
 
     def vec(parts):
         return FockVector({tuple(parts): 1})
@@ -755,6 +757,8 @@ def compute_fock_matrix(cfg):
     from .fock import operator_matrix
 
     p, i, size = cfg["p"], cfg["i"], cfg["size"]
+    if p < 1:
+        raise ValueError(f"--p must be at least 1, got {p}")
     rows, cols, mat = operator_matrix(cfg["op"], i, p, size)
     return {
         "op": cfg["op"],

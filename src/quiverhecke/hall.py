@@ -14,12 +14,14 @@ quotient isomorphic to M; the untwisted product is
 v^{<M,N>} where v^2 = q and <M,N> is the Euler form, computed for a
 loop-free quiver as sum_i d_i(M) d_i(N) - sum_{a:i->j} d_i(M) d_j(N).
 
-Supported field sizes: 2, 3, 4, 5 (GF(4) via explicit tables).
+Supported field sizes: 2, 3, 4, 5 (other q raise ValueError).  Field
+arithmetic is table lookup, with tables built once per q.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,38 +42,41 @@ class GF:
     """The field with q elements, q in {2, 3, 4, 5}; elements are 0..q-1.
 
     For prime q the representatives are integers mod q; GF(4) uses
-    0, 1, x, x+1 encoded as 0, 1, 2, 3 with x^2 = x + 1.
+    0, 1, x, x+1 encoded as 0, 1, 2, 3 with x^2 = x + 1.  Arithmetic is
+    table lookup: ADD[a][b], MUL[a][b], NEG[a] and INV[a] are built once
+    per field (INV[0] is None).
     """
 
     def __init__(self, q: int):
-        assert q in (2, 3, 4, 5)
+        if q not in (2, 3, 4, 5):
+            raise ValueError(f"unsupported field size q = {q}; supported: 2, 3, 4, 5")
         self.q = q
-        self.elements = tuple(range(q))
+        self.elements = els = tuple(range(q))
+        if q == 4:
+            self.ADD = tuple(tuple(a ^ b for b in els) for a in els)
+            self.MUL = _GF4_MUL
+        else:
+            self.ADD = tuple(tuple((a + b) % q for b in els) for a in els)
+            self.MUL = tuple(tuple(a * b % q for b in els) for a in els)
+        self.NEG = tuple(row.index(0) for row in self.ADD)
+        self.INV = (None,) + tuple(row.index(1) for row in self.MUL[1:])
 
     def add(self, a, b):
-        if self.q == 4:
-            return a ^ b
-        return (a + b) % self.q
+        return self.ADD[a][b]
 
     def neg(self, a):
-        if self.q == 4:
-            return a
-        return (-a) % self.q
+        return self.NEG[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.ADD[a][self.NEG[b]]
 
     def mul(self, a, b):
-        if self.q == 4:
-            return _GF4_MUL[a][b]
-        return (a * b) % self.q
+        return self.MUL[a][b]
 
     def inv(self, a):
-        assert a != 0
-        for b in self.elements:
-            if self.mul(a, b) == 1:
-                return b
-        raise AssertionError
+        if a == 0:
+            raise ZeroDivisionError("0 has no inverse")
+        return self.INV[a]
 
     def multiplicative_generator(self):
         for g in self.elements[1:]:
@@ -96,23 +101,20 @@ def field(q: int) -> GF:
 def mat_mul(F: GF, A, B, cols=None):
     """A @ B; pass `cols` explicitly when B has zero rows (empty inner
     dimension), since the column count cannot be inferred then."""
-    rows, inner = len(A), len(B)
-    cols = len(B[0]) if B else (cols or 0)
+    inner = len(B)
     assert all(len(r) == inner for r in A) or inner == 0
+    ADD, MUL = F.ADD, F.MUL
+    BT = tuple(zip(*B)) if B else ((),) * (cols or 0)
     out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
+    for row in A:
+        out_row = []
+        for col in BT:
             s = 0
-            for k in range(inner):
-                s = F.add(s, F.mul(A[i][k], B[k][j]))
-            row.append(s)
-        out.append(tuple(row))
+            for a, b in zip(row, col):
+                s = ADD[s][MUL[a][b]]
+            out_row.append(s)
+        out.append(tuple(out_row))
     return tuple(out)
-
-
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_vec(F: GF, A, v):
@@ -122,14 +124,16 @@ def mat_vec(F: GF, A, v):
 
 
 def _dot(F: GF, u, v):
+    ADD, MUL = F.ADD, F.MUL
     s = 0
     for a, b in zip(u, v):
-        s = F.add(s, F.mul(a, b))
+        s = ADD[s][MUL[a][b]]
     return s
 
 
 def rref(F: GF, rows):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
+    ADD, MUL, NEG, INV = F.ADD, F.MUL, F.NEG, F.INV
     rows = [list(r) for r in rows]
     m = len(rows)
     n = len(rows[0]) if rows else 0
@@ -140,12 +144,12 @@ def rref(F: GF, rows):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, a) for a in rows[r]]
+        scale = MUL[INV[rows[r][c]]]
+        prow = rows[r] = [scale[a] for a in rows[r]]
         for k in range(m):
             if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[k], rows[r])]
+                neg_f = MUL[NEG[rows[k][c]]]
+                rows[k] = [ADD[a][neg_f[b]] for a, b in zip(rows[k], prow)]
         pivots.append(c)
         r += 1
         if r == m:
@@ -158,7 +162,8 @@ def mat_inverse(F: GF, A):
     n = len(A)
     aug = [list(A[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
     reduced, pivots = rref(F, aug)
-    assert pivots == tuple(range(n)), "matrix not invertible"
+    if pivots != tuple(range(n)):
+        raise ArithmeticError("matrix not invertible")
     return tuple(tuple(row[n:]) for row in reduced)
 
 
@@ -353,14 +358,19 @@ def group_order(quiver: Quiver, q: int, dims) -> int:
     return out
 
 
-def act(quiver: Quiver, q: int, gs, rep: QuiverRep) -> QuiverRep:
-    """gs: one invertible matrix per vertex; returns g . rep."""
+def act(quiver: Quiver, q: int, vi: int, g, g_inv, rep: QuiverRep) -> QuiverRep:
+    """g . rep for g in GL_{d}(q) at the vertex with index vi and the
+    identity at every other vertex; g_inv is g^{-1}, computed once by the
+    caller."""
     F = field(q)
-    inv = [mat_inverse(F, g) for g in gs]
     mats = []
     for idx, (s, t) in enumerate(quiver.arrows):
-        si, ti = quiver.vertex_index(s), quiver.vertex_index(t)
-        mats.append(mat_mul(F, mat_mul(F, gs[ti], rep.mats[idx]), inv[si]))
+        m = rep.mats[idx]
+        if quiver.vertex_index(t) == vi:
+            m = mat_mul(F, g, m)
+        if quiver.vertex_index(s) == vi:
+            m = mat_mul(F, m, g_inv)
+        mats.append(m)
     return QuiverRep(quiver, q, rep.dims, mats)
 
 
@@ -377,13 +387,13 @@ class ClassTable:
 
     def _classify(self):
         quiver, q, dims = self.quiver, self.q, self.dims
-        # one group generator bundle per (vertex, generator)
-        bundles = []
-        for vi, d in enumerate(dims):
-            for g in gl_generators(q, d):
-                gs = [mat_identity(dd) for dd in dims]
-                gs[vi] = g
-                bundles.append(tuple(gs))
+        # one group generator bundle (vertex, g, g^{-1}) per (vertex, generator)
+        F = field(q)
+        bundles = [
+            (vi, g, mat_inverse(F, g))
+            for vi, d in enumerate(dims)
+            for g in gl_generators(q, d)
+        ]
         g_order = group_order(quiver, q, dims)
         seen = set()
         for rep in all_reps(quiver, q, dims):
@@ -396,8 +406,8 @@ class ClassTable:
             while frontier:
                 nxt = []
                 for r in frontier:
-                    for gs in bundles:
-                        r2 = act(quiver, q, gs, r)
+                    for vi, g, g_inv in bundles:
+                        r2 = act(quiver, q, vi, g, g_inv, r)
                         k2 = r2.flat()
                         if k2 not in orbit:
                             orbit[k2] = r2
@@ -405,7 +415,8 @@ class ClassTable:
                 frontier = nxt
             label = min(orbit)
             seen.update(orbit)
-            assert g_order % len(orbit) == 0
+            if g_order % len(orbit):
+                raise ArithmeticError(f"orbit size {len(orbit)} does not divide {g_order}")
             self.classes[label] = {
                 "rep": orbit[label],
                 "orbit_size": len(orbit),
@@ -429,10 +440,12 @@ class HallContext:
     """Caches class tables and Hall numbers for one quiver and field."""
 
     def __init__(self, quiver: Quiver, q: int):
+        field(q)  # rejects an unsupported q before any work
         self.quiver = quiver
         self.q = q
         self._tables = {}
         self._hall_cache = {}
+        self._subrep_pairs = {}  # (label L, dims N) -> Counter of (label M, label N)
 
     def table(self, dims) -> ClassTable:
         dims = tuple(dims)
@@ -482,13 +495,13 @@ class HallContext:
         for vi in range(nv):
             d = rep.dims[vi]
             rows = [list(r) for r in bases[vi]]
-            span, _ = rref(F, rows) if rows else ((), ())
             for e in range(d):
                 cand = [0] * d
                 cand[e] = 1
                 if solve_in_rowspace(F, tuple(tuple(r) for r in rows), tuple(cand)) is None:
                     rows.append(cand)
-            assert len(rows) == d
+            if len(rows) != d:
+                raise ArithmeticError(f"basis completion gave {len(rows)} of {d} vectors")
             # columns of P are the basis vectors
             p = tuple(tuple(rows[j][i] for j in range(d)) for i in range(d))
             P.append(p)
@@ -500,9 +513,8 @@ class HallContext:
             m = mat_mul(F, mat_mul(F, Pinv[ti], rep.mats[idx]), P[si]) if rep.dims[ti] and rep.dims[si] else tuple(() for _ in range(rep.dims[ti]))
             ks, kt = sub_dims[si], sub_dims[ti]
             # invariance means the lower-left block vanishes
-            for r in range(kt, rep.dims[ti]):
-                for c in range(ks):
-                    assert m[r][c] == 0
+            if any(m[r][c] for r in range(kt, rep.dims[ti]) for c in range(ks)):
+                raise ArithmeticError("subspace is not invariant under the arrow")
             sub_mats.append(tuple(tuple(m[r][c] for c in range(ks)) for r in range(kt)))
             quot_mats.append(
                 tuple(
@@ -527,11 +539,14 @@ class HallContext:
         if tuple(a + b for a, b in zip(m.dims, n.dims)) != l.dims:
             self._hall_cache[key] = 0
             return 0
-        lm, ln = self.label(m), self.label(n)
-        count = 0
-        for sub, quot in self.subrep_data(l, n.dims):
-            if self.label(sub) == ln and self.label(quot) == lm:
-                count += 1
+        # one subrepresentation pass per (L, dim N) answers every (M, N)
+        pairs_key = (key[2], n.dims)
+        if pairs_key not in self._subrep_pairs:
+            self._subrep_pairs[pairs_key] = Counter(
+                (self.label(quot), self.label(sub))
+                for sub, quot in self.subrep_data(l, n.dims)
+            )
+        count = self._subrep_pairs[pairs_key][key[:2]]
         self._hall_cache[key] = count
         return count
 

@@ -107,6 +107,26 @@ def test_nonpositive_cap_is_usage_error(capsys):
     assert cli.main(["verify", "demazure", "--n", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "hall", "--q", "7"], "unsupported field size q = 7"),
+        (
+            ["compute", "hall-table", "--q", "6", "--max-dim", "1,1"],
+            "unsupported field size q = 6",
+        ),
+        (["verify", "fock", "--p", "0"], "--p must be at least 1"),
+        (["compute", "fock-matrix", "--p", "-1"], "--p must be at least 1"),
+    ],
+)
+def test_unsupported_parameter_exits_two(capsys, argv, message):
+    # refused with a message, never reported as a FAIL or a vacuous PASS
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_failing_check_exits_one(capsys, monkeypatch):
     def broken(cfg, rng):
         return [{"name": "always-fails", "params": {}, "pass": False}]

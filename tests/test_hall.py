@@ -1,4 +1,9 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +16,8 @@ from quiverhecke.hall import (
     field,
     gaussian_binomial,
     gl_order,
+    group_order,
     jordan_quiver,
-    mat_identity,
     mat_inverse,
     mat_mul,
     rref,
@@ -53,11 +58,96 @@ def test_matrix_inverse(q):
     for mat in itertools.product(itertools.product(F.elements, repeat=2), repeat=2):
         try:
             inv = mat_inverse(F, mat)
-        except AssertionError:
+        except ArithmeticError:
             continue
         count += 1
-        assert mat_mul(F, mat, inv) == mat_identity(2)
+        assert mat_mul(F, mat, inv) == ((1, 0), (0, 1))
     assert count == gl_order(q, 2)
+
+
+def _gf4_mul(a, b):
+    # carry-less product of a1 x + a0 and b1 x + b0, reduced by x^2 = x + 1
+    p = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+    return p ^ 0b111 if p & 4 else p
+
+
+def _formula_add(q, a, b):
+    return a ^ b if q == 4 else (a + b) % q
+
+
+def _formula_mul(q, a, b):
+    return _gf4_mul(a, b) if q == 4 else a * b % q
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_field_tables_match_formulas(q):
+    F = field(q)
+    for a, b in itertools.product(range(q), repeat=2):
+        assert F.add(a, b) == _formula_add(q, a, b)
+        assert F.mul(a, b) == _formula_mul(q, a, b)
+        assert F.sub(_formula_add(q, a, b), b) == a
+    for a in range(q):
+        assert F.neg(a) == (a if q == 4 else -a % q)
+    for a in range(1, q):
+        expected = next(b for b in range(q) if _formula_mul(q, a, b) == 1)
+        assert F.inv(a) == expected
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+@pytest.mark.parametrize("q", [6, 7, 1])
+def test_unsupported_field_is_refused(q):
+    with pytest.raises(ValueError):
+        field(q)
+    with pytest.raises(ValueError):
+        HallContext(a2_quiver(), q)
+
+
+def _schoolbook(q, A, B, rows, inner, cols):
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            s = 0
+            for k in range(inner):
+                s = _formula_add(q, s, _formula_mul(q, A[i][k], B[k][j]))
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_mat_mul_matches_schoolbook(q):
+    rng = random.Random(q)
+    F = field(q)
+    for rows, inner, cols in itertools.product(range(4), repeat=3):
+        A = tuple(tuple(rng.randrange(q) for _ in range(inner)) for _ in range(rows))
+        B = tuple(tuple(rng.randrange(q) for _ in range(cols)) for _ in range(inner))
+        got = mat_mul(F, A, B, cols=cols)
+        assert got == _schoolbook(q, A, B, rows, inner, cols), (A, B)
+        if inner:
+            assert mat_mul(F, A, B) == got
+
+
+def test_singular_inverse_raises_under_optimize():
+    # the check must survive `python -O`, which strips assert statements
+    code = (
+        "import sys\n"
+        "from quiverhecke.hall import field, mat_inverse\n"
+        "try:\n"
+        "    mat_inverse(field(2), ((1, 1), (1, 1)))\n"
+        "except ArithmeticError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised", "1"]
 
 
 def test_solve_in_rowspace():
@@ -101,6 +191,38 @@ def test_jordan_classification_dim2():
         assert len(table.classes) == q * q + q
         # orbit sizes sum to q^4
         assert sum(i["orbit_size"] for i in table.classes.values()) == q ** 4
+
+
+A2_DIMS = list(itertools.product(range(3), repeat=2))  # a2 up to dims (2, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a2_orbit_sizes_partition_all_reps(q):
+    ctx = HallContext(a2_quiver(), q)
+    for dims in A2_DIMS:
+        table = ctx.table(dims)
+        infos = table.classes.values()
+        # one arrow 1 -> 2: a d2 x d1 matrix
+        assert sum(i["orbit_size"] for i in infos) == q ** (dims[0] * dims[1])
+        assert len(table.label_of) == q ** (dims[0] * dims[1])
+        order = group_order(a2_quiver(), q, dims)
+        assert all(i["orbit_size"] * i["aut_order"] == order for i in infos)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_batched_hall_number_matches_direct_count(q):
+    ctx = HallContext(a2_quiver(), q)
+    reps = [r for dims in A2_DIMS for r in ctx.table(dims).representatives()]
+    for m, n, l in itertools.product(reps, repeat=3):
+        if tuple(a + b for a, b in zip(m.dims, n.dims)) != l.dims:
+            assert ctx.hall_number(m, n, l) == 0
+            continue
+        direct = sum(
+            1
+            for sub, quot in ctx.subrep_data(l, n.dims)
+            if ctx.label(sub) == ctx.label(n) and ctx.label(quot) == ctx.label(m)
+        )
+        assert ctx.hall_number(m, n, l) == direct, (m, n, l)
 
 
 def test_aut_orders_stabilizer():
