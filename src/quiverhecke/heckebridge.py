@@ -54,7 +54,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .polyring import demazure_exponents
+from .polyring import demazure_exponents, exponent_tuples
 
 
 # -- scalars: Q(q) with tracked unit denominators -------------------------
@@ -288,9 +288,8 @@ class HeckeBridge:
     def basis(self, degree_bound=None):
         bound = self.cutoff if degree_bound is None else degree_bound
         for v in itertools.product(range(len(self.vertices)), repeat=self.n):
-            for total in range(bound):
-                for exps in _compositions(total, self.n):
-                    yield (v, exps)
+            for exps in exponent_tuples(self.n, bound - 1):
+                yield (v, exps)
 
     def low_part(self, el, bound):
         """Terms of total degree < bound (the exact window)."""
@@ -528,15 +527,6 @@ class HeckeBridge:
                 piece = self.add_el(diag, cross)
             out = self.add_el(out, piece)
         return out
-
-
-def _compositions(total, n):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first,) + rest
 
 
 # -- convenience entry points --------------------------------------------

@@ -24,9 +24,11 @@ from fractions import Fraction
 
 from .coxeter import Permutation, segments_of_canonical_word
 from .laurent import Laurent
+from .linalg import Echelon
 from .polyring import (
     MPoly,
     divide_exact_by_x_difference,
+    elementary_symmetric,
     try_divide_by_x_difference,
 )
 
@@ -1010,11 +1012,12 @@ def _orbit(v):
 
 
 def _vectorize(el: KLRElement, index: dict):
+    """Coefficients of el on real columns (0, k), numbering new keys."""
     vec = {}
     for key, c in el.terms.items():
         if key not in index:
             index[key] = len(index)
-        vec[index[key]] = Fraction(c)
+        vec[(0, index[key])] = c
     return vec
 
 
@@ -1046,16 +1049,10 @@ def _symmetric_candidates(ctx: KLRContext, orbit, max_deg: int):
                 for s in verts
             }
             for e, (s, r) in zip(exps, pattern_vars):
-                if e == 0:
-                    continue
-                # elementary symmetric e_r in the vertex-s variables
-                er = MPoly.zero(ctx.n, ctx.params)
-                for subset in itertools.combinations(positions[s], r):
-                    mono = [0] * ctx.width
-                    for k in subset:
-                        mono[k - 1] = 1
-                    er = er + MPoly(ctx.n, ctx.params, {tuple(mono): 1})
-                poly = poly * er ** e
+                if e:
+                    poly = poly * elementary_symmetric(
+                        r, ctx.n, ctx.params, positions[s]
+                    ) ** e
             el = el + _lmul_poly(ctx, poly, KLRElement.idempotent(ctx, mu))
         label = tuple(
             (s, r, e) for e, (s, r) in zip(exps, pattern_vars) if e
@@ -1103,62 +1100,29 @@ def central_ideal_probe(ctx: KLRContext, v, gens, max_deg: int = 4):
     candidates = _symmetric_candidates(ctx, orbit, max_deg)
     if not members or not candidates:
         return None
+    # members span the ideal slice; each candidate carries a tag column
+    # (1, idx) sorting after every real column (0, k), so a candidate
+    # whose real part reduces away leaves the combination in its tags
     index = {}
-    member_vecs = [_vectorize(m, index) for m in members]
-    cand_vecs = [_vectorize(el, index) for _, el in candidates]
-    dim = len(index)
-    # eliminate the member span, then look for a candidate combination
-    # falling inside it
-    rows = [
-        [vec.get(k, Fraction(0)) for k in range(dim)] for vec in member_vecs
-    ]
-    pivots = {}
-    reduced = []
-    for row in rows:
-        for pc, pr in pivots.items():
-            if row[pc]:
-                f = row[pc] / reduced[pr][pc]
-                row = [a - f * b for a, b in zip(row, reduced[pr])]
-        lead = next((k for k, a in enumerate(row) if a), None)
-        if lead is not None:
-            pivots[lead] = len(reduced)
-            reduced.append(row)
-    # reduce each candidate modulo the member span; a vanishing
-    # combination of residues is a symmetric multiple of the identity
-    # inside the ideal
-    cpivots = {}
-    creduced = []
-    for idx, vec in enumerate(cand_vecs):
-        row = [vec.get(k, Fraction(0)) for k in range(dim)]
-        for pc, pr in pivots.items():
-            if row[pc]:
-                f = row[pc] / reduced[pr][pc]
-                row = [a - f * b for a, b in zip(row, reduced[pr])]
-        combo = {idx: Fraction(1)}
-        for pc, (pr, pcombo) in cpivots.items():
-            if row[pc]:
-                f = row[pc] / creduced[pr][pc]
-                row = [a - f * b for a, b in zip(row, creduced[pr])]
-                for k, c in pcombo.items():
-                    combo[k] = combo.get(k, Fraction(0)) - f * c
-        lead = next((k for k, a in enumerate(row) if a), None)
-        if lead is None:
-            scale = 1
-            for c in combo.values():
-                scale = scale * c.denominator // math.gcd(scale, c.denominator)
-            poly = MPoly.zero(ctx.n, ctx.params)
-            labels = []
-            for k, c in sorted(combo.items()):
-                if c == 0:
-                    continue
-                label_k, el_k = candidates[k]
-                coeff = int(c * scale)
-                base = _candidate_base_polynomial(ctx, orbit[0], el_k)
-                poly = poly + base.map_coefficients(lambda z: coeff * z)
-                labels.append((label_k, coeff))
-            return poly, tuple(labels)
-        cpivots[lead] = (len(creduced), combo)
-        creduced.append(row)
+    echelon = Echelon()
+    for m in members:
+        echelon.insert(_vectorize(m, index))
+    for idx, (_, el) in enumerate(candidates):
+        vec = _vectorize(el, index)
+        vec[(1, idx)] = 1
+        vec = echelon.insert(vec)
+        if min(vec)[0] == 0:
+            continue
+        scale = math.lcm(*(c.denominator for c in vec.values()))
+        poly = MPoly.zero(ctx.n, ctx.params)
+        labels = []
+        for (_, k), c in sorted(vec.items()):
+            label_k, el_k = candidates[k]
+            coeff = int(c * scale)
+            base = _candidate_base_polynomial(ctx, orbit[0], el_k)
+            poly = poly + base.map_coefficients(lambda z: coeff * z)
+            labels.append((label_k, coeff))
+        return poly, tuple(labels)
     return None
 
 

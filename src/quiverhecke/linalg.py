@@ -1,0 +1,93 @@
+"""
+Exact sparse linear algebra over Q.
+
+A vector is a dict {column key: coefficient} with mutually comparable
+keys; its smallest key is its lead.  Eliminations over other fields stay
+with their callers: `hall.rref` (GF(q) lookup tables) and
+`cyclotomic._rank_mod_p` (dense numpy modulo a prime).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+
+
+class Echelon:
+    """Sparse rows over Q keyed by leading column: ``rows[lead]`` has
+    coefficient 1 at ``lead`` and no smaller key, so the rows are
+    independent and ``len`` is the rank of what was inserted."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, vec) -> dict:
+        """A copy of ``vec`` over Fraction, with its lead reduced until it
+        is no stored row's lead.  Empty exactly when ``vec`` lies in the
+        span of the rows."""
+        vec = {k: Fraction(c) for k, c in vec.items() if c}
+        rows = self.rows
+        while vec:
+            lead = min(vec)
+            row = rows.get(lead)
+            if row is None:
+                break
+            factor = vec[lead]
+            for k, c in row.items():
+                nv = vec.get(k, 0) - factor * c
+                if nv:
+                    vec[k] = nv
+                else:
+                    del vec[k]
+        return vec
+
+    def insert(self, vec) -> dict:
+        """Reduce ``vec`` and store it as a new row unless it vanished.
+
+        Returns the reduced vector before normalization, so its lead
+        entry is the pivot; empty when ``vec`` was already in the span.
+        """
+        vec = self.reduce(vec)
+        if vec:
+            lead = min(vec)
+            inv = 1 / vec[lead]
+            self.rows[lead] = {k: c * inv for k, c in vec.items()}
+        return vec
+
+
+def rank(rows) -> int:
+    """Rank over Q of sparse rows ({column: coefficient} dicts)."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.insert(row)
+    return len(echelon)
+
+
+def determinant(matrix) -> Fraction:
+    """Exact determinant of a square matrix given as a list of rows.
+
+    Inserting the rows in order only subtracts multiples of earlier rows,
+    which keeps the determinant.  The reduced rows sorted by lead form an
+    upper-triangular matrix, so the determinant is the product of their
+    lead entries times the sign of the permutation row -> lead.
+    """
+    size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError("determinant of a non-square matrix")
+    echelon = Echelon()
+    det = Fraction(1)
+    leads = []
+    for row in matrix:
+        vec = echelon.insert(dict(enumerate(row)))
+        if not vec:
+            return Fraction(0)
+        lead = min(vec)
+        det *= vec[lead]
+        leads.append(lead)
+    inversions = sum(a > b for a, b in combinations(leads, 2))
+    return -det if inversions % 2 else det

@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coxeter import Permutation
+from .linalg import determinant
 from .polyring import MPoly, staircase_monomial
 
 
@@ -277,13 +278,12 @@ def frobenius_gram_determinant(n: int):
 
     Each basis element is homogeneous of a single degree d_i, the
     degrees sum to zero, and every nonzero Gram entry is homogeneous of
-    x-degree (d_i + d_j)/2; these facts are asserted.  The determinant
-    is then homogeneous of degree zero, hence a constant, so a single
-    integer evaluation computes it.  A value of +-1 certifies that the
-    symmetrizing form is nondegenerate with unit discriminant.
+    x-degree (d_i + d_j)/2; these facts are checked and a violation
+    raises ArithmeticError.  The determinant is then homogeneous of
+    degree zero, hence a constant, so a single integer evaluation
+    computes it.  A value of +-1 certifies that the symmetrizing form is
+    nondegenerate with unit discriminant.
     """
-    from fractions import Fraction
-
     from .polyring import schubert_basis_element
 
     order = sorted(Permutation.all(n), key=lambda w: (w.length(), w.images))
@@ -295,9 +295,11 @@ def frobenius_gram_determinant(n: int):
     degs = []
     for el in basis:
         d = el.degrees()
-        assert len(d) == 1
+        if len(d) != 1:
+            raise ArithmeticError(f"basis element of degrees {sorted(d)}")
         degs.append(next(iter(d)))
-    assert sum(degs) == 0
+    if sum(degs) != 0:
+        raise ArithmeticError(f"basis degrees sum to {sum(degs)}, not 0")
     point = [k + 2 for k in range(n)]
     mat = []
     for i, a in enumerate(basis):
@@ -306,23 +308,13 @@ def frobenius_gram_determinant(n: int):
             p = (a * b).trace_tprime()
             if not p.is_zero():
                 xdegs = {sum(e) for e in p.terms}
-                assert xdegs == {(degs[i] + degs[j]) // 2}
-            row.append(Fraction(p.evaluate(point)))
+                if xdegs != {(degs[i] + degs[j]) // 2}:
+                    raise ArithmeticError(
+                        f"Gram entry ({i}, {j}) has x-degrees {sorted(xdegs)}"
+                    )
+            row.append(p.evaluate(point))
         mat.append(row)
-    size = len(mat)
-    det = Fraction(1)
-    for i in range(size):
-        pivot = next((r for r in range(i, size) if mat[r][i]), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            mat[i], mat[pivot] = mat[pivot], mat[i]
-            det = -det
-        det *= mat[i][i]
-        inv = 1 / mat[i][i]
-        for r in range(i + 1, size):
-            f = mat[r][i] * inv
-            if f:
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[i])]
-    assert det.denominator == 1
+    det = determinant(mat)
+    if det.denominator != 1:
+        raise ArithmeticError(f"Gram determinant {det} is not an integer")
     return int(det)

@@ -14,6 +14,7 @@ Exact division by X_a - X_b raises ArithmeticError when it is not exact.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .coxeter import Permutation
@@ -417,14 +418,25 @@ def count_monomials_by_degree(n: int, cutoff: int) -> Laurent:
     return Laurent(counts)
 
 
-def elementary_symmetric(r: int, nx: int, params=()) -> MPoly:
-    """e_r(X_1, ..., X_nx)."""
-    import itertools
-
-    out = MPoly.zero(nx, params)
-    for combo in itertools.combinations(range(1, nx + 1), r):
+def elementary_symmetric(r: int, nx: int, params=(), variables=None) -> MPoly:
+    """e_r of the X variables with the given 1-based indices (default
+    all of X_1, ..., X_nx)."""
+    if variables is None:
+        variables = range(1, nx + 1)
+    terms = {}
+    for combo in itertools.combinations(variables, r):
         exps = [0] * (nx + len(params))
         for i in combo:
             exps[i - 1] = 1
-        out = out + MPoly(nx, params, {tuple(exps): 1})
-    return out
+        terms[tuple(exps)] = 1
+    return MPoly(nx, params, terms)
+
+
+def exponent_tuples(n: int, max_total: int):
+    """All n-tuples (n >= 1) of nonnegative exponents with sum at most
+    max_total, by total degree, then lexicographically ascending."""
+    for total in range(max_total + 1):
+        # stars and bars: n - 1 bar positions among total + n - 1 slots
+        for bars in itertools.combinations(range(total + n - 1), n - 1):
+            ends = (-1,) + bars + (total + n - 1,)
+            yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))

@@ -117,6 +117,19 @@ def test_nonpositive_cap_is_usage_error(capsys):
         ),
         (["verify", "fock", "--p", "0"], "--p must be at least 1"),
         (["compute", "fock-matrix", "--p", "-1"], "--p must be at least 1"),
+        (
+            ["compute", "hall-table", "--max-dim", "1"],
+            "--max-dim must be two nonnegative integers",
+        ),
+        (
+            ["compute", "hall-table", "--max-dim", "1,-1"],
+            "--max-dim must be two nonnegative integers",
+        ),
+        (
+            ["compute", "grdim", "--vprime", "1"],
+            "--v and --vprime must have the same length",
+        ),
+        (["compute", "poincare", "--n", "-2"], "--n must be at least 0"),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, argv, message):
@@ -125,6 +138,19 @@ def test_unsupported_parameter_exits_two(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("p, expected", [(2, []), (3, [True])])
+def test_fock_p3_example_runs_only_at_p3(capsys, p, expected):
+    # at p != 3 the example has nothing to check, so it is not reported
+    code, out = run_cli(
+        capsys, ["verify", "fock", "--p", str(p), "--max-size", "2"]
+    )
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["pass"] for c in checks if c["name"] == "fock-p3-example"] == (
+        expected
+    )
 
 
 def test_failing_check_exits_one(capsys, monkeypatch):

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +110,28 @@ def test_rank_full_range():
     for n in range(4):
         for i in range(n + 2):
             assert verify_rank(n, i, rng=rng, points=2) == expected_rank(n, i)
+
+
+def test_wrong_rank_raises_under_optimize():
+    # a rank mismatch must fail under `python -O`, which strips asserts
+    code = (
+        "import sys\n"
+        "import quiverhecke.cyclotomic as cyc\n"
+        "cyc.expected_rank = lambda n, i: 5\n"
+        "try:\n"
+        "    cyc.verify_rank(2, 1)\n"
+        "except ArithmeticError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised", "1"]
 
 
 def test_reduced_rank_matches_generic():

@@ -492,9 +492,7 @@ def test_central_probe_single_vertex_rank1():
     ctx = make_klr(single_vertex_quiver(), 1)
     v = (1,)
     res = central_ideal_probe(ctx, v, [KLRElement.x(ctx, 1, v)], max_deg=2)
-    assert res is not None
-    poly, _ = res
-    assert poly == MPoly.x(1, 1)
+    assert res == (MPoly.x(1, 1), ((((1, 1, 1),), 1),))
 
 
 def test_central_probe_single_vertex_tau_ideal():
@@ -504,8 +502,10 @@ def test_central_probe_single_vertex_tau_ideal():
     v = (1, 1)
     res = central_ideal_probe(ctx, v, [KLRElement.tau(ctx, 1, v)], max_deg=2)
     assert res is not None
-    poly, _ = res
+    poly, labels = res
     assert not poly.is_zero() and poly.is_symmetric()
+    assert poly == MPoly.x(1, 2) + MPoly.x(2, 2)
+    assert labels == ((((1, 1, 1),), 1),)
 
 
 def test_central_probe_a2_idempotent_ideal():
@@ -514,9 +514,51 @@ def test_central_probe_a2_idempotent_ideal():
     res = central_ideal_probe(
         ctx, v, [KLRElement.idempotent(ctx, v)], max_deg=2
     )
-    assert res is not None
-    poly, _ = res
-    assert not poly.is_zero()
+    assert res == (
+        MPoly.x(2, 2) - MPoly.x(1, 2),
+        ((((1, 1, 1),), -1), (((2, 1, 1),), 1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "quiver, v, gen, poly, labels",
+    [
+        ("single", (1,), "x", {(1,): 1}, ((((1, 1, 1),), 1),)),
+        ("single", (1, 1), "tau", {(1, 0): 1, (0, 1): 1}, ((((1, 1, 1),), 1),)),
+        (
+            "a2",
+            (1, 2),
+            "idempotent",
+            {(1, 0): -1, (0, 1): 1},
+            ((((1, 1, 1),), -1), (((2, 1, 1),), 1)),
+        ),
+        (
+            "a2",
+            (1, 2),
+            "x",
+            {(2, 0): 1, (1, 1): -1},
+            ((((1, 1, 1), (2, 1, 1)), -1), (((1, 1, 2),), 1)),
+        ),
+        (
+            "a2",
+            (1, 2),
+            "tau",
+            {(1, 0): -1, (0, 1): 1},
+            ((((1, 1, 1),), -1), (((2, 1, 1),), 1)),
+        ),
+    ],
+)
+def test_central_probe_degree_four_values(quiver, v, gen, poly, labels):
+    # exact (poly, labels) of the bounded search at max_deg = 4
+    q = single_vertex_quiver() if quiver == "single" else linear_quiver(2)
+    ctx = make_klr(q, len(v))
+    g = {
+        "x": lambda: KLRElement.x(ctx, 1, v),
+        "tau": lambda: KLRElement.tau(ctx, 1, v),
+        "idempotent": lambda: KLRElement.idempotent(ctx, v),
+    }[gen]()
+    res = central_ideal_probe(ctx, v, [g], max_deg=4)
+    assert res == (MPoly(len(v), (), poly), labels)
 
 
 def test_central_probe_inconclusive_returns_none():

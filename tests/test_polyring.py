@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from quiverhecke.polyring import (
     count_monomials_by_degree,
     divide_exact_by_x_difference,
     elementary_symmetric,
+    exponent_tuples,
     grdim_polynomial_ring,
     grdim_symmetric_ring,
     schubert_basis_element,
@@ -194,6 +196,30 @@ def test_elementary_symmetric_identity():
         sign = -1 if r % 2 else 1
         acc = acc + sign * elementary_symmetric(r, n, ()) * x(1, n) ** (n - r)
     assert acc.is_zero()
+
+
+def test_elementary_symmetric_in_a_variable_subset():
+    # e_r(X_2, X_4) inside 4 variables with one parameter, from its terms
+    params = ("z",)
+    assert elementary_symmetric(0, 4, params, [2, 4]) == MPoly.one(4, params)
+    assert elementary_symmetric(1, 4, params, [2, 4]) == MPoly(
+        4, params, {(0, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0): 1}
+    )
+    assert elementary_symmetric(2, 4, params, [2, 4]) == MPoly(
+        4, params, {(0, 1, 0, 1, 0): 1}
+    )
+    assert elementary_symmetric(3, 4, params, [2, 4]).is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exponent_tuples_order(n):
+    for max_total in range(6):
+        expected = sorted(
+            (e for e in itertools.product(range(max_total + 1), repeat=n)
+             if sum(e) <= max_total),
+            key=lambda e: (sum(e), e),
+        )
+        assert list(exponent_tuples(n, max_total)) == expected
 
 
 def test_exact_division_assertion():
