@@ -629,6 +629,8 @@ def compute_poincare(cfg):
 
 def compute_schubert_basis(cfg):
     n = cfg["n"]
+    if n < 0:
+        raise ValueError(f"--n must be at least 0, got {n}")
     rows = []
     for w in sorted(
         Permutation.all(n), key=lambda u: (u.length(), u.images)
@@ -651,7 +653,14 @@ def compute_grdim(cfg):
         raise ValueError(
             f"--v and --vprime must have the same length, got {len(v)} and {len(vp)}"
         )
-    ctx = make_klr(_quiver(cfg["quiver"]), len(v))
+    quiver = _quiver(cfg["quiver"])
+    for flag, idem in (("--v", v), ("--vprime", vp)):
+        if not set(idem) <= set(quiver.vertices):
+            raise ValueError(
+                f"{flag} entries must be vertices {list(quiver.vertices)} "
+                f"of the quiver, got {list(idem)}"
+            )
+    ctx = make_klr(quiver, len(v))
     poly = hom_graded_dimension(ctx, v, vp)
     return {
         "quiver": cfg["quiver"],
@@ -665,6 +674,9 @@ def compute_cyclotomic_basis(cfg):
     from .cyclotomic import cyclotomic_basis
 
     n, i = cfg["n"], cfg["i"]
+    for flag, value in (("--n", n), ("--i", i)):
+        if value < 0:
+            raise ValueError(f"{flag} must be at least 0, got {value}")
     return {
         "n": n,
         "i": i,

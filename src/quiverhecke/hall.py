@@ -218,8 +218,9 @@ def gl_order(q: int, n: int) -> int:
 
 
 def gl_generators(q: int, n: int):
-    """A generating set of GL_n(q), closed under nothing in particular;
-    inverses are appended so orbit BFS is symmetric."""
+    """A generating set of GL_n(q): one diagonal and the elementary
+    transvections.  The group is finite, so products of the generators
+    alone (no inverses) reach every element."""
     F = field(q)
     gens = []
     if n == 0:
@@ -234,11 +235,7 @@ def gl_generators(q: int, n: int):
                 e = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
                 e[i][j] = 1
                 gens.append(tuple(tuple(r) for r in e))
-    full = []
-    for m in gens:
-        full.append(m)
-        full.append(mat_inverse(F, m))
-    return full
+    return gens
 
 
 # -- quivers and representations ----------------------------------------

@@ -8,39 +8,47 @@ and X_j acts on M_v by x_j + v_j (so X_j - v_j is nilpotent on M_v).
 The total-degree ideal is used because per-variable power ideals are
 not preserved by divided differences.
 
-T_i acts by the Demazure-Lusztig operator written in the X-variables,
+Both actions are one Demazure-Lusztig formula in the X-variables,
 restricted to each component:
 
-  * if v_i = v_{i+1}:
-        T_i = (q X_i - X_{i+1}) d_i + q,
-    with d_i the divided difference (P - s_i P)/(x_{i+1} - x_i); on an
-    equal-value component (X_i - X_{i+1})^{-1}(s_i - 1) = d_i, so this
-    is the regularized form of the generic formula below;
-  * if v_i != v_{i+1}:
-        T_i = (q X_i - X_{i+1})(X_i - X_{i+1})^{-1} s_i
-              + (1-q) X_{i+1} (X_i - X_{i+1})^{-1},
+    T_i = N_i (X_i - X_{i+1})^{-1} (s_i - 1) + alpha,
+    N_i = alpha X_i - X_{i+1} + beta,
+
+where s_i exchanges x_i, x_{i+1} and carries M_v to M_{s_i v}.  The
+mode fixes the constants and the value of each vertex k:
+
+    mode         alpha  beta  value of k   generator
+    affine       q      0     q^k          T_i
+    degenerate   1      1     k            s_i
+
+  * if v_i = v_{i+1}, (X_i - X_{i+1})^{-1}(s_i - 1) is the divided
+    difference d_i = (P - s_i P)/(x_{i+1} - x_i), so
+        T_i = N_i d_i + alpha
+    is the regularized form of the formula;
+  * if v_i != v_{i+1},
+        T_i = N_i (X_i - X_{i+1})^{-1} s_i
+              + ((1 - alpha) X_{i+1} - beta)(X_i - X_{i+1})^{-1},
     where the first factor multiplies on the target component of the
     swap and the second on the source; both denominators have the unit
-    constant term v_i - v_{i+1}, so they invert as truncated series.
+    constant term +-(v_i - v_{i+1}), so they invert as truncated series.
 
-The diagonal part (1-q)X_{i+1}(X_i - X_{i+1})^{-1} is forced by the
-straightening relation T_iX_{i+1} - X_iT_i = (q-1)X_{i+1}; the cross
-part is determined by the quadratic relation up to a componentwise
-unit, which is the gauge in which the intertwiner formulas of the
-literature are written.
+The relations checked are, for both modes,
 
-s_i in the degenerate case is the additive analogue:
+    (T_i - alpha)(T_i + 1) = 0,
+    T_i X_{i+1} - X_i T_i = (alpha - 1) X_{i+1} + beta,
 
-  * if v_i = v_{i+1}:
-        s_i = (x_i - x_{i+1} + 1) d_i + 1;
-  * if v_i != v_{i+1}:
-        s_i = (X_i - X_{i+1} + 1)(X_i - X_{i+1})^{-1} swap_i
-              - (X_i - X_{i+1})^{-1},
-    with X_j = x_j + v_j and v_j rational.
+T_i X_j = X_j T_i for j outside {i, i+1}, X_i X_j = X_j X_i and the
+braid relation; at (1, 1) the first two read s_i^2 = 1 and
+s_i X_{i+1} - X_i s_i = 1.  The source part of T_i is forced by the
+straightening relation; the target part is determined by the quadratic
+relation up to a componentwise unit, which is the gauge in which the
+intertwiner formulas of the literature are written.
 
 The scalar field is Q(q) in affine mode, held as integer Laurent
 polynomials in q over a product of tracked unit denominators (exact
-zero tests, no polynomial gcd), and Q in degenerate mode.
+zero tests, no polynomial gcd), and Q in degenerate mode.  QScalar and
+Fraction share +, -, *, / and truth testing, so one code path serves
+both.
 
 Degree bookkeeping: one application of T_i or s_i lowers total degree
 by at most 1 (only through the divided difference) and the truncation
@@ -135,6 +143,9 @@ class QScalar:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def __add__(self, other: "QScalar") -> "QScalar":
         if self.den == other.den:
             return QScalar(_padd(self.num, other.num), self.den)
@@ -163,51 +174,26 @@ class QScalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QScalar):
             return NotImplemented
-        return (self - other).is_zero()
+        return not (self - other)
 
     def __hash__(self):
         raise TypeError("unhashable")
 
     def inverse(self) -> "QScalar":
-        assert self.num, "division by zero"
+        if not self.num:
+            raise ZeroDivisionError("QScalar division by zero")
         key, shift, sign = _unit_key(self.num)
         num = _den_product(self.den)
         num = {e - shift: sign * c for e, c in num.items()}
         return QScalar(num, (key,))
 
+    def __truediv__(self, other: "QScalar") -> "QScalar":
+        return self * other.inverse()
+
     def __repr__(self):
         return f"QScalar({self.num}, den={self.den})"
 
 
-# -- scalar adapters ------------------------------------------------------
-
-
-class _AffineScalars:
-    zero = staticmethod(lambda: QScalar({}))
-    one = staticmethod(lambda: QScalar({0: 1}))
-    from_int = staticmethod(QScalar.from_int)
-
-    @staticmethod
-    def inv(s):
-        return s.inverse()
-
-    @staticmethod
-    def is_zero(s):
-        return s.is_zero()
-
-
-class _DegenerateScalars:
-    zero = staticmethod(lambda: Fraction(0))
-    one = staticmethod(lambda: Fraction(1))
-    from_int = staticmethod(Fraction)
-
-    @staticmethod
-    def inv(s):
-        return 1 / s
-
-    @staticmethod
-    def is_zero(s):
-        return s == 0
 
 
 # -- truncated module -----------------------------------------------------
@@ -216,11 +202,22 @@ class _DegenerateScalars:
 # indices into the vertex list and exps of total degree < cutoff
 
 
+def _bump(out, key, val):
+    """out[key] += val, dropping the entry when the sum is zero."""
+    if key in out:
+        val = out[key] + val
+    if val:
+        out[key] = val
+    else:
+        out.pop(key, None)
+
+
 class HeckeBridge:
     """Operators on the truncated module for a type-A vertex set.
 
     ``mode`` is "affine" (vertex values q^k for k in ``vertices``) or
-    "degenerate" (vertex values the given rationals).
+    "degenerate" (vertex values the given rationals).  It fixes the
+    scalars and the constants (alpha, beta) of the one generator formula.
     """
 
     def __init__(self, n, cutoff, mode="affine", vertices=None):
@@ -231,14 +228,17 @@ class HeckeBridge:
         self.vertices = tuple(vertices if vertices is not None else (0, 1, 2))
         assert len(set(self.vertices)) == len(self.vertices)
         if mode == "affine":
-            self.F = _AffineScalars
+            self.one = QScalar.from_int(1)
+            self.alpha, self.beta = QScalar.q_power(1), QScalar.from_int(0)
             self.vertex_scalars = tuple(
                 QScalar.q_power(k) for k in self.vertices
             )
-        else:
-            assert mode == "degenerate"
-            self.F = _DegenerateScalars
+        elif mode == "degenerate":
+            self.one = Fraction(1)
+            self.alpha, self.beta = self.one, self.one
             self.vertex_scalars = tuple(Fraction(v) for v in self.vertices)
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
         self._mult_cache = {}
 
     def has_arrow(self, a: int, b: int) -> bool:
@@ -249,28 +249,18 @@ class HeckeBridge:
 
     # -- elements ---------------------------------------------------------
 
-    def zero_el(self):
-        return {}
-
     def monomial(self, v, exps, coeff=None):
         v = tuple(v)
         exps = tuple(exps)
         assert len(v) == self.n and len(exps) == self.n
         assert all(0 <= k < len(self.vertices) for k in v)
         assert sum(exps) < self.cutoff
-        return {(v, exps): self.F.one() if coeff is None else coeff}
+        return {(v, exps): self.one if coeff is None else coeff}
 
     def add_el(self, a, b):
         out = dict(a)
         for key, c in b.items():
-            if key in out:
-                s = out[key] + c
-                if self.F.is_zero(s):
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
+            _bump(out, key, c)
         return out
 
     def scale_el(self, a, c):
@@ -283,7 +273,7 @@ class HeckeBridge:
         return self.add_el(a, self.neg_el(b))
 
     def is_zero_el(self, a) -> bool:
-        return all(self.F.is_zero(c) for c in a.values())
+        return not any(a.values())
 
     def basis(self, degree_bound=None):
         bound = self.cutoff if degree_bound is None else degree_bound
@@ -306,16 +296,8 @@ class HeckeBridge:
         out = {}
         for (v, exps), c in el.items():
             e2 = tuple(a + b for a, b in zip(exps, shift))
-            if sum(e2) >= self.cutoff:
-                continue
-            key = (v, e2)
-            val = c * coeff
-            if key in out:
-                val = out[key] + val
-            if self.F.is_zero(val):
-                out.pop(key, None)
-            else:
-                out[key] = val
+            if sum(e2) < self.cutoff:
+                _bump(out, (v, e2), c * coeff)
         return out
 
     def mul_linear(self, el, terms):
@@ -330,16 +312,9 @@ class HeckeBridge:
         out = {}
         for (v, exps), c in el.items():
             sign, monomials = demazure_exponents(exps, i)
-            if not monomials:
-                continue
-            term = c * self.F.from_int(sign)
+            term = c if sign > 0 else -c
             for e2 in monomials:
-                key = (v, e2)
-                val = out[key] + term if key in out else term
-                if self.F.is_zero(val):
-                    out.pop(key, None)
-                else:
-                    out[key] = val
+                _bump(out, (v, e2), term)
         return out
 
     def swap(self, i: int, el):
@@ -358,7 +333,7 @@ class HeckeBridge:
         difference on equal-value components, and the swap times
         x_i - x_{i+1} (arrow source) or 1 (otherwise)."""
         assert 1 <= i < self.n
-        one = self.F.one()
+        one = self.one
         out = {}
         for (v, exps), c in el.items():
             comp = {(v, exps): c}
@@ -376,22 +351,20 @@ class HeckeBridge:
 
     def series_inverse(self, const, lin):
         """(const + lin)^{-1} truncated; lin is [(shift, coeff), ...]."""
-        cinv = self.F.inv(const)
+        cinv = self.one / const
         out = {(0,) * self.n: cinv}
-        layer = [((0,) * self.n, cinv)]
+        layer = dict(out)
         while layer:
             nxt = {}
-            for shift, coeff in layer:
+            for shift, coeff in layer.items():
                 for s2, c2 in lin:
                     e = tuple(a + b for a, b in zip(shift, s2))
-                    if sum(e) >= self.cutoff:
-                        continue
-                    val = -(coeff * c2 * cinv)
-                    nxt[e] = nxt.get(e, self.F.zero()) + val
-            layer = [(e, c) for e, c in nxt.items() if not self.F.is_zero(c)]
-            for e, c in layer:
-                out[e] = out.get(e, self.F.zero()) + c
-        return [(e, c) for e, c in out.items() if not self.F.is_zero(c)]
+                    if sum(e) < self.cutoff:
+                        _bump(nxt, e, -(coeff * c2 * cinv))
+            for e, c in nxt.items():
+                _bump(out, e, c)
+            layer = nxt
+        return list(out.items())
 
     def series_mul(self, a, b):
         """Truncated product of two term lists [(shift, coeff), ...]."""
@@ -399,134 +372,86 @@ class HeckeBridge:
         for s1, c1 in a:
             for s2, c2 in b:
                 e = tuple(p + q for p, q in zip(s1, s2))
-                if sum(e) >= self.cutoff:
-                    continue
-                out[e] = out.get(e, self.F.zero()) + c1 * c2
-        return [(e, c) for e, c in out.items() if not self.F.is_zero(c)]
+                if sum(e) < self.cutoff:
+                    _bump(out, e, c1 * c2)
+        return list(out.items())
 
     # -- the X action ------------------------------------------------------
 
     def X(self, j: int, el):
         """X_j = x_j + v_j, componentwise."""
         assert 1 <= j <= self.n
-        out = self.mul_term(el, self.x_shift(j), self.F.one())
-        for (v, exps), c in el.items():
-            key = (v, exps)
-            val = c * self.vertex_scalars[v[j - 1]]
-            if key in out:
-                val = out[key] + val
-            if self.F.is_zero(val):
-                out.pop(key, None)
-            else:
-                out[key] = val
+        out = self.mul_term(el, self.x_shift(j), self.one)
+        for key, c in el.items():
+            _bump(out, key, c * self.vertex_scalars[key[0][j - 1]])
         return out
 
-    # -- the affine Hecke action ------------------------------------------
+    # -- the Hecke generators ----------------------------------------------
 
-    def _group_by_component(self, el):
-        groups = {}
-        for (v, exps), c in el.items():
-            groups.setdefault(v, {})[(v, exps)] = c
-        return groups
+    def _n_terms(self, i, a, b):
+        """N_i = alpha X_i - X_{i+1} + beta on a component whose vertex
+        values at positions i, i+1 are a, b."""
+        return [
+            (self.x_shift(i), self.alpha),
+            (self.x_shift(i + 1), -self.one),
+            ((0,) * self.n, self.alpha * a - b + self.beta),
+        ]
 
-    def _affine_mults(self, i, va, vb):
-        """Cached diagonal and cross multiplier series on the pair of
-        distinct vertex values at positions i, i+1."""
-        key = ("affine", i, va, vb)
+    def _mults(self, i, va, vb):
+        """Cached multiplier series of T_i on a component whose vertices
+        va != vb sit at positions i, i+1: ((1 - alpha) X_{i+1} - beta)
+        (X_i - X_{i+1})^{-1} on the source, and N_i (X_i - X_{i+1})^{-1}
+        after the swap, with the target component's constants."""
+        key = (i, va, vb)
         if key not in self._mult_cache:
-            q = QScalar.q_power(1)
-            one = self.F.one()
-            ei = self.x_shift(i)
-            ei1 = self.x_shift(i + 1)
-            zero_shift = (0,) * self.n
-            vi = self.vertex_scalars[va]
-            vi1 = self.vertex_scalars[vb]
-            inv_src = self.series_inverse(vi - vi1, [(ei, one), (ei1, -one)])
-            diag = self.series_mul(
-                inv_src, [(ei1, one - q), (zero_shift, (one - q) * vi1)]
+            one, alpha = self.one, self.alpha
+            a, b = self.vertex_scalars[va], self.vertex_scalars[vb]
+            diff = [(self.x_shift(i), one), (self.x_shift(i + 1), -one)]
+            source = self.series_mul(
+                self.series_inverse(a - b, diff),
+                [
+                    (self.x_shift(i + 1), one - alpha),
+                    ((0,) * self.n, (one - alpha) * b - self.beta),
+                ],
             )
-            inv_tgt = self.series_inverse(vi1 - vi, [(ei, one), (ei1, -one)])
-            cross = self.series_mul(
-                inv_tgt, [(ei, q), (ei1, -one), (zero_shift, q * vi1 - vi)]
+            target = self.series_mul(
+                self.series_inverse(b - a, diff), self._n_terms(i, b, a)
             )
-            self._mult_cache[key] = (diag, cross)
+            self._mult_cache[key] = (source, target)
         return self._mult_cache[key]
+
+    def _generator(self, i: int, el):
+        """T_i = N_i (X_i - X_{i+1})^{-1} (s_i - 1) + alpha, componentwise."""
+        assert 1 <= i < self.n
+        out = {}
+        for key, c in el.items():
+            v = key[0]
+            comp = {key: c}
+            if v[i - 1] == v[i]:
+                # N_i d_i + alpha
+                a = self.vertex_scalars[v[i - 1]]
+                piece = self.mul_linear(
+                    self.demazure(i, comp), self._n_terms(i, a, a)
+                )
+                _bump(piece, key, c * self.alpha)
+            else:
+                source, target = self._mults(i, v[i - 1], v[i])
+                piece = self.add_el(
+                    self.mul_linear(comp, source),
+                    self.mul_linear(self.swap(i, comp), target),
+                )
+            out = self.add_el(out, piece)
+        return out
 
     def affine_T(self, i: int, el):
-        assert self.mode == "affine" and 1 <= i < self.n
-        q = QScalar.q_power(1)
-        one = self.F.one()
-        ei = self.x_shift(i)
-        ei1 = self.x_shift(i + 1)
-        zero_shift = (0,) * self.n
-        out = {}
-        for v, comp in self._group_by_component(el).items():
-            vi = self.vertex_scalars[v[i - 1]]
-            if v[i - 1] == v[i]:
-                # (q X_i - X_{i+1}) d_i + q
-                piece = self.demazure(i, comp)
-                piece = self.mul_linear(
-                    piece,
-                    [(ei, q), (ei1, -one), (zero_shift, (q - one) * vi)],
-                )
-                piece = self.add_el(piece, self.scale_el(comp, q))
-            else:
-                # diagonal on the source, cross multiplier after the
-                # swap with the target component's constants
-                diag_series, cross_series = self._affine_mults(
-                    i, v[i - 1], v[i]
-                )
-                diag = self.mul_linear(comp, diag_series)
-                cross = self.mul_linear(self.swap(i, comp), cross_series)
-                piece = self.add_el(diag, cross)
-            out = self.add_el(out, piece)
-        return out
-
-    # -- the degenerate action --------------------------------------------
-
-    def _degenerate_mults(self, i, va, vb):
-        key = ("degenerate", i, va, vb)
-        if key not in self._mult_cache:
-            one = self.F.one()
-            ei = self.x_shift(i)
-            ei1 = self.x_shift(i + 1)
-            zero_shift = (0,) * self.n
-            vi = self.vertex_scalars[va]
-            vi1 = self.vertex_scalars[vb]
-            inv_src = self.series_inverse(vi - vi1, [(ei, one), (ei1, -one)])
-            diag = [(e, -c) for e, c in inv_src]
-            inv_tgt = self.series_inverse(vi1 - vi, [(ei, one), (ei1, -one)])
-            cross = self.series_mul(
-                inv_tgt,
-                [(ei, one), (ei1, -one), (zero_shift, vi1 - vi + one)],
-            )
-            self._mult_cache[key] = (diag, cross)
-        return self._mult_cache[key]
+        """T_i of the affine Hecke algebra, (alpha, beta) = (q, 0)."""
+        assert self.mode == "affine"
+        return self._generator(i, el)
 
     def degenerate_s(self, i: int, el):
-        assert self.mode == "degenerate" and 1 <= i < self.n
-        one = self.F.one()
-        ei = self.x_shift(i)
-        ei1 = self.x_shift(i + 1)
-        zero_shift = (0,) * self.n
-        out = {}
-        for v, comp in self._group_by_component(el).items():
-            if v[i - 1] == v[i]:
-                # (x_i - x_{i+1} + 1) d_i + 1
-                piece = self.demazure(i, comp)
-                piece = self.mul_linear(
-                    piece, [(ei, one), (ei1, -one), (zero_shift, one)]
-                )
-                piece = self.add_el(piece, comp)
-            else:
-                diag_series, cross_series = self._degenerate_mults(
-                    i, v[i - 1], v[i]
-                )
-                diag = self.mul_linear(comp, diag_series)
-                cross = self.mul_linear(self.swap(i, comp), cross_series)
-                piece = self.add_el(diag, cross)
-            out = self.add_el(out, piece)
-        return out
+        """s_i of the degenerate affine Hecke algebra, (alpha, beta) = (1, 1)."""
+        assert self.mode == "degenerate"
+        return self._generator(i, el)
 
 
 # -- convenience entry points --------------------------------------------
@@ -557,20 +482,12 @@ class _CachedOp:
 
     def __call__(self, el):
         out = {}
-        F = self.br.F
         for key, c in el.items():
             col = self.cols.get(key)
             if col is None:
-                col = self.fn({key: F.one()})
-                self.cols[key] = col
+                col = self.cols[key] = self.fn({key: self.br.one})
             for k2, c2 in col.items():
-                val = c * c2
-                if k2 in out:
-                    val = out[k2] + val
-                if F.is_zero(val):
-                    out.pop(k2, None)
-                else:
-                    out[k2] = val
+                _bump(out, k2, c * c2)
         return out
 
 
@@ -583,134 +500,79 @@ def verify_affine_relations(n, window, vertices=(0, 1, 2), slack=3):
     coefficients are exact.
     """
     br = HeckeBridge(n, window + slack, "affine", vertices)
-    q = QScalar.q_power(1)
-    one = br.F.one()
-    T = {
-        i: _CachedOp(br, lambda el, i=i: br.affine_T(i, el))
-        for i in range(1, n)
-    }
-    X = {
-        j: _CachedOp(br, lambda el, j=j: br.X(j, el))
-        for j in range(1, n + 1)
-    }
-
-    checks = []
-    for i in range(1, n):
-        # (T_i - q)(T_i + 1) = 0
-        checks.append(
-            (
-                f"quadratic T_{i}",
-                lambda m, i=i: br.add_el(
-                    T[i](T[i](m)),
-                    br.sub_el(
-                        br.scale_el(T[i](m), one - q), br.scale_el(m, q)
-                    ),
-                ),
-            )
-        )
-        # T_i X_{i+1} - X_i T_i = (q-1) X_{i+1}
-        checks.append(
-            (
-                f"straighten T_{i}",
-                lambda m, i=i: br.sub_el(
-                    br.sub_el(T[i](X[i + 1](m)), X[i](T[i](m))),
-                    br.scale_el(X[i + 1](m), q - one),
-                ),
-            )
-        )
-        # T_i X_j = X_j T_i for j outside {i, i+1}
-        for j in range(1, n + 1):
-            if j in (i, i + 1):
-                continue
-            checks.append(
-                (
-                    f"commute T_{i} X_{j}",
-                    lambda m, i=i, j=j: br.sub_el(
-                        T[i](X[j](m)), X[j](T[i](m))
-                    ),
-                )
-            )
-    # X_i X_j = X_j X_i
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            checks.append(
-                (
-                    f"commute X_{i} X_{j}",
-                    lambda m, i=i, j=j: br.sub_el(
-                        X[i](X[j](m)), X[j](X[i](m))
-                    ),
-                )
-            )
-    # braid
-    for i in range(1, n - 1):
-        checks.append(
-            (
-                f"braid T_{i} T_{i + 1}",
-                lambda m, i=i: br.sub_el(
-                    T[i](T[i + 1](T[i](m))),
-                    T[i + 1](T[i](T[i + 1](m))),
-                ),
-            )
-        )
-    _run_checks(br, checks, window)
-    return True
+    return _verify_relations(br, br.affine_T, window)
 
 
 def verify_degenerate_relations(n, window, vertices=(0, 1, 2), slack=3):
     """Check the degenerate affine Hecke relations in degrees < window."""
     br = HeckeBridge(n, window + slack, "degenerate", vertices)
-    S = {
-        i: _CachedOp(br, lambda el, i=i: br.degenerate_s(i, el))
+    return _verify_relations(br, br.degenerate_s, window)
+
+
+def _verify_relations(br, generator, window):
+    """Check the relations of T_i = generator(i, .) and X_j on every
+    monomial of degree < window.
+
+    Raises ValueError when n < 2 (there is no relation to check) and
+    ArithmeticError naming the first relation and monomial that fail.
+    """
+    n = br.n
+    if n < 2:
+        raise ValueError(f"the Hecke relations need n >= 2, got n = {n}")
+    one, alpha, beta = br.one, br.alpha, br.beta
+    T = {
+        i: _CachedOp(br, lambda el, i=i: generator(i, el))
         for i in range(1, n)
     }
     X = {
         j: _CachedOp(br, lambda el, j=j: br.X(j, el))
         for j in range(1, n + 1)
     }
+
+    def quadratic(m, i):
+        # (T_i - alpha)(T_i + 1) = 0
+        tm = T[i](m)
+        return br.add_el(
+            T[i](tm),
+            br.sub_el(br.scale_el(tm, one - alpha), br.scale_el(m, alpha)),
+        )
+
+    def straighten(m, i):
+        # T_i X_{i+1} - X_i T_i = (alpha - 1) X_{i+1} + beta
+        xm = X[i + 1](m)
+        return br.sub_el(
+            br.sub_el(T[i](xm), X[i](T[i](m))),
+            br.add_el(br.scale_el(xm, alpha - one), br.scale_el(m, beta)),
+        )
+
+    def commute(m, a, b):
+        return br.sub_el(a(b(m)), b(a(m)))
+
+    def braid(m, i):
+        return br.sub_el(
+            T[i](T[i + 1](T[i](m))), T[i + 1](T[i](T[i + 1](m)))
+        )
+
     checks = []
     for i in range(1, n):
-        checks.append(
-            (
-                f"involution s_{i}",
-                lambda m, i=i: br.sub_el(S[i](S[i](m)), m),
-            )
-        )
-        checks.append(
-            (
-                f"straighten s_{i}",
-                lambda m, i=i: br.sub_el(
-                    br.sub_el(S[i](X[i + 1](m)), X[i](S[i](m))), m
-                ),
-            )
-        )
-        for j in range(1, n + 1):
-            if j in (i, i + 1):
-                continue
-            checks.append(
-                (
-                    f"commute s_{i} X_{j}",
-                    lambda m, i=i, j=j: br.sub_el(
-                        S[i](X[j](m)), X[j](S[i](m))
-                    ),
-                )
-            )
-    for i in range(1, n - 1):
-        checks.append(
-            (
-                f"braid s_{i} s_{i + 1}",
-                lambda m, i=i: br.sub_el(
-                    S[i](S[i + 1](S[i](m))),
-                    S[i + 1](S[i](S[i + 1](m))),
-                ),
-            )
-        )
-    _run_checks(br, checks, window)
-    return True
-
-
-def _run_checks(br, checks, window):
+        checks.append((f"quadratic T_{i}", quadratic, (i,)))
+        checks.append((f"straighten T_{i}", straighten, (i,)))
+        checks += [
+            (f"commute T_{i} X_{j}", commute, (T[i], X[j]))
+            for j in range(1, n + 1)
+            if j not in (i, i + 1)
+        ]
+    checks += [
+        (f"commute X_{i} X_{j}", commute, (X[i], X[j]))
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    ]
+    checks += [(f"braid T_{i} T_{i + 1}", braid, (i,)) for i in range(1, n - 1)]
     for key in br.basis(window):
         m = br.monomial(*key)
-        for name, fn in checks:
-            r = br.low_part(fn(m), window)
-            assert br.is_zero_el(r), (name, key)
+        for name, residual, args in checks:
+            if not br.is_zero_el(br.low_part(residual(m, *args), window)):
+                raise ArithmeticError(
+                    f"{br.mode} Hecke relation {name} fails on {key}"
+                )
+    return True

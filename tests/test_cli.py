@@ -130,6 +130,23 @@ def test_nonpositive_cap_is_usage_error(capsys):
             "--v and --vprime must have the same length",
         ),
         (["compute", "poincare", "--n", "-2"], "--n must be at least 0"),
+        (
+            ["verify", "heckebridge", "--n", "1", "--window", "3"],
+            "the Hecke relations need n >= 2",
+        ),
+        (["compute", "schubert-basis", "--n", "-1"], "--n must be at least 0"),
+        (
+            ["compute", "cyclotomic-basis", "--n", "-1"],
+            "--n must be at least 0",
+        ),
+        (
+            ["compute", "cyclotomic-basis", "--n", "2", "--i", "-1"],
+            "--i must be at least 0",
+        ),
+        (
+            ["compute", "grdim", "--v", "1,2", "--vprime", "1,3"],
+            "--vprime entries must be vertices",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, argv, message):

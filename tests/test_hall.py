@@ -15,6 +15,7 @@ from quiverhecke.hall import (
     direct_sum,
     field,
     gaussian_binomial,
+    gl_generators,
     gl_order,
     group_order,
     jordan_quiver,
@@ -127,6 +128,26 @@ def test_mat_mul_matches_schoolbook(q):
         assert got == _schoolbook(q, A, B, rows, inner, cols), (A, B)
         if inner:
             assert mat_mul(F, A, B) == got
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_gl_generators_generate_the_group(q, n):
+    # the orbit BFS uses the generators without their inverses, so
+    # their products alone must reach all of GL_n(q)
+    F = field(q)
+    gens = gl_generators(q, n)
+    identity = tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        frontier = [
+            h
+            for h in {mat_mul(F, m, g) for m in frontier for g in gens}
+            if h not in seen
+        ]
+        seen.update(frontier)
+    assert len(seen) == gl_order(q, n)
 
 
 def test_singular_inverse_raises_under_optimize():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +53,7 @@ def test_qscalar_negative_powers():
 def test_truncation_drops_high_degrees():
     br = HeckeBridge(2, 3, "affine")
     m = br.monomial((0, 1), (1, 1))
-    out = br.mul_term(m, (1, 0), br.F.one())
+    out = br.mul_term(m, (1, 0), br.one)
     assert out == {}
 
 
@@ -119,6 +123,29 @@ def test_affine_T_moves_between_components():
     assert comps == {(0, 1), (1, 0)}
 
 
+def test_affine_T_distinct_component_values():
+    # the column of T_1 on the constant of M_(0,1), recorded before
+    # both modes shared one generator formula
+    q = QScalar.q_power(1)
+    one = QScalar.from_int(1)
+    u = (one - q).inverse()
+    out = affine_T_action(1, (0, 1), (0, 0), 2, cutoff=3)
+    assert out == {
+        ((0, 1), (0, 0)): q,
+        ((0, 1), (0, 1)): u,
+        ((0, 1), (0, 2)): u * u,
+        ((0, 1), (1, 0)): -(q * u),
+        ((0, 1), (1, 1)): -((one + q) * u * u),
+        ((0, 1), (2, 0)): q * u * u,
+        ((1, 0), (0, 0)): one + q,
+        ((1, 0), (0, 1)): -(q * u),
+        ((1, 0), (0, 2)): q * u * u,
+        ((1, 0), (1, 0)): u,
+        ((1, 0), (1, 1)): -((one + q) * u * u),
+        ((1, 0), (2, 0)): u * u,
+    }
+
+
 def test_affine_relations_small():
     assert verify_affine_relations(2, 4)
 
@@ -159,12 +186,77 @@ def test_degenerate_straightening_on_distinct_component():
         assert br.is_zero_el(br.low_part(br.sub_el(lhs, m), 4))
 
 
+def test_degenerate_s_distinct_component_values():
+    # recorded before both modes shared one generator formula
+    out = degenerate_s_action(1, (0, 1), (0, 0), 2, cutoff=3)
+    assert out == {
+        ((0, 1), (0, 0)): Fraction(1),
+        ((0, 1), (0, 1)): Fraction(-1),
+        ((0, 1), (0, 2)): Fraction(1),
+        ((0, 1), (1, 0)): Fraction(1),
+        ((0, 1), (1, 1)): Fraction(-2),
+        ((0, 1), (2, 0)): Fraction(1),
+        ((1, 0), (0, 0)): Fraction(2),
+        ((1, 0), (0, 1)): Fraction(1),
+        ((1, 0), (0, 2)): Fraction(1),
+        ((1, 0), (1, 0)): Fraction(-1),
+        ((1, 0), (1, 1)): Fraction(-2),
+        ((1, 0), (2, 0)): Fraction(1),
+    }
+
+
 def test_degenerate_relations_small():
     assert verify_degenerate_relations(2, 4)
 
 
 def test_degenerate_relations_rank_three():
     assert verify_degenerate_relations(3, 3)
+
+
+# -- the relation suites ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "method, verify, relation",
+    [
+        ("affine_T", "verify_affine_relations", "quadratic T_1"),
+        # -s_i is an involution too, so straightening is what fails
+        ("degenerate_s", "verify_degenerate_relations", "straighten T_1"),
+    ],
+)
+def test_wrong_generator_raises_under_optimize(method, verify, relation):
+    # a sign-flipped generator must fail under `python -O`, which strips
+    # assert statements
+    code = (
+        "import sys\n"
+        "import quiverhecke.heckebridge as hb\n"
+        f"original = hb.HeckeBridge.{method}\n"
+        f"hb.HeckeBridge.{method} = (\n"
+        "    lambda self, i, el: self.neg_el(original(self, i, el)))\n"
+        "try:\n"
+        f"    hb.{verify}(2, 3)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', sys.flags.optimize, exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[:2] == ["raised", "1"]
+    assert f"Hecke relation {relation} fails" in res.stdout
+
+
+@pytest.mark.parametrize(
+    "verify", [verify_affine_relations, verify_degenerate_relations]
+)
+def test_single_strand_has_no_relations(verify):
+    # at n = 1 there is nothing to check, so no vacuous True
+    with pytest.raises(ValueError, match="need n >= 2"):
+        verify(1, 3)
 
 
 # -- the quiver Hecke intertwiner ----------------------------------------
@@ -179,7 +271,7 @@ def test_tau_square_vanishes_on_equal_component():
 def test_tau_square_is_arrow_polynomial():
     # tau^2 = +-(x_1 - x_2) on a component joined by an arrow
     br = HeckeBridge(2, 5, "affine")
-    one = br.F.one()
+    one = br.one
     m = br.monomial((0, 1), (0, 0))
     got = br.tau(1, br.tau(1, m))
     expected = br.mul_linear(
@@ -191,7 +283,7 @@ def test_tau_square_is_arrow_polynomial():
 def test_tau_is_swap_on_distant_component():
     br = HeckeBridge(2, 5, "affine")
     m = br.monomial((0, 2), (1, 0))
-    assert br.tau(1, m) == {((2, 0), (0, 1)): br.F.one()}
+    assert br.tau(1, m) == {((2, 0), (0, 1)): br.one}
 
 
 # -- guards ---------------------------------------------------------------
