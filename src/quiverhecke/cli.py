@@ -236,8 +236,7 @@ def suite_klr_relations(cfg, rng):
     cap = cfg["max_deg"] // 2
     monos = [
         MPoly(n, ctx.params, {e + (0,) * len(ctx.params): 1})
-        for e in itertools.product(range(cap + 1), repeat=n)
-        if sum(e) <= cap
+        for e in exponent_tuples(n, cap)
     ]
 
     def tau(i, mod):
@@ -403,6 +402,10 @@ def suite_cyclotomic(cfg, rng):
 
     s = _Suite()
     max_n = cfg["n"]
+    if max_n > 4:
+        # the rank certificates grow factorially: n = 4 takes seconds,
+        # n = 5 did not finish in minutes
+        raise ValueError(f"--n must be at most 4 for the cyclotomic suite, got {max_n}")
 
     def ranks():
         for n in range(max_n + 1):

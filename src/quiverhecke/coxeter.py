@@ -71,10 +71,6 @@ class Permutation:
             if im[a] > im[b]
         )
 
-    def descents(self):
-        """Right descents: i with l(w s_i) < l(w), i.e. w(i) > w(i+1)."""
-        return [i for i in range(1, self.n) if self.images[i - 1] > self.images[i]]
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(range(1, n + 1))

@@ -9,13 +9,15 @@ residue i (summing over all ways); d counts the boxes of residue 0.
 The weight of a partition is recorded through its residue content
 c_j = #{boxes of residue j}; the pairing of Lambda_0 - sum_j c_j alpha_j
 with alpha_i^vee is delta_{i,0} - sum_j c_j a_{ij}, where a is the
-affine Cartan matrix of type A_{p-1}^{(1)} (with the p = 2 convention
-a_{01} = a_{10} = -2).
+affine Cartan matrix of type A_{p-1}^{(1)}, read from the cyclic quiver
+``klr.cyclic_quiver(p)`` (so a_{01} = a_{10} = -2 at p = 2).
 """
 
 from __future__ import annotations
 
 import itertools
+
+from .klr import cyclic_quiver
 
 
 def check_partition(parts) -> tuple:
@@ -23,10 +25,6 @@ def check_partition(parts) -> tuple:
     assert all(isinstance(a, int) and a > 0 for a in parts)
     assert all(parts[k] >= parts[k + 1] for k in range(len(parts) - 1))
     return parts
-
-
-def partition_size(parts) -> int:
-    return sum(parts)
 
 
 def all_partitions(n: int):
@@ -193,28 +191,14 @@ def d_op(p: int, v: FockVector) -> FockVector:
 
 
 def affine_cartan(p: int):
-    """Cartan matrix of type A_{p-1}^{(1)}, indices 0..p-1.
-
-    For p = 1 (a single vertex with a loop) the convention a_{00} = 0 is
-    used; p = 2 has off-diagonal entries -2.
-    """
-    assert p >= 1
-    if p == 1:
-        return ((0,),)
-    if p == 2:
-        return ((2, -2), (-2, 2))
-    mat = []
-    for i in range(p):
-        row = []
-        for j in range(p):
-            if i == j:
-                row.append(2)
-            elif (j - i) % p in (1, p - 1):
-                row.append(-1)
-            else:
-                row.append(0)
-        mat.append(tuple(row))
-    return tuple(mat)
+    """Cartan matrix of type A_{p-1}^{(1)}, indices 0..p-1: that of the
+    cyclic quiver with p vertices (a_{00} = 0 at p = 1 from its loop,
+    off-diagonal entries -2 at p = 2 from its two arrows)."""
+    quiver = cyclic_quiver(p)
+    return tuple(
+        tuple(quiver.cartan(i, j) for j in quiver.vertices)
+        for i in quiver.vertices
+    )
 
 
 def weight_pairing(parts, i: int, p: int) -> int:

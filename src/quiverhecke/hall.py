@@ -1,8 +1,10 @@
 """
 Hall algebras of quiver representations over small finite fields.
 
-A representation of a quiver with dimension vector d assigns to each
-arrow a : i -> j a d_j x d_i matrix over F_q (column-vector convention).
+A representation of a quiver (a ``klr.QuiverData``) with dimension
+vector d assigns to each arrow a : i -> j, in the order of
+``quiver.arrows``, a d_j x d_i matrix over F_q (column-vector
+convention).
 Isomorphism classes are G_d-orbits, G_d = prod_i GL_{d_i}(q), acting by
 g . (f_a) = (g_j f_a g_i^{-1}); each class is identified by its
 canonical label, the lexicographically smallest flattened matrix tuple
@@ -13,6 +15,8 @@ quotient isomorphic to M; the untwisted product is
 [M] * [N] = sum_L F^L_{M,N} [L].  The Ringel twist multiplies by
 v^{<M,N>} where v^2 = q and <M,N> is the Euler form, computed for a
 loop-free quiver as sum_i d_i(M) d_i(N) - sum_{a:i->j} d_i(M) d_j(N).
+The Serre relation of vertices i, j has exponent 1 - a_ij, read from the
+quiver's Cartan matrix.
 
 Supported field sizes: 2, 3, 4, 5 (other q raise ValueError).  Field
 arithmetic is table lookup, with tables built once per q.
@@ -25,6 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+from .klr import QuiverData, linear_quiver
 from .laurent import Laurent
 
 
@@ -238,30 +243,30 @@ def gl_generators(q: int, n: int):
     return gens
 
 
+def matrix_tuples(q: int, shapes):
+    """Every tuple of matrices over F_q with the given (rows, cols)
+    shapes: the entries, row by row and matrix by matrix, run through
+    itertools.product of the field elements."""
+    total = sum(r * c for r, c in shapes)
+    for values in itertools.product(field(q).elements, repeat=total):
+        mats = []
+        pos = 0
+        for r, c in shapes:
+            rows = (values[pos + k * c : pos + (k + 1) * c] for k in range(r))
+            mats.append(tuple(rows))
+            pos += r * c
+        yield tuple(mats)
+
+
 # -- quivers and representations ----------------------------------------
 
 
-class Quiver:
-    """Directed graph; vertices are integers, arrows a list of (src, tgt)."""
-
-    def __init__(self, vertices, arrows):
-        self.vertices = tuple(vertices)
-        self.arrows = tuple(tuple(a) for a in arrows)
-        assert all(s in self.vertices and t in self.vertices for s, t in self.arrows)
-
-    def has_loops(self):
-        return any(s == t for s, t in self.arrows)
-
-    def vertex_index(self, v):
-        return self.vertices.index(v)
+def a2_quiver() -> QuiverData:
+    return linear_quiver(2)
 
 
-def a2_quiver() -> Quiver:
-    return Quiver((1, 2), (((1, 2)),))
-
-
-def jordan_quiver() -> Quiver:
-    return Quiver((1,), ((1, 1),))
+def jordan_quiver() -> QuiverData:
+    return QuiverData((1,), {(1, 1): 1})
 
 
 class QuiverRep:
@@ -269,15 +274,13 @@ class QuiverRep:
 
     __slots__ = ("quiver", "q", "dims", "mats")
 
-    def __init__(self, quiver: Quiver, q: int, dims, mats):
+    def __init__(self, quiver: QuiverData, q: int, dims, mats):
         self.quiver = quiver
         self.q = q
         self.dims = tuple(dims)
         self.mats = tuple(tuple(tuple(r) for r in m) for m in mats)
-        for (s, t), m in zip(quiver.arrows, self.mats):
-            ds = self.dims[quiver.vertex_index(s)]
-            dt = self.dims[quiver.vertex_index(t)]
-            assert len(m) == dt and all(len(r) == ds for r in m)
+        for (s, t), m in zip(quiver.arrow_index, self.mats):
+            assert len(m) == self.dims[t] and all(len(r) == self.dims[s] for r in m)
 
     def flat(self):
         return (self.dims, tuple(self.mats))
@@ -292,21 +295,17 @@ class QuiverRep:
         return f"QuiverRep(dims={self.dims}, mats={self.mats})"
 
 
-def zero_rep(quiver: Quiver, q: int) -> QuiverRep:
+def zero_rep(quiver: QuiverData, q: int) -> QuiverRep:
     dims = (0,) * len(quiver.vertices)
     return QuiverRep(quiver, q, dims, tuple(() for _ in quiver.arrows))
 
 
-def simple_rep(quiver: Quiver, q: int, vertex) -> QuiverRep:
+def simple_rep(quiver: QuiverData, q: int, vertex) -> QuiverRep:
     assert not any(
         s == t == vertex for s, t in quiver.arrows
     ), "simple at a loop vertex needs an explicit matrix"
     dims = tuple(1 if v == vertex else 0 for v in quiver.vertices)
-    mats = []
-    for s, t in quiver.arrows:
-        ds = dims[quiver.vertex_index(s)]
-        dt = dims[quiver.vertex_index(t)]
-        mats.append(tuple(tuple(0 for _ in range(ds)) for _ in range(dt)))
+    mats = [((0,) * dims[s],) * dims[t] for s, t in quiver.arrow_index]
     return QuiverRep(quiver, q, dims, mats)
 
 
@@ -316,8 +315,7 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
     qv = a.quiver
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
     mats = []
-    for idx, (s, t) in enumerate(qv.arrows):
-        si, ti = qv.vertex_index(s), qv.vertex_index(t)
+    for idx, (si, ti) in enumerate(qv.arrow_index):
         m1, m2 = a.mats[idx], b.mats[idx]
         rows = []
         for r in range(a.dims[ti]):
@@ -328,44 +326,31 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
     return QuiverRep(qv, a.q, dims, mats)
 
 
-def all_reps(quiver: Quiver, q: int, dims):
+def all_reps(quiver: QuiverData, q: int, dims):
     """Every representation with the given dimension vector."""
-    F = field(q)
-    shapes = []
-    for s, t in quiver.arrows:
-        ds = dims[quiver.vertex_index(s)]
-        dt = dims[quiver.vertex_index(t)]
-        shapes.append((dt, ds))
-    entry_counts = [r * c for r, c in shapes]
-    total = sum(entry_counts)
-    for values in itertools.product(F.elements, repeat=total):
-        mats = []
-        pos = 0
-        for (r, c), cnt in zip(shapes, entry_counts):
-            block = values[pos : pos + cnt]
-            pos += cnt
-            mats.append(tuple(tuple(block[i * c : (i + 1) * c]) for i in range(r)))
-        yield QuiverRep(quiver, q, tuple(dims), mats)
+    dims = tuple(dims)
+    shapes = [(dims[t], dims[s]) for s, t in quiver.arrow_index]
+    for mats in matrix_tuples(q, shapes):
+        yield QuiverRep(quiver, q, dims, mats)
 
 
-def group_order(quiver: Quiver, q: int, dims) -> int:
+def group_order(quiver: QuiverData, q: int, dims) -> int:
     out = 1
     for d in dims:
         out *= gl_order(q, d)
     return out
 
 
-def act(quiver: Quiver, q: int, vi: int, g, g_inv, rep: QuiverRep) -> QuiverRep:
+def act(quiver: QuiverData, q: int, vi: int, g, g_inv, rep: QuiverRep) -> QuiverRep:
     """g . rep for g in GL_{d}(q) at the vertex with index vi and the
     identity at every other vertex; g_inv is g^{-1}, computed once by the
     caller."""
     F = field(q)
     mats = []
-    for idx, (s, t) in enumerate(quiver.arrows):
-        m = rep.mats[idx]
-        if quiver.vertex_index(t) == vi:
+    for (s, t), m in zip(quiver.arrow_index, rep.mats):
+        if t == vi:
             m = mat_mul(F, g, m)
-        if quiver.vertex_index(s) == vi:
+        if s == vi:
             m = mat_mul(F, m, g_inv)
         mats.append(m)
     return QuiverRep(quiver, q, rep.dims, mats)
@@ -374,7 +359,7 @@ def act(quiver: Quiver, q: int, vi: int, g, g_inv, rep: QuiverRep) -> QuiverRep:
 class ClassTable:
     """Isomorphism classes of representations for one dimension vector."""
 
-    def __init__(self, quiver: Quiver, q: int, dims):
+    def __init__(self, quiver: QuiverData, q: int, dims):
         self.quiver = quiver
         self.q = q
         self.dims = tuple(dims)
@@ -436,7 +421,7 @@ class ClassTable:
 class HallContext:
     """Caches class tables and Hall numbers for one quiver and field."""
 
-    def __init__(self, quiver: Quiver, q: int):
+    def __init__(self, quiver: QuiverData, q: int):
         field(q)  # rejects an unsupported q before any work
         self.quiver = quiver
         self.q = q
@@ -469,8 +454,7 @@ class HallContext:
         ]
         for bases in itertools.product(*vertex_choices):
             ok = True
-            for idx, (s, t) in enumerate(quiver.arrows):
-                si, ti = quiver.vertex_index(s), quiver.vertex_index(t)
+            for idx, (si, ti) in enumerate(quiver.arrow_index):
                 for u in bases[si]:
                     img = mat_vec(F, rep.mats[idx], u)
                     if solve_in_rowspace(F, bases[ti], img) is None:
@@ -505,8 +489,7 @@ class HallContext:
             Pinv.append(mat_inverse(F, p) if d else ())
         sub_mats = []
         quot_mats = []
-        for idx, (s, t) in enumerate(quiver.arrows):
-            si, ti = quiver.vertex_index(s), quiver.vertex_index(t)
+        for idx, (si, ti) in enumerate(quiver.arrow_index):
             m = mat_mul(F, mat_mul(F, Pinv[ti], rep.mats[idx]), P[si]) if rep.dims[ti] and rep.dims[si] else tuple(() for _ in range(rep.dims[ti]))
             ks, kt = sub_dims[si], sub_dims[ti]
             # invariance means the lower-left block vanishes
@@ -578,27 +561,17 @@ class HallContext:
         commuting with the arrow matrices."""
         quiver, q = self.quiver, self.q
         F = field(q)
-        nv = len(quiver.vertices)
-        shapes = [(b.dims[vi], a.dims[vi]) for vi in range(nv)]
-        counts = [r * c for r, c in shapes]
         out = []
-        for values in itertools.product(F.elements, repeat=sum(counts)):
-            fs = []
-            pos = 0
-            for (r, c), cnt in zip(shapes, counts):
-                block = values[pos : pos + cnt]
-                pos += cnt
-                fs.append(tuple(tuple(block[i * c : (i + 1) * c]) for i in range(r)))
+        for fs in matrix_tuples(q, list(zip(b.dims, a.dims))):
             ok = True
-            for idx, (s, t) in enumerate(quiver.arrows):
-                si, ti = quiver.vertex_index(s), quiver.vertex_index(t)
+            for idx, (si, ti) in enumerate(quiver.arrow_index):
                 lhs = mat_mul(F, b.mats[idx], fs[si], cols=a.dims[si])
                 rhs = mat_mul(F, fs[ti], a.mats[idx], cols=a.dims[si])
                 if lhs != rhs:
                     ok = False
                     break
             if ok:
-                out.append(tuple(fs))
+                out.append(fs)
         return out
 
     def _hom_rank(self, a: QuiverRep, b: QuiverRep, f) -> int:
@@ -615,10 +588,9 @@ class HallContext:
     # -- products ------------------------------------------------------
 
     def euler_form(self, dm, dn) -> int:
-        assert not self.quiver.has_loops()
+        assert all(s != t for s, t in self.quiver.arrows)
         out = sum(a * b for a, b in zip(dm, dn))
-        for s, t in self.quiver.arrows:
-            si, ti = self.quiver.vertex_index(s), self.quiver.vertex_index(t)
+        for si, ti in self.quiver.arrow_index:
             out -= dm[si] * dn[ti]
         return out
 
@@ -768,15 +740,9 @@ def element_is_zero_at_v2q(el: HallElement, q: int) -> bool:
 def serre_relation_check(ctx: HallContext, i, j) -> HallElement:
     """sum_r (-1)^r [1-a_ij choose r]_q f_i^r f_j f_i^{1-a_ij-r} with the
     twisted product; zero for a quiver of Dynkin type by Ringel's theorem.
-    a_ij is the symmetrized Cartan entry, -(#arrows between i and j)."""
+    a_ij is the quiver's symmetric Cartan entry."""
     quiver = ctx.quiver
-    mij = sum(
-        1
-        for s, t in quiver.arrows
-        if {s, t} == {i, j}
-    )
-    aij = -mij
-    top = 1 - aij
+    top = 1 - quiver.cartan(i, j)
     fi = ctx.element(simple_rep(quiver, ctx.q, i))
     fj = ctx.element(simple_rep(quiver, ctx.q, j))
 

@@ -62,6 +62,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .klr import QuiverData, _bump
 from .polyring import demazure_exponents, exponent_tuples
 
 
@@ -202,22 +203,14 @@ class QScalar:
 # indices into the vertex list and exps of total degree < cutoff
 
 
-def _bump(out, key, val):
-    """out[key] += val, dropping the entry when the sum is zero."""
-    if key in out:
-        val = out[key] + val
-    if val:
-        out[key] = val
-    else:
-        out.pop(key, None)
-
-
 class HeckeBridge:
     """Operators on the truncated module for a type-A vertex set.
 
     ``mode`` is "affine" (vertex values q^k for k in ``vertices``) or
     "degenerate" (vertex values the given rationals).  It fixes the
     scalars and the constants (alpha, beta) of the one generator formula.
+    ``quiver`` has an arrow a -> a+1 between vertex labels, in both
+    modes; ``tau`` reads its arrows from it.
     """
 
     def __init__(self, n, cutoff, mode="affine", vertices=None):
@@ -227,6 +220,10 @@ class HeckeBridge:
         self.mode = mode
         self.vertices = tuple(vertices if vertices is not None else (0, 1, 2))
         assert len(set(self.vertices)) == len(self.vertices)
+        self.quiver = QuiverData(
+            self.vertices,
+            {(a, a + 1): 1 for a in self.vertices if a + 1 in self.vertices},
+        )
         if mode == "affine":
             self.one = QScalar.from_int(1)
             self.alpha, self.beta = QScalar.q_power(1), QScalar.from_int(0)
@@ -240,12 +237,6 @@ class HeckeBridge:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self._mult_cache = {}
-
-    def has_arrow(self, a: int, b: int) -> bool:
-        """Arrow i -> qi (affine exponent +1) or i -> i+1 (degenerate)."""
-        if self.mode == "affine":
-            return self.vertices[b] == self.vertices[a] + 1
-        return self.vertex_scalars[b] == self.vertex_scalars[a] + 1
 
     # -- elements ---------------------------------------------------------
 
@@ -341,7 +332,8 @@ class HeckeBridge:
                 piece = self.demazure(i, comp)
             else:
                 piece = self.swap(i, comp)
-                if self.has_arrow(v[i - 1], v[i]):
+                src, tgt = self.vertices[v[i - 1]], self.vertices[v[i]]
+                if self.quiver.d(src, tgt):
                     piece = self.mul_linear(
                         piece,
                         [(self.x_shift(i), one), (self.x_shift(i + 1), -one)],

@@ -2,8 +2,11 @@
 Quiver Hecke algebras with exact integer arithmetic.
 
 An algebra context is built from a quiver without loops (or directly from
-a Q-matrix).  Elements are kept in PBW normal form: integer combinations
-of words
+a Q-matrix).  ``QuiverData`` is the one quiver type of the package (the
+Hall, Fock and Hecke-bridge layers read their arrows from it too);
+``linear_quiver(k)``, ``cyclic_quiver(e)`` and ``parse_quiver`` build
+one.  Elements are kept in PBW normal form: integer combinations of
+words
 
     tau_w x_1^{a_1} ... x_n^{a_n} 1_v
 
@@ -37,33 +40,49 @@ from .polyring import (
 
 
 class QuiverData:
-    """A quiver without loops: vertex set and arrow multiplicities d_{ij}."""
+    """A quiver: vertex set and arrow multiplicities d_{ij}, loops allowed.
+
+    This is the one quiver type of the package: the KLR, Hall, Fock and
+    Hecke-bridge layers read their arrows from it.  ``arrows`` lists each
+    arrow (i, j) as often as its multiplicity, sorted; ``arrow_index``
+    lists the same arrows as positions (of i, of j) in ``vertices``.
+    """
 
     def __init__(self, vertices, arrow_counts=None):
         self.vertices = tuple(sorted(set(vertices)))
         counts = {}
         for (i, j), d in (arrow_counts or {}).items():
-            assert i != j, "quiver must have no loops"
-            assert i in self.vertices and j in self.vertices
-            assert isinstance(d, int) and d >= 0
+            if i not in self.vertices or j not in self.vertices:
+                raise ValueError(
+                    f"arrow {i} -> {j} has an endpoint outside the vertices "
+                    f"{list(self.vertices)}"
+                )
+            if not isinstance(d, int) or d < 0:
+                raise ValueError(
+                    f"arrow {i} -> {j} needs a nonnegative integer "
+                    f"multiplicity, got {d!r}"
+                )
             if d:
                 counts[(i, j)] = d
         self.arrow_counts = counts
+        self.arrows = tuple(a for a, d in sorted(counts.items()) for _ in range(d))
+        position = {v: k for k, v in enumerate(self.vertices)}
+        self.arrow_index = tuple((position[i], position[j]) for i, j in self.arrows)
 
     def d(self, i, j) -> int:
         """Number of arrows i -> j."""
         return self.arrow_counts.get((i, j), 0)
 
     def m(self, i, j) -> int:
-        """Number of edges between i and j (orientation forgotten)."""
+        """Number of edges between i and j (orientation forgotten); a loop
+        at i counts twice in m(i, i)."""
         return self.d(i, j) + self.d(j, i)
 
     def cartan(self, i, j) -> int:
-        """Symmetric Cartan matrix entry: 2 on the diagonal, -m_{ij} off it."""
+        """Symmetric Cartan matrix entry 2 delta_{ij} - m_{ij}, so
+        2 - 2 d_{ii} on the diagonal."""
         assert i in self.vertices and j in self.vertices
-        if i == j:
-            return 2
-        return -self.m(i, j)
+        return (2 if i == j else 0) - self.m(i, j)
 
     def __repr__(self):
         arrows = ", ".join(
@@ -81,6 +100,14 @@ def linear_quiver(k: int):
     """Type A_k quiver: vertices 1..k, one arrow i -> i+1."""
     assert k >= 1
     return QuiverData(range(1, k + 1), {(i, i + 1): 1 for i in range(1, k)})
+
+
+def cyclic_quiver(e: int):
+    """Cyclic quiver of type A_{e-1}^{(1)}: vertices 0..e-1, one arrow
+    i -> i+1 mod e (a loop at e = 1, a 2-cycle at e = 2)."""
+    if e < 1:
+        raise ValueError(f"a cyclic quiver needs e >= 1, got {e}")
+    return QuiverData(range(e), {(i, (i + 1) % e): 1 for i in range(e)})
 
 
 def parse_quiver(text: str) -> QuiverData:
@@ -166,6 +193,10 @@ class KLRContext:
 
     def __init__(self, quiver: QuiverData, n: int, qmat: QMatrix = None):
         assert n >= 1
+        if any(i == j for i, j in quiver.arrows):
+            raise ValueError(
+                f"a quiver Hecke algebra needs a quiver without loops, got {quiver}"
+            )
         self.quiver = quiver
         self.n = n
         self.qmat = qmat if qmat is not None else QMatrix.from_quiver(quiver)
@@ -265,12 +296,14 @@ def _push_x(j: int, word, v):
     return out
 
 
-def _bump(terms: dict, key, c):
-    s = terms.get(key, 0) + c
-    if s == 0:
-        terms.pop(key, None)
+def _bump(out, key, val):
+    """out[key] += val, dropping the entry when the sum is zero."""
+    if key in out:
+        val = out[key] + val
+    if val:
+        out[key] = val
     else:
-        terms[key] = s
+        out.pop(key, None)
 
 
 def _lmul_x(ctx: KLRContext, j: int, el: "KLRElement") -> "KLRElement":
@@ -510,9 +543,6 @@ class KLRElement:
                 for key, c in cur.terms.items():
                     _bump(out, key, c1 * c2 * c)
         return KLRElement(ctx, out)
-
-    def source_idempotents(self):
-        return sorted({v for v, _, _ in self.terms})
 
     def degrees(self):
         """Set of degrees of the homogeneous components (quiver mode)."""

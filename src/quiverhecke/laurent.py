@@ -127,10 +127,6 @@ class Laurent:
         """Drop all terms of power > max_power."""
         return Laurent({k: c for k, c in self.coeffs.items() if k <= max_power})
 
-    def min_power(self) -> int:
-        assert self.coeffs
-        return min(self.coeffs)
-
     def max_power(self) -> int:
         assert self.coeffs
         return max(self.coeffs)

@@ -64,14 +64,6 @@ class NilHeckeElement:
         )
 
     @staticmethod
-    def t_word(word, n, params=()):
-        """T along a word; zero if the word is not reduced."""
-        out = NilHeckeElement.one(n, params)
-        for i in word:
-            out = out * NilHeckeElement.t(i, n, params)
-        return out
-
-    @staticmethod
     def t_perm(w: Permutation, params=()):
         return NilHeckeElement(w.n, {w: MPoly.one(w.n, params)}, params)
 

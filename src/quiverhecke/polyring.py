@@ -62,20 +62,10 @@ class MPoly:
         exps[i - 1] = 1
         return MPoly(nx, params, {tuple(exps): 1})
 
-    @staticmethod
-    def param(name, nx, params):
-        params = tuple(params)
-        exps = [0] * (nx + len(params))
-        exps[nx + params.index(name)] = 1
-        return MPoly(nx, params, {tuple(exps): 1})
-
     def _like(self, terms):
         p = MPoly(self.nx, self.params)
         p.terms = terms
         return p
-
-    def copy(self):
-        return self._like(dict(self.terms))
 
     # -- predicates ---------------------------------------------------
 
@@ -169,12 +159,6 @@ class MPoly:
             best = d if best is None else max(best, d)
         return best
 
-    def x_degree(self):
-        """Max total degree in the X block alone (1 per power)."""
-        if not self.terms:
-            return -1
-        return max(sum(e[: self.nx]) for e in self.terms)
-
     def coefficients_in_x(self, i):
         """Decompose as a polynomial in X_i: {k: coefficient poly with X_i^0}."""
         out = {}
@@ -184,13 +168,6 @@ class MPoly:
             d = out.setdefault(k, {})
             d[e0] = d.get(e0, 0) + c
         return {k: self._like({e: c for e, c in d.items() if c != 0}) for k, d in out.items()}
-
-    def substitute_x(self, i, value):
-        """Substitute the polynomial `value` for X_i."""
-        out = MPoly.zero(self.nx, self.params)
-        for k, coeff in self.coefficients_in_x(i).items():
-            out = out + coeff * value ** k
-        return out
 
     def evaluate(self, x_values, param_values=()):
         """Full evaluation at numeric points."""

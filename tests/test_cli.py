@@ -1,6 +1,9 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +110,9 @@ def test_nonpositive_cap_is_usage_error(capsys):
     assert cli.main(["verify", "demazure", "--n", "0"]) == 2
 
 
+LOOP_QUIVER = "vertex 1\n1 -> 1\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -147,14 +153,77 @@ def test_nonpositive_cap_is_usage_error(capsys):
             ["compute", "grdim", "--v", "1,2", "--vprime", "1,3"],
             "--vprime entries must be vertices",
         ),
+        (
+            ["verify", "klr-relations", "--quiver", "LOOP_FILE", "--n", "2"],
+            "needs a quiver without loops",
+        ),
+        (
+            [
+                "compute", "grdim", "--quiver", "LOOP_FILE",
+                "--v", "1,1", "--vprime", "1,1",
+            ],
+            "needs a quiver without loops",
+        ),
+        (["verify", "cyclotomic", "--n", "5"], "--n must be at most 4"),
     ],
 )
-def test_unsupported_parameter_exits_two(capsys, argv, message):
+def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):
     # refused with a message, never reported as a FAIL or a vacuous PASS
+    loop_file = tmp_path / "loop.quiver"
+    loop_file.write_text(LOOP_QUIVER)
+    argv = [str(loop_file) if a == "LOOP_FILE" else a for a in argv]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_loop_quiver_exits_two_under_optimize(tmp_path):
+    # `python -O` strips asserts; the loop must still be refused
+    loop_file = tmp_path / "loop.quiver"
+    loop_file.write_text(LOOP_QUIVER)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [
+            sys.executable, "-O", "-m", "quiverhecke.cli", "compute", "grdim",
+            "--quiver", str(loop_file), "--v", "1,1", "--vprime", "1,1",
+        ],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 2, res.stdout
+    assert res.stdout == ""
+    assert "needs a quiver without loops" in res.stderr
+
+
+# sha256 of the stdout of the README `compute` examples and two suites;
+# a changed digest is a changed command-line output
+STDOUT_SHA256 = {
+    "compute poincare --n 4":
+        "2e2e08174b864b9af4427154d514c89e3277357fd723d694f88f01af63f201a5",
+    "compute schubert-basis --n 3":
+        "d66557374c525697c60e1da2763db7f3e3c23aecdbc2f11160ef55583f8bc6e2",
+    "compute grdim --quiver a2 --v 1,2 --vprime 2,1":
+        "50af2a6a27ef48e23ed5eeae7ff84ca9a51bb7746005e0af6f2490581a044e0e",
+    "compute cyclotomic-basis --n 3 --i 2":
+        "56b9340d38a8af8d74b9c4a03584adba4bd8c9755dcb0157004236ea93e2d4e4",
+    "compute hall-table --q 2 --max-dim 2,2":
+        "b286b59e9ccde76522ff882d197dfa84f2efc3a4d76bc060ad0d707e832b1ec0",
+    "compute fock-matrix --p 3 --i 0 --size 4 --op f":
+        "69ca21c6c1bd13df9a9781c77044b7ab236120bd98c49c288f1d25710b4115b3",
+    "verify hall --q 2":
+        "90961b699ff6453ee4d5dafd7d33af14a8ef64d329692db677e4024082edbab6",
+    "verify fock --p 3 --max-size 8":
+        "4a61c5f3e7f2ee59070872cf105cc53a89992865ba8f696f9acc79d85117c14c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+def test_stdout_is_pinned(capsys, command):
+    code, out = run_cli(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
 
 
 @pytest.mark.parametrize("p, expected", [(2, []), (3, [True])])

@@ -134,6 +134,30 @@ def test_wrong_rank_raises_under_optimize():
     assert res.stdout.split() == ["raised", "1"]
 
 
+def test_wrong_grading_raises_under_optimize():
+    # a wrong graded rank must fail sl2_iso_check under `python -O` too
+    code = (
+        "import sys\n"
+        "import quiverhecke.cyclotomic as cyc\n"
+        "from quiverhecke.laurent import Laurent\n"
+        "right = cyc.graded_rank_polynomial\n"
+        "cyc.graded_rank_polynomial = lambda n, i: right(n, i) * Laurent.gen(2)\n"
+        "try:\n"
+        "    cyc.sl2_iso_check(2, 1)\n"
+        "except ArithmeticError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised", "1"]
+
+
 def test_reduced_rank_matches_generic():
     # z = 0 is included in verify_rank; make the check explicit
     for n, i in [(2, 2), (3, 2), (4, 2)]:

@@ -140,3 +140,18 @@ def test_affine_cartan_shapes():
     for p in (2, 3, 5):
         for row in affine_cartan(p):
             assert sum(row) == 0
+
+
+def test_affine_cartan_is_the_cyclic_quivers():
+    # a_ij = 2 delta_ij - [j = i + 1 mod p] - [i = j + 1 mod p]: the loop
+    # at p = 1 gives a_00 = 0, the two arrows at p = 2 give -2
+    for p in range(1, 8):
+        expected = tuple(
+            tuple(
+                2 * (i == j) - ((j - i) % p == 1 % p) - ((i - j) % p == 1 % p)
+                for j in range(p)
+            )
+            for i in range(p)
+        )
+        assert affine_cartan(p) == expected
+    assert affine_cartan(1) == ((0,),)

@@ -10,7 +10,6 @@ import pytest
 from quiverhecke.hall import (
     ClassTable,
     HallContext,
-    Quiver,
     a2_quiver,
     direct_sum,
     field,
@@ -21,6 +20,7 @@ from quiverhecke.hall import (
     jordan_quiver,
     mat_inverse,
     mat_mul,
+    matrix_tuples,
     rref,
     serre_relation_check,
     simple_rep,
@@ -30,6 +30,7 @@ from quiverhecke.hall import (
     QuiverRep,
     zero_rep,
 )
+from quiverhecke.klr import QuiverData
 from quiverhecke.laurent import Laurent
 
 
@@ -203,6 +204,49 @@ def test_a2_classification_dim11():
     assert sizes == [1, 2]
     auts = sorted(info["aut_order"] for info in table.classes.values())
     assert auts == [2, 4]
+
+
+def test_matrix_tuples_order():
+    shapes = [(2, 2), (0, 3), (2, 1)]
+    got = list(matrix_tuples(2, shapes))
+    # the entries, row by row and matrix by matrix, in product order
+    flat = [tuple(x for m in mats for row in m for x in row) for mats in got]
+    assert flat == list(itertools.product(range(2), repeat=6))
+    for mats in got:
+        assert [len(m) for m in mats] == [2, 0, 2]
+        assert [len(row) for m in mats for row in m] == [2, 2, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "quiver, middle",
+    [
+        (QuiverData((1, 2, 3), {(1, 2): 1, (3, 2): 1}), (1, 2, 1)),
+        (QuiverData((1, 2), {(1, 2): 2}), (1, 2)),
+    ],
+    ids=["a3-sink", "kronecker"],
+)
+def test_hall_vs_exact_sequences_with_several_arrows(quiver, middle):
+    # every arrow reads its endpoints from quiver.arrow_index
+    q = 2
+    ctx = HallContext(quiver, q)
+    # five classes each: 111+010, 110+011, 110+010+001, 100+011+010 and
+    # 100+010+010+001 for a3; for the Kronecker quiver, two independent
+    # vectors, the q + 1 lines of F_q^2 plus a simple, and the zero pair
+    assert len(ctx.table(middle).classes) == 5
+    nv = len(quiver.vertices)
+    dims = [d for d in itertools.product(range(2), repeat=nv) if any(d)]
+    for dm in dims:
+        for dn in dims:
+            dl = tuple(a + b for a, b in zip(dm, dn))
+            table = ctx.table(dl)
+            entries = sum(dl[s] * dl[t] for s, t in quiver.arrow_index)
+            assert sum(i["orbit_size"] for i in table.classes.values()) == q ** entries
+            for m in ctx.table(dm).representatives():
+                for n in ctx.table(dn).representatives():
+                    for l in table.representatives():
+                        f = ctx.hall_number(m, n, l)
+                        p = ctx.exact_sequence_count(m, n, l)
+                        assert f * ctx.aut_order(m) * ctx.aut_order(n) == p
 
 
 def test_jordan_classification_dim2():

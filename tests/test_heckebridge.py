@@ -286,6 +286,30 @@ def test_tau_is_swap_on_distant_component():
     assert br.tau(1, m) == {((2, 0), (0, 1)): br.one}
 
 
+@pytest.mark.parametrize("mode", ["affine", "degenerate"])
+def test_bridge_quiver_joins_consecutive_labels(mode):
+    cases = {
+        (0, 1, 2): ((0, 1), (1, 2)),
+        (0, 2): (),
+        (0, 1, 3): ((0, 1),),
+        (2, 1, 0): ((0, 1), (1, 2)),
+    }
+    for vertices, arrows in cases.items():
+        br = HeckeBridge(2, 3, mode, vertices)
+        assert br.quiver.arrows == arrows
+
+
+def test_tau_reads_arrows_by_label():
+    # vertex indices (1, 0) are the labels (1, 2) here: an arrow 1 -> 2
+    br = HeckeBridge(2, 3, "affine", (2, 1, 0))
+    one = br.one
+    assert br.tau(1, br.monomial((1, 0), (0, 0))) == {
+        ((0, 1), (1, 0)): one,
+        ((0, 1), (0, 1)): -one,
+    }
+    assert br.tau(1, br.monomial((0, 1), (0, 0))) == {((1, 0), (0, 0)): one}
+
+
 # -- guards ---------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from quiverhecke.klr import (
     QMatrix,
     QuiverData,
     central_ideal_probe,
+    cyclic_quiver,
     grdim_reconciliation,
     hom_graded_dimension,
     hom_graded_dimension_closed,
@@ -21,7 +22,7 @@ from quiverhecke.klr import (
     torsion_check,
 )
 from quiverhecke.laurent import Laurent
-from quiverhecke.polyring import MPoly, divide_exact_by_x_difference
+from quiverhecke.polyring import MPoly, divide_exact_by_x_difference, exponent_tuples
 
 
 def idempotents(ctx):
@@ -44,8 +45,41 @@ def test_quiver_data_cartan():
     assert q.cartan(1, 1) == 2
     assert q.cartan(1, 2) == q.cartan(2, 1) == -1
     assert q.cartan(1, 3) == 0
-    with pytest.raises(AssertionError):
-        QuiverData((1, 2), {(1, 1): 1})
+    with pytest.raises(ValueError):
+        make_klr(QuiverData((1, 2), {(1, 1): 1}), 2)
+
+
+def test_quiver_arrows_and_arrow_index():
+    q = parse_quiver("vertex 5\n2 -> 1\n1 -> 2\n2 -> 1\n3 -> 3\n")
+    assert q.vertices == (1, 2, 3, 5)
+    assert q.arrows == ((1, 2), (2, 1), (2, 1), (3, 3))
+    assert q.arrow_index == ((0, 1), (1, 0), (1, 0), (2, 2))
+    assert q.cartan(1, 2) == q.cartan(2, 1) == -3
+    assert q.cartan(3, 3) == 0 and q.cartan(5, 5) == 2
+
+
+@pytest.mark.parametrize(
+    "counts", [{(1, 3): 1}, {(3, 1): 1}, {(1, 2): -1}, {(1, 2): 1.5}]
+)
+def test_quiver_data_rejects_bad_arrows(counts):
+    with pytest.raises(ValueError):
+        QuiverData((1, 2), counts)
+
+
+def test_cyclic_quiver():
+    assert cyclic_quiver(1).arrows == ((0, 0),)
+    assert cyclic_quiver(2).arrows == ((0, 1), (1, 0))
+    assert cyclic_quiver(4).arrows == ((0, 1), (1, 2), (2, 3), (3, 0))
+    assert cyclic_quiver(1).cartan(0, 0) == 0
+    assert cyclic_quiver(2).cartan(0, 1) == -2
+    with pytest.raises(ValueError):
+        cyclic_quiver(0)
+    with pytest.raises(ValueError):
+        make_klr(cyclic_quiver(1), 2)
+    # from e = 2 on there is no loop; at e = 2, d_01 = 1 and m_01 = 2, so
+    # Q_01 = -(u - u')^2
+    ctx = make_klr(cyclic_quiver(2), 2)
+    assert ctx.qmat.entries[(0, 1)] == {(2, 0): -1, (1, 1): 2, (0, 2): -1}
 
 
 def test_q_matrix_quiver_specialization():
@@ -145,9 +179,8 @@ def apply_x(ctx, a, module):
 
 
 def low_monomials(ctx, max_total):
-    for exps in itertools.product(range(max_total + 1), repeat=ctx.n):
-        if sum(exps) <= max_total:
-            yield mono(ctx, exps)
+    for exps in exponent_tuples(ctx.n, max_total):
+        yield mono(ctx, exps)
 
 
 @pytest.mark.parametrize("k", [2, 3])
