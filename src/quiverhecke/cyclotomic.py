@@ -455,7 +455,7 @@ def ideal_stability_check(n: int, i: int, rng, trials: int = 20) -> bool:
     For random a in the nil affine Hecke algebra and random module
     monomials f, the action of a*g on f lands in the submodule, so its
     normal form vanishes.  This is the well-definedness of the quotient
-    action.
+    action.  Returns True, or raises ArithmeticError.
     """
     assert i >= 1
     ctx = CycloContext(n, i)
@@ -477,11 +477,12 @@ def ideal_stability_check(n: int, i: int, rng, trials: int = 20) -> bool:
             params
         )
         f = MPoly(i, params, {f_exps: 1})
-        img = h.apply_to_polynomial(f)
-        assert ctx.reduce(img).is_zero()
-    assert len(ctx.reduce(MPoly.one(i, params)).terms) == (
+        if not ctx.reduce(h.apply_to_polynomial(f)).is_zero():
+            raise ArithmeticError(f"a * g does not reduce to zero on {f}")
+    if len(ctx.reduce(MPoly.one(i, params)).terms) != (
         0 if ctx.is_zero_algebra else 1
-    )
+    ):
+        raise ArithmeticError("the unit does not reduce to one term")
     return True
 
 

@@ -125,6 +125,8 @@ def parse_quiver(text: str) -> QuiverData:
         i, j = int(left), int(right)
         vertices.update((i, j))
         counts[(i, j)] = counts.get((i, j), 0) + 1
+    if not vertices:
+        raise ValueError("a quiver file needs at least one vertex")
     return QuiverData(vertices, counts)
 
 
@@ -897,7 +899,7 @@ def grdim_reconciliation(ctx: KLRContext, v, vp) -> str:
     """Which substitution matches the closed form to the enumeration.
 
     Returns "same" if they agree as written, "inverse" if they agree
-    after q -> q^{-1}; raises if neither reconciles.
+    after q -> q^{-1}; raises ArithmeticError if neither reconciles.
     """
     enum = hom_graded_dimension(ctx, v, vp)
     closed = hom_graded_dimension_closed(ctx, v, vp)
@@ -905,7 +907,7 @@ def grdim_reconciliation(ctx: KLRContext, v, vp) -> str:
         return "same"
     if enum == closed.invert_variable():
         return "inverse"
-    raise AssertionError("graded dimensions do not reconcile")
+    raise ArithmeticError(f"graded dimensions at {v}, {vp} do not reconcile")
 
 
 # -- torsion between the two presentations -------------------------------
@@ -995,7 +997,8 @@ def torsion_check(ctx: KLRContext, v, i: int = 1) -> MPoly:
     a = tau_{i+1} tau_i tau_{i+1} - tau_i tau_{i+1} tau_i - correction
     need not vanish in the larger presentation, but tau_i * a does, hence
     Q_{v_i,v_{i+1}}(x_i, x_{i+1}) * a = 0.  Both facts are checked using
-    only sound moves; the multiplier polynomial is returned.
+    only sound moves; the multiplier polynomial is returned, and a failed
+    check raises ArithmeticError.
     """
     v = ctx.check_idempotent(v)
     assert v[i - 1] == v[i + 1] and v[i - 1] != v[i]
@@ -1015,14 +1018,16 @@ def torsion_check(ctx: KLRContext, v, i: int = 1) -> MPoly:
         for (w2, e2), c2 in _prime_reduce(ctx, word, v).items():
             e = tuple(a + b for a, b in zip(e2, exps))
             _bump(reduced, (w2, e), c * c2)
-    assert reduced, "discrepancy reduced to zero without the extra relation"
+    if not reduced:
+        raise ArithmeticError("discrepancy reduced to zero without the extra relation")
     # tau_i * a = 0 using sound moves only
     total = {}
     for (word, exps), c in disc.items():
         for (w2, e2), c2 in _prime_reduce(ctx, (i,) + word, v).items():
             e = tuple(a + b for a, b in zip(e2, exps))
             _bump(total, (w2, e), c * c2)
-    assert not total, "tau * discrepancy did not reduce to zero"
+    if total:
+        raise ArithmeticError("tau * discrepancy did not reduce to zero")
     # the quadratic pair tau_i tau_i at the source v is exactly the
     # multiplier, so multiplier * a = tau tau a = 0
     mult = ctx.q_poly(vi, vj, i, i + 1)
@@ -1030,7 +1035,8 @@ def torsion_check(ctx: KLRContext, v, i: int = 1) -> MPoly:
     pair_poly = MPoly(
         ctx.n, ctx.params, {exps: c for (wrd, exps), c in pair.items() if not wrd}
     )
-    assert all(not wrd for (wrd, _) in pair) and pair_poly == mult
+    if any(wrd for wrd, _ in pair) or pair_poly != mult:
+        raise ArithmeticError("tau_i tau_i 1_v is not the multiplier")
     return mult
 
 

@@ -165,13 +165,33 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
             "needs a quiver without loops",
         ),
         (["verify", "cyclotomic", "--n", "5"], "--n must be at most 4"),
+        (
+            ["verify", "klr-relations", "--quiver", "EMPTY_FILE", "--n", "2"],
+            "needs at least one vertex",
+        ),
+        (
+            ["verify", "grdim", "--quiver", "EMPTY_FILE", "--n", "2"],
+            "needs at least one vertex",
+        ),
+        (
+            ["verify", "pbw", "--quiver", "EMPTY_FILE", "--n", "2"],
+            "needs at least one vertex",
+        ),
+        (["verify", "nilhecke", "--n", "1"], "--n must be at least 2"),
+        (
+            ["compute", "hall-table", "--q", "4", "--max-dim", "3,3"],
+            "--max-dim 3,3 at q = 4 enumerates 262144 matrices",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):
     # refused with a message, never reported as a FAIL or a vacuous PASS
     loop_file = tmp_path / "loop.quiver"
     loop_file.write_text(LOOP_QUIVER)
-    argv = [str(loop_file) if a == "LOOP_FILE" else a for a in argv]
+    empty_file = tmp_path / "empty.quiver"
+    empty_file.write_text("")
+    files = {"LOOP_FILE": str(loop_file), "EMPTY_FILE": str(empty_file)}
+    argv = [files.get(a, a) for a in argv]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -239,9 +259,37 @@ def test_fock_p3_example_runs_only_at_p3(capsys, p, expected):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (
+            ["verify", "demazure", "--n", "2"],
+            {"demazure-commutation", "demazure-braid"},
+        ),
+        (["verify", "demazure", "--n", "3"], {"demazure-commutation"}),
+        (["verify", "klr-relations", "--n", "2"], {"klr-braid"}),
+        (["verify", "pbw", "--trials", "0"], {"pbw-round-trip"}),
+    ],
+)
+def test_zero_case_checks_are_skipped(capsys, argv, skipped):
+    # a check that examined nothing is SKIP (null in JSON), never PASS
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert {c["name"] for c in report["checks"] if c["pass"] is None} == (
+        skipped
+    )
+    assert report["passed"] is True
+    _, out = run_cli(capsys, argv + ["--format", "text"])
+    lines = out.splitlines()
+    assert {ln.split()[1] for ln in lines if ln.startswith("SKIP")} == skipped
+
+
 def test_failing_check_exits_one(capsys, monkeypatch):
     def broken(cfg, rng):
-        return [{"name": "always-fails", "params": {}, "pass": False}]
+        return [
+            {"name": "always-fails", "params": {}, "pass": False, "cases": 1}
+        ]
 
     monkeypatch.setitem(cli._SUITES, "demazure", broken)
     code, out = run_cli(capsys, ["verify", "demazure"])

@@ -250,6 +250,29 @@ def test_ideal_stability(n, i):
     assert ideal_stability_check(n, i, random.Random(n + 7 * i), trials=12)
 
 
+def test_broken_ideal_stability_raises_under_optimize():
+    # with no reduction the multiples of g survive; this must raise
+    # under `python -O` too
+    code = (
+        "import random, sys\n"
+        "import quiverhecke.cyclotomic as cyc\n"
+        "cyc.CycloContext.reduce = lambda self, p: p\n"
+        "try:\n"
+        "    print('returned', cyc.ideal_stability_check(2, 1, random.Random(0)))\n"
+        "except ArithmeticError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised", "1"]
+
+
 # -- brute-force general quivers -----------------------------------------
 
 

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -506,6 +510,50 @@ def test_torsion_multiplier_a3():
     # also at the other end of the quiver
     m2 = torsion_check(ctx, (3, 2, 3))
     assert not m2.is_zero()
+
+
+@pytest.mark.parametrize(
+    "sabotage, call",
+    [
+        # no rewriting move at all: the torsion statement must fail
+        (
+            "klr._prime_reduce = lambda ctx, word, v: "
+            "{(tuple(word), ctx.zero_exps()): 1}",
+            "klr.torsion_check(klr.make_klr(klr.linear_quiver(2), 3), (1, 2, 1))",
+        ),
+        # a closed form times q^2 matches the enumeration neither as
+        # written nor after q -> q^-1
+        (
+            "right = klr.hom_graded_dimension_closed\n"
+            "klr.hom_graded_dimension_closed = "
+            "lambda *args: right(*args) * Laurent.gen(2)",
+            "klr.grdim_reconciliation("
+            "klr.make_klr(klr.linear_quiver(2), 2), (1, 2), (1, 2))",
+        ),
+    ],
+    ids=["torsion_check", "grdim_reconciliation"],
+)
+def test_broken_certificate_raises_under_optimize(sabotage, call):
+    # `python -O` strips asserts; a broken certificate must still raise
+    code = (
+        "import sys\n"
+        "import quiverhecke.klr as klr\n"
+        "from quiverhecke.laurent import Laurent\n"
+        f"{sabotage}\n"
+        "try:\n"
+        f"    print('returned', {call})\n"
+        "except ArithmeticError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised", "1"]
 
 
 def test_single_vertex_braid_is_exact():
