@@ -94,7 +94,10 @@ class CycloContext:
     """
 
     def __init__(self, n: int, i: int, z_values=None):
-        assert n >= 0 and i >= 0
+        if n < 0 or i < 0:
+            raise ValueError(f"C_i(n) needs n, i >= 0, got n = {n}, i = {i}")
+        if z_values is not None and len(z_values) != n:
+            raise ValueError(f"C_i({n}) needs {n} z_values, got {len(z_values)}")
         self.n = n
         self.i = i
         self.z_values = None if z_values is None else tuple(z_values)
@@ -112,8 +115,10 @@ class CycloContext:
                 r = -r.demazure(j)
                 self.rules.append(r)
         if i > n:
-            top = self.rules[n]
-            assert top == MPoly.one(i, self.params)
+            if self.rules[n] != MPoly.one(i, self.params):
+                raise ArithmeticError(
+                    f"the reduction chain of C_{i}({n}) does not reach 1 at r_{n + 1}"
+                )
 
     def module_basis(self):
         """In-bounds monomial exponents a with a_j <= n-j, sorted."""
@@ -190,7 +195,8 @@ def _operator_matrix(ctx: CycloContext, op, basis, index):
 
 def _action_matrices(ctx: CycloContext):
     """Matrices (mod _PRIME) of all spanning operators x^a T_w."""
-    assert ctx.z_values is not None
+    if ctx.z_values is None:
+        raise ValueError("action matrices need integer z_values, not parameters")
     basis = [a for a in ctx.module_basis()]
     index = {a: r for r, a in enumerate(basis)}
     xmats = [
@@ -232,40 +238,61 @@ def _action_matrices(ctx: CycloContext):
 
 
 def _rank_mod_p(rows, p=_PRIME):
-    """Rank of an integer matrix modulo p (row-major list of lists)."""
-    if not rows:
-        return 0
+    """Rank modulo p of an integer matrix, given as a 2-D array or as a
+    row-major list of lists.
+
+    The working copy stays reduced into [0, p), so every nonzero test is
+    exact and every product fits in int64.  Each pivot updates only the
+    rows with a nonzero entry in its column, and only from that column
+    on: the columns to its left are zero in every row not yet used as a
+    pivot, so the cost follows the nonzeros rather than the whole block.
+    """
     a = numpy.array(rows, dtype=numpy.int64) % p
+    if a.size == 0:
+        return 0
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
-        piv = None
-        for rr in range(r, nrows):
-            if a[rr, c]:
-                piv = rr
-                break
-        if piv is None:
+        nz = numpy.flatnonzero(a[r:, c])
+        if not nz.size:
             continue
+        piv = r + nz[0]
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        block = a[r + 1 :]
-        if block.size:
-            a[r + 1 :] = (block - numpy.outer(block[:, c], a[r])) % p
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        # after the swap row piv holds the old row r, zero in column c
+        below = r + nz[1:]
+        if below.size:
+            a[below, c:] = (a[below, c:] - numpy.outer(a[below, c], a[r, c:])) % p
         r += 1
         if r == nrows:
             break
     return r
 
 
+# 4M int64 entries are 32 MB.  The largest rank matrix below that, of
+# C_3(5), is 360 x 3600 and takes 0.03-0.25 s; the next ones, C_4(5) at
+# 2880 x 14400 (330 MB) and C_5(5) at 14400 x 14400 (1.7 GB), are refused.
+_MAX_RANK_ENTRIES = 4_000_000
+
+
 def spanning_rank(n: int, i: int, z_values) -> int:
-    """Rank of the spanning operators of C_i(n) at a z-specialization."""
+    """Rank of the spanning operators of C_i(n) at a z-specialization.
+
+    Raises ValueError, before building any matrix, when the flattened
+    action matrices would exceed _MAX_RANK_ENTRIES entries.
+    """
     ctx = CycloContext(n, i, z_values=z_values)
     if ctx.is_zero_algebra:
         return 0
-    rows = [m.reshape(-1).tolist() for _, m in _action_matrices(ctx)]
-    return _rank_mod_p(rows)
+    shape = (len(ctx.spanning_set()), len(ctx.module_basis()) ** 2)
+    if shape[0] * shape[1] > _MAX_RANK_ENTRIES:
+        raise ValueError(
+            f"the rank matrix of C_{i}({n}) is {shape[0]} x {shape[1]}, "
+            f"above the limit of {_MAX_RANK_ENTRIES} entries"
+        )
+    mats = _action_matrices(ctx)
+    return _rank_mod_p(numpy.stack([m.reshape(-1) for _, m in mats]))
 
 
 def expected_rank(n: int, i: int) -> int:
@@ -282,6 +309,8 @@ def verify_rank(n: int, i: int, rng=None, points: int = 3) -> int:
     integer z-specializations and at z = 0 (the reduced algebra).  The
     specialized rank is a lower bound for the generic rank and the
     spanning-set size is an upper bound, so agreement is a proof.
+    Raises ArithmeticError on a mismatch, and ValueError, through
+    spanning_rank, when the rank matrix is above its size limit.
     """
     expected = expected_rank(n, i)
     specials = [(0,) * n]

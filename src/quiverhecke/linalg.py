@@ -4,7 +4,8 @@ Exact sparse linear algebra over Q.
 A vector is a dict {column key: coefficient} with mutually comparable
 keys; its smallest key is its lead.  Eliminations over other fields stay
 with their callers: `hall.rref` (GF(q) lookup tables) and
-`cyclotomic._rank_mod_p` (dense numpy modulo a prime).
+`cyclotomic._rank_mod_p` (an int64 numpy array modulo a prime, updating
+only the rows that are nonzero in each pivot column).
 """
 
 from __future__ import annotations

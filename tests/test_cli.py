@@ -297,6 +297,26 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_wrong_q_matrix_fails_klr_relations(capsys, monkeypatch):
+    # the expected Q is read off the quiver's arrows, so a wrong Q in the
+    # polynomial representation cannot agree with itself
+    from quiverhecke.klr import KLRContext
+
+    right = KLRContext.q_poly
+    monkeypatch.setattr(
+        KLRContext, "q_poly", lambda self, *args: right(self, *args) * 2
+    )
+    code, out = run_cli(
+        capsys, ["verify", "klr-relations", "--quiver", "a2", "--n", "3"]
+    )
+    assert code == 1
+    assert {c["name"]: c["pass"] for c in json.loads(out)["checks"]} == {
+        "klr-quadratic": False,
+        "klr-straightening": True,
+        "klr-braid": False,
+    }
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import factorial
 from pathlib import Path
@@ -132,6 +133,54 @@ def test_wrong_rank_raises_under_optimize():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["raised", "1"]
+
+
+def test_rank_size_guard():
+    # C_5(5) would need a 14400 x 14400 rank matrix (1.7 GB as int64);
+    # the guard refuses it before building anything
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="14400 x 14400"):
+        verify_rank(5, 5)
+    with pytest.raises(ValueError, match="2880 x 14400"):
+        spanning_rank(5, 4, (0,) * 5)
+    assert time.perf_counter() - start < 5
+    # the largest admitted certificate, 360 x 3600
+    assert spanning_rank(5, 3, (0,) * 5) == expected_rank(5, 3) == 360
+    assert verify_rank(6, 7) == 0
+
+
+def test_input_checks_raise_under_optimize():
+    # the input checks, the reduction chain and the size guard must not
+    # be assertions, which `python -O` strips
+    code = (
+        "import sys\n"
+        "import quiverhecke.cyclotomic as cyc\n"
+        "def attempt(make):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except (ValueError, ArithmeticError) as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "    else:\n"
+        "        print('returned')\n"
+        "attempt(lambda: cyc.CycloContext(-1, 2))\n"
+        "attempt(lambda: cyc.CycloContext(2, -1))\n"
+        "attempt(lambda: cyc.CycloContext(2, 1, z_values=(0,)))\n"
+        "attempt(lambda: cyc._action_matrices(cyc.CycloContext(2, 1)))\n"
+        "attempt(lambda: cyc.verify_rank(5, 5))\n"
+        "right = cyc.cyclotomic_polynomial\n"
+        "cyc.cyclotomic_polynomial = lambda *args: right(*args) * 2\n"
+        "attempt(lambda: cyc.CycloContext(1, 2))\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["ValueError"] * 5 + ["ArithmeticError", "1"]
 
 
 def test_wrong_grading_raises_under_optimize():

@@ -3,9 +3,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 
-from quiverhecke.cyclotomic import _rank_mod_p
+from quiverhecke.cyclotomic import (
+    _PRIME,
+    CycloContext,
+    _action_matrices,
+    _rank_mod_p,
+    spanning_rank,
+)
 from quiverhecke.linalg import Echelon, determinant, rank
 
 
@@ -79,3 +86,96 @@ def test_echelon_reduce_and_insert():
     assert ech.reduce({"b": 1}) == {"c": -2}
     assert ech.insert({"b": 3, "c": 6}) == {}
     assert len(ech) == 1
+
+
+def schoolbook_rank_mod_p(rows, p=_PRIME):
+    """Gauss-Jordan on Python ints, every row reduced at every pivot."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def sparse_entry(rng, density, p=_PRIME):
+    if rng.random() >= density:
+        return 0
+    if rng.random() < 0.3:
+        return rng.choice((1, -1, 2, p - 1, p + 3, -p - 2, 5 * p + 7))
+    return rng.randrange(-p, p)
+
+
+def sparse_matrix(rng, nrows, ncols, density, p=_PRIME):
+    rows = [
+        [sparse_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)
+    ]
+    # rows that depend on others only modulo p, so the rank is deficient
+    for _ in range(rng.randrange(3) if nrows >= 2 else 0):
+        a, b, c = (rng.randrange(nrows) for _ in range(3))
+        k = rng.randrange(p)
+        rows[a] = [
+            x + k * y + p * rng.randint(-2, 2) for x, y in zip(rows[b], rows[c])
+        ]
+    return rows
+
+
+def test_rank_mod_p_matches_schoolbook_on_sparse_matrices():
+    rng = random.Random(22)
+    for trial in range(150):
+        nrows, ncols = rng.randint(1, 60), rng.randint(1, 80)
+        density = rng.choice((0.02, 0.05, 0.1, 0.3))
+        mat = sparse_matrix(rng, nrows, ncols, density)
+        expected = schoolbook_rank_mod_p(mat)
+        assert _rank_mod_p(mat) == expected, (trial, nrows, ncols, density)
+        assert _rank_mod_p(numpy.array(mat, dtype=numpy.int64)) == expected
+
+
+def test_rank_mod_p_edge_shapes():
+    p = _PRIME
+    assert _rank_mod_p([]) == 0
+    assert _rank_mod_p([[], []]) == 0
+    assert _rank_mod_p(numpy.zeros((0, 4), dtype=numpy.int64)) == 0
+    assert _rank_mod_p([[0] * 5] * 4) == 0
+    # entries that vanish modulo p
+    assert _rank_mod_p([[p, -p, 0], [2 * p, 0, -3 * p]]) == 0
+    # rows dependent only modulo p
+    assert _rank_mod_p([[1, 2], [p + 1, 2]]) == 1
+    assert _rank_mod_p([[1, 2], [p + 1, 3]]) == 2
+    # zero columns, and a pivot that only the last row holds
+    assert _rank_mod_p([[0, 0, 1], [0, 0, 2], [0, 3, 0]]) == 2
+    assert _rank_mod_p([[0, 0], [0, 0], [0, 7]]) == 1
+    # tall and wide
+    tall = [[k, k * k] for k in range(1, 9)]
+    assert _rank_mod_p(tall) == schoolbook_rank_mod_p(tall) == 2
+    wide = [list(range(k, k + 40)) for k in range(3)]
+    assert _rank_mod_p(wide) == schoolbook_rank_mod_p(wide) == 2
+    # the caller's array is not modified
+    arr = numpy.array([[2, 4], [1, 2]], dtype=numpy.int64)
+    assert _rank_mod_p(arr) == 1
+    assert arr.tolist() == [[2, 4], [1, 2]]
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_rank_mod_p_matches_schoolbook_on_cyclotomic_matrices(i):
+    rng = random.Random(23 + i)
+    for z in [(0, 0, 0), tuple(rng.randint(-5, 5) for _ in range(3))]:
+        mats = _action_matrices(CycloContext(3, i, z_values=z))
+        rows = numpy.stack([m.reshape(-1) for _, m in mats])
+        assert _rank_mod_p(rows) == schoolbook_rank_mod_p(rows.tolist())
+
+
+@pytest.mark.parametrize("i, expected", [(3, 144), (4, 576)])
+def test_spanning_rank_at_four(i, expected):
+    rng = random.Random(24 + i)
+    assert spanning_rank(4, i, (0,) * 4) == expected
+    assert spanning_rank(4, i, tuple(rng.randint(-5, 5) for _ in range(4))) == expected
