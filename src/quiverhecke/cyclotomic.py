@@ -302,23 +302,28 @@ def expected_rank(n: int, i: int) -> int:
     return factorial(i) * factorial(n) // factorial(n - i)
 
 
-def verify_rank(n: int, i: int, rng=None, points: int = 3) -> int:
+def verify_rank(n: int, i: int, rng=None, points: int = 3, ranks=None) -> int:
     """Certify that C_i(n) is free over Z[z] of rank i! * n!/(n-i)!.
 
     Checks the rank of the spanning operators at ``points`` random
     integer z-specializations and at z = 0 (the reduced algebra).  The
     specialized rank is a lower bound for the generic rank and the
     spanning-set size is an upper bound, so agreement is a proof.
-    Raises ArithmeticError on a mismatch, and ValueError, through
-    spanning_rank, when the rank matrix is above its size limit.
+    ``ranks``, a dict the caller owns, memoizes spanning_rank by
+    ``(n, i, z)`` across calls.  Raises ArithmeticError on a mismatch,
+    and ValueError, through spanning_rank, when the rank matrix is above
+    its size limit.
     """
     expected = expected_rank(n, i)
     specials = [(0,) * n]
     if rng is not None:
         for _ in range(points):
             specials.append(tuple(rng.randint(-5, 5) for _ in range(n)))
+    ranks = {} if ranks is None else ranks
     for z in specials:
-        got = spanning_rank(n, i, z)
+        if (n, i, z) not in ranks:
+            ranks[n, i, z] = spanning_rank(n, i, z)
+        got = ranks[n, i, z]
         if got != expected:
             raise ArithmeticError(
                 f"C_{i}({n}) at z = {z} has rank {got}, expected {expected}"
@@ -348,7 +353,7 @@ def graded_rank_polynomial(n: int, i: int) -> Laurent:
     return out
 
 
-def sl2_iso_check(n: int, i: int, rng=None) -> bool:
+def sl2_iso_check(n: int, i: int, rng=None, ranks=None) -> bool:
     """Check the identification of C_i(n) with the subalgebra of the nil
     affine Hecke algebra on n strands generated by T_1..T_{i-1},
     X_1..X_i and the symmetric polynomials (z_l -> (-1)^l e_l).
@@ -356,11 +361,12 @@ def sl2_iso_check(n: int, i: int, rng=None) -> bool:
     Verifies that the cyclotomic relation maps to zero, that the tail
     elementary symmetrics e_l(x_{i+1}..x_n) lie in the image, and that
     the ranks over the two (identified) central polynomial rings match,
-    both as numbers and as graded series.
+    both as numbers and as graded series.  ``ranks`` is passed on to
+    verify_rank.
     """
     assert 0 <= i <= n
     if n == 0:
-        return verify_rank(0, 0, rng=rng) == 1
+        return verify_rank(0, 0, rng=rng, ranks=ranks) == 1
     # the defining relation maps to the vanishing alternating sum
     nx = n
     lhs = MPoly.zero(nx)
@@ -388,7 +394,7 @@ def sl2_iso_check(n: int, i: int, rng=None) -> bool:
             )
     # ranks match: the certified cyclotomic rank equals the graded rank
     # of the subalgebra, read off from exact dimension series
-    expected = verify_rank(n, i, rng=rng)
+    expected = verify_rank(n, i, rng=rng, ranks=ranks)
     rank_poly = graded_rank_polynomial(n, i)
     if rank_poly.substitute(1) != expected:
         raise ArithmeticError(

@@ -51,15 +51,27 @@ Fraction share +, -, *, / and truth testing, so one code path serves
 both.
 
 Degree bookkeeping: one application of T_i or s_i lowers total degree
-by at most 1 (only through the divided difference) and the truncation
-drops degrees >= cutoff, so after applying k operators the terms of
-degree < cutoff - k are exact.  The relation checks run with that
-slack and compare below the reliable window.
+by at most 1 (only through the divided difference), X_j does not lower
+it, and the truncation drops degrees >= cutoff, so after applying k
+operators the terms of degree < cutoff - k are exact.  The relation
+checks run with that slack and compare below the reliable window.
+
+The same premise prunes the compositions.  Before an operator with k
+more T's still to apply, a term of degree >= window + k cannot reach
+the degrees < window, so each operator keeps only its output terms
+below that bound: the braid relation applies T with bounds window + 2,
+window + 1, window.  The compared low parts are those of the untrimmed
+compositions.  Each memoized column is checked against the premise
+when it is built (a T column below deg - 1, or an X column below deg,
+raises ArithmeticError).  The module has |vertices|^n binomial(n +
+cutoff - 1, n) basis monomials; the check refuses more than
+_MAX_BASIS of them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .klr import QuiverData, _bump
@@ -284,19 +296,22 @@ class HeckeBridge:
         return tuple(e)
 
     def mul_term(self, el, shift, coeff):
-        out = {}
-        for (v, exps), c in el.items():
-            e2 = tuple(a + b for a, b in zip(exps, shift))
-            if sum(e2) < self.cutoff:
-                _bump(out, (v, e2), c * coeff)
-        return out
+        return self.mul_linear(el, [(shift, coeff)])
 
     def mul_linear(self, el, terms):
         """Multiply by a polynomial [(shift, coeff), ...]."""
         out = {}
-        for shift, coeff in terms:
-            out = self.add_el(out, self.mul_term(el, shift, coeff))
+        self._add_product(out, el, terms)
         return out
+
+    def _add_product(self, out, el, terms):
+        """out += el * (polynomial [(shift, coeff), ...]), truncated."""
+        cutoff = self.cutoff
+        for shift, coeff in terms:
+            for (v, exps), c in el.items():
+                e2 = tuple(a + b for a, b in zip(exps, shift))
+                if sum(e2) < cutoff:
+                    _bump(out, (v, e2), c * coeff)
 
     def demazure(self, i: int, el):
         """Componentwise divided difference (P - s_i P)/(x_{i+1}-x_i)."""
@@ -325,20 +340,17 @@ class HeckeBridge:
         x_i - x_{i+1} (arrow source) or 1 (otherwise)."""
         assert 1 <= i < self.n
         one = self.one
+        unit = [((0,) * self.n, one)]
+        arrow = [(self.x_shift(i), one), (self.x_shift(i + 1), -one)]
         out = {}
         for (v, exps), c in el.items():
             comp = {(v, exps): c}
             if v[i - 1] == v[i]:
-                piece = self.demazure(i, comp)
+                self._add_product(out, self.demazure(i, comp), unit)
             else:
-                piece = self.swap(i, comp)
                 src, tgt = self.vertices[v[i - 1]], self.vertices[v[i]]
-                if self.quiver.d(src, tgt):
-                    piece = self.mul_linear(
-                        piece,
-                        [(self.x_shift(i), one), (self.x_shift(i + 1), -one)],
-                    )
-            out = self.add_el(out, piece)
+                factor = arrow if self.quiver.d(src, tgt) else unit
+                self._add_product(out, self.swap(i, comp), factor)
         return out
 
     def series_inverse(self, const, lin):
@@ -422,17 +434,14 @@ class HeckeBridge:
             if v[i - 1] == v[i]:
                 # N_i d_i + alpha
                 a = self.vertex_scalars[v[i - 1]]
-                piece = self.mul_linear(
-                    self.demazure(i, comp), self._n_terms(i, a, a)
+                self._add_product(
+                    out, self.demazure(i, comp), self._n_terms(i, a, a)
                 )
-                _bump(piece, key, c * self.alpha)
+                _bump(out, key, c * self.alpha)
             else:
                 source, target = self._mults(i, v[i - 1], v[i])
-                piece = self.add_el(
-                    self.mul_linear(comp, source),
-                    self.mul_linear(self.swap(i, comp), target),
-                )
-            out = self.add_el(out, piece)
+                self._add_product(out, comp, source)
+                self._add_product(out, self.swap(i, comp), target)
         return out
 
     def affine_T(self, i: int, el):
@@ -465,21 +474,43 @@ def degenerate_s_action(i, v, exps, n, cutoff=4, vertices=(0, 1, 2)):
 
 
 class _CachedOp:
-    """Memoizes a linear operator by its columns on basis monomials."""
+    """Memoizes a linear operator by its columns on basis monomials.
 
-    def __init__(self, br, fn):
+    ``drop`` is the most the operator may lower total degree (1 for T_i,
+    0 for X_j); each column is checked against it once, when it is
+    built.  Calls keep only the output terms of degree < bound.
+    """
+
+    def __init__(self, br, fn, name, drop):
         self.br = br
         self.fn = fn
+        self.name = name
+        self.drop = drop
         self.cols = {}
 
-    def __call__(self, el):
+    def _column(self, key):
+        """The column of ``key``, as one list of terms per degree."""
+        layers = [[] for _ in range(self.br.cutoff)]
+        for k2, c2 in self.fn({key: self.br.one}).items():
+            layers[sum(k2[1])].append((k2, c2))
+        if any(layers[: max(sum(key[1]) - self.drop, 0)]):
+            raise ArithmeticError(
+                f"{self.name} lowers the degree of {key} by more than "
+                f"{self.drop}"
+            )
+        return layers
+
+    def __call__(self, el, bound):
         out = {}
         for key, c in el.items():
-            col = self.cols.get(key)
-            if col is None:
-                col = self.cols[key] = self.fn({key: self.br.one})
-            for k2, c2 in col.items():
-                _bump(out, k2, c * c2)
+            layers = self.cols.get(key)
+            if layers is None:
+                if sum(key[1]) - self.drop >= bound:
+                    continue  # every output term has degree >= bound
+                layers = self.cols[key] = self._column(key)
+            for layer in layers[:bound]:
+                for k2, c2 in layer:
+                    _bump(out, k2, c * c2)
         return out
 
 
@@ -501,48 +532,84 @@ def verify_degenerate_relations(n, window, vertices=(0, 1, 2), slack=3):
     return _verify_relations(br, br.degenerate_s, window)
 
 
+# Basis monomials of the truncated module, |vertices|^n binomial(n +
+# cutoff - 1, n), above which the relation check is refused; the count
+# grows exponentially in n.  With three vertices it admits n = 4 at
+# window 3 (10,206 monomials; about 7 s affine and 4.5 s degenerate on
+# a 2-vCPU VM) and refuses n = 4 at window 4 (17,010; 16 s and 11 s) and
+# every n >= 5.  It does not bound the growth in the window at fixed n
+# (n = 2: 0.6 s at window 8, 20 s at window 16).
+_MAX_BASIS = 12_000
+
+
 def _verify_relations(br, generator, window):
     """Check the relations of T_i = generator(i, .) and X_j on every
     monomial of degree < window.
 
-    Raises ValueError when n < 2 (there is no relation to check) and
-    ArithmeticError naming the first relation and monomial that fail.
+    Raises ValueError when n < 2 (there is no relation to check) or the
+    module has more than _MAX_BASIS basis monomials, and ArithmeticError
+    naming the first relation and monomial that fail.
     """
     n = br.n
     if n < 2:
         raise ValueError(f"the Hecke relations need n >= 2, got n = {n}")
+    size = len(br.vertices) ** n * math.comb(n + br.cutoff - 1, n)
+    if size > _MAX_BASIS:
+        raise ValueError(
+            f"the truncated module for n = {n}, cutoff {br.cutoff} has "
+            f"{size} basis monomials, above the limit of {_MAX_BASIS}"
+        )
+    for name, key, low in _relation_residuals(br, generator, window):
+        if not br.is_zero_el(low):
+            raise ArithmeticError(
+                f"{br.mode} Hecke relation {name} fails on {key}"
+            )
+    return True
+
+
+def _relation_residuals(br, generator, window):
+    """Yield (relation name, monomial key, residual in degrees < window)
+    for every relation and every monomial of degree < window, in check
+    order.
+
+    Each operator call keeps only the terms that can still reach the
+    window: window + k after an operator with k more T's still to apply.
+    """
+    n = br.n
     one, alpha, beta = br.one, br.alpha, br.beta
+    w = window
     T = {
-        i: _CachedOp(br, lambda el, i=i: generator(i, el))
+        i: _CachedOp(br, lambda el, i=i: generator(i, el), f"T_{i}", 1)
         for i in range(1, n)
     }
     X = {
-        j: _CachedOp(br, lambda el, j=j: br.X(j, el))
+        j: _CachedOp(br, lambda el, j=j: br.X(j, el), f"X_{j}", 0)
         for j in range(1, n + 1)
     }
 
     def quadratic(m, i):
         # (T_i - alpha)(T_i + 1) = 0
-        tm = T[i](m)
+        tm = T[i](m, w + 1)
         return br.add_el(
-            T[i](tm),
+            T[i](tm, w),
             br.sub_el(br.scale_el(tm, one - alpha), br.scale_el(m, alpha)),
         )
 
     def straighten(m, i):
         # T_i X_{i+1} - X_i T_i = (alpha - 1) X_{i+1} + beta
-        xm = X[i + 1](m)
+        xm = X[i + 1](m, w + 1)
         return br.sub_el(
-            br.sub_el(T[i](xm), X[i](T[i](m))),
+            br.sub_el(T[i](xm, w), X[i](T[i](m, w), w)),
             br.add_el(br.scale_el(xm, alpha - one), br.scale_el(m, beta)),
         )
 
     def commute(m, a, b):
-        return br.sub_el(a(b(m)), b(a(m)))
+        return br.sub_el(a(b(m, w + a.drop), w), b(a(m, w + b.drop), w))
 
     def braid(m, i):
+        s, t = T[i], T[i + 1]
         return br.sub_el(
-            T[i](T[i + 1](T[i](m))), T[i + 1](T[i](T[i + 1](m)))
+            s(t(s(m, w + 2), w + 1), w), t(s(t(m, w + 2), w + 1), w)
         )
 
     checks = []
@@ -563,8 +630,4 @@ def _verify_relations(br, generator, window):
     for key in br.basis(window):
         m = br.monomial(*key)
         for name, residual, args in checks:
-            if not br.is_zero_el(br.low_part(residual(m, *args), window)):
-                raise ArithmeticError(
-                    f"{br.mode} Hecke relation {name} fails on {key}"
-                )
-    return True
+            yield name, key, br.low_part(residual(m, *args), window)

@@ -182,6 +182,10 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
             ["compute", "hall-table", "--q", "4", "--max-dim", "3,3"],
             "--max-dim 3,3 at q = 4 enumerates 262144 matrices",
         ),
+        (
+            ["verify", "heckebridge", "--n", "4", "--window", "4"],
+            "17010 basis monomials, above the limit",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):

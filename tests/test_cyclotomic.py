@@ -113,6 +113,27 @@ def test_rank_full_range():
             assert verify_rank(n, i, rng=rng, points=2) == expected_rank(n, i)
 
 
+def test_suite_computes_each_rank_once(monkeypatch, capsys):
+    # cyclotomic-iso reuses the ranks that cyclotomic-ranks certified in
+    # the same run (82 spanning_rank calls, 20 of them repeats, before);
+    # the memo lives for one run only
+    from quiverhecke import cli, cyclotomic
+
+    calls = []
+    original = cyclotomic.spanning_rank
+
+    def counting(n, i, z):
+        calls.append((n, i, z))
+        return original(n, i, z)
+
+    monkeypatch.setattr(cyclotomic, "spanning_rank", counting)
+    for _ in range(2):
+        calls.clear()
+        assert cli.main(["verify", "cyclotomic", "--n", "3"]) == 0
+        assert len(calls) == len(set(calls)) == 62
+    capsys.readouterr()
+
+
 def test_wrong_rank_raises_under_optimize():
     # a rank mismatch must fail under `python -O`, which strips asserts
     code = (

@@ -9,6 +9,7 @@ import pytest
 from quiverhecke.heckebridge import (
     HeckeBridge,
     QScalar,
+    _relation_residuals,
     affine_T_action,
     degenerate_s_action,
     verify_affine_relations,
@@ -158,6 +159,10 @@ def test_affine_relations_other_vertices():
     assert verify_affine_relations(2, 3, vertices=(0, 2))
 
 
+def test_affine_relations_rank_four():
+    assert verify_affine_relations(4, 2)
+
+
 # -- the degenerate action ------------------------------------------------
 
 
@@ -213,6 +218,10 @@ def test_degenerate_relations_rank_three():
     assert verify_degenerate_relations(3, 3)
 
 
+def test_degenerate_relations_rank_four():
+    assert verify_degenerate_relations(4, 2)
+
+
 # -- the relation suites ---------------------------------------------------
 
 
@@ -257,6 +266,125 @@ def test_single_strand_has_no_relations(verify):
     # at n = 1 there is nothing to check, so no vacuous True
     with pytest.raises(ValueError, match="need n >= 2"):
         verify(1, 3)
+
+
+@pytest.mark.parametrize(
+    "verify", [verify_affine_relations, verify_degenerate_relations]
+)
+def test_module_size_guard(verify):
+    # n = 4 at window 4 has 81 * binomial(10, 4) = 17,010 basis monomials
+    with pytest.raises(ValueError, match="17010 basis monomials"):
+        verify(4, 4)
+    with pytest.raises(ValueError, match="above the limit"):
+        verify(5, 1)
+
+
+def _perturbed_operators(br):
+    """T_i + d_{n-i} + x_1 and X_j + s_1: wrong operators that still
+    lower total degree by at most 1 and 0, so that every relation has
+    nonzero residuals to compare."""
+    generator, x_op = br._generator, br.X
+
+    def T(i, el):
+        out = br.add_el(generator(i, el), br.demazure(br.n - i, el))
+        return br.add_el(out, br.mul_term(el, br.x_shift(1), br.one))
+
+    def X(j, el):
+        return br.add_el(x_op(j, el), br.swap(1, el))
+
+    return T, X
+
+
+def _unpruned_residuals(br, T, X, window):
+    """Every relation residual from plain, untrimmed compositions."""
+    n, one, alpha, beta = br.n, br.one, br.alpha, br.beta
+    add, sub, scale = br.add_el, br.sub_el, br.scale_el
+    out = {}
+    for key in br.basis(window):
+        m = br.monomial(*key)
+        for i in range(1, n):
+            tm = T(i, m)
+            out[f"quadratic T_{i}", key] = add(
+                T(i, tm), sub(scale(tm, one - alpha), scale(m, alpha))
+            )
+            xm = X(i + 1, m)
+            out[f"straighten T_{i}", key] = sub(
+                sub(T(i, xm), X(i, tm)),
+                add(scale(xm, alpha - one), scale(m, beta)),
+            )
+            for j in range(1, n + 1):
+                if j not in (i, i + 1):
+                    out[f"commute T_{i} X_{j}", key] = sub(
+                        T(i, X(j, m)), X(j, tm)
+                    )
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                out[f"commute X_{i} X_{j}", key] = sub(
+                    X(i, X(j, m)), X(j, X(i, m))
+                )
+        for i in range(1, n - 1):
+            out[f"braid T_{i} T_{i + 1}", key] = sub(
+                T(i, T(i + 1, T(i, m))), T(i + 1, T(i, T(i + 1, m)))
+            )
+    return {k: br.low_part(v, window) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("mode", ["affine", "degenerate"])
+@pytest.mark.parametrize("n, window", [(2, 3), (3, 2)])
+def test_pruned_residuals_match_plain_composition(mode, n, window):
+    # the relation check drops the terms that cannot reach the window;
+    # with wrong operators its residuals must still be exactly the
+    # low parts of the plain compositions
+    br = HeckeBridge(n, window + 3, mode)
+    T, X = _perturbed_operators(br)
+    br.X = X
+    pruned = {
+        (name, key): low
+        for name, key, low in _relation_residuals(br, T, window)
+    }
+    expected = _unpruned_residuals(br, T, X, window)
+    assert pruned.keys() == expected.keys()
+    for k, low in pruned.items():
+        assert br.is_zero_el(br.sub_el(low, expected[k])), k
+    failing = {name for (name, _), low in pruned.items() if not br.is_zero_el(low)}
+    assert failing == {name for name, _ in pruned}
+
+
+@pytest.mark.parametrize(
+    "method, verify",
+    [
+        ("affine_T", "verify_affine_relations"),
+        ("degenerate_s", "verify_degenerate_relations"),
+    ],
+)
+def test_degree_drop_past_one_raises_under_optimize(method, verify):
+    # the pruning relies on T_i lowering total degree by at most 1; a
+    # column that lowers it by 2 must be refused, also under `python -O`
+    code = (
+        "import sys\n"
+        "import quiverhecke.heckebridge as hb\n"
+        f"original = hb.HeckeBridge.{method}\n"
+        "def lowered(self, i, el):\n"
+        "    out = original(self, i, el)\n"
+        "    if i == 1 and ((0, 0), (2, 0)) in el:\n"
+        "        out = self.add_el(out, self.monomial((0, 0), (0, 0)))\n"
+        "    return out\n"
+        f"hb.HeckeBridge.{method} = lowered\n"
+        "try:\n"
+        f"    hb.{verify}(2, 3)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', sys.flags.optimize, exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[:2] == ["raised", "1"]
+    assert "T_1 lowers the degree of ((0, 0), (2, 0)) by more than 1" in res.stdout
 
 
 # -- the quiver Hecke intertwiner ----------------------------------------
