@@ -522,14 +522,12 @@ def verify_affine_relations(n, window, vertices=(0, 1, 2), slack=3):
     application loses at most one degree of accuracy, so the compared
     coefficients are exact.
     """
-    br = HeckeBridge(n, window + slack, "affine", vertices)
-    return _verify_relations(br, br.affine_T, window)
+    return _verify_relations(n, window, "affine", vertices, slack)
 
 
 def verify_degenerate_relations(n, window, vertices=(0, 1, 2), slack=3):
     """Check the degenerate affine Hecke relations in degrees < window."""
-    br = HeckeBridge(n, window + slack, "degenerate", vertices)
-    return _verify_relations(br, br.degenerate_s, window)
+    return _verify_relations(n, window, "degenerate", vertices, slack)
 
 
 # Basis monomials of the truncated module, |vertices|^n binomial(n +
@@ -542,17 +540,24 @@ def verify_degenerate_relations(n, window, vertices=(0, 1, 2), slack=3):
 _MAX_BASIS = 12_000
 
 
-def _verify_relations(br, generator, window):
-    """Check the relations of T_i = generator(i, .) and X_j on every
-    monomial of degree < window.
+def _verify_relations(n, window, mode, vertices, slack):
+    """Check the relations of T_i (``affine_T`` or ``degenerate_s`` by
+    ``mode``) and X_j on every monomial of degree < window, on a bridge
+    with cutoff window + slack.
 
-    Raises ValueError when n < 2 (there is no relation to check) or the
-    module has more than _MAX_BASIS basis monomials, and ArithmeticError
-    naming the first relation and monomial that fail.
+    Raises ValueError when n < 2 or window < 1 (there is nothing to
+    check) or the module has more than _MAX_BASIS basis monomials, and
+    ArithmeticError naming the first relation and monomial that fail.
     """
-    n = br.n
     if n < 2:
         raise ValueError(f"the Hecke relations need n >= 2, got n = {n}")
+    if window < 1:
+        raise ValueError(
+            f"the relation window must be at least 1, got {window}: "
+            "no monomial has degree < window"
+        )
+    br = HeckeBridge(n, window + slack, mode, vertices)
+    generator = br.affine_T if mode == "affine" else br.degenerate_s
     size = len(br.vertices) ** n * math.comb(n + br.cutoff - 1, n)
     if size > _MAX_BASIS:
         raise ValueError(

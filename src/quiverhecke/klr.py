@@ -30,6 +30,7 @@ from .laurent import Laurent
 from .linalg import Echelon
 from .polyring import (
     MPoly,
+    demazure_exponents,
     divide_exact_by_x_difference,
     elementary_symmetric,
     try_divide_by_x_difference,
@@ -208,11 +209,15 @@ class KLRContext:
         self._q_cache = {}
         self._tau_cache = {}
         self._expand_cache = {}
+        self._column_cache = {}
 
     def check_idempotent(self, v):
         v = tuple(v)
-        assert len(v) == self.n
-        assert all(s in self.quiver.vertices for s in v)
+        if len(v) != self.n or any(s not in self.quiver.vertices for s in v):
+            raise ValueError(
+                f"{v} is not an idempotent of H_{self.n}: it needs {self.n} "
+                f"vertices from {list(self.quiver.vertices)}"
+            )
         return v
 
     def zero_exps(self):
@@ -459,7 +464,10 @@ class KLRElement:
         self.terms = {}
         for (v, w, a), c in (terms or {}).items():
             if c != 0:
-                assert len(a) == ctx.width
+                if len(a) != ctx.width:
+                    raise ValueError(
+                        f"exponents {tuple(a)} need {ctx.width} entries"
+                    )
                 self.terms[(tuple(v), w, tuple(a))] = c
 
     @staticmethod
@@ -476,7 +484,8 @@ class KLRElement:
     @staticmethod
     def x(ctx, i, v) -> "KLRElement":
         v = ctx.check_idempotent(v)
-        assert 1 <= i <= ctx.n
+        if not 1 <= i <= ctx.n:
+            raise ValueError(f"x_{i} is not a generator of H_{ctx.n}")
         exps = [0] * ctx.width
         exps[i - 1] = 1
         return KLRElement(
@@ -486,7 +495,8 @@ class KLRElement:
     @staticmethod
     def tau(ctx, i, v) -> "KLRElement":
         v = ctx.check_idempotent(v)
-        assert 1 <= i <= ctx.n - 1
+        if not 1 <= i <= ctx.n - 1:
+            raise ValueError(f"tau_{i} is not a generator of H_{ctx.n}")
         return KLRElement(
             ctx, {(v, Permutation.simple(i, ctx.n), ctx.zero_exps()): 1}
         )
@@ -494,6 +504,8 @@ class KLRElement:
     @staticmethod
     def basis_word(ctx, v, w: Permutation, exps) -> "KLRElement":
         v = ctx.check_idempotent(v)
+        if w.n != ctx.n:
+            raise ValueError(f"{w} is not a permutation of {ctx.n} letters")
         exps = tuple(exps)
         if len(exps) == ctx.n:
             exps = exps + (0,) * len(ctx.params)
@@ -558,20 +570,25 @@ class KLRElement:
         """Apply to an element of the polynomial module.
 
         ``module`` maps idempotents to polynomials; the result does too.
+        The images are summed as term dicts, one per target idempotent.
         """
         ctx = self.ctx
-        out = {}
+        acc = {}
         for (v, w, a), c in self.terms.items():
             p = module.get(v)
             if p is None or p.is_zero():
                 continue
-            img = _apply_word(ctx, v, w, a, p)
-            tgt = w.act_on_list(v)
-            cur = out.get(tgt)
-            out[tgt] = img.map_coefficients(lambda z: c * z) if cur is None else (
-                cur + img.map_coefficients(lambda z: c * z)
-            )
-        return {v: p for v, p in out.items() if not p.is_zero()}
+            if p.nx != ctx.n or p.params != ctx.params:
+                raise ValueError(
+                    f"the module component at {v} is a polynomial in "
+                    f"{p.var_names()}, not in {ctx.n} variables with "
+                    f"parameters {ctx.params}"
+                )
+            tgt, img = _apply_word(ctx, v, w, a, p.terms)
+            out = acc.setdefault(tgt, {})
+            for e, d in img.items():
+                _bump(out, e, c * d)
+        return {u: MPoly(ctx.n, ctx.params, t) for u, t in acc.items() if t}
 
     def sorted_terms(self):
         return sorted(
@@ -594,17 +611,49 @@ class KLRElement:
         return self.to_text()
 
 
-def _apply_word(ctx: KLRContext, v, w: Permutation, a, poly: MPoly) -> MPoly:
-    """Apply tau_w x^a 1_v to a polynomial in the component M_v."""
-    p = poly * MPoly(ctx.n, ctx.params, {tuple(a): 1})
+def _apply_word(ctx: KLRContext, v, w: Permutation, a, terms: dict):
+    """Apply tau_w x^a 1_v to the polynomial with term dict ``terms``
+    (exponent tuple -> coefficient) in the component M_v.
+
+    Returns the target idempotent w(v) and the image's term dict.  The
+    letters of the canonical word act right to left on term dicts: at the
+    current idempotent u, tau_l is the Demazure operator d_l when u_l =
+    u_{l+1}, and otherwise swaps x_l and x_{l+1} and multiplies by
+    P_{u_l u_{l+1}}(x_{l+1}, x_l).  The image of one monomial e under one
+    letter is a column of (exponents, coefficient) pairs memoized in
+    ``ctx._column_cache`` under (u_l, u_{l+1}, l, e): it depends on no
+    other entry of u.
+    """
+    if any(a):
+        terms = {tuple(p + q for p, q in zip(e, a)): c for e, c in terms.items()}
+    cache = ctx._column_cache
     u = list(v)
     for l in reversed(w.canonical_word()):
-        if u[l - 1] == u[l]:
-            p = p.demazure(l)
-        else:
-            p = ctx.p_poly(u[l - 1], u[l], l + 1, l) * p.act_simple(l)
-            u[l - 1], u[l] = u[l], u[l - 1]
-    return p
+        s, t = u[l - 1], u[l]
+        out = {}
+        for e, c in terms.items():
+            key = (s, t, l, e)
+            col = cache.get(key)
+            if col is None:
+                col = cache[key] = _tau_column(ctx, s, t, l, e)
+            for m, d in col:
+                _bump(out, m, c * d)
+        terms = out
+        u[l - 1], u[l] = t, s
+    return tuple(u), terms
+
+
+def _tau_column(ctx: KLRContext, s, t, l: int, e) -> tuple:
+    """tau_l applied to the monomial x^e at an idempotent with u_l = s and
+    u_{l+1} = t, as (exponents, coefficient) pairs."""
+    if s == t:
+        sign, monomials = demazure_exponents(e, l)
+        return tuple((m, sign) for m in monomials)
+    swapped = e[: l - 1] + (e[l], e[l - 1]) + e[l + 1:]
+    return tuple(
+        (tuple(p + q for p, q in zip(swapped, pe)), pc)
+        for pe, pc in ctx.p_poly(s, t, l + 1, l).terms.items()
+    )
 
 
 # -- symbolic operators and PBW coordinates ------------------------------

@@ -2,10 +2,13 @@
 Exact sparse linear algebra over Q.
 
 A vector is a dict {column key: coefficient} with mutually comparable
-keys; its smallest key is its lead.  Eliminations over other fields stay
-with their callers: `hall.rref` (GF(q) lookup tables) and
-`cyclotomic._rank_mod_p` (an int64 numpy array modulo a prime, updating
-only the rows that are nonzero in each pivot column).
+keys; its smallest key is its lead.  Coefficients are exact ``int`` or
+``Fraction``: integer rows stay integer until a pivot other than +-1 has
+to be inverted, so an elimination with unit pivots builds no Fraction.
+Eliminations over other fields stay with their callers: `hall.rref`
+(GF(q) lookup tables) and `cyclotomic._rank_mod_p` (an int64 numpy array
+modulo a prime, updating only the rows that are nonzero in each pivot
+column).
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from itertools import combinations
 class Echelon:
     """Sparse rows over Q keyed by leading column: ``rows[lead]`` has
     coefficient 1 at ``lead`` and no smaller key, so the rows are
-    independent and ``len`` is the rank of what was inserted."""
+    independent and ``len`` is the rank of what was inserted.  Entries
+    are exact int or Fraction."""
 
     __slots__ = ("rows",)
 
@@ -28,10 +32,10 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec) -> dict:
-        """A copy of ``vec`` over Fraction, with its lead reduced until it
-        is no stored row's lead.  Empty exactly when ``vec`` lies in the
-        span of the rows."""
-        vec = {k: Fraction(c) for k, c in vec.items() if c}
+        """A copy of ``vec``, exact int or Fraction, with its lead reduced
+        until it is no stored row's lead.  Empty exactly when ``vec`` lies
+        in the span of the rows."""
+        vec = {k: c for k, c in vec.items() if c}
         rows = self.rows
         while vec:
             lead = min(vec)
@@ -52,12 +56,21 @@ class Echelon:
 
         Returns the reduced vector before normalization, so its lead
         entry is the pivot; empty when ``vec`` was already in the span.
+        The stored row becomes a Fraction row only when the pivot is not
+        +-1.
         """
         vec = self.reduce(vec)
         if vec:
             lead = min(vec)
-            inv = 1 / vec[lead]
-            self.rows[lead] = {k: c * inv for k, c in vec.items()}
+            pivot = vec[lead]
+            if pivot == 1:
+                row = dict(vec)
+            elif pivot == -1:
+                row = {k: -c for k, c in vec.items()}
+            else:
+                inv = 1 / Fraction(pivot)
+                row = {k: c * inv for k, c in vec.items()}
+            self.rows[lead] = row
         return vec
 
 

@@ -271,6 +271,42 @@ def test_single_strand_has_no_relations(verify):
 @pytest.mark.parametrize(
     "verify", [verify_affine_relations, verify_degenerate_relations]
 )
+@pytest.mark.parametrize("window", [0, -2, -5])
+def test_empty_window_raises(verify, window):
+    # no monomial has degree < window, so no vacuous True; at -5 the
+    # cutoff window + 3 is below 1 as well
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        verify(2, window)
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        verify(3, window)
+
+
+def test_empty_window_raises_under_optimize():
+    code = (
+        "import sys\n"
+        "import quiverhecke.heckebridge as hb\n"
+        "for call in (lambda: hb.verify_affine_relations(2, 0),\n"
+        "             lambda: hb.verify_degenerate_relations(3, -2)):\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised", "raised", "1"]
+
+
+@pytest.mark.parametrize(
+    "verify", [verify_affine_relations, verify_degenerate_relations]
+)
 def test_module_size_guard(verify):
     # n = 4 at window 4 has 81 * binomial(10, 4) = 17,010 basis monomials
     with pytest.raises(ValueError, match="17010 basis monomials"):

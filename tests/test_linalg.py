@@ -88,6 +88,99 @@ def test_echelon_reduce_and_insert():
     assert len(ech) == 1
 
 
+def schoolbook(matrix):
+    """(rank, determinant) by dense Gaussian elimination over Fraction;
+    the determinant is that of the leading square block, 0 if singular."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rank, det = 0, Fraction(1)
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        det *= m[rank][c]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] / m[rank][c]
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank, det
+
+
+def has_fraction_row(echelon):
+    return any(
+        isinstance(c, Fraction) for row in echelon.rows.values() for c in row.values()
+    )
+
+
+def test_echelon_matches_schoolbook_on_integer_matrices():
+    # entries -3..3 give pivots other than +-1, so both the integer and the
+    # Fraction path of Echelon.insert run
+    rng = random.Random(25)
+    fraction_paths = integer_paths = 0
+    for trial in range(300):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        if trial % 3 == 0:
+            ncols = nrows
+        mat = random_matrix(rng, nrows, ncols)
+        expected_rank, expected_det = schoolbook(mat)
+        ech = Echelon()
+        for row in mat:
+            # each stored row has coefficient 1 at its lead, checked before
+            # the next reduction relies on it
+            ech.insert(dict(enumerate(row)))
+            assert all(r[lead] == 1 for lead, r in ech.rows.items()), mat
+        assert len(ech) == rank(dict(enumerate(row)) for row in mat) == expected_rank
+        if has_fraction_row(ech):
+            fraction_paths += 1
+        elif len(ech):
+            integer_paths += 1
+            assert all(
+                type(c) is int for row in ech.rows.values() for c in row.values()
+            )
+        if nrows == ncols:
+            det = determinant(mat)
+            assert type(det) is Fraction
+            assert det == expected_det, mat
+    assert fraction_paths > 50 and integer_paths > 20
+
+
+def test_echelon_matches_schoolbook_on_mixed_input():
+    rng = random.Random(26)
+    for trial in range(200):
+        size = rng.randint(1, 6)
+        mat = [
+            [
+                Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                if rng.random() < 0.4
+                else rng.randint(-3, 3)
+                for _ in range(size)
+            ]
+            for _ in range(size)
+        ]
+        expected_rank, expected_det = schoolbook(mat)
+        assert rank(dict(enumerate(row)) for row in mat) == expected_rank
+        det = determinant(mat)
+        assert type(det) is Fraction and det == expected_det, mat
+
+
+def test_unit_pivots_keep_integer_rows():
+    ech = Echelon()
+    assert ech.insert({0: -1, 1: 3, 2: 0}) == {0: -1, 1: 3}
+    assert ech.insert({0: 2, 1: 1, 2: 1}) == {1: 7, 2: 1}
+    assert ech.rows == {0: {0: 1, 1: -3}, 1: {1: 1, 2: Fraction(1, 7)}}
+    assert type(ech.rows[0][1]) is int
+    assert type(ech.rows[1][2]) is Fraction
+    # a unit upper-triangular integer matrix never builds a Fraction
+    mat = [[1, 2, -3], [0, -1, 5], [0, 0, 1]]
+    det = determinant(mat)
+    assert det == -1 and type(det) is Fraction
+    assert determinant([[0]]) == 0 and type(determinant([[0]])) is Fraction
+
+
 def schoolbook_rank_mod_p(rows, p=_PRIME):
     """Gauss-Jordan on Python ints, every row reduced at every pivot."""
     m = [[x % p for x in row] for row in rows]
