@@ -11,9 +11,11 @@ canonical label, the lexicographically smallest flattened matrix tuple
 in the orbit.  |Aut M| = |G_d| / |orbit|.
 
 Hall numbers F^L_{M,N} count submodules of L isomorphic to N with
-quotient isomorphic to M; the untwisted product is
-[M] * [N] = sum_L F^L_{M,N} [L].  The Ringel twist multiplies by
-v^{<M,N>} where v^2 = q and <M,N> is the Euler form, computed for a
+quotient isomorphic to M.  Submodules are read off one RREF basis per
+vertex, with no linear solve: membership, coordinates and the quotient
+all come from the pivots (``HallContext.subrep_data``).  The untwisted
+product is [M] * [N] = sum_L F^L_{M,N} [L].  The Ringel twist multiplies
+by v^{<M,N>} where v^2 = q and <M,N> is the Euler form, computed for a
 loop-free quiver as sum_i d_i(M) d_i(N) - sum_{a:i->j} d_i(M) d_j(N).
 The Serre relation of vertices i, j has exponent 1 - a_ij, read from the
 quiver's Cartan matrix.
@@ -123,17 +125,14 @@ def mat_mul(F: GF, A, B, cols=None):
 
 
 def mat_vec(F: GF, A, v):
-    return tuple(
-        _dot(F, row, v) for row in A
-    )
-
-
-def _dot(F: GF, u, v):
     ADD, MUL = F.ADD, F.MUL
-    s = 0
-    for a, b in zip(u, v):
-        s = ADD[s][MUL[a][b]]
-    return s
+    out = []
+    for row in A:
+        s = 0
+        for a, b in zip(row, v):
+            s = ADD[s][MUL[a][b]]
+        out.append(s)
+    return tuple(out)
 
 
 def rref(F: GF, rows):
@@ -172,26 +171,17 @@ def mat_inverse(F: GF, A):
     return tuple(tuple(row[n:]) for row in reduced)
 
 
-def solve_in_rowspace(F: GF, basis, v):
-    """Coefficients expressing v in the given (independent) basis rows,
-    or None if v is outside the span."""
-    if not basis:
-        return () if all(a == 0 for a in v) else None
-    n = len(basis[0])
-    k = len(basis)
-    # solve c * basis = v via the transposed system
-    aug = [[basis[j][i] for j in range(k)] + [v[i]] for i in range(n)]
-    reduced, pivots = rref(F, aug)
-    coeffs = [0] * k
-    for row, p in zip(reduced, pivots):
-        if p == k:
-            return None  # inconsistent
-        coeffs[p] = row[k]
-    # verify (free columns mean non-unique solution; basis independent so fine)
-    check = tuple(
-        _dot(F, coeffs, tuple(basis[j][i] for j in range(k))) for i in range(n)
-    )
-    return tuple(coeffs) if check == tuple(v) else None
+def residue(F: GF, basis, pivots, u):
+    """u - sum_p u[p] basis_p for RREF rows ``basis`` with pivot columns
+    ``pivots``: zero at every pivot, and zero everywhere exactly when u
+    lies in the row space, with coordinates (u[p] for p in pivots)."""
+    ADD, MUL, NEG = F.ADD, F.MUL, F.NEG
+    out = list(u)
+    for row, p in zip(basis, pivots):
+        if u[p]:
+            neg = MUL[NEG[u[p]]]
+            out = [ADD[a][neg[b]] for a, b in zip(out, row)]
+    return out
 
 
 def subspaces(q: int, n: int, k: int):
@@ -279,8 +269,11 @@ class QuiverRep:
         self.q = q
         self.dims = tuple(dims)
         self.mats = tuple(tuple(tuple(r) for r in m) for m in mats)
+        if (len(self.dims), len(self.mats)) != (len(quiver.vertices), len(quiver.arrows)):
+            raise ValueError(f"{quiver}: one dimension per vertex, one matrix per arrow")
         for (s, t), m in zip(quiver.arrow_index, self.mats):
-            assert len(m) == self.dims[t] and all(len(r) == self.dims[s] for r in m)
+            if len(m) != self.dims[t] or any(len(r) != self.dims[s] for r in m):
+                raise ValueError(f"{m} is not a {self.dims[t]} x {self.dims[s]} matrix")
 
     def flat(self):
         return (self.dims, tuple(self.mats))
@@ -301,17 +294,16 @@ def zero_rep(quiver: QuiverData, q: int) -> QuiverRep:
 
 
 def simple_rep(quiver: QuiverData, q: int, vertex) -> QuiverRep:
-    assert not any(
-        s == t == vertex for s, t in quiver.arrows
-    ), "simple at a loop vertex needs an explicit matrix"
+    if vertex not in quiver.vertices or (vertex, vertex) in quiver.arrows:
+        raise ValueError(f"no simple at {vertex}: not a vertex, or it has a loop")
     dims = tuple(1 if v == vertex else 0 for v in quiver.vertices)
     mats = [((0,) * dims[s],) * dims[t] for s, t in quiver.arrow_index]
     return QuiverRep(quiver, q, dims, mats)
 
 
 def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
-    assert a.quiver is b.quiver or a.quiver.arrows == b.quiver.arrows
-    assert a.q == b.q
+    if a.quiver.arrows != b.quiver.arrows or a.q != b.q:
+        raise ValueError("a direct sum needs one quiver and one field")
     qv = a.quiver
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
     mats = []
@@ -408,7 +400,8 @@ class ClassTable:
                 self.label_of[k] = label
 
     def label(self, rep: QuiverRep):
-        assert rep.dims == self.dims
+        if rep.dims != self.dims:
+            raise ValueError(f"dimension vector {rep.dims} is not {self.dims}")
         return self.label_of[rep.flat()]
 
     def aut_order(self, rep: QuiverRep) -> int:
@@ -445,71 +438,54 @@ class HallContext:
 
     def subrep_data(self, rep: QuiverRep, sub_dims):
         """Yield (sub_rep, quot_rep) for every subrepresentation of the
-        given dimension vector."""
-        quiver, q = self.quiver, self.q
-        F = field(q)
-        vertex_choices = [
-            list(subspaces(q, rep.dims[vi], sub_dims[vi]))
-            for vi in range(len(quiver.vertices))
-        ]
-        for bases in itertools.product(*vertex_choices):
-            ok = True
-            for idx, (si, ti) in enumerate(quiver.arrow_index):
-                for u in bases[si]:
-                    img = mat_vec(F, rep.mats[idx], u)
-                    if solve_in_rowspace(F, bases[ti], img) is None:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            yield self._sub_and_quot(rep, bases, sub_dims)
+        given dimension vector.
 
-    def _sub_and_quot(self, rep: QuiverRep, bases, sub_dims):
+        Each vertex space runs through the RREF bases B of ``subspaces``;
+        the pivot columns P of B are read as ``row.index(1)``.  The unit
+        vectors e_c, c not in P, complete B to a basis, and the residue
+        of a vector (see ``residue``) is supported off P.  So for an
+        arrow matrix M from vertex s to vertex t:
+
+        - B_s is invariant exactly when every M b, b in B_s, has zero
+          residue against B_t; the sub matrix's columns are then the
+          coordinates (M b)[P_t];
+        - the quotient matrix's column for e_c, c not in P_s, is the
+          residue of M e_c (column c of M) read off the columns outside
+          P_t.
+
+        The quotient's basis is the classes of those unit vectors; only
+        its isomorphism class, the canonical label, is used downstream.
+        """
         quiver, q = self.quiver, self.q
         F = field(q)
-        nv = len(quiver.vertices)
-        # complete each basis to a full basis; change-of-basis columns
-        P = []
-        Pinv = []
-        for vi in range(nv):
-            d = rep.dims[vi]
-            rows = [list(r) for r in bases[vi]]
-            for e in range(d):
-                cand = [0] * d
-                cand[e] = 1
-                if solve_in_rowspace(F, tuple(tuple(r) for r in rows), tuple(cand)) is None:
-                    rows.append(cand)
-            if len(rows) != d:
-                raise ArithmeticError(f"basis completion gave {len(rows)} of {d} vectors")
-            # columns of P are the basis vectors
-            p = tuple(tuple(rows[j][i] for j in range(d)) for i in range(d))
-            P.append(p)
-            Pinv.append(mat_inverse(F, p) if d else ())
-        sub_mats = []
-        quot_mats = []
-        for idx, (si, ti) in enumerate(quiver.arrow_index):
-            m = mat_mul(F, mat_mul(F, Pinv[ti], rep.mats[idx]), P[si]) if rep.dims[ti] and rep.dims[si] else tuple(() for _ in range(rep.dims[ti]))
-            ks, kt = sub_dims[si], sub_dims[ti]
-            # invariance means the lower-left block vanishes
-            if any(m[r][c] for r in range(kt, rep.dims[ti]) for c in range(ks)):
-                raise ArithmeticError("subspace is not invariant under the arrow")
-            sub_mats.append(tuple(tuple(m[r][c] for c in range(ks)) for r in range(kt)))
-            quot_mats.append(
-                tuple(
-                    tuple(m[r][c] for c in range(ks, rep.dims[si]))
-                    for r in range(kt, rep.dims[ti])
+        choices = []  # per vertex: (basis, pivot columns, other columns)
+        for d, k in zip(rep.dims, sub_dims):
+            vertex = []
+            for B in subspaces(q, d, k):
+                P = tuple(row.index(1) for row in B)
+                vertex.append((B, P, tuple(c for c in range(d) if c not in P)))
+            choices.append(vertex)
+        quot_dims = tuple(d - k for d, k in zip(rep.dims, sub_dims))
+        for bases in itertools.product(*choices):
+            sub_mats, quot_mats = [], []
+            for (si, ti), m in zip(quiver.arrow_index, rep.mats):
+                Bs, _, free_s = bases[si]
+                Bt, Pt, free_t = bases[ti]
+                images = [mat_vec(F, m, b) for b in Bs]
+                if any(any(residue(F, Bt, Pt, y)) for y in images):
+                    break
+                sub_mats.append(tuple(tuple(y[p] for y in images) for p in Pt))
+                quot_cols = [
+                    residue(F, Bt, Pt, [row[c] for row in m]) for c in free_s
+                ]
+                quot_mats.append(
+                    tuple(tuple(col[c] for col in quot_cols) for c in free_t)
                 )
-            )
-        sub = QuiverRep(quiver, q, tuple(sub_dims), sub_mats)
-        quot = QuiverRep(
-            quiver,
-            q,
-            tuple(d - k for d, k in zip(rep.dims, sub_dims)),
-            quot_mats,
-        )
-        return sub, quot
+            else:
+                yield (
+                    QuiverRep(quiver, q, sub_dims, sub_mats),
+                    QuiverRep(quiver, q, quot_dims, quot_mats),
+                )
 
     def hall_number(self, m: QuiverRep, n: QuiverRep, l: QuiverRep) -> int:
         """F^L_{M,N}: submodules of L isomorphic to N with quotient M."""
@@ -588,7 +564,8 @@ class HallContext:
     # -- products ------------------------------------------------------
 
     def euler_form(self, dm, dn) -> int:
-        assert all(s != t for s, t in self.quiver.arrows)
+        if any(s == t for s, t in self.quiver.arrows):
+            raise ValueError("the Euler form formula needs a quiver without loops")
         out = sum(a * b for a, b in zip(dm, dn))
         for si, ti in self.quiver.arrow_index:
             out -= dm[si] * dn[ti]
@@ -693,35 +670,19 @@ class HallElement:
 
 def gaussian_binomial(n: int, k: int) -> Laurent:
     """The quantum binomial [n choose k]_q in Z[v, v^{-1}], v = q^{1/2},
-    with the balanced convention [m]_q = (v^m - v^{-m})/(v - v^{-1})."""
-
-    def qint(m):
-        return Laurent({e: 1 for e in range(-(m - 1), m, 2)})
-
-    num = Laurent.one()
-    den = Laurent.one()
-    for i in range(k):
-        num = num * qint(n - i)
-        den = den * qint(i + 1)
-    # exact division in Z[v, v^{-1}]
-    return _laurent_divide(num, den)
-
-
-def _laurent_divide(num: Laurent, den: Laurent) -> Laurent:
-    if num.is_zero():
+    with the balanced convention [m]_q = (v^m - v^{-m})/(v - v^{-1}); zero
+    unless 0 <= k <= n.  Rows of the q-Pascal rule
+    [m, j] = v^{-j} [m-1, j] + v^{m-j} [m-1, j-1], with no division."""
+    if not 0 <= k <= n:
         return Laurent.zero()
-    out = {}
-    num = Laurent(dict(num.coeffs))
-    dmax = den.max_power()
-    dc = den.coeffs[dmax]
-    while not num.is_zero():
-        k = num.max_power() - dmax
-        c = Fraction(num.coeffs[num.max_power()], dc)
-        assert c.denominator == 1
-        c = int(c)
-        out[k] = c
-        num = num - Laurent({k: c}) * den
-    return Laurent(out)
+    row = [Laurent.one()]
+    for m in range(1, n + 1):
+        row = [
+            (Laurent.gen(-j) * row[j] if j < m else Laurent.zero())
+            + (Laurent.gen(m - j) * row[j - 1] if j else Laurent.zero())
+            for j in range(m + 1)
+        ]
+    return row[k]
 
 
 def reduce_v2_equals_q(el: Laurent, q: int) -> Laurent:

@@ -851,6 +851,37 @@ def represent(el: KLRElement) -> KLROperator:
     return KLROperator(ctx, comps)
 
 
+def pbw_leading_terms(ctx: KLRContext, v) -> bool:
+    """Certify that the PBW words tau_w x^a 1_v with source v, over every
+    permutation w and every exponent vector a, act linearly
+    independently on the polynomial module.
+
+    ``_expand_word`` writes tau_w 1_v = sum_s f_s s over rational
+    functions.  The certificate checks, for each w, that f_w != 0 and
+    that every other s in the sum is shorter than w.
+
+    Why that is a proof: suppose sum_{w,a} c_{w,a} tau_w x^a 1_v acted as
+    zero, and take a longest w with P_w = sum_a c_{w,a} x^a != 0.  Those
+    terms act as sum_s f_s s(P_w) s, and every other word with P_{w'} !=
+    0 is no longer than w, so none of its s equals w.  The coefficient of
+    the automorphism w in the whole sum is therefore f_w w(P_w) != 0.
+    Distinct field automorphisms are linearly independent (Dedekind), so
+    the sum is nonzero on rational functions, hence on polynomials: a
+    rational function is a polynomial over a symmetric denominator, which
+    every s fixes.  ``pbw_coordinates`` inverts ``represent`` by the same
+    triangularity.
+    """
+    v = ctx.check_idempotent(v)
+    for w in Permutation.all(ctx.n):
+        comp = _expand_word(ctx, w, v)
+        lead = comp.get(w)
+        if lead is None or lead.is_zero():
+            return False
+        if any(s != w and s.length() >= w.length() for s in comp):
+            return False
+    return True
+
+
 def pbw_coordinates(op: KLROperator) -> KLRElement:
     """Invert represent() by triangular elimination on permutation length.
 

@@ -221,7 +221,7 @@ def test_loop_quiver_exits_two_under_optimize(tmp_path):
     assert "needs a quiver without loops" in res.stderr
 
 
-# sha256 of the stdout of the README `compute` examples and two suites;
+# sha256 of the stdout of the README `compute` examples and four suites;
 # a changed digest is a changed command-line output
 STDOUT_SHA256 = {
     "compute poincare --n 4":
@@ -240,6 +240,10 @@ STDOUT_SHA256 = {
         "90961b699ff6453ee4d5dafd7d33af14a8ef64d329692db677e4024082edbab6",
     "verify fock --p 3 --max-size 8":
         "4a61c5f3e7f2ee59070872cf105cc53a89992865ba8f696f9acc79d85117c14c",
+    "verify pbw --quiver a3 --n 3":
+        "007670d0b69256623585f0520efc03df43809e984498688bc35c441c2d0d1bfd",
+    "verify klr-relations --quiver a2 --n 3":
+        "263785ebdce1a74de670aba37132baeeea9aa592c85891523f883bde64c96e24",
 }
 
 
@@ -248,6 +252,29 @@ def test_stdout_is_pinned(capsys, command):
     code, out = run_cli(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("quiver", ["single", "a2"])
+def test_pbw_certifies_n_four(capsys, quiver):
+    # the leading-term certificate needs no test monomials; the rank of
+    # apply images on exponents below 3 was short of full at n = 4
+    code, out = run_cli(capsys, ["verify", "pbw", "--quiver", quiver, "--n", "4"])
+    assert code == 0
+    assert [c["pass"] for c in json.loads(out)["checks"]] == [True, True]
+
+
+@pytest.mark.parametrize("argv", [["--n", "6", "--quiver", "single"], ["--n", "5"]])
+def test_pbw_refuses_sizes_past_the_guard(capsys, tmp_path, argv):
+    # n = 6, and a four-vertex quiver at n = 5 (1024 x 120 words), exit 2
+    quiver = tmp_path / "a4.quiver"
+    quiver.write_text("1 -> 2\n2 -> 3\n3 -> 4\n")
+    if "--quiver" not in argv:
+        argv = argv + ["--quiver", str(quiver)]
+    code = cli.main(["verify", "pbw"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "the pbw suite stops at n = 5" in captured.err
 
 
 @pytest.mark.parametrize("p, expected", [(2, []), (3, [True])])

@@ -21,10 +21,10 @@ from quiverhecke.hall import (
     mat_inverse,
     mat_mul,
     matrix_tuples,
+    residue,
     rref,
     serre_relation_check,
     simple_rep,
-    solve_in_rowspace,
     subspaces,
     unit,
     QuiverRep,
@@ -172,11 +172,54 @@ def test_singular_inverse_raises_under_optimize():
     assert res.stdout.split() == ["raised", "1"]
 
 
-def test_solve_in_rowspace():
+def test_malformed_input_raises_under_optimize():
+    # `python -O` strips asserts; each malformed input must still raise
+    code = (
+        "import sys\n"
+        "from quiverhecke.hall import (\n"
+        "    ClassTable, HallContext, QuiverRep, a2_quiver, direct_sum,\n"
+        "    jordan_quiver, simple_rep,\n"
+        ")\n"
+        "a2 = a2_quiver()\n"
+        "s1 = simple_rep(a2, 2, 1)\n"
+        "cases = [\n"
+        "    lambda: QuiverRep(a2, 2, (1, 1), (((1, 0),),)),\n"
+        "    lambda: QuiverRep(a2, 2, (1, 2), (((1,),),)),\n"
+        "    lambda: QuiverRep(a2, 2, (1, 1), ()),\n"
+        "    lambda: simple_rep(jordan_quiver(), 2, 1),\n"
+        "    lambda: simple_rep(a2, 2, 3),\n"
+        "    lambda: direct_sum(s1, simple_rep(a2, 3, 1)),\n"
+        "    lambda: direct_sum(s1, QuiverRep(jordan_quiver(), 2, (1,), (((0,),),))),\n"
+        "    lambda: ClassTable(a2, 2, (1, 0)).label(simple_rep(a2, 2, 2)),\n"
+        "    lambda: HallContext(jordan_quiver(), 2).euler_form((1,), (1,)),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "        print('accepted')\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised"] * 9 + ["1"]
+
+
+def test_residue_decides_rowspace_membership():
     F = field(3)
     basis = ((1, 0, 2), (0, 1, 1))
-    assert solve_in_rowspace(F, basis, (1, 1, 0)) == (1, 1)
-    assert solve_in_rowspace(F, basis, (0, 0, 1)) is None
+    pivots = (0, 1)
+    u = (1, 1, 0)  # 1 * (1, 0, 2) + 1 * (0, 1, 1) over GF(3)
+    assert residue(F, basis, pivots, u) == [0, 0, 0]
+    assert tuple(u[p] for p in pivots) == (1, 1)
+    assert residue(F, basis, pivots, (0, 0, 1)) == [0, 0, 1]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -414,6 +457,20 @@ def test_gaussian_binomials():
     assert gaussian_binomial(3, 1) == Laurent({-2: 1, 0: 1, 2: 1})
     # symmetry
     assert gaussian_binomial(4, 1) == gaussian_binomial(4, 3)
+    assert gaussian_binomial(2, 3).is_zero()
+
+    # [n, k] [k]! [n-k]! = [n]!, with [m] = (v^m - v^-m) / (v - v^-1)
+    def factorial(m):
+        out = Laurent.one()
+        for j in range(1, m + 1):
+            out = out * Laurent({e: 1 for e in range(1 - j, j, 2)})
+        return out
+
+    for n in range(9):
+        for k in range(n + 1):
+            assert gaussian_binomial(n, k) * factorial(k) * factorial(n - k) == (
+                factorial(n)
+            )
 
 
 @pytest.mark.parametrize("q", [2, 3])

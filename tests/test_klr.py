@@ -21,11 +21,13 @@ from quiverhecke.klr import (
     make_klr,
     parse_quiver,
     pbw_coordinates,
+    pbw_leading_terms,
     represent,
     single_vertex_quiver,
     torsion_check,
 )
 from quiverhecke.laurent import Laurent
+from quiverhecke.linalg import rank
 from quiverhecke.polyring import MPoly, divide_exact_by_x_difference, exponent_tuples
 
 
@@ -327,30 +329,12 @@ def test_top_degree_part_is_wreath_product():
 # -- PBW property --------------------------------------------------------
 
 
-def exact_rank(rows):
-    from fractions import Fraction
-
-    cols = sorted({k for row in rows for k in row})
-    mat = [[Fraction(row.get(c, 0)) for c in cols] for row in rows]
-    rank = 0
-    for col in range(len(cols)):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col] / mat[rank][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 @pytest.mark.parametrize("n,max_a", [(2, 2), (3, 1)])
 def test_pbw_words_linearly_independent(n, max_a):
     # images under the polynomial representation of all PBW words with
     # bounded exponents are linearly independent over Z; the action is
-    # block diagonal per source idempotent
+    # block diagonal per source idempotent.  A numeric cross-check of
+    # klr.pbw_leading_terms on apply, with the exact rank of linalg
     ctx = make_klr(linear_quiver(2), n)
     test_monos = [mono(ctx, e) for e in itertools.product(range(3), repeat=n)]
     for v in idempotents(ctx):
@@ -364,7 +348,46 @@ def test_pbw_words_linearly_independent(n, max_a):
                         for e, c in img.terms.items():
                             row[(k, tgt, e)] = c
                 rows.append(row)
-        assert exact_rank(rows) == len(rows), v
+        assert rank(rows) == len(rows), v
+
+
+@pytest.mark.parametrize(
+    "quiver, n",
+    [
+        (single_vertex_quiver(), 4),
+        (linear_quiver(2), 3),
+        (linear_quiver(3), 3),
+        (cyclic_quiver(2), 3),
+    ],
+    ids=["single-4", "a2-3", "a3-3", "cyclic2-3"],
+)
+def test_pbw_leading_terms_certify_every_idempotent(quiver, n):
+    ctx = make_klr(quiver, n)
+    assert all(pbw_leading_terms(ctx, v) for v in idempotents(ctx))
+
+
+@pytest.mark.parametrize("defect", ["lead-dropped", "long-tail"])
+def test_pbw_leading_terms_refuse_a_non_triangular_expansion(monkeypatch, defect):
+    # a lost lead, or another term as long as the lead, is no certificate
+    from quiverhecke import klr
+
+    ctx = make_klr(linear_quiver(2), 3)
+    v = (1, 1, 2)
+    assert pbw_leading_terms(ctx, v)
+    real = klr._expand_word
+    target = Permutation.from_word((1, 2), 3)
+
+    def broken(ctx, w, v):
+        comp = dict(real(ctx, w, v))
+        if w == target:
+            if defect == "lead-dropped":
+                del comp[w]
+            else:
+                comp[Permutation.from_word((2, 1), 3)] = comp[w]
+        return comp
+
+    monkeypatch.setattr(klr, "_expand_word", broken)
+    assert not pbw_leading_terms(ctx, v)
 
 
 def test_pbw_round_trip():

@@ -3,11 +3,14 @@
 ``KLRElement.apply`` acts with ``_apply_word`` on plain term dicts through
 memoized tau columns.  It is compared exactly with a reference that
 composes whole ``MPoly`` objects letter by letter (the previous
-implementation, kept here), and with the rewriting engine through
-``(a * b).apply(M) == a.apply(b.apply(M))``.
+implementation, kept here), with the rewriting engine through
+``(a * b).apply(M) == a.apply(b.apply(M))``, and with the symbolic
+operators of ``represent`` over rational functions, whose leading terms
+certify PBW independence.
 """
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from quiverhecke.coxeter import Permutation
 from quiverhecke.klr import (
+    DiffFrac,
     KLRElement,
     QMatrix,
     QuiverData,
@@ -28,6 +32,7 @@ from quiverhecke.klr import (
     make_klr,
     pbw_coordinates,
     represent,
+    single_vertex_quiver,
 )
 from quiverhecke.polyring import MPoly
 
@@ -151,6 +156,41 @@ def test_pbw_round_trip_per_context(name):
     for _ in range(4):
         el = random_element(rng, ctx, terms=2, max_exp=1)
         assert pbw_coordinates(represent(el)) == el
+
+
+REPRESENT_CONTEXTS = {
+    "single-n3": lambda: make_klr(single_vertex_quiver(), 3),
+    "a2-n3": CONTEXTS["a2-n3"],
+    "a3-n3": CONTEXTS["a3-n3"],
+    "cyclic2-n2": lambda: make_klr(cyclic_quiver(2), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPRESENT_CONTEXTS))
+def test_represent_matches_apply_on_every_basis_word(name):
+    # the engine that pbw_leading_terms reads (sum_s f_s s over rational
+    # functions) against the term-dict engine verify klr-relations checks
+    ctx = REPRESENT_CONTEXTS[name]()
+    n = ctx.n
+    zero = MPoly.zero(n)
+    monomials = [
+        MPoly(n, (), {e + (0,) * (n - len(e)): 1}) for e in ((), (1,), (2, 1))
+    ]
+    compared = 0
+    for v in idempotents(ctx):
+        for w in Permutation.all(n):
+            target = w.act_on_list(v)
+            for a in itertools.product(range(2), repeat=n):
+                el = KLRElement.basis_word(ctx, v, w, a)
+                comp = represent(el).comps[v]
+                for p in monomials:
+                    image = DiffFrac(zero)
+                    for s, f in comp.items():
+                        image = image + f * DiffFrac(p).act(s)
+                    expected = el.apply({v: p}).get(target, zero)
+                    assert image.as_polynomial() == expected, (v, w, a, p)
+                    compared += 1
+    assert compared == 3 * len(idempotents(ctx)) * math.factorial(n) * 2 ** n
 
 
 @st.composite
