@@ -65,7 +65,7 @@ compositions.  Each memoized column is checked against the premise
 when it is built (a T column below deg - 1, or an X column below deg,
 raises ArithmeticError).  The module has |vertices|^n binomial(n +
 cutoff - 1, n) basis monomials; the check refuses more than
-_MAX_BASIS of them.
+_MAX_BASIS of them, and windows above _MAX_WINDOW.
 """
 
 from __future__ import annotations
@@ -535,9 +535,15 @@ def verify_degenerate_relations(n, window, vertices=(0, 1, 2), slack=3):
 # grows exponentially in n.  With three vertices it admits n = 4 at
 # window 3 (10,206 monomials; about 7 s affine and 4.5 s degenerate on
 # a 2-vCPU VM) and refuses n = 4 at window 4 (17,010; 16 s and 11 s) and
-# every n >= 5.  It does not bound the growth in the window at fixed n
-# (n = 2: 0.6 s at window 8, 20 s at window 16).
+# every n >= 5.  It does not bound the growth in the window at fixed n.
 _MAX_BASIS = 12_000
+
+# Largest relation window per n (3 past n = 3), because the cost grows
+# much faster in the window than the basis count does.  The affine check
+# (degenerate takes about half) took on a 2-vCPU VM: n = 2, 2.5 s at
+# window 12, 5.2 s at 14, 10 s at 16; n = 3, 3.0 s at window 5, 7.0 s at
+# 6, 15 s at 7; n = 4, 3.5 s at window 3.
+_MAX_WINDOW = {2: 16, 3: 6}
 
 
 def _verify_relations(n, window, mode, vertices, slack):
@@ -546,8 +552,9 @@ def _verify_relations(n, window, mode, vertices, slack):
     with cutoff window + slack.
 
     Raises ValueError when n < 2 or window < 1 (there is nothing to
-    check) or the module has more than _MAX_BASIS basis monomials, and
-    ArithmeticError naming the first relation and monomial that fail.
+    check), the window is above _MAX_WINDOW or the module has more than
+    _MAX_BASIS basis monomials, and ArithmeticError naming the first
+    relation and monomial that fail.
     """
     if n < 2:
         raise ValueError(f"the Hecke relations need n >= 2, got n = {n}")
@@ -563,6 +570,12 @@ def _verify_relations(n, window, mode, vertices, slack):
         raise ValueError(
             f"the truncated module for n = {n}, cutoff {br.cutoff} has "
             f"{size} basis monomials, above the limit of {_MAX_BASIS}"
+        )
+    max_window = _MAX_WINDOW.get(n, 3)
+    if window > max_window:
+        raise ValueError(
+            f"the relation window for n = {n} is at most {max_window}, "
+            f"got {window}"
         )
     for name, key, low in _relation_residuals(br, generator, window):
         if not br.is_zero_el(low):

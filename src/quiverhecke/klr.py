@@ -16,7 +16,10 @@ the right.  Multiplication is done by a rewriting engine that moves x's
 to the right and recombines tau-words along the canonical-word segment
 structure; the polynomial representation (divided differences and twisted
 multiplication operators) provides an independent engine used as an
-oracle and for extracting PBW coordinates of operators.
+oracle and for extracting PBW coordinates of operators.  Symbolically
+(``represent``), tau_w 1_v acts as sum_s (N_s / Delta_u) s with
+polynomial numerators N_s over the one denominator Delta_u, the product
+of x_a - x_b over equal labels u_a = u_b of the target u = w(v).
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from .linalg import Echelon
 from .polyring import (
     MPoly,
     demazure_exponents,
+    divide_exact,
     divide_exact_by_x_difference,
     elementary_symmetric,
-    try_divide_by_x_difference,
 )
 
 
@@ -659,123 +662,25 @@ def _tau_column(ctx: KLRContext, s, t, l: int, e) -> tuple:
 # -- symbolic operators and PBW coordinates ------------------------------
 
 
-class DiffFrac:
-    """A polynomial divided by a product of differences (x_a - x_b).
-
-    This is the exact shape of the coefficients occurring in the
-    polynomial representation: denominators stay monomials in the linear
-    factors x_a - x_b with a < b.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MPoly, den=None):
-        self.num = num
-        self.den = {k: m for k, m in (den or {}).items() if m}
-        self._simplify()
-
-    def _simplify(self):
-        if self.num.is_zero():
-            self.den = {}
-            return
-        for (a, b) in list(self.den):
-            while self.den.get((a, b), 0) > 0:
-                q = try_divide_by_x_difference(self.num, a, b)
-                if q is None:
-                    break
-                self.num = q
-                self.den[(a, b)] -= 1
-            if self.den.get((a, b)) == 0:
-                del self.den[(a, b)]
-
-    def _den_poly(self, den=None) -> MPoly:
-        out = MPoly.one(self.num.nx, self.num.params)
-        for (a, b), m in (self.den if den is None else den).items():
-            fac = MPoly.x(a, self.num.nx, self.num.params) - MPoly.x(
-                b, self.num.nx, self.num.params
+def _delta(ctx: KLRContext, u) -> MPoly:
+    """Delta_u = prod over a < b with u_a = u_b of (x_a - x_b)."""
+    out = MPoly.one(ctx.n, ctx.params)
+    for a, b in itertools.combinations(range(1, ctx.n + 1), 2):
+        if u[a - 1] == u[b - 1]:
+            out = out * (
+                MPoly.x(a, ctx.n, ctx.params) - MPoly.x(b, ctx.n, ctx.params)
             )
-            out = out * fac ** m
-        return out
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "DiffFrac") -> "DiffFrac":
-        den = dict(self.den)
-        for k, m in other.den.items():
-            den[k] = max(den.get(k, 0), m)
-        extra_self = {k: den[k] - self.den.get(k, 0) for k in den}
-        extra_other = {k: den[k] - other.den.get(k, 0) for k in den}
-        num = self.num * self._den_poly(extra_self) + other.num * other._den_poly(
-            extra_other
-        )
-        return DiffFrac(num, den)
-
-    def __neg__(self) -> "DiffFrac":
-        return DiffFrac(-self.num, self.den)
-
-    def __sub__(self, other) -> "DiffFrac":
-        return self + (-other)
-
-    def __mul__(self, other: "DiffFrac") -> "DiffFrac":
-        den = dict(self.den)
-        for k, m in other.den.items():
-            den[k] = den.get(k, 0) + m
-        return DiffFrac(self.num * other.num, den)
-
-    def __eq__(self, other) -> bool:
-        return (self - other).is_zero()
-
-    def act(self, w: Permutation) -> "DiffFrac":
-        num = self.num.act(w)
-        den = {}
-        for (a, b), m in self.den.items():
-            wa, wb = w(a), w(b)
-            if wa > wb:
-                wa, wb = wb, wa
-                if m % 2:
-                    num = -num
-            den[(wa, wb)] = den.get((wa, wb), 0) + m
-        return DiffFrac(num, den)
-
-    def invert(self) -> "DiffFrac":
-        """Inverse; requires the numerator to factor as +-prod (x_a - x_b)."""
-        num = self.num
-        nx = num.nx
-        den_new = {}
-        while True:
-            nonzero = [e for e, c in num.terms.items() if c != 0]
-            if len(nonzero) == 1 and not any(nonzero[0]):
-                break
-            for a in range(1, nx + 1):
-                q = None
-                for b in range(a + 1, nx + 1):
-                    q = try_divide_by_x_difference(num, a, b)
-                    if q is not None:
-                        den_new[(a, b)] = den_new.get((a, b), 0) + 1
-                        num = q
-                        break
-                if q is not None:
-                    break
-            else:
-                raise AssertionError("numerator is not a product of differences")
-        c = num.terms.get((0,) * (nx + len(num.params)), 0)
-        assert c in (1, -1), "cannot invert a non-unit constant"
-        return DiffFrac(self._den_poly().map_coefficients(lambda z: c * z), den_new)
-
-    def as_polynomial(self) -> MPoly:
-        assert not self.den, "denominator did not cancel"
-        return self.num
-
-    def __repr__(self):
-        return f"({self.num!r}) / {self.den}"
+    return out
 
 
 class KLROperator:
     """Endomorphism of the polynomial module, one component per idempotent.
 
-    Each component is a finite sum f_sigma * sigma with rational-function
-    coefficients of DiffFrac shape.
+    The component at v is a finite sum sum_s (N_s / Delta_{s(v)}) s over
+    permutations s, stored as ``comps[v] = {s: N_s}`` with polynomial
+    numerators N_s.  The denominator Delta_u (see ``_expand_word``)
+    depends only on the target labeling u = s(v), so numerators with the
+    same s add and compare as plain polynomials.
     """
 
     __slots__ = ("ctx", "comps")
@@ -784,7 +689,7 @@ class KLROperator:
         self.ctx = ctx
         self.comps = {}
         for v, comp in (comps or {}).items():
-            clean = {s: f for s, f in comp.items() if not f.is_zero()}
+            clean = {s: f for s, f in comp.items() if f}
             if clean:
                 self.comps[tuple(v)] = clean
 
@@ -792,62 +697,85 @@ class KLROperator:
         return not self.comps
 
     def __sub__(self, other: "KLROperator") -> "KLROperator":
-        assert self.ctx is other.ctx
+        if self.ctx is not other.ctx:
+            raise ValueError("operators of different algebra contexts")
         out = {v: dict(comp) for v, comp in self.comps.items()}
         for v, comp in other.comps.items():
             cur = out.setdefault(v, {})
             for s, f in comp.items():
-                cur[s] = (cur[s] - f) if s in cur else -f
+                _bump(cur, s, -f)
         return KLROperator(self.ctx, out)
 
     def __eq__(self, other) -> bool:
         return (self - other).is_zero()
 
 
-def _expand_word(ctx: KLRContext, w: Permutation, v):
-    """Components f_sigma of tau_w 1_v acting on rational functions."""
-    key = (w, v)
+def _expand_word(ctx: KLRContext, w: Permutation, v) -> dict:
+    """tau_w 1_v as sum_s (N_s / Delta_u) s on rational functions.
+
+    Returns {s: N_s}.  Every s has the same target labeling u = s(v) =
+    w(v), and Delta_u = prod_{a < b, u_a = u_b} (x_a - x_b) is the one
+    denominator: a letter s_l with u_l != u_{l+1} maps Delta_u to
+    Delta_{s_l u}, and one with u_l = u_{l+1} maps Delta_u to -Delta_u.
+    The letters of the canonical word act right to left on numerators,
+    starting from {id: Delta_v}:
+
+    - u_l != u_{l+1}: tau_l = P_{u_l u_{l+1}}(x_{l+1}, x_l) s_l, so
+      N_{s_l s} = P s_l(N_s);
+    - u_l = u_{l+1}: tau_l = (x_l - x_{l+1})^{-1} (s_l - 1), so the
+      contributions -s_l(N_s) to s_l s and -N_s to s are summed per
+      target and each sum is divided by x_l - x_{l+1}.
+
+    That every numerator stays a polynomial is the invariant: a division
+    that is not exact raises ArithmeticError (only the sums divide; the
+    single contributions do not, first at the word (1, 2, 1)).  Each
+    word extends the memoized expansion of the word one letter shorter,
+    in ``ctx._expand_cache`` under (letters, v).
+    """
+    return _expand_letters(ctx, w.canonical_word(), v)
+
+
+def _expand_letters(ctx: KLRContext, word, v) -> dict:
+    key = (word, v)
     out = ctx._expand_cache.get(key)
     if out is not None:
         return out
-    n = ctx.n
-    one = DiffFrac(MPoly.one(n, ctx.params))
-    cur = {Permutation.identity(n): one}
-    u = list(v)
-    for l in reversed(w.canonical_word()):
-        if u[l - 1] == u[l]:
-            inv = DiffFrac(MPoly.one(n, ctx.params), {(l, l + 1): 1})
-            atoms = [
-                (Permutation.simple(l, n), inv),
-                (Permutation.identity(n), -inv),
-            ]
+    if not word:
+        out = {Permutation.identity(ctx.n): _delta(ctx, v)}
+    else:
+        l, rest = word[0], word[1:]
+        u = list(v)
+        for k in reversed(rest):
+            u[k - 1], u[k] = u[k], u[k - 1]
+        prev = _expand_letters(ctx, rest, v)
+        sl = Permutation.simple(l, ctx.n)
+        out = {}
+        if u[l - 1] != u[l]:
+            p = ctx.p_poly(u[l - 1], u[l], l + 1, l)
+            for s, num in prev.items():
+                out[sl * s] = p * num.act_simple(l)
         else:
-            mult = DiffFrac(ctx.p_poly(u[l - 1], u[l], l + 1, l))
-            atoms = [(Permutation.simple(l, n), mult)]
-            u[l - 1], u[l] = u[l], u[l - 1]
-        new = {}
-        for sp, fp in cur.items():
-            for sa, fa in atoms:
-                s = sa * sp
-                f = fa * fp.act(sa)
-                new[s] = (new[s] + f) if s in new else f
-        cur = {s: f for s, f in new.items() if not f.is_zero()}
-    ctx._expand_cache[key] = cur
-    return cur
+            for s, num in prev.items():
+                _bump(out, sl * s, -num.act_simple(l))
+                _bump(out, s, -num)
+            out = {
+                s: divide_exact_by_x_difference(num, l, l + 1)
+                for s, num in out.items()
+            }
+    ctx._expand_cache[key] = out
+    return out
 
 
 def represent(el: KLRElement) -> KLROperator:
-    """The element as an operator on the polynomial module (faithful)."""
+    """The element as an operator on the polynomial module (faithful):
+    tau_w x^a 1_v contributes N_s s(x^a) to the numerator at s."""
     ctx = el.ctx
     comps = {}
     for (v, w, a), c in el.terms.items():
-        mono = DiffFrac(
-            MPoly(ctx.n, ctx.params, {tuple(a): c})
-        )
+        mono = MPoly(ctx.n, ctx.params, {tuple(a): c})
         comp = comps.setdefault(v, {})
-        for s, f in _expand_word(ctx, w, v).items():
-            g = f * mono.act(s)
-            comp[s] = (comp[s] + g) if s in comp else g
+        for s, num in _expand_word(ctx, w, v).items():
+            _bump(comp, s, num * mono.act(s))
     return KLROperator(ctx, comps)
 
 
@@ -856,26 +784,25 @@ def pbw_leading_terms(ctx: KLRContext, v) -> bool:
     permutation w and every exponent vector a, act linearly
     independently on the polynomial module.
 
-    ``_expand_word`` writes tau_w 1_v = sum_s f_s s over rational
-    functions.  The certificate checks, for each w, that f_w != 0 and
-    that every other s in the sum is shorter than w.
+    ``_expand_word`` writes tau_w 1_v = sum_s (N_s / Delta_u) s over
+    rational functions, u = w(v).  The certificate checks, for each w,
+    that N_w != 0 and that every other s in the sum is shorter than w.
 
     Why that is a proof: suppose sum_{w,a} c_{w,a} tau_w x^a 1_v acted as
     zero, and take a longest w with P_w = sum_a c_{w,a} x^a != 0.  Those
-    terms act as sum_s f_s s(P_w) s, and every other word with P_{w'} !=
-    0 is no longer than w, so none of its s equals w.  The coefficient of
-    the automorphism w in the whole sum is therefore f_w w(P_w) != 0.
-    Distinct field automorphisms are linearly independent (Dedekind), so
-    the sum is nonzero on rational functions, hence on polynomials: a
-    rational function is a polynomial over a symmetric denominator, which
-    every s fixes.  ``pbw_coordinates`` inverts ``represent`` by the same
-    triangularity.
+    terms act as sum_s (N_s / Delta_u) s(P_w) s, and every other word
+    with P_{w'} != 0 is no longer than w, so none of its s equals w.  The
+    coefficient of the automorphism w in the whole sum is therefore
+    N_w w(P_w) / Delta_u != 0.  Distinct field automorphisms are linearly
+    independent (Dedekind), so the sum is nonzero on rational functions,
+    hence on polynomials: a rational function is a polynomial over a
+    symmetric denominator, which every s fixes.  ``pbw_coordinates``
+    inverts ``represent`` by the same triangularity.
     """
     v = ctx.check_idempotent(v)
     for w in Permutation.all(ctx.n):
         comp = _expand_word(ctx, w, v)
-        lead = comp.get(w)
-        if lead is None or lead.is_zero():
+        if not comp.get(w):
             return False
         if any(s != w and s.length() >= w.length() for s in comp):
             return False
@@ -885,38 +812,34 @@ def pbw_leading_terms(ctx: KLRContext, v) -> bool:
 def pbw_coordinates(op: KLROperator) -> KLRElement:
     """Invert represent() by triangular elimination on permutation length.
 
-    Raises AssertionError if the operator is not in the image (a residual
-    atom survives or a coordinate fails to be an integer polynomial).
+    The longest sigma left in the residual at v carries the numerator
+    N_sigma sigma(P) of the words tau_sigma P 1_v, over the same
+    denominator as the lead N_sigma of tau_sigma 1_v, so sigma(P) is one
+    exact polynomial division.  Raises ArithmeticError if the operator
+    is not in the image (a lead does not divide its residual, or a
+    residual survives) or a coordinate is not an integer polynomial.
     """
     ctx = op.ctx
     out = KLRElement.zero(ctx)
     for v, comp in op.comps.items():
         residual = dict(comp)
-        while True:
-            live = [s for s, f in residual.items() if not f.is_zero()]
-            if not live:
-                break
+        while residual:
             # longest permutations first: expansions are triangular in length
-            sigma = max(live, key=lambda s: (s.length(), s.images))
-            f = residual[sigma]
+            sigma = max(residual, key=lambda s: (s.length(), s.images))
             lead = _expand_word(ctx, sigma, v)[sigma]
-            cpoly = (f * lead.invert()).as_polynomial()
             piece_terms = {}
-            for exps, cm in cpoly.terms.items():
+            for exps, cm in divide_exact(residual[sigma], lead).terms.items():
                 if isinstance(cm, Fraction):
-                    assert cm.denominator == 1, "non-integer PBW coordinate"
-                    cm = int(cm)
+                    raise ArithmeticError(f"non-integer PBW coordinate {cm}")
                 a = tuple(exps[sigma(j) - 1] for j in range(1, ctx.n + 1))
                 a = a + tuple(exps[ctx.n:])
                 piece_terms[(v, sigma, a)] = cm
             piece = KLRElement(ctx, piece_terms)
             out = out + piece
-            sub = represent(piece).comps.get(v, {})
-            for s, g in sub.items():
-                residual[s] = (residual[s] - g) if s in residual else -g
-            assert residual[sigma].is_zero(), (
-                "operator is not in the image of represent"
-            )
+            for s, g in represent(piece).comps.get(v, {}).items():
+                _bump(residual, s, -g)
+            if sigma in residual:
+                raise ArithmeticError("operator is not in the image of represent")
     return out
 
 

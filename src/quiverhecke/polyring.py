@@ -9,7 +9,8 @@ is carried along untouched by the group action.  Coefficients are exact
 
 The Demazure operator d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i) is applied in
 closed form monomial by monomial (`demazure_exponents`), without division.
-Exact division by X_a - X_b raises ArithmeticError when it is not exact.
+Exact division (by X_a - X_b, or by any polynomial with `divide_exact`)
+raises ArithmeticError when it is not exact.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ class MPoly:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -326,6 +330,41 @@ def try_divide_by_x_difference(p: MPoly, a: int, b: int):
     return out
 
 
+def divide_exact(p: MPoly, d: MPoly) -> MPoly:
+    """Quotient p / d; raises ArithmeticError if d does not divide p.
+
+    Long division on the lexicographically leading term: when d divides
+    p, the leading term of every remainder is divisible by that of d, so
+    the first remainder whose leading term is not leaves p indivisible.
+    Coefficients are integers where they can be, Fractions otherwise.
+    """
+    p._check(d)
+    if not d:
+        raise ZeroDivisionError("division by the zero polynomial")
+    lead = max(d.terms)
+    lead_c = d.terms[lead]
+    rest = [(e, c) for e, c in d.terms.items() if e != lead]
+    rem = dict(p.terms)
+    quot = {}
+    while rem:
+        e = max(rem)
+        shift = tuple(a - b for a, b in zip(e, lead))
+        if min(shift) < 0:
+            raise ArithmeticError(f"{d} does not divide {p}")
+        c = Fraction(rem.pop(e)) / lead_c
+        if c.denominator == 1:
+            c = c.numerator
+        quot[shift] = c
+        for f, fc in rest:
+            m = tuple(a + b for a, b in zip(shift, f))
+            s = rem.get(m, 0) - c * fc
+            if s:
+                rem[m] = s
+            else:
+                rem.pop(m, None)
+    return p._like(quot)
+
+
 def staircase_monomial(n, params=()):
     """X_2 * X_3^2 * ... * X_n^{n-1}."""
     exps = [0] * (n + len(params))
@@ -344,18 +383,21 @@ def schubert_coordinates(p: MPoly, n: int):
 
     Coordinates are extracted triangularly: running through w by
     increasing length, Q_w = d_{w0 w^{-1}} applied to the residual.
-    Asserts that each coordinate is symmetric and the residual vanishes.
+    Raises ArithmeticError if a coordinate is not symmetric or the
+    residual does not vanish, as happens when p has more variables than n.
     """
     w0 = Permutation.longest(n)
     residual = p
     coords = {}
     for w in sorted(Permutation.all(n), key=lambda u: (u.length(), u.images)):
         q = residual.demazure_perm(w0 * w.inverse())
-        assert q.is_symmetric()
+        if not q.is_symmetric():
+            raise ArithmeticError(f"Schubert coordinate {q} at {w} is not symmetric")
         if not q.is_zero():
             coords[w] = q
             residual = residual - q * schubert_basis_element(w, n)
-    assert residual.is_zero()
+    if not residual.is_zero():
+        raise ArithmeticError(f"Schubert residual {residual} does not vanish")
     return coords
 
 

@@ -186,6 +186,14 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
             ["verify", "heckebridge", "--n", "4", "--window", "4"],
             "17010 basis monomials, above the limit",
         ),
+        (
+            ["verify", "heckebridge", "--n", "2", "--window", "17"],
+            "the relation window for n = 2 is at most 16, got 17",
+        ),
+        (
+            ["verify", "heckebridge", "--n", "3", "--window", "7"],
+            "the relation window for n = 3 is at most 6, got 7",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):
@@ -242,6 +250,8 @@ STDOUT_SHA256 = {
         "4a61c5f3e7f2ee59070872cf105cc53a89992865ba8f696f9acc79d85117c14c",
     "verify pbw --quiver a3 --n 3":
         "007670d0b69256623585f0520efc03df43809e984498688bc35c441c2d0d1bfd",
+    "verify pbw --quiver a2 --n 4":
+        "bbbc4022c2c26de1f918326cc6e1db73aeb29f8309100bb91d824232aa51f5ef",
     "verify klr-relations --quiver a2 --n 3":
         "263785ebdce1a74de670aba37132baeeea9aa592c85891523f883bde64c96e24",
 }

@@ -700,3 +700,6 @@ def test_generic_parameter_mode():
         (v, Permutation.identity(2), (1, 0, 1)): -1,
     }
     assert prod.terms == expected
+    # the lead t (x_1 - x_2) of tau_1 1_v holds the parameter
+    for el in (KLRElement.tau(ctx, 1, v), prod):
+        assert pbw_coordinates(represent(el)) == el

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 from quiverhecke.coxeter import Permutation
 from quiverhecke.klr import (
-    DiffFrac,
     KLRElement,
+    _delta,
     QMatrix,
     QuiverData,
     cyclic_quiver,
@@ -34,7 +34,7 @@ from quiverhecke.klr import (
     represent,
     single_vertex_quiver,
 )
-from quiverhecke.polyring import MPoly
+from quiverhecke.polyring import MPoly, divide_exact
 
 
 def one_parameter_context():
@@ -147,9 +147,7 @@ def test_every_basis_word_matches_reference(name):
                 assert el.apply({v: poly}) == reference_apply(el, {v: poly})
 
 
-# pbw_coordinates inverts the leading coefficient of each word as a
-# product of differences x_a - x_b, which a generic parameter is not
-@pytest.mark.parametrize("name", sorted(set(CONTEXTS) - {"one-parameter-n2"}))
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_pbw_round_trip_per_context(name):
     ctx = CONTEXTS[name]()
     rng = random.Random(f"round-trip-{name}")
@@ -168,8 +166,9 @@ REPRESENT_CONTEXTS = {
 
 @pytest.mark.parametrize("name", sorted(REPRESENT_CONTEXTS))
 def test_represent_matches_apply_on_every_basis_word(name):
-    # the engine that pbw_leading_terms reads (sum_s f_s s over rational
-    # functions) against the term-dict engine verify klr-relations checks
+    # the engine that pbw_leading_terms reads (sum_s (N_s / Delta_u) s
+    # over rational functions) against the term-dict engine verify
+    # klr-relations checks
     ctx = REPRESENT_CONTEXTS[name]()
     n = ctx.n
     zero = MPoly.zero(n)
@@ -184,13 +183,59 @@ def test_represent_matches_apply_on_every_basis_word(name):
                 el = KLRElement.basis_word(ctx, v, w, a)
                 comp = represent(el).comps[v]
                 for p in monomials:
-                    image = DiffFrac(zero)
-                    for s, f in comp.items():
-                        image = image + f * DiffFrac(p).act(s)
+                    image = zero
+                    for s, num in comp.items():
+                        image = image + num * p.act(s)
+                    image = divide_exact(image, _delta(ctx, target))
                     expected = el.apply({v: p}).get(target, zero)
-                    assert image.as_polynomial() == expected, (v, w, a, p)
+                    assert image == expected, (v, w, a, p)
                     compared += 1
     assert compared == 3 * len(idempotents(ctx)) * math.factorial(n) * 2 ** n
+
+
+def test_pbw_path_raises_under_optimize():
+    # a doubled lead makes the coordinate 1/2, an operator with a stray
+    # 1/Delta is not in the image, and operators of two contexts do not
+    # subtract: each must fail under `python -O`, which strips asserts
+    code = (
+        "import sys\n"
+        "from quiverhecke import klr\n"
+        "from quiverhecke.polyring import MPoly\n"
+        "ctx = klr.make_klr(klr.linear_quiver(2), 2)\n"
+        "op = klr.represent(klr.KLRElement.tau(ctx, 1, (1, 1)))\n"
+        "one = klr.Permutation.identity(2)\n"
+        "stray = klr.KLROperator(ctx, {(1, 1): {one: MPoly.one(2)}})\n"
+        "other = klr.make_klr(klr.linear_quiver(2), 2)\n"
+        "real = klr._expand_word\n"
+        "def doubled(ctx, w, v):\n"
+        "    return {s: num * 2 if s == w else num\n"
+        "            for s, num in real(ctx, w, v).items()}\n"
+        "cases = [\n"
+        "    lambda: klr.pbw_coordinates(stray),\n"
+        "    lambda: op - klr.represent(klr.KLRElement.tau(other, 1, (1, 1))),\n"
+        "    lambda: klr.pbw_coordinates(op),\n"
+        "]\n"
+        "for k, case in enumerate(cases):\n"
+        "    if k == 2:\n"
+        "        klr._expand_word = doubled\n"
+        "    try:\n"
+        "        case()\n"
+        "        print('accepted')\n"
+        "    except (ArithmeticError, ValueError) as e:\n"
+        "        print(type(e).__name__)\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [
+        "ArithmeticError", "ValueError", "ArithmeticError", "1"
+    ]
 
 
 @st.composite

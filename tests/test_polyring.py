@@ -13,6 +13,7 @@ from quiverhecke.laurent import Laurent
 from quiverhecke.polyring import (
     MPoly,
     count_monomials_by_degree,
+    divide_exact,
     divide_exact_by_x_difference,
     elementary_symmetric,
     exponent_tuples,
@@ -248,6 +249,68 @@ def test_inexact_division_raises_under_optimize():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["raised", "1"]
+
+
+def test_schubert_checks_raise_under_optimize():
+    # a polynomial in more variables than n has no Schubert coordinates,
+    # and a wrong basis leaves a residual; both must fail under `-O`
+    code = (
+        "import sys\n"
+        "import quiverhecke.polyring as pr\n"
+        "try:\n"
+        "    pr.schubert_coordinates(pr.MPoly.x(3, 3), 2)\n"
+        "except ArithmeticError as e:\n"
+        "    print('symmetric' in str(e))\n"
+        "real = pr.schubert_basis_element\n"
+        "pr.schubert_basis_element = lambda w, n: real(w, n) * 2\n"
+        "try:\n"
+        "    pr.schubert_coordinates(pr.MPoly.one(3), 3)\n"
+        "except ArithmeticError as e:\n"
+        "    print('vanish' in str(e))\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "True", "1"]
+
+
+@pytest.mark.parametrize("params", [(), ("t",), ("q", "t")])
+def test_divide_exact_recovers_random_factors(params):
+    rng = random.Random(f"divide-{params}")
+    for n in (1, 2, 3):
+        width = n + len(params)
+        for field in (int, Fraction):
+            for _ in range(8):
+                p, d = (
+                    MPoly(n, params, {
+                        tuple(rng.randrange(0, 3) for _ in range(width)):
+                            random_coeff(rng, field) or 1
+                        for _ in range(rng.randrange(1, 5))
+                    })
+                    for _ in range(2)
+                )
+                assert divide_exact(p * d, d) == p
+                assert divide_exact(p * d, p) == d
+                assert divide_exact(MPoly.zero(n, params), d).is_zero()
+
+
+def test_divide_exact_raises_when_not_divisible():
+    n = 2
+    diff = x(1, n) - x(2, n)
+    assert divide_exact(x(1, n) ** 2 - x(2, n) ** 2, diff) == x(1, n) + x(2, n)
+    for p in (x(1, n) + 1, diff * diff + 1, x(2, n) ** 3):
+        with pytest.raises(ArithmeticError):
+            divide_exact(p, diff)
+    # 1/2 is a quotient over Q, not a failure
+    assert divide_exact(x(1, n), x(1, n) * 2) == MPoly.const(Fraction(1, 2), n)
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(x(1, n), MPoly.zero(n))
 
 
 def random_coeff(rng, field):
