@@ -164,7 +164,12 @@ def suite_demazure(cfg, rng):
 
 @_suite
 def suite_nilhecke(cfg, rng):
-    from .nilhecke import NilHeckeElement, frobenius_gram_determinant, idempotent_b
+    from .nilhecke import (
+        MAX_GRAM_N,
+        NilHeckeElement,
+        frobenius_gram_determinant,
+        idempotent_b,
+    )
 
     n = cfg["n"]
     if n < 2:
@@ -202,9 +207,9 @@ def suite_nilhecke(cfg, rng):
         (a * b).trace_tprime() == (b * a).trace_tprime()
         for a, b in random_pairs()
     )
-    yield "gram-unit-determinant", {"max_n": min(n, 3)}, (
+    yield "gram-unit-determinant", {"max_n": min(n, MAX_GRAM_N)}, (
         frobenius_gram_determinant(m) in (1, -1)
-        for m in range(2, min(n, 3) + 1)
+        for m in range(2, min(n, MAX_GRAM_N) + 1)
     )
 
 

@@ -1,5 +1,5 @@
 """
-Exact sparse linear algebra over Q.
+Exact sparse linear algebra over Q, and a fraction-free determinant.
 
 A vector is a dict {column key: coefficient} with mutually comparable
 keys; its smallest key is its lead.  Coefficients are exact ``int`` or
@@ -8,13 +8,14 @@ to be inverted, so an elimination with unit pivots builds no Fraction.
 Eliminations over other fields stay with their callers: `hall.rref`
 (GF(q) lookup tables) and `cyclotomic._rank_mod_p` (an int64 numpy array
 modulo a prime, updating only the rows that are nonzero in each pivot
-column).
+column).  `determinant` is fraction-free: Bareiss elimination on
+integers, with one Fraction at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from math import lcm
 
 
 class Echelon:
@@ -85,23 +86,35 @@ def rank(rows) -> int:
 def determinant(matrix) -> Fraction:
     """Exact determinant of a square matrix given as a list of rows.
 
-    Inserting the rows in order only subtracts multiples of earlier rows,
-    which keeps the determinant.  The reduced rows sorted by lead form an
-    upper-triangular matrix, so the determinant is the product of their
-    lead entries times the sign of the permutation row -> lead.
+    Fraction-free Bareiss elimination (Math. Comp. 22, 1968) on the rows
+    cleared of denominators by their lcms: step k replaces each entry
+    below and right of the pivot by its 2x2 minor with the pivot, divided
+    exactly by the previous pivot, so the last pivot is the determinant
+    up to the sign of the row swaps.  The result is that divided by the
+    product of the lcms.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    echelon = Echelon()
-    det = Fraction(1)
-    leads = []
+    rows, scale = [], 1
     for row in matrix:
-        vec = echelon.insert(dict(enumerate(row)))
-        if not vec:
+        den = lcm(*(c.denominator for c in row))
+        rows.append([c.numerator * (den // c.denominator) for c in row])
+        scale *= den
+    sign, prev = 1, 1
+    for k in range(size):
+        piv = next((r for r in range(k, size) if rows[r][k]), None)
+        if piv is None:
             return Fraction(0)
-        lead = min(vec)
-        det *= vec[lead]
-        leads.append(lead)
-    inversions = sum(a > b for a, b in combinations(leads, 2))
-    return -det if inversions % 2 else det
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for r in range(k + 1, size):
+            row, f = rows[r], rows[r][k]
+            rows[r] = [0] * (k + 1) + [
+                (pivot * row[c] - f * top[c]) // prev for c in range(k + 1, size)
+            ]
+        prev = pivot
+    return Fraction(sign * prev, scale)

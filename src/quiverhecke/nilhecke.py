@@ -34,7 +34,11 @@ class NilHeckeElement:
         self.terms = {}
         if terms:
             for w, p in terms.items():
-                assert w.n == n and p.nx == n and p.params == self.params
+                if w.n != n or p.nx != n or p.params != self.params:
+                    raise ValueError(
+                        f"term at {w} on (n, params) {p.nx, p.params} does not "
+                        f"fit {n, self.params}"
+                    )
                 if not p.is_zero():
                     self.terms[w] = p
 
@@ -93,7 +97,7 @@ class NilHeckeElement:
             other = NilHeckeElement.from_poly(
                 MPoly.const(other, self.n, self.params)
             )
-        assert self.n == other.n and self.params == other.params
+        _check_same_algebra(self, other)
         out = dict(self.terms)
         for w, p in other.terms.items():
             _accumulate(out, w, p)
@@ -134,7 +138,7 @@ class NilHeckeElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        assert self.n == other.n and self.params == other.params
+        _check_same_algebra(self, other)
         out = {}
         for w, p in self.terms.items():
             # (P T_w) * other: apply T letters of w from the right inward
@@ -179,7 +183,8 @@ class NilHeckeElement:
     def sigma(self) -> "NilHeckeElement":
         """Nakayama automorphism of the finite part: T_i -> T_{n-i},
         so T_w -> T_{w0 w w0}."""
-        assert self.is_finite_part()
+        if not self.is_finite_part():
+            raise ValueError("sigma is defined on the finite part only")
         n = self.n
         w0 = Permutation.longest(n)
         return NilHeckeElement(
@@ -197,7 +202,8 @@ class NilHeckeElement:
     def trace_t0(self):
         """Frobenius form on the finite part: the coefficient of T_{w0},
         as an integer.  Satisfies t0(ab) = t0(sigma(b) a)."""
-        assert self.is_finite_part()
+        if not self.is_finite_part():
+            raise ValueError("trace_t0 is defined on the finite part only")
         w0 = Permutation.longest(self.n)
         p = self.terms.get(w0)
         if p is None:
@@ -211,8 +217,14 @@ class NilHeckeElement:
         return p.demazure_perm(w0)
 
     def trace_tprime(self) -> MPoly:
-        """t'(a) = t(a * [w0]), with [w0] the group element of the longest word."""
-        return (self * _longest_group_element(self.n, self.params)).trace_t()
+        """t'(a) = t(a * [w0]), with [w0] the group element of the longest word.
+
+        Left multiplication by P_w keeps the T index, so for a = sum_w P_w T_w
+        this is d_{w0}(sum_w P_w K_w), K_w the T_{w0} coefficient of T_w [w0]
+        (`_tprime_kernel`); the product a * [w0] is never formed.
+        """
+        kernel = _tprime_kernel(self.n, self.params)
+        return _pair(self, kernel).demazure_perm(Permutation.longest(self.n))
 
     def __repr__(self):
         if not self.terms:
@@ -245,6 +257,32 @@ def _longest_group_element(n, params):
     return group_element(Permutation.longest(n), params)
 
 
+@lru_cache(maxsize=None)
+def _tprime_kernel(n, params):
+    """{w: K_w}, K_w the coefficient of T_{w0} in T_w [w0], built once per
+    (n, params) and never mutated, like `_longest_group_element`."""
+    g, w0 = _longest_group_element(n, params), Permutation.longest(n)
+    zero = MPoly.zero(n, params)
+    return {
+        w: (NilHeckeElement.t_perm(w, params) * g).terms.get(w0, zero)
+        for w in Permutation.all(n)
+    }
+
+
+def _pair(a, coefficients):
+    """sum_w P_w coefficients[w] for a = sum_w P_w T_w."""
+    return sum(
+        (p * coefficients[w] for w, p in a.terms.items()), MPoly.zero(a.n, a.params)
+    )
+
+
+def _check_same_algebra(a, b):
+    if (a.n, a.params) != (b.n, b.params):
+        raise ValueError(
+            f"operands on (n, params) {a.n, a.params} and {b.n, b.params}"
+        )
+
+
 def _accumulate(terms, w, p):
     """terms[w] += p; zero sums are dropped by the NilHeckeElement constructor."""
     if not p.is_zero():
@@ -260,8 +298,66 @@ def idempotent_b(n: int, params=()) -> NilHeckeElement:
 
 
 def gram_matrix_tprime(elements):
-    """Matrix of t'(a * b) over a list of nil Hecke elements."""
-    return [[(a * b).trace_tprime() for b in elements] for a in elements]
+    """Rows of the matrix of t'(a * b) over a list of nil Hecke elements,
+    one list per a, built as they are read.
+
+    For a = sum_w P_w T_w, t'(a b) = d_{w0}(sum_w P_w R_w(b)) with R_w(b)
+    the T_{w0} coefficient of T_w b [w0]: one product T_w b per column b
+    and T index w of the elements, instead of a * b and (a b) * [w0].
+    """
+    indices = {w for a in elements for w in a.terms}
+    columns = [
+        {
+            w: _pair(NilHeckeElement.t_perm(w, b.params) * b,
+                     _tprime_kernel(b.n, b.params))
+            for w in indices
+        }
+        for b in elements
+    ]
+    for a in elements:
+        yield [_pair(a, r).demazure_perm(Permutation.longest(a.n)) for r in columns]
+
+
+# (n!)^2 basis elements; at n = 4 (576) the Gram matrix took 42 s and 250 MB,
+# and its determinant did not finish in 350 s more (2-vCPU x86_64, Python 3.11)
+MAX_GRAM_N = 3
+
+
+def frobenius_gram_matrix(n: int):
+    """The t'-Gram matrix on the basis {Schubert_u * T_w : u, w in S_n},
+    n <= 3, evaluated at X_k = k + 1 after the degree checks of
+    `frobenius_gram_determinant`."""
+    from .polyring import schubert_basis_element
+
+    if n > MAX_GRAM_N:
+        raise ValueError(
+            f"the t'-Gram matrix is built for n <= {MAX_GRAM_N} only, got {n}"
+        )
+    order = sorted(Permutation.all(n), key=lambda w: (w.length(), w.images))
+    basis = [
+        NilHeckeElement(n, {w: schubert_basis_element(u, n)})
+        for u in order
+        for w in order
+    ]
+    degs = []
+    for el in basis:
+        d = el.degrees()
+        if len(d) != 1:
+            raise ArithmeticError(f"basis element of degrees {sorted(d)}")
+        degs.append(next(iter(d)))
+    if sum(degs) != 0:
+        raise ArithmeticError(f"basis degrees sum to {sum(degs)}, not 0")
+    point = [k + 2 for k in range(n)]
+    mat = []
+    for i, entries in enumerate(gram_matrix_tprime(basis)):
+        for j, p in enumerate(entries):
+            xdegs = {sum(e) for e in p.terms}
+            if xdegs and xdegs != {(degs[i] + degs[j]) // 2}:
+                raise ArithmeticError(
+                    f"Gram entry ({i}, {j}) has x-degrees {sorted(xdegs)}"
+                )
+        mat.append([p.evaluate(point) for p in entries])
+    return mat
 
 
 def frobenius_gram_determinant(n: int):
@@ -276,37 +372,4 @@ def frobenius_gram_determinant(n: int):
     computes it.  A value of +-1 certifies that the symmetrizing form is
     nondegenerate with unit discriminant.
     """
-    from .polyring import schubert_basis_element
-
-    order = sorted(Permutation.all(n), key=lambda w: (w.length(), w.images))
-    basis = []
-    for u in order:
-        bu = NilHeckeElement.from_poly(schubert_basis_element(u, n))
-        for w in order:
-            basis.append(bu * NilHeckeElement.t_perm(w))
-    degs = []
-    for el in basis:
-        d = el.degrees()
-        if len(d) != 1:
-            raise ArithmeticError(f"basis element of degrees {sorted(d)}")
-        degs.append(next(iter(d)))
-    if sum(degs) != 0:
-        raise ArithmeticError(f"basis degrees sum to {sum(degs)}, not 0")
-    point = [k + 2 for k in range(n)]
-    mat = []
-    for i, a in enumerate(basis):
-        row = []
-        for j, b in enumerate(basis):
-            p = (a * b).trace_tprime()
-            if not p.is_zero():
-                xdegs = {sum(e) for e in p.terms}
-                if xdegs != {(degs[i] + degs[j]) // 2}:
-                    raise ArithmeticError(
-                        f"Gram entry ({i}, {j}) has x-degrees {sorted(xdegs)}"
-                    )
-            row.append(p.evaluate(point))
-        mat.append(row)
-    det = determinant(mat)
-    if det.denominator != 1:
-        raise ArithmeticError(f"Gram determinant {det} is not an integer")
-    return int(det)
+    return int(determinant(frobenius_gram_matrix(n)))

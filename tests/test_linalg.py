@@ -272,3 +272,33 @@ def test_spanning_rank_at_four(i, expected):
     rng = random.Random(24 + i)
     assert spanning_rank(4, i, (0,) * 4) == expected
     assert spanning_rank(4, i, tuple(rng.randint(-5, 5) for _ in range(4))) == expected
+
+
+def test_determinant_of_the_empty_matrix_is_one():
+    det = determinant([])
+    assert det == 1 and type(det) is Fraction
+
+
+def test_singular_matrix_found_after_a_row_swap():
+    # column 0 needs a swap; the third row then vanishes at the last pivot
+    mat = [[0, 1, 1], [1, 1, 1], [2, 2, 2]]
+    assert determinant(mat) == leibniz(mat) == 0
+    # the second pivot needs a swap too, and the last column is then zero
+    mat = [[0, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 3], [0, 0, 0, 5]]
+    assert determinant(mat) == leibniz(mat) == 0
+    # regular matrices: one swap flips the sign, two swaps keep it
+    mat = [[0, 2, 0], [3, 0, 0], [0, 0, 5]]
+    assert determinant(mat) == leibniz(mat) == -30
+    mat = [[0, 2, 0], [0, 0, 5], [3, 0, 0]]
+    assert determinant(mat) == leibniz(mat) == 30
+
+
+def test_determinant_of_the_nil_hecke_gram_matrix():
+    from quiverhecke.nilhecke import frobenius_gram_matrix
+
+    gram = frobenius_gram_matrix(3)
+    assert len(gram) == 36
+    _, expected = schoolbook(gram)
+    det = determinant(gram)
+    assert type(det) is Fraction and det == expected
+    assert det in (1, -1)

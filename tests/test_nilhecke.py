@@ -1,15 +1,25 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
 
 from quiverhecke.coxeter import Permutation
 from quiverhecke.nilhecke import (
     NilHeckeElement,
     _longest_group_element,
+    _tprime_kernel,
+    frobenius_gram_determinant,
+    frobenius_gram_matrix,
     gram_matrix_tprime,
     group_element,
     idempotent_b,
 )
-from quiverhecke.polyring import MPoly, staircase_monomial
+from quiverhecke.polyring import MPoly, schubert_basis_element, staircase_monomial
 
 
 def t(i, n):
@@ -20,21 +30,26 @@ def x(i, n):
     return NilHeckeElement.x(i, n)
 
 
-def random_poly(rng, n, max_deg=2, max_terms=3):
-    p = MPoly.zero(n)
+def random_poly(rng, n, max_deg=2, max_terms=3, params=()):
+    p = MPoly.zero(n, params)
     for _ in range(rng.randrange(1, max_terms + 1)):
-        exps = tuple(rng.randrange(0, max_deg + 1) for _ in range(n))
-        p = p + MPoly(n, (), {exps: rng.randrange(-3, 4) or 1})
+        exps = tuple(rng.randrange(0, max_deg + 1) for _ in range(n + len(params)))
+        p = p + MPoly(n, params, {exps: rng.randrange(-3, 4) or 1})
     return p
 
 
-def random_element(rng, n, nterms=2):
-    out = NilHeckeElement.zero(n)
+def random_element(rng, n, nterms=2, params=()):
+    out = NilHeckeElement.zero(n, params)
     perms = list(Permutation.all(n))
     for _ in range(nterms):
         w = rng.choice(perms)
-        out = out + NilHeckeElement(n, {w: random_poly(rng, n)})
+        out = out + NilHeckeElement(n, {w: random_poly(rng, n, params=params)}, params)
     return out
+
+
+def full_product_tprime(a, g0):
+    """t'(a) = t(a * [w0]) by the full product, g0 = [w0]."""
+    return (a * g0).trace_t()
 
 
 # -- defining relations --------------------------------------------------
@@ -292,25 +307,45 @@ def test_lmul_t_length_test_matches_permutation_length():
 
 def test_tprime_matches_fresh_group_element():
     rng = random.Random(21)
-    for n in (1, 2, 3):
-        w0 = Permutation.longest(n)
+    for n in (1, 2, 3, 4):
+        g0 = group_element(Permutation.longest(n))
         for _ in range(8):
-            a = random_element(rng, n)
-            assert a.trace_tprime() == (a * group_element(w0)).trace_t()
+            a = random_element(rng, n, nterms=3)
+            assert a.trace_tprime() == full_product_tprime(a, g0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tprime_matches_full_product_with_a_parameter(n):
+    rng = random.Random(23 + n)
+    params = ("t",)
+    g0 = group_element(Permutation.longest(n), params)
+    for _ in range(8):
+        a = random_element(rng, n, nterms=3, params=params)
+        assert a.trace_tprime() == full_product_tprime(a, g0)
+        assert a.trace_tprime().params == params
 
 
 def test_tprime_memo_is_not_mutated():
     rng = random.Random(22)
     n = 3
+    w0 = Permutation.longest(n)
     g = _longest_group_element(n, ())
+    kernel = _tprime_kernel(n, ())
     snapshot = {w: dict(p.terms) for w, p in g.terms.items()}
+    kernel_snapshot = {w: dict(p.terms) for w, p in kernel.items()}
     for _ in range(10):
         a = random_element(rng, n)
         (a * a).trace_tprime()
         a.trace_tprime()
+        list(gram_matrix_tprime([a, a * a]))
     assert _longest_group_element(n, ()) is g
     assert {w: dict(p.terms) for w, p in g.terms.items()} == snapshot
     assert g == group_element(Permutation.longest(n))
+    assert _tprime_kernel(n, ()) is kernel
+    assert {w: dict(p.terms) for w, p in kernel.items()} == kernel_snapshot
+    # K_w is the T_{w0} coefficient of T_w [w0]
+    for w in Permutation.all(n):
+        assert kernel[w] == (NilHeckeElement.t_perm(w) * group_element(w0)).terms[w0]
 
 
 def test_grading_multiplicative():
@@ -329,7 +364,88 @@ def test_grading_multiplicative():
 
 
 def test_frobenius_gram_unit_determinant():
-    from quiverhecke.nilhecke import frobenius_gram_determinant
-
     assert frobenius_gram_determinant(2) in (1, -1)
     assert frobenius_gram_determinant(3) in (1, -1)
+
+
+def schubert_t_basis(n):
+    order = sorted(Permutation.all(n), key=lambda w: (w.length(), w.images))
+    return [
+        NilHeckeElement.from_poly(schubert_basis_element(u, n))
+        * NilHeckeElement.t_perm(w)
+        for u in order
+        for w in order
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gram_entries_match_full_products(n):
+    # every entry against t((a * b) * [w0]), both products formed in full
+    g0 = group_element(Permutation.longest(n))
+    basis = schubert_t_basis(n)
+    gram = list(gram_matrix_tprime(basis))
+    point = [k + 2 for k in range(n)]
+    nonzero = 0
+    for a, row in zip(basis, gram):
+        for b, entry in zip(basis, row):
+            assert entry == full_product_tprime(a * b, g0), (a, b)
+            nonzero += not entry.is_zero()
+    assert nonzero > len(basis)
+    assert frobenius_gram_matrix(n) == [
+        [entry.evaluate(point) for entry in row] for row in gram
+    ]
+
+
+def test_gram_entries_of_sums_match_full_products():
+    rng = random.Random(27)
+    for n, params in ((3, ()), (2, ("t",))):
+        g0 = group_element(Permutation.longest(n), params)
+        elems = [random_element(rng, n, nterms=3, params=params) for _ in range(5)]
+        for a, row in zip(elems, gram_matrix_tprime(elems)):
+            for b, entry in zip(elems, row):
+                assert entry == full_product_tprime(a * b, g0)
+
+
+def test_gram_matrix_refuses_n_above_three_at_once():
+    start = time.perf_counter()
+    for build in (frobenius_gram_determinant, frobenius_gram_matrix):
+        with pytest.raises(ValueError, match="n <= 3"):
+            build(4)
+    assert time.perf_counter() - start < 1
+
+
+def test_invalid_input_raises_under_optimize():
+    # `python -O` strips asserts; each invalid input must still raise
+    code = (
+        "import sys\n"
+        "from quiverhecke.coxeter import Permutation\n"
+        "from quiverhecke.nilhecke import NilHeckeElement as H\n"
+        "from quiverhecke.nilhecke import frobenius_gram_determinant\n"
+        "from quiverhecke.polyring import MPoly\n"
+        "cases = [\n"
+        "    lambda: H(3, {Permutation.identity(2): MPoly.one(3)}),\n"
+        "    lambda: H(2, {Permutation.identity(2): MPoly.one(3)}),\n"
+        "    lambda: H(2, {Permutation.identity(2): MPoly.one(2, ('t',))}),\n"
+        "    lambda: H.t(1, 2) + H.t(1, 3),\n"
+        "    lambda: H.t(1, 2) * H.t(1, 2, ('t',)),\n"
+        "    lambda: H.x(1, 2).sigma(),\n"
+        "    lambda: H.x(1, 2).trace_t0(),\n"
+        "    lambda: frobenius_gram_determinant(4),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "        print('accepted')\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised"] * 8 + ["1"]
