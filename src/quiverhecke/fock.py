@@ -16,14 +16,19 @@ affine Cartan matrix of type A_{p-1}^{(1)}, read from the cyclic quiver
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .klr import cyclic_quiver
 
 
 def check_partition(parts) -> tuple:
+    """``parts`` as a tuple, or ValueError unless its parts are positive
+    ints, weakly decreasing (so all positive once the last one is)."""
     parts = tuple(parts)
-    assert all(isinstance(a, int) and a > 0 for a in parts)
-    assert all(parts[k] >= parts[k + 1] for k in range(len(parts) - 1))
+    if not all(map(isinstance, parts, itertools.repeat(int))) or (parts and parts[-1] < 1):
+        raise ValueError(f"{parts}: the parts of a partition are positive ints")
+    if any(map(operator.lt, parts, parts[1:])):
+        raise ValueError(f"{parts}: the parts of a partition are weakly decreasing")
     return parts
 
 

@@ -8,7 +8,11 @@ convention).
 Isomorphism classes are G_d-orbits, G_d = prod_i GL_{d_i}(q), acting by
 g . (f_a) = (g_j f_a g_i^{-1}); each class is identified by its
 canonical label, the lexicographically smallest flattened matrix tuple
-in the orbit.  |Aut M| = |G_d| / |orbit|.
+in the orbit.  |Aut M| = |G_d| / |orbit|.  The orbits are walked on the
+plain matrix tuples, one generator of some GL_{d_i}(q) per step
+(``act``): a diagonal or a transvection, so each step is one elementary
+row operation on the arrow matrices into vertex i and one elementary
+column operation on those out of it, with no matrix product.
 
 Hall numbers F^L_{M,N} count submodules of L isomorphic to N with
 quotient isomorphic to M.  Submodules are read off one RREF basis per
@@ -19,6 +23,12 @@ by v^{<M,N>} where v^2 = q and <M,N> is the Euler form, computed for a
 loop-free quiver as sum_i d_i(M) d_i(N) - sum_{a:i->j} d_i(M) d_j(N).
 The Serre relation of vertices i, j has exponent 1 - a_ij, read from the
 quiver's Cartan matrix.
+
+Riedtmann's identity F^L_{M,N} |Aut M| |Aut N| = P^L_{M,N} is checked
+against an independent count of the exact sequences 0 -> N -> L -> M -> 0
+(``HallContext.exact_sequence_count``): homomorphisms are the null space
+of the linear equations b_a f_s = f_t a_a, and injections are matched to
+surjections by image and kernel, each keyed by one RREF basis per vertex.
 
 Supported field sizes: 2, 3, 4, 5 (other q raise ValueError).  Field
 arithmetic is table lookup, with tables built once per q.
@@ -109,7 +119,10 @@ def mat_mul(F: GF, A, B, cols=None):
     """A @ B; pass `cols` explicitly when B has zero rows (empty inner
     dimension), since the column count cannot be inferred then."""
     inner = len(B)
-    assert all(len(r) == inner for r in A) or inner == 0
+    if inner and any(len(r) != inner for r in A):
+        raise ValueError(
+            f"rows of lengths {[len(r) for r in A]} cannot multiply {inner} rows"
+        )
     ADD, MUL = F.ADD, F.MUL
     BT = tuple(zip(*B)) if B else ((),) * (cols or 0)
     out = []
@@ -160,6 +173,23 @@ def rref(F: GF, rows):
             break
     rows = [tuple(row) for row in rows if any(row)]
     return tuple(rows), tuple(pivots)
+
+
+def null_space(F: GF, reduced, pivots, n: int):
+    """A basis of {x in F_q^n : R x = 0}, given R in reduced row echelon
+    form with its pivot columns (as ``rref`` returns them): one vector per
+    free column c, with 1 at c, -R[k][c] at the pivot of row k and 0 at
+    every other free column."""
+    NEG = F.NEG
+    basis = []
+    for c in range(n):
+        if c not in pivots:
+            x = [0] * n
+            x[c] = 1
+            for row, p in zip(reduced, pivots):
+                x[p] = NEG[row[c]]
+            basis.append(tuple(x))
+    return basis
 
 
 def mat_inverse(F: GF, A):
@@ -231,6 +261,18 @@ def gl_generators(q: int, n: int):
                 e[i][j] = 1
                 gens.append(tuple(tuple(r) for r in e))
     return gens
+
+
+def elementary_op(g):
+    """The generator g of ``gl_generators`` as the triple (i, j, c) with
+    g = I + (c - 1) E_ii when i == j and g = I + c E_ij otherwise; the
+    identity (the diagonal generator at q = 2) is (0, 0, 1)."""
+    n = len(g)
+    for i, j in itertools.permutations(range(n), 2):
+        if g[i][j]:
+            return (i, j, g[i][j])
+    i = next((i for i in range(n) if g[i][i] != 1), 0)
+    return (i, i, g[i][i])
 
 
 def matrix_tuples(q: int, shapes):
@@ -318,14 +360,6 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
     return QuiverRep(qv, a.q, dims, mats)
 
 
-def all_reps(quiver: QuiverData, q: int, dims):
-    """Every representation with the given dimension vector."""
-    dims = tuple(dims)
-    shapes = [(dims[t], dims[s]) for s, t in quiver.arrow_index]
-    for mats in matrix_tuples(q, shapes):
-        yield QuiverRep(quiver, q, dims, mats)
-
-
 def group_order(quiver: QuiverData, q: int, dims) -> int:
     out = 1
     for d in dims:
@@ -333,19 +367,38 @@ def group_order(quiver: QuiverData, q: int, dims) -> int:
     return out
 
 
-def act(quiver: QuiverData, q: int, vi: int, g, g_inv, rep: QuiverRep) -> QuiverRep:
-    """g . rep for g in GL_{d}(q) at the vertex with index vi and the
-    identity at every other vertex; g_inv is g^{-1}, computed once by the
-    caller."""
-    F = field(q)
-    mats = []
-    for (s, t), m in zip(quiver.arrow_index, rep.mats):
+def act(F: GF, arrow_index, vi: int, op, mats):
+    """g . mats: the arrow matrices ``mats`` (one per arrow of
+    ``arrow_index``) acted on by g in GL_d(q) at the vertex with index vi
+    and by the identity at every other vertex, for g = ``op`` = (i, j, c)
+    of ``elementary_op``.
+
+    g m, for an arrow matrix m into the vertex, is a row operation: row i
+    times c when i == j, otherwise row i plus c times row j.  m g^{-1},
+    for m out of the vertex, is a column operation: column i times
+    c^{-1} when i == j, otherwise column j minus c times column i.  A
+    loop gets both.
+    """
+    i, j, c = op
+    ADD, MUL = F.ADD, F.MUL
+    out = []
+    for (s, t), m in zip(arrow_index, mats):
         if t == vi:
-            m = mat_mul(F, g, m)
+            mc = MUL[c]
+            if i == j:
+                row = tuple([mc[a] for a in m[i]])
+            else:
+                row = tuple([ADD[a][mc[b]] for a, b in zip(m[i], m[j])])
+            m = m[:i] + (row,) + m[i + 1 :]
         if s == vi:
-            m = mat_mul(F, m, g_inv)
-        mats.append(m)
-    return QuiverRep(quiver, q, rep.dims, mats)
+            if i == j:
+                mc = MUL[F.INV[c]]
+                m = tuple([r[:i] + (mc[r[i]],) + r[i + 1 :] for r in m])
+            else:
+                mc = MUL[F.NEG[c]]
+                m = tuple([r[:j] + (ADD[r[j]][mc[r[i]]],) + r[j + 1 :] for r in m])
+        out.append(m)
+    return tuple(out)
 
 
 class ClassTable:
@@ -355,54 +408,49 @@ class ClassTable:
         self.quiver = quiver
         self.q = q
         self.dims = tuple(dims)
-        self.label_of = {}  # rep.flat() -> canonical label
+        self.label_of = {}  # arrow matrix tuple -> canonical label
         self.classes = {}  # label -> dict(rep, orbit_size, aut_order)
         self._classify()
 
     def _classify(self):
+        """Walk the orbit of every matrix tuple not yet labelled, one
+        generator step at a time; a QuiverRep is built only for the
+        label of each class."""
         quiver, q, dims = self.quiver, self.q, self.dims
-        # one group generator bundle (vertex, g, g^{-1}) per (vertex, generator)
         F = field(q)
-        bundles = [
-            (vi, g, mat_inverse(F, g))
-            for vi, d in enumerate(dims)
-            for g in gl_generators(q, d)
+        arrows = quiver.arrow_index
+        steps = [
+            (vi, elementary_op(g)) for vi, d in enumerate(dims) for g in gl_generators(q, d)
         ]
         g_order = group_order(quiver, q, dims)
-        seen = set()
-        for rep in all_reps(quiver, q, dims):
-            key = rep.flat()
-            if key in seen:
+        label_of = self.label_of
+        for mats in matrix_tuples(q, [(dims[t], dims[s]) for s, t in arrows]):
+            if mats in label_of:
                 continue
-            # BFS orbit
-            orbit = {key: rep}
-            frontier = [rep]
-            while frontier:
-                nxt = []
-                for r in frontier:
-                    for vi, g, g_inv in bundles:
-                        r2 = act(quiver, q, vi, g, g_inv, r)
-                        k2 = r2.flat()
-                        if k2 not in orbit:
-                            orbit[k2] = r2
-                            nxt.append(r2)
-                frontier = nxt
-            label = min(orbit)
-            seen.update(orbit)
+            orbit = {mats}
+            todo = [mats]
+            while todo:
+                r = todo.pop()
+                for vi, op in steps:
+                    r2 = act(F, arrows, vi, op, r)
+                    if r2 not in orbit:
+                        orbit.add(r2)
+                        todo.append(r2)
             if g_order % len(orbit):
                 raise ArithmeticError(f"orbit size {len(orbit)} does not divide {g_order}")
+            label = (dims, min(orbit))
             self.classes[label] = {
-                "rep": orbit[label],
+                "rep": QuiverRep(quiver, q, dims, label[1]),
                 "orbit_size": len(orbit),
                 "aut_order": g_order // len(orbit),
             }
             for k in orbit:
-                self.label_of[k] = label
+                label_of[k] = label
 
     def label(self, rep: QuiverRep):
         if rep.dims != self.dims:
             raise ValueError(f"dimension vector {rep.dims} is not {self.dims}")
-        return self.label_of[rep.flat()]
+        return self.label_of[rep.mats]
 
     def aut_order(self, rep: QuiverRep) -> int:
         return self.classes[self.label(rep)]["aut_order"]
@@ -508,58 +556,74 @@ class HallContext:
 
     def exact_sequence_count(self, m: QuiverRep, n: QuiverRep, l: QuiverRep) -> int:
         """P^L_{M,N}: exact sequences 0 -> N -> L -> M -> 0, counted as
-        pairs (injection, surjection) with image = kernel.  Independent
-        of hall_number (enumerates homomorphisms directly)."""
-        injections = [
-            f for f in self._homs(n, l) if self._hom_rank(n, l, f) == sum(n.dims)
-        ]
-        surjections = [
-            g for g in self._homs(l, m) if self._hom_rank(l, m, g) == sum(m.dims)
-        ]
-        count = 0
+        pairs (injection f, surjection g) with im f = ker g.
+
+        Each injection is keyed by its image and each surjection by its
+        kernel: one RREF basis per vertex, from ``rref`` of the columns
+        of f_i and of the ``null_space`` basis of g_i.  The count is
+        sum_U #{f : im f = U} * #{g : ker g = U}.  A pair with g f = 0
+        alone is not counted: that gives only im f inside ker g, so when
+        dim L != dim M + dim N no key matches and the count is 0.
+        Independent of hall_number: no class table, ``subspaces`` or
+        ``residue``.
+        """
         F = field(self.q)
-        for f in injections:
-            for g in surjections:
-                # kernel of g contains image of f iff g . f = 0, and then
-                # equality holds by dimension count
-                ok = True
-                for vi in range(len(self.quiver.vertices)):
-                    comp = mat_mul(F, g[vi], f[vi], cols=n.dims[vi])
-                    if any(any(row) for row in comp):
-                        ok = False
-                        break
-                if ok:
-                    count += 1
+        images = Counter()
+        for f in self._homs(n, l):
+            key = tuple(rref(F, tuple(zip(*fi)))[0] for fi in f)
+            if all(len(basis) == d for basis, d in zip(key, n.dims)):
+                images[key] += 1
+        count = 0
+        for g in self._homs(l, m):
+            key = []
+            for gi, dl, dm in zip(g, l.dims, m.dims):
+                reduced, pivots = rref(F, gi)
+                if len(reduced) != dm:
+                    break
+                key.append(rref(F, null_space(F, reduced, pivots, dl))[0])
+            else:
+                count += images[tuple(key)]
         return count
 
     def _homs(self, a: QuiverRep, b: QuiverRep):
-        """All morphisms a -> b: tuples of d_i(b) x d_i(a) matrices
-        commuting with the arrow matrices."""
-        quiver, q = self.quiver, self.q
-        F = field(q)
-        out = []
-        for fs in matrix_tuples(q, list(zip(b.dims, a.dims))):
-            ok = True
-            for idx, (si, ti) in enumerate(quiver.arrow_index):
-                lhs = mat_mul(F, b.mats[idx], fs[si], cols=a.dims[si])
-                rhs = mat_mul(F, fs[ti], a.mats[idx], cols=a.dims[si])
-                if lhs != rhs:
-                    ok = False
-                    break
-            if ok:
-                out.append(fs)
-        return out
+        """All morphisms a -> b: tuples of d_i(b) x d_i(a) matrices f_i
+        with b_x f_s = f_t a_x for every arrow x : s -> t.
 
-    def _hom_rank(self, a: QuiverRep, b: QuiverRep, f) -> int:
+        The equations are linear in the entries of the f_i, entry (r, c)
+        of f_i being unknown offsets[i] + r d_i(a) + c; the morphisms are
+        the q^{dim Hom} combinations of a basis of their null space."""
         F = field(self.q)
-        total = 0
-        for vi in range(len(self.quiver.vertices)):
-            rows = [
-                tuple(f[vi][r][c] for r in range(b.dims[vi]))
-                for c in range(a.dims[vi])
+        ADD, MUL, NEG = F.ADD, F.MUL, F.NEG
+        offsets, n = [], 0
+        for da, db in zip(a.dims, b.dims):
+            offsets.append(n)
+            n += da * db
+        rows = []
+        for (s, t), ma, mb in zip(self.quiver.arrow_index, a.mats, b.mats):
+            for r in range(b.dims[t]):
+                for c in range(a.dims[s]):
+                    # entry (r, c) of b_x f_s - f_t a_x
+                    row = [0] * n
+                    for k in range(b.dims[s]):
+                        x = offsets[s] + k * a.dims[s] + c
+                        row[x] = ADD[row[x]][mb[r][k]]
+                    for k in range(a.dims[t]):
+                        x = offsets[t] + r * a.dims[t] + k
+                        row[x] = ADD[row[x]][NEG[ma[k][c]]]
+                    rows.append(row)
+        vectors = [(0,) * n]
+        for v in null_space(F, *rref(F, rows), n):
+            multiples = [tuple(MUL[c][e] for e in v) for c in F.elements]
+            vectors = [
+                tuple(ADD[x][y] for x, y in zip(u, w)) for u in vectors for w in multiples
             ]
-            total += len(rref(F, rows)[0]) if rows else 0
-        return total
+        return [
+            tuple(
+                tuple(x[o + r * da : o + (r + 1) * da] for r in range(db))
+                for o, da, db in zip(offsets, a.dims, b.dims)
+            )
+            for x in vectors
+        ]
 
     # -- products ------------------------------------------------------
 

@@ -326,7 +326,8 @@ MAX_GRAM_N = 3
 def frobenius_gram_matrix(n: int):
     """The t'-Gram matrix on the basis {Schubert_u * T_w : u, w in S_n},
     n <= 3, evaluated at X_k = k + 1 after the degree checks of
-    `frobenius_gram_determinant`."""
+    `frobenius_gram_determinant`, and checked to be symmetric, as
+    t'(ab) = t'(ba) makes it; an asymmetric entry raises ArithmeticError."""
     from .polyring import schubert_basis_element
 
     if n > MAX_GRAM_N:
@@ -357,6 +358,13 @@ def frobenius_gram_matrix(n: int):
                     f"Gram entry ({i}, {j}) has x-degrees {sorted(xdegs)}"
                 )
         mat.append([p.evaluate(point) for p in entries])
+    for i in range(len(mat)):
+        for j in range(i):
+            if mat[i][j] != mat[j][i]:
+                raise ArithmeticError(
+                    f"Gram entry ({i}, {j}) is {mat[i][j]} but ({j}, {i}) is "
+                    f"{mat[j][i]}: t'(ab) = t'(ba) fails"
+                )
     return mat
 
 
@@ -367,7 +375,8 @@ def frobenius_gram_determinant(n: int):
     Each basis element is homogeneous of a single degree d_i, the
     degrees sum to zero, and every nonzero Gram entry is homogeneous of
     x-degree (d_i + d_j)/2; these facts are checked and a violation
-    raises ArithmeticError.  The determinant is then homogeneous of
+    raises ArithmeticError, as does an evaluated matrix that is not
+    symmetric.  The determinant is then homogeneous of
     degree zero, hence a constant, so a single integer evaluation
     computes it.  A value of +-1 certifies that the symmetrizing form is
     nondegenerate with unit discriminant.

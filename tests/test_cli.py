@@ -246,6 +246,8 @@ STDOUT_SHA256 = {
         "69ca21c6c1bd13df9a9781c77044b7ab236120bd98c49c288f1d25710b4115b3",
     "verify hall --q 2":
         "90961b699ff6453ee4d5dafd7d33af14a8ef64d329692db677e4024082edbab6",
+    "verify hall --q 5":
+        "bad26a77d3e2af6d49dfaf26b6d2de6b75cb5d67a9880487ce352da0ad27aa1b",
     "verify fock --p 3 --max-size 8":
         "4a61c5f3e7f2ee59070872cf105cc53a89992865ba8f696f9acc79d85117c14c",
     "verify pbw --quiver a3 --n 3":

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from quiverhecke.fock import (
     FockVector,
@@ -155,3 +159,39 @@ def test_affine_cartan_is_the_cyclic_quivers():
         )
         assert affine_cartan(p) == expected
     assert affine_cartan(1) == ((0,),)
+
+
+def test_malformed_partition_raises_under_optimize():
+    # `python -O` strips asserts; each malformed partition must still raise
+    code = (
+        "import sys\n"
+        "from quiverhecke.fock import FockVector, check_partition, transpose\n"
+        "cases = [\n"
+        "    lambda: check_partition((2, 0)),\n"
+        "    lambda: check_partition((3, -1)),\n"
+        "    lambda: check_partition((2.0, 1)),\n"
+        "    lambda: check_partition(('2',)),\n"
+        "    lambda: check_partition((1, 2)),\n"
+        "    lambda: check_partition((3, 1, 2)),\n"
+        "    lambda: transpose((1, 3)),\n"
+        "    lambda: FockVector.basis((0,)),\n"
+        "    lambda: FockVector({(2, 1): 1, (1, 2): 1}),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "        print('accepted')\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+        "print(check_partition([3, 3, 1]), check_partition(()))\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised"] * 9 + ["(3,", "3,", "1)", "()", "1"]

@@ -11,7 +11,9 @@ from quiverhecke.hall import (
     ClassTable,
     HallContext,
     a2_quiver,
+    act,
     direct_sum,
+    elementary_op,
     field,
     gaussian_binomial,
     gl_generators,
@@ -178,7 +180,7 @@ def test_malformed_input_raises_under_optimize():
         "import sys\n"
         "from quiverhecke.hall import (\n"
         "    ClassTable, HallContext, QuiverRep, a2_quiver, direct_sum,\n"
-        "    jordan_quiver, simple_rep,\n"
+        "    field, jordan_quiver, mat_mul, simple_rep,\n"
         ")\n"
         "a2 = a2_quiver()\n"
         "s1 = simple_rep(a2, 2, 1)\n"
@@ -192,6 +194,8 @@ def test_malformed_input_raises_under_optimize():
         "    lambda: direct_sum(s1, QuiverRep(jordan_quiver(), 2, (1,), (((0,),),))),\n"
         "    lambda: ClassTable(a2, 2, (1, 0)).label(simple_rep(a2, 2, 2)),\n"
         "    lambda: HallContext(jordan_quiver(), 2).euler_form((1,), (1,)),\n"
+        "    lambda: mat_mul(field(2), ((1, 0),), ((1,),)),\n"
+        "    lambda: mat_mul(field(3), ((1,), (1, 2)), ((1, 1), (0, 1))),\n"
         "]\n"
         "for case in cases:\n"
         "    try:\n"
@@ -209,7 +213,7 @@ def test_malformed_input_raises_under_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["raised"] * 9 + ["1"]
+    assert res.stdout.split() == ["raised"] * 11 + ["1"]
 
 
 def test_residue_decides_rowspace_membership():
@@ -490,3 +494,214 @@ def test_reduce_v2_equals_q():
     el = Laurent({-1: 2, 1: -1})
     assert reduce_v2_equals_q(el, 2).is_zero()
     assert not reduce_v2_equals_q(el, 3).is_zero()
+
+
+# -- orbit steps, Hom spaces and exact sequences against the matrix forms --
+
+
+def _random_mats(rng, q, shapes):
+    return tuple(
+        tuple(tuple(rng.randrange(q) for _ in range(c)) for _ in range(r))
+        for r, c in shapes
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_orbit_step_matches_matrix_products(q):
+    # vertex 2 has an arrow in, an arrow out and a loop; the step is
+    # g m into it, m g^{-1} out of it, both on the loop
+    F = field(q)
+    quiver = QuiverData((1, 2, 3), {(1, 2): 1, (2, 3): 1, (2, 2): 1})
+    arrows = quiver.arrow_index
+    rng = random.Random(q)
+    for d in (1, 2, 3):
+        for outer in (0, 2):
+            dims = (outer, d, 3 - outer)
+            shapes = [(dims[t], dims[s]) for s, t in arrows]
+            for g in gl_generators(q, d):
+                g_inv = mat_inverse(F, g)
+                for _ in range(3):
+                    mats = _random_mats(rng, q, shapes)
+                    expected = []
+                    for (s, t), m in zip(arrows, mats):
+                        if t == 1:
+                            m = mat_mul(F, g, m, cols=dims[s])
+                        if s == 1:
+                            m = mat_mul(F, m, g_inv)
+                        expected.append(m)
+                    assert act(F, arrows, 1, elementary_op(g), mats) == tuple(expected)
+
+
+def _reference_classes(quiver, q, dims):
+    """The orbit BFS on QuiverReps with two matrix products per step:
+    label of every matrix tuple, and (orbit size, |Aut|) per label."""
+    F = field(q)
+    bundles = [
+        (vi, g, mat_inverse(F, g)) for vi, d in enumerate(dims) for g in gl_generators(q, d)
+    ]
+    order = group_order(quiver, q, dims)
+    shapes = [(dims[t], dims[s]) for s, t in quiver.arrow_index]
+    label_of, classes = {}, {}
+    for mats in matrix_tuples(q, shapes):
+        rep = QuiverRep(quiver, q, dims, mats)
+        if rep.flat() in label_of:
+            continue
+        orbit = {rep.flat()}
+        frontier = [rep]
+        while frontier:
+            nxt = []
+            for r in frontier:
+                for vi, g, g_inv in bundles:
+                    out = []
+                    for (s, t), m in zip(quiver.arrow_index, r.mats):
+                        if t == vi:
+                            m = mat_mul(F, g, m, cols=dims[s])
+                        if s == vi:
+                            m = mat_mul(F, m, g_inv)
+                        out.append(m)
+                    r2 = QuiverRep(quiver, q, dims, out)
+                    if r2.flat() not in orbit:
+                        orbit.add(r2.flat())
+                        nxt.append(r2)
+            frontier = nxt
+        label = min(orbit)
+        classes[label] = (len(orbit), order // len(orbit))
+        label_of.update(dict.fromkeys(orbit, label))
+    return label_of, classes
+
+
+KRONECKER = QuiverData((1, 2), {(1, 2): 2})
+A3_SINK = QuiverData((1, 2, 3), {(1, 2): 1, (3, 2): 1})
+CLASS_CASES = (
+    [("a2", a2_quiver(), 2, d) for d in itertools.product(range(4), repeat=2)]
+    + [("a2", a2_quiver(), 3, d) for d in itertools.product(range(4), range(3))]
+    + [("jordan", jordan_quiver(), q, (d,)) for q in (2, 3) for d in (1, 2)]
+    + [("jordan", jordan_quiver(), 2, (3,))]
+    + [("kronecker", KRONECKER, q, d) for q, d in ((2, (1, 2)), (2, (2, 1)), (3, (1, 2)))]
+    + [("a3-sink", A3_SINK, q, d) for q, d in ((2, (1, 2, 1)), (2, (1, 1, 1)), (3, (1, 1, 1)))]
+)
+
+
+@pytest.mark.parametrize(
+    "quiver, q, dims",
+    [case[1:] for case in CLASS_CASES],
+    ids=[f"{name}-q{q}-{','.join(map(str, d))}" for name, _, q, d in CLASS_CASES],
+)
+def test_classes_match_quiverrep_bfs(quiver, q, dims):
+    label_of, classes = _reference_classes(quiver, q, dims)
+    table = ClassTable(quiver, q, dims)
+    assert {(dims, mats): label for mats, label in table.label_of.items()} == label_of
+    assert {
+        label: (info["orbit_size"], info["aut_order"])
+        for label, info in table.classes.items()
+    } == classes
+    assert all(info["rep"].flat() == label for label, info in table.classes.items())
+
+
+def _reference_homs(quiver, q, a, b):
+    """All matrix tuples f with b_x f_s = f_t a_x, by enumeration."""
+    F = field(q)
+    out = set()
+    for fs in matrix_tuples(q, list(zip(b.dims, a.dims))):
+        if all(
+            mat_mul(F, b.mats[k], fs[s], cols=a.dims[s])
+            == mat_mul(F, fs[t], a.mats[k], cols=a.dims[s])
+            for k, (s, t) in enumerate(quiver.arrow_index)
+        ):
+            out.add(fs)
+    return out
+
+
+def _rank(F, f, a_dims, b_dims):
+    return sum(
+        len(rref(F, [tuple(fi[r][c] for r in range(db)) for c in range(da)])[0])
+        for fi, da, db in zip(f, a_dims, b_dims)
+    )
+
+
+def _pair_loop_count(ctx, m, n, l):
+    """Pairs (injection f, surjection g) with g f = 0: the exact
+    sequences when dim L = dim M + dim N."""
+    F = field(ctx.q)
+    inj = [f for f in ctx._homs(n, l) if _rank(F, f, n.dims, l.dims) == sum(n.dims)]
+    surj = [g for g in ctx._homs(l, m) if _rank(F, g, l.dims, m.dims) == sum(m.dims)]
+    return sum(
+        all(
+            not any(map(any, mat_mul(F, gi, fi, cols=d)))
+            for gi, fi, d in zip(g, f, n.dims)
+        )
+        for f in inj
+        for g in surj
+    )
+
+
+SUITE_DIM_PAIRS = [
+    ((1, 0), (1, 0)),
+    ((1, 0), (0, 1)),
+    ((0, 1), (1, 0)),
+    ((1, 1), (1, 0)),
+    ((1, 0), (1, 1)),
+    ((1, 1), (1, 1)),
+    ((2, 1), (0, 1)),
+    ((1, 2), (1, 0)),
+]
+
+
+def _triples(ctx, dim_pairs):
+    for dm, dn in dim_pairs:
+        dl = tuple(a + b for a, b in zip(dm, dn))
+        for m in ctx.table(dm).representatives():
+            for n in ctx.table(dn).representatives():
+                for l in ctx.table(dl).representatives():
+                    yield m, n, l
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_homs_and_exact_sequences_match_enumeration(q):
+    # Hom spaces against every matrix tuple, and the image/kernel match
+    # against the g f = 0 pair loop, on every triple of the a2 suites
+    ctx = HallContext(a2_quiver(), q)
+    homs = {}
+
+    def check_homs(a, b):
+        key = (a.flat(), b.flat())
+        if key not in homs:
+            got = ctx._homs(a, b)
+            assert len(got) == len(set(got))
+            assert set(got) == _reference_homs(ctx.quiver, q, a, b), (a, b)
+            homs[key] = len(got)
+        return homs[key]
+
+    for m, n, l in _triples(ctx, SUITE_DIM_PAIRS):
+        check_homs(n, l)
+        check_homs(l, m)
+        assert ctx.exact_sequence_count(m, n, l) == _pair_loop_count(ctx, m, n, l)
+
+
+@pytest.mark.parametrize("quiver", [A3_SINK, KRONECKER], ids=["a3-sink", "kronecker"])
+def test_homs_and_exact_sequences_match_enumeration_several_arrows(quiver):
+    ctx = HallContext(quiver, 2)
+    nv = len(quiver.vertices)
+    dims = [d for d in itertools.product(range(2), repeat=nv) if any(d)]
+    for m, n, l in _triples(ctx, itertools.product(dims, repeat=2)):
+        for a, b in ((n, l), (l, m)):
+            assert set(ctx._homs(a, b)) == _reference_homs(quiver, 2, a, b), (a, b)
+        assert ctx.exact_sequence_count(m, n, l) == _pair_loop_count(ctx, m, n, l)
+
+
+def test_no_exact_sequence_unless_dimensions_add():
+    # 0 -> S1 -> S1^3 -> S1 -> 0 does not exist; g f = 0 holds for 21
+    # injection/surjection pairs, but im f is a line and ker g a plane
+    q = 2
+    quiver = a2_quiver()
+    ctx = HallContext(quiver, q)
+    s1 = simple_rep(quiver, q, 1)
+    s1_cubed = direct_sum(direct_sum(s1, s1), s1)
+    assert ctx.exact_sequence_count(s1, s1, s1_cubed) == 0
+    assert ctx.hall_number(s1, s1, s1_cubed) == 0
+    assert _pair_loop_count(ctx, s1, s1, s1_cubed) == 21
+    dims = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
+    reps = [r for d in dims for r in ctx.table(d).representatives()]
+    for m, n, l in itertools.product(reps, repeat=3):
+        if tuple(a + b for a, b in zip(m.dims, n.dims)) != l.dims:
+            assert ctx.exact_sequence_count(m, n, l) == 0, (m, n, l)

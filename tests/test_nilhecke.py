@@ -406,6 +406,34 @@ def test_gram_entries_of_sums_match_full_products():
                 assert entry == full_product_tprime(a * b, g0)
 
 
+def test_gram_matrix_refuses_products_on_the_wrong_side(monkeypatch):
+    # R_w(b) read off b T_w instead of T_w b keeps every degree and a unit
+    # determinant, but breaks t'(ab) = t'(ba) at n = 3
+    from quiverhecke import nilhecke
+
+    def wrong_side(elements):
+        indices = {w for a in elements for w in a.terms}
+        columns = [
+            {
+                w: nilhecke._pair(b * NilHeckeElement.t_perm(w, b.params),
+                                  _tprime_kernel(b.n, b.params))
+                for w in indices
+            }
+            for b in elements
+        ]
+        for a in elements:
+            yield [
+                nilhecke._pair(a, r).demazure_perm(Permutation.longest(a.n))
+                for r in columns
+            ]
+
+    monkeypatch.setattr(nilhecke, "gram_matrix_tprime", wrong_side)
+    with pytest.raises(ArithmeticError, match=r"Gram entry \(\d+, \d+\)"):
+        frobenius_gram_matrix(3)
+    with pytest.raises(ArithmeticError, match=r"t'\(ab\) = t'\(ba\)"):
+        frobenius_gram_determinant(3)
+
+
 def test_gram_matrix_refuses_n_above_three_at_once():
     start = time.perf_counter()
     for build in (frobenius_gram_determinant, frobenius_gram_matrix):
