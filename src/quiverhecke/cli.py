@@ -35,6 +35,7 @@ import time
 
 from . import __version__
 from .coxeter import Permutation, poincare_polynomial, poincare_product_form
+from .linalg import bump
 from .polyring import (
     MPoly,
     elementary_symmetric,
@@ -237,8 +238,8 @@ def suite_klr_relations(cfg, rng):
         out = {}
         for mod in mods:
             for u, q in mod.items():
-                out[u] = out.get(u, zero) + q
-        return {u: q for u, q in out.items() if not q.is_zero()}
+                bump(out, u, q)
+        return out
 
     # tau_i as the one element sum_v tau_i 1_v, applied to whole modules
     taus = {
@@ -538,11 +539,12 @@ def compute_poincare(cfg):
     if cfg["n"] < 0:
         raise ValueError(f"--n must be at least 0, got {cfg['n']}")
     poly = poincare_product_form(cfg["n"])
-    assert poly == poincare_polynomial(cfg["n"])
+    if poly != poincare_polynomial(cfg["n"]):
+        raise ArithmeticError("the product form of the Poincare polynomial is wrong")
     return {
         "n": cfg["n"],
         "coefficients": {
-            str(k): poly.coeffs[k] for k in sorted(poly.coeffs)
+            str(k): poly.terms[k] for k in sorted(poly.terms)
         },
     }
 

@@ -336,7 +336,7 @@ def verify_rank(n: int, i: int, rng=None, points: int = 3, ranks=None) -> int:
 
 def _laurent_inverted_square(p: Laurent) -> Laurent:
     """Substitute q -> v^{-2} in a polynomial with integer powers."""
-    return Laurent({-2 * k: c for k, c in p.coeffs.items()})
+    return Laurent({-2 * k: c for k, c in p.terms.items()})
 
 
 def _quantum_integer(k: int) -> Laurent:

@@ -19,6 +19,7 @@ import itertools
 import operator
 
 from .klr import cyclic_quiver
+from .linalg import Combination, bump
 
 
 def check_partition(parts) -> tuple:
@@ -112,87 +113,60 @@ def residue_content(parts, p: int) -> tuple:
     return tuple(counts)
 
 
-class FockVector:
+class FockVector(Combination):
     """Finite Z-linear combination of partitions."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms",)
 
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for parts, c in coeffs.items():
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for parts, c in terms.items():
                 if c != 0:
-                    self.coeffs[check_partition(parts)] = c
+                    self.terms[check_partition(parts)] = c
+
+    def _like(self, terms) -> "FockVector":
+        v = FockVector()
+        v.terms = terms
+        return v
 
     @staticmethod
     def basis(parts) -> "FockVector":
         return FockVector({check_partition(parts): 1})
 
-    @staticmethod
-    def zero() -> "FockVector":
-        return FockVector()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FockVector) and self.coeffs == other.coeffs
-
-    def __add__(self, other) -> "FockVector":
-        out = dict(self.coeffs)
-        for parts, c in other.coeffs.items():
-            s = out.get(parts, 0) + c
-            if s == 0:
-                out.pop(parts, None)
-            else:
-                out[parts] = s
-        v = FockVector()
-        v.coeffs = out
-        return v
-
-    def __neg__(self) -> "FockVector":
-        return FockVector({parts: -c for parts, c in self.coeffs.items()})
-
-    def __sub__(self, other) -> "FockVector":
-        return self + (-other)
-
-    def scale(self, c) -> "FockVector":
-        return FockVector({parts: c * a for parts, a in self.coeffs.items()})
-
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
-        items = sorted(self.coeffs.items())
+        items = sorted(self.terms.items())
         return " + ".join(f"{c}*{list(p)}" for p, c in items)
 
 
 def f_op(i: int, p: int, v: FockVector) -> FockVector:
     """Add one box of residue i in all possible ways."""
-    out = FockVector.zero()
-    for parts, c in v.coeffs.items():
+    out = {}
+    for parts, c in v.terms.items():
         for r, _, res in addable_boxes(parts, p):
             if res == i % p:
-                out = out + FockVector({add_box(parts, r): c})
-    return out
+                bump(out, add_box(parts, r), c)
+    return v._like(out)
 
 
 def e_op(i: int, p: int, v: FockVector) -> FockVector:
     """Remove one box of residue i in all possible ways."""
-    out = FockVector.zero()
-    for parts, c in v.coeffs.items():
+    out = {}
+    for parts, c in v.terms.items():
         for r, _, res in removable_boxes(parts, p):
             if res == i % p:
-                out = out + FockVector({remove_box(parts, r): c})
-    return out
+                bump(out, remove_box(parts, r), c)
+    return v._like(out)
 
 
 def d_op(p: int, v: FockVector) -> FockVector:
     """d(lambda) = N_0(lambda) * lambda, N_0 = number of residue-0 boxes."""
-    out = FockVector.zero()
-    for parts, c in v.coeffs.items():
-        n0 = residue_content(parts, p)[0]
-        out = out + FockVector({parts: c * n0})
-    return out
+    out = {}
+    for parts, c in v.terms.items():
+        bump(out, parts, c * residue_content(parts, p)[0])
+    return v._like(out)
 
 
 def affine_cartan(p: int):
@@ -226,6 +200,6 @@ def operator_matrix(op_letter: str, i: int, p: int, size: int):
     for jc, parts in enumerate(cols):
         v = FockVector.basis(parts)
         image = f_op(i, p, v) if op_letter == "f" else e_op(i, p, v)
-        for out_parts, c in image.coeffs.items():
+        for out_parts, c in image.terms.items():
             mat[rows.index(out_parts)][jc] = c
     return rows, cols, mat

@@ -43,6 +43,7 @@ from functools import lru_cache
 
 from .klr import QuiverData, linear_quiver
 from .laurent import Laurent
+from .linalg import Combination, bump
 
 
 # -- finite fields -------------------------------------------------------
@@ -243,7 +244,8 @@ def gl_order(q: int, n: int) -> int:
 
 
 def gl_generators(q: int, n: int):
-    """A generating set of GL_n(q): one diagonal and the elementary
+    """A generating set of GL_n(q): one diagonal, unless it is the
+    identity (q = 2, where GF(2)^* is trivial), and the elementary
     transvections.  The group is finite, so products of the generators
     alone (no inverses) reach every element."""
     F = field(q)
@@ -251,9 +253,10 @@ def gl_generators(q: int, n: int):
     if n == 0:
         return []
     g = F.multiplicative_generator()
-    d = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d[0][0] = g
-    gens.append(tuple(tuple(r) for r in d))
+    if g != 1:
+        d = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        d[0][0] = g
+        gens.append(tuple(tuple(r) for r in d))
     for i in range(n):
         for j in range(n):
             if i != j:
@@ -265,13 +268,12 @@ def gl_generators(q: int, n: int):
 
 def elementary_op(g):
     """The generator g of ``gl_generators`` as the triple (i, j, c) with
-    g = I + (c - 1) E_ii when i == j and g = I + c E_ij otherwise; the
-    identity (the diagonal generator at q = 2) is (0, 0, 1)."""
+    g = I + (c - 1) E_ii when i == j and g = I + c E_ij otherwise."""
     n = len(g)
     for i, j in itertools.permutations(range(n), 2):
         if g[i][j]:
             return (i, j, g[i][j])
-    i = next((i for i in range(n) if g[i][i] != 1), 0)
+    i = next(i for i in range(n) if g[i][i] != 1)
     return (i, i, g[i][i])
 
 
@@ -638,12 +640,12 @@ class HallContext:
     def product(self, m: QuiverRep, n: QuiverRep, twisted=False) -> "HallElement":
         dims = tuple(a + b for a, b in zip(m.dims, n.dims))
         table = self.table(dims)
-        coeffs = {}
+        terms = {}
         for l in table.representatives():
             c = self.hall_number(m, n, l)
             if c:
-                coeffs[(dims, self.label(l))] = Laurent.const(c)
-        out = HallElement(self, coeffs)
+                terms[(dims, self.label(l))] = Laurent.const(c)
+        out = HallElement(self, terms)
         if twisted:
             out = out.scale(Laurent.gen(self.euler_form(m.dims, n.dims)))
         return out
@@ -673,62 +675,45 @@ class HallContext:
         return total
 
 
-class HallElement:
+class HallElement(Combination):
     """Z[v, v^{-1}]-linear combination of classes, keyed (dims, label)."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: HallContext, coeffs=None):
+    def __init__(self, ctx: HallContext, terms=None):
         self.ctx = ctx
-        self.coeffs = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if not (isinstance(c, Laurent) and c.is_zero()) and c != 0:
-                    self.coeffs[key] = c if isinstance(c, Laurent) else Laurent.const(c)
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            if c:
+                self.terms[key] = c if isinstance(c, Laurent) else Laurent.const(c)
 
-    def is_zero(self):
-        return not self.coeffs
+    def _like(self, terms) -> "HallElement":
+        el = HallElement(self.ctx)
+        el.terms = terms
+        return el
 
-    def __eq__(self, other):
-        return isinstance(other, HallElement) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, Laurent.zero()) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return HallElement(self.ctx, out)
-
-    def __neg__(self):
-        return HallElement(self.ctx, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not isinstance(c, Laurent):
-            c = Laurent.const(c)
-        return HallElement(self.ctx, {k: c * a for k, a in self.coeffs.items()})
+    def _check(self, other):
+        if other.ctx is not self.ctx:
+            raise ValueError("operands in different Hall contexts")
 
     def mul(self, other: "HallElement", twisted=False) -> "HallElement":
-        out = HallElement(self.ctx)
-        for (dm, lm), cm in self.coeffs.items():
+        self._check(other)
+        out = {}
+        for (dm, lm), cm in self.terms.items():
             m = self.ctx.rep_of_key((dm, lm))
-            for (dn, ln), cn in other.coeffs.items():
+            for (dn, ln), cn in other.terms.items():
                 n = self.ctx.rep_of_key((dn, ln))
-                prod = self.ctx.product(m, n, twisted=twisted)
-                out = out + prod.scale(cm * cn)
-        return out
+                c = cm * cn
+                for key, a in self.ctx.product(m, n, twisted=twisted).terms.items():
+                    bump(out, key, c * a)
+        return self._like(out)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for key in sorted(self.coeffs):
-            parts.append(f"({self.coeffs[key].str_in('v')}) [{key[0]}:{key[1][1]}]")
+        for key in sorted(self.terms):
+            parts.append(f"({self.terms[key].str_in('v')}) [{key[0]}:{key[1][1]}]")
         return " + ".join(parts)
 
 
@@ -753,13 +738,13 @@ def reduce_v2_equals_q(el: Laurent, q: int) -> Laurent:
     """Reduce a Laurent polynomial in v modulo v^2 = q: the result has
     only powers 0 and 1 of v, with Fraction coefficients (v^{-1} = v/q)."""
     out = {0: Fraction(0), 1: Fraction(0)}
-    for e, c in el.coeffs.items():
+    for e, c in el.terms.items():
         out[e % 2] += Fraction(c) * Fraction(q) ** (e // 2)
     return Laurent(out)
 
 
 def element_is_zero_at_v2q(el: HallElement, q: int) -> bool:
-    return all(reduce_v2_equals_q(c, q).is_zero() for c in el.coeffs.values())
+    return all(reduce_v2_equals_q(c, q).is_zero() for c in el.terms.values())
 
 
 def serre_relation_check(ctx: HallContext, i, j) -> HallElement:

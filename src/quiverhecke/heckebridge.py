@@ -74,7 +74,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .klr import QuiverData, _bump
+from .klr import QuiverData
+from .linalg import bump
 from .polyring import demazure_exponents, exponent_tuples
 
 
@@ -97,11 +98,7 @@ def _pmul(a: dict, b: dict) -> dict:
 def _padd(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
+        bump(out, e, c)
     return out
 
 
@@ -260,11 +257,7 @@ class HeckeBridge:
         assert sum(exps) < self.cutoff
         return {(v, exps): self.one if coeff is None else coeff}
 
-    def add_el(self, a, b):
-        out = dict(a)
-        for key, c in b.items():
-            _bump(out, key, c)
-        return out
+    add_el = staticmethod(_padd)
 
     def scale_el(self, a, c):
         return {key: val * c for key, val in a.items()}
@@ -311,7 +304,7 @@ class HeckeBridge:
             for (v, exps), c in el.items():
                 e2 = tuple(a + b for a, b in zip(exps, shift))
                 if sum(e2) < cutoff:
-                    _bump(out, (v, e2), c * coeff)
+                    bump(out, (v, e2), c * coeff)
 
     def demazure(self, i: int, el):
         """Componentwise divided difference (P - s_i P)/(x_{i+1}-x_i)."""
@@ -320,7 +313,7 @@ class HeckeBridge:
             sign, monomials = demazure_exponents(exps, i)
             term = c if sign > 0 else -c
             for e2 in monomials:
-                _bump(out, (v, e2), term)
+                bump(out, (v, e2), term)
         return out
 
     def swap(self, i: int, el):
@@ -364,9 +357,9 @@ class HeckeBridge:
                 for s2, c2 in lin:
                     e = tuple(a + b for a, b in zip(shift, s2))
                     if sum(e) < self.cutoff:
-                        _bump(nxt, e, -(coeff * c2 * cinv))
+                        bump(nxt, e, -(coeff * c2 * cinv))
             for e, c in nxt.items():
-                _bump(out, e, c)
+                bump(out, e, c)
             layer = nxt
         return list(out.items())
 
@@ -377,7 +370,7 @@ class HeckeBridge:
             for s2, c2 in b:
                 e = tuple(p + q for p, q in zip(s1, s2))
                 if sum(e) < self.cutoff:
-                    _bump(out, e, c1 * c2)
+                    bump(out, e, c1 * c2)
         return list(out.items())
 
     # -- the X action ------------------------------------------------------
@@ -387,7 +380,7 @@ class HeckeBridge:
         assert 1 <= j <= self.n
         out = self.mul_term(el, self.x_shift(j), self.one)
         for key, c in el.items():
-            _bump(out, key, c * self.vertex_scalars[key[0][j - 1]])
+            bump(out, key, c * self.vertex_scalars[key[0][j - 1]])
         return out
 
     # -- the Hecke generators ----------------------------------------------
@@ -437,7 +430,7 @@ class HeckeBridge:
                 self._add_product(
                     out, self.demazure(i, comp), self._n_terms(i, a, a)
                 )
-                _bump(out, key, c * self.alpha)
+                bump(out, key, c * self.alpha)
             else:
                 source, target = self._mults(i, v[i - 1], v[i])
                 self._add_product(out, comp, source)
@@ -510,7 +503,7 @@ class _CachedOp:
                 layers = self.cols[key] = self._column(key)
             for layer in layers[:bound]:
                 for k2, c2 in layer:
-                    _bump(out, k2, c * c2)
+                    bump(out, k2, c * c2)
         return out
 
 

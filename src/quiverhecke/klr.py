@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .coxeter import Permutation, segments_of_canonical_word
 from .laurent import Laurent
-from .linalg import Echelon
+from .linalg import Combination, Echelon, bump
 from .polyring import (
     MPoly,
     demazure_exponents,
@@ -306,16 +306,6 @@ def _push_x(j: int, word, v):
     return out
 
 
-def _bump(out, key, val):
-    """out[key] += val, dropping the entry when the sum is zero."""
-    if key in out:
-        val = out[key] + val
-    if val:
-        out[key] = val
-    else:
-        out.pop(key, None)
-
-
 def _lmul_x(ctx: KLRContext, j: int, el: "KLRElement") -> "KLRElement":
     out = {}
     for (v, w, a), c in el.terms.items():
@@ -323,12 +313,12 @@ def _lmul_x(ctx: KLRContext, j: int, el: "KLRElement") -> "KLRElement":
             if jn is not None:
                 b = list(a)
                 b[jn - 1] += 1
-                _bump(out, (v, w, tuple(b)), sign * c)
+                bump(out, (v, w, tuple(b)), sign * c)
             else:
                 sub = _word_to_element(ctx, letters, v)
                 for (v2, w2, b2), c2 in sub.terms.items():
                     b = tuple(p + q for p, q in zip(b2, a))
-                    _bump(out, (v2, w2, b), sign * c * c2)
+                    bump(out, (v2, w2, b), sign * c * c2)
     return KLRElement(ctx, out)
 
 
@@ -342,7 +332,7 @@ def _lmul_monomial(ctx: KLRContext, exps, el: "KLRElement") -> "KLRElement":
         out = {}
         for (v, w, a), c in cur.terms.items():
             b = a[: ctx.n] + tuple(p + q for p, q in zip(a[ctx.n:], tail))
-            _bump(out, (v, w, b), c)
+            bump(out, (v, w, b), c)
         cur = KLRElement(ctx, out)
     return cur
 
@@ -353,7 +343,7 @@ def _lmul_poly(ctx: KLRContext, p: MPoly, el: "KLRElement") -> "KLRElement":
     for exps, coeff in p.terms.items():
         piece = _lmul_monomial(ctx, exps, el)
         for key, c in piece.terms.items():
-            _bump(out, key, coeff * c)
+            bump(out, key, coeff * c)
     return KLRElement(ctx, out)
 
 
@@ -363,7 +353,7 @@ def _lmul_tau(ctx: KLRContext, i: int, el: "KLRElement") -> "KLRElement":
         sub = _tau_times_word(ctx, i, w.canonical_word(), v, ctx.n)
         for (v2, w2, b2), c2 in sub.terms.items():
             b = tuple(p + q for p, q in zip(b2, a))
-            _bump(out, (v2, w2, b), c * c2)
+            bump(out, (v2, w2, b), c * c2)
     return KLRElement(ctx, out)
 
 
@@ -450,14 +440,14 @@ def _prepend_segment(ctx: KLRContext, seg, el: "KLRElement") -> "KLRElement":
     seg_perm = Permutation.from_word(tuple(seg), ctx.n)
     out = {}
     for (v, w, a), c in el.terms.items():
-        _bump(out, (v, seg_perm * w, a), c)
+        bump(out, (v, seg_perm * w, a), c)
     return KLRElement(ctx, out)
 
 
 # -- elements ------------------------------------------------------------
 
 
-class KLRElement:
+class KLRElement(Combination):
     """Integer combination of PBW words (v, w, exponents)."""
 
     __slots__ = ("ctx", "terms")
@@ -514,38 +504,19 @@ class KLRElement:
             exps = exps + (0,) * len(ctx.params)
         return KLRElement(ctx, {(v, w, exps): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KLRElement)
-            and self.ctx is other.ctx
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other) -> "KLRElement":
-        assert self.ctx is other.ctx
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _bump(out, key, c)
+    def _like(self, terms) -> "KLRElement":
         el = KLRElement(self.ctx)
-        el.terms = out
+        el.terms = terms
         return el
 
-    def __neg__(self) -> "KLRElement":
-        return self.scale(-1)
-
-    def __sub__(self, other) -> "KLRElement":
-        return self + (-other)
-
-    def scale(self, c) -> "KLRElement":
-        return KLRElement(
-            self.ctx, {key: c * a for key, a in self.terms.items()}
-        )
+    def _check(self, other):
+        if other.ctx is not self.ctx:
+            raise ValueError("operands in different KLR contexts")
 
     def __mul__(self, other) -> "KLRElement":
-        assert isinstance(other, KLRElement) and self.ctx is other.ctx
+        if not isinstance(other, KLRElement):
+            return NotImplemented
+        self._check(other)
         ctx = self.ctx
         out = {}
         for (v1, w1, a1), c1 in self.terms.items():
@@ -558,8 +529,8 @@ class KLRElement:
                 for l in reversed(word1):
                     cur = _lmul_tau(ctx, l, cur)
                 for key, c in cur.terms.items():
-                    _bump(out, key, c1 * c2 * c)
-        return KLRElement(ctx, out)
+                    bump(out, key, c1 * c2 * c)
+        return self._like(out)
 
     def degrees(self):
         """Set of degrees of the homogeneous components (quiver mode)."""
@@ -590,7 +561,7 @@ class KLRElement:
             tgt, img = _apply_word(ctx, v, w, a, p.terms)
             out = acc.setdefault(tgt, {})
             for e, d in img.items():
-                _bump(out, e, c * d)
+                bump(out, e, c * d)
         return {u: MPoly(ctx.n, ctx.params, t) for u, t in acc.items() if t}
 
     def sorted_terms(self):
@@ -640,7 +611,7 @@ def _apply_word(ctx: KLRContext, v, w: Permutation, a, terms: dict):
             if col is None:
                 col = cache[key] = _tau_column(ctx, s, t, l, e)
             for m, d in col:
-                _bump(out, m, c * d)
+                bump(out, m, c * d)
         terms = out
         u[l - 1], u[l] = t, s
     return tuple(u), terms
@@ -703,7 +674,7 @@ class KLROperator:
         for v, comp in other.comps.items():
             cur = out.setdefault(v, {})
             for s, f in comp.items():
-                _bump(cur, s, -f)
+                bump(cur, s, -f)
         return KLROperator(self.ctx, out)
 
     def __eq__(self, other) -> bool:
@@ -756,8 +727,8 @@ def _expand_letters(ctx: KLRContext, word, v) -> dict:
                 out[sl * s] = p * num.act_simple(l)
         else:
             for s, num in prev.items():
-                _bump(out, sl * s, -num.act_simple(l))
-                _bump(out, s, -num)
+                bump(out, sl * s, -num.act_simple(l))
+                bump(out, s, -num)
             out = {
                 s: divide_exact_by_x_difference(num, l, l + 1)
                 for s, num in out.items()
@@ -775,7 +746,7 @@ def represent(el: KLRElement) -> KLROperator:
         mono = MPoly(ctx.n, ctx.params, {tuple(a): c})
         comp = comps.setdefault(v, {})
         for s, num in _expand_word(ctx, w, v).items():
-            _bump(comp, s, num * mono.act(s))
+            bump(comp, s, num * mono.act(s))
     return KLROperator(ctx, comps)
 
 
@@ -837,7 +808,7 @@ def pbw_coordinates(op: KLROperator) -> KLRElement:
             piece = KLRElement(ctx, piece_terms)
             out = out + piece
             for s, g in represent(piece).comps.get(v, {}).items():
-                _bump(residual, s, -g)
+                bump(residual, s, -g)
             if sigma in residual:
                 raise ArithmeticError("operator is not in the image of represent")
     return out
@@ -935,12 +906,12 @@ def _prime_push_poly(ctx: KLRContext, poly: MPoly, word, v) -> dict:
                         e2 = list(e)
                         if jn is not None:
                             e2[jn - 1] += 1
-                        _bump(nxt, (letters, tuple(e2)), sign * c)
+                        bump(nxt, (letters, tuple(e2)), sign * c)
                 items = nxt
         tail = tuple(exps[ctx.n:])
         for (wrd, e), c in items.items():
             e2 = e[: ctx.n] + tuple(p + q for p, q in zip(e[ctx.n:], tail))
-            _bump(out, (wrd, e2), c)
+            bump(out, (wrd, e2), c)
     return out
 
 
@@ -968,7 +939,7 @@ def _prime_reduce(ctx: KLRContext, word, v) -> dict:
                 red = _prime_reduce(ctx, word[:p] + wrd, v)
                 for (w2, e2), c2 in red.items():
                     e = tuple(a + b for a, b in zip(e2, exps))
-                    _bump(out, (w2, e), c * c2)
+                    bump(out, (w2, e), c * c2)
             return out
     # commutation: sort far-apart letters ascending to expose pairs
     for p in range(len(word) - 1):
@@ -1014,13 +985,13 @@ def torsion_check(ctx: KLRContext, v, i: int = 1) -> MPoly:
         ((i, i + 1, i), ctx.zero_exps()): -1,
     }
     for exps, c in corr.terms.items():
-        _bump(disc, ((), tuple(exps)), -c)
+        bump(disc, ((), tuple(exps)), -c)
     # the discrepancy itself does not reduce away: the torsion is genuine
     reduced = {}
     for (word, exps), c in disc.items():
         for (w2, e2), c2 in _prime_reduce(ctx, word, v).items():
             e = tuple(a + b for a, b in zip(e2, exps))
-            _bump(reduced, (w2, e), c * c2)
+            bump(reduced, (w2, e), c * c2)
     if not reduced:
         raise ArithmeticError("discrepancy reduced to zero without the extra relation")
     # tau_i * a = 0 using sound moves only
@@ -1028,7 +999,7 @@ def torsion_check(ctx: KLRContext, v, i: int = 1) -> MPoly:
     for (word, exps), c in disc.items():
         for (w2, e2), c2 in _prime_reduce(ctx, (i,) + word, v).items():
             e = tuple(a + b for a, b in zip(e2, exps))
-            _bump(total, (w2, e), c * c2)
+            bump(total, (w2, e), c * c2)
     if total:
         raise ArithmeticError("tau * discrepancy did not reduce to zero")
     # the quadratic pair tau_i tau_i at the source v is exactly the
@@ -1159,7 +1130,7 @@ def central_ideal_probe(ctx: KLRContext, v, gens, max_deg: int = 4):
             label_k, el_k = candidates[k]
             coeff = int(c * scale)
             base = _candidate_base_polynomial(ctx, orbit[0], el_k)
-            poly = poly + base.map_coefficients(lambda z: coeff * z)
+            poly = poly + base.scale(coeff)
             labels.append((label_k, coeff))
         return poly, tuple(labels)
     return None

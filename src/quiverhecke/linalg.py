@@ -1,8 +1,14 @@
 """
-Exact sparse linear algebra over Q, and a fraction-free determinant.
+Sparse vectors and exact sparse linear algebra over Q, and a
+fraction-free determinant.
 
-A vector is a dict {column key: coefficient} with mutually comparable
-keys; its smallest key is its lead.  Coefficients are exact ``int`` or
+A vector is a dict {key: nonzero coefficient}; `bump` adds into one
+entry and keeps it so.  `Combination` is the base of the package's
+element types (Laurent and multivariate polynomials, nil Hecke, KLR,
+Fock and Hall elements), which are such vectors over a basis.
+
+For elimination the keys are mutually comparable column keys, and a
+vector's smallest key is its lead.  Coefficients are exact ``int`` or
 ``Fraction``: integer rows stay integer until a pivot other than +-1 has
 to be inverted, so an elimination with unit pivots builds no Fraction.
 Eliminations over other fields stay with their callers: `hall.rref`
@@ -16,6 +22,113 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+
+def bump(out, key, val):
+    """out[key] += val, dropping the entry when the sum is zero."""
+    if key in out:
+        val = out[key] + val
+    if val:
+        out[key] = val
+    else:
+        out.pop(key, None)
+
+
+class Combination:
+    """A finite linear combination: ``terms`` maps basis keys to nonzero
+    coefficients (exact scalars, or ring elements such as polynomials).
+
+    A subclass keeps ``terms`` and its parent (the ring, algebra or
+    module it lies in) in its slots and supplies ``_like(terms)``, a
+    sibling built from trusted terms; ``_check(other)``, raising
+    ValueError when ``other`` has another parent (default: one parent);
+    and ``_coerce(c)``, c * 1 for an int or Fraction c (default None: no
+    unit).  An operand of another type gives NotImplemented, ``==`` is
+    False across parents, and powers use the subclass's ``__mul__``.
+    """
+
+    __slots__ = ()
+
+    def _check(self, other):
+        pass
+
+    def _coerce(self, c):
+        return None
+
+    def _operand(self, other):
+        """``other`` of self's type, c * 1 for an int or Fraction c, or None."""
+        if type(other) is type(self):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._coerce(other)
+        return None
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        try:
+            self._check(other)
+        except ValueError:
+            return False
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():  # `bump`, inlined in this hot loop
+            if key in out:
+                c = out[key] + c
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        """c * self, the scalar c multiplying each coefficient on the left."""
+        out = {}
+        for key, a in self.terms.items():
+            a = c * a
+            if a:
+                out[key] = a
+        return self._like(out)
+
+    def __pow__(self, k):
+        one = self._coerce(1)
+        if not isinstance(k, int) or k < 0 or one is None:
+            raise ValueError(f"no power {k!r} of a {type(self).__name__}")
+        out, base = one, self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
 
 class Echelon:

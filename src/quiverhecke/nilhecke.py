@@ -16,14 +16,15 @@ operator d_i and X_i to multiplication.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .coxeter import Permutation
-from .linalg import determinant
+from .linalg import Combination, bump, determinant
 from .polyring import MPoly, staircase_monomial
 
 
-class NilHeckeElement:
+class NilHeckeElement(Combination):
     """sum_w P_w T_w; terms maps Permutation -> MPoly."""
 
     __slots__ = ("n", "params", "terms")
@@ -75,52 +76,20 @@ class NilHeckeElement:
     def x(i, n, params=()):
         return NilHeckeElement.from_poly(MPoly.x(i, n, params))
 
-    # -- basics -------------------------------------------------------
+    def _like(self, terms):
+        el = NilHeckeElement(self.n, params=self.params)
+        el.terms = terms
+        return el
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = NilHeckeElement.from_poly(
-                MPoly.const(other, self.n, self.params)
+    def _check(self, other):
+        if (self.n, self.params) != (other.n, other.params):
+            raise ValueError(
+                f"operands on (n, params) {self.n, self.params} and "
+                f"{other.n, other.params}"
             )
-        if not isinstance(other, NilHeckeElement):
-            return NotImplemented
-        return (self.n, self.params, self.terms) == (other.n, other.params, other.terms)
 
-    def __hash__(self):
-        return hash((self.n, self.params, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = NilHeckeElement.from_poly(
-                MPoly.const(other, self.n, self.params)
-            )
-        _check_same_algebra(self, other)
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            _accumulate(out, w, p)
-        return NilHeckeElement(self.n, out, self.params)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NilHeckeElement(
-            self.n, {w: -p for w, p in self.terms.items()}, self.params
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = NilHeckeElement.from_poly(
-                MPoly.const(other, self.n, self.params)
-            )
-        return self + (-other)
-
-    def scale(self, c):
-        return NilHeckeElement(
-            self.n, {w: p * c for w, p in self.terms.items()}, self.params
-        )
+    def _coerce(self, c):
+        return NilHeckeElement.from_poly(MPoly.const(c, self.n, self.params))
 
     # -- multiplication -----------------------------------------------
 
@@ -131,14 +100,14 @@ class NilHeckeElement:
         for w, p in self.terms.items():
             # l(s_i w) > l(w) exactly when i precedes i+1 in one-line notation
             if w.images.index(i) < w.images.index(i + 1):
-                _accumulate(out, si * w, p.act_simple(i))
-            _accumulate(out, w, p.demazure(i))
-        return NilHeckeElement(self.n, out, self.params)
+                bump(out, si * w, p.act_simple(i))
+            bump(out, w, p.demazure(i))
+        return self._like(out)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        _check_same_algebra(self, other)
+        self._check(other)
         out = {}
         for w, p in self.terms.items():
             # (P T_w) * other: apply T letters of w from the right inward
@@ -146,10 +115,10 @@ class NilHeckeElement:
             for i in reversed(w.canonical_word()):
                 acc = acc._lmul_t(i)
             for v, q in acc.terms.items():
-                _accumulate(out, v, p * q)
-        return NilHeckeElement(self.n, out, self.params)
+                bump(out, v, p * q)
+        return self._like(out)
 
-    __rmul__ = scale
+    __rmul__ = Combination.scale
 
     # -- polynomial representation ------------------------------------
 
@@ -274,19 +243,6 @@ def _pair(a, coefficients):
     return sum(
         (p * coefficients[w] for w, p in a.terms.items()), MPoly.zero(a.n, a.params)
     )
-
-
-def _check_same_algebra(a, b):
-    if (a.n, a.params) != (b.n, b.params):
-        raise ValueError(
-            f"operands on (n, params) {a.n, a.params} and {b.n, b.params}"
-        )
-
-
-def _accumulate(terms, w, p):
-    """terms[w] += p; zero sums are dropped by the NilHeckeElement constructor."""
-    if not p.is_zero():
-        terms[w] = terms[w] + p if w in terms else p
 
 
 def idempotent_b(n: int, params=()) -> NilHeckeElement:

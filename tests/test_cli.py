@@ -229,6 +229,27 @@ def test_loop_quiver_exits_two_under_optimize(tmp_path):
     assert "needs a quiver without loops" in res.stderr
 
 
+def test_poincare_cross_check_exits_two_under_optimize():
+    # a wrong product form must be caught with asserts stripped too
+    code = (
+        "import sys\n"
+        "from quiverhecke import cli\n"
+        "from quiverhecke.laurent import Laurent\n"
+        "cli.poincare_product_form = lambda n: Laurent.gen(n)\n"
+        "sys.exit(cli.main(['compute', 'poincare', '--n', '3']))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 2, res.stdout
+    assert res.stdout == ""
+    assert "Poincare polynomial" in res.stderr
+
+
 # sha256 of the stdout of the README `compute` examples and four suites;
 # a changed digest is a changed command-line output
 STDOUT_SHA256 = {

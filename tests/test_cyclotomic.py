@@ -250,7 +250,7 @@ def test_graded_rank_values():
     for n in range(5):
         for i in range(n + 1):
             poly = graded_rank_polynomial(n, i)
-            assert all(c > 0 for c in poly.coeffs.values())
+            assert all(c > 0 for c in poly.terms.values())
 
 
 # -- dimension ledger -----------------------------------------------------

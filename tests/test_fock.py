@@ -92,8 +92,8 @@ def test_transpose_adjointness():
                     img = f_op(i, p, vec(lam))
                     img_t = f_op((-i) % p, p, vec(transpose(lam)))
                     assert {
-                        transpose(mu): c for mu, c in img.coeffs.items()
-                    } == img_t.coeffs
+                        transpose(mu): c for mu, c in img.terms.items()
+                    } == img_t.terms
 
 
 def test_e_f_matrix_transpose():

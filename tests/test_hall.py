@@ -133,9 +133,10 @@ def test_mat_mul_matches_schoolbook(q):
             assert mat_mul(F, A, B) == got
 
 
-@pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("n", [1, 2])
-def test_gl_generators_generate_the_group(q, n):
+@pytest.mark.parametrize(
+    "n, q", [(n, q) for n in (1, 2) for q in (2, 3, 4, 5)] + [(3, 2), (3, 3)]
+)
+def test_gl_generators_generate_the_group(n, q):
     # the orbit BFS uses the generators without their inverses, so
     # their products alone must reach all of GL_n(q)
     F = field(q)
@@ -151,6 +152,14 @@ def test_gl_generators_generate_the_group(q, n):
         ]
         seen.update(frontier)
     assert len(seen) == gl_order(q, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_gl_generators_exclude_the_identity(q):
+    # the identity is a no-op step in every orbit walk
+    for n in range(4):
+        identity = tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
+        assert identity not in gl_generators(q, n)
 
 
 def test_singular_inverse_raises_under_optimize():
@@ -425,7 +434,7 @@ def test_associativity_and_filtrations():
     ]
     for l in ctx.table((2, 1)).representatives():
         expected = ctx.filtration_count(reps, l)
-        got = triple.coeffs.get(((2, 1), ctx.label(l)), Laurent.zero())
+        got = triple.terms.get(((2, 1), ctx.label(l)), Laurent.zero())
         assert got == Laurent.const(expected) or (
             got.is_zero() and expected == 0
         )

@@ -511,7 +511,7 @@ def test_grdim_single_vertex_is_poincare():
         v = (1,) * n
         enum = hom_graded_dimension(ctx, v, v)
         poincare = poincare_polynomial(n)
-        expected = Laurent({-2 * k: c for k, c in poincare.coeffs.items()})
+        expected = Laurent({-2 * k: c for k, c in poincare.terms.items()})
         assert enum == expected
 
 

@@ -186,7 +186,7 @@ def test_grdim_symmetric_ring_counts():
     # coefficients count partitions with at most n parts (degree doubled)
     g = grdim_symmetric_ring(2, 12)
     # number of partitions of d into at most 2 parts: 1,1,2,2,3,3,4
-    assert [g.coeffs.get(2 * d, 0) for d in range(7)] == [1, 1, 2, 2, 3, 3, 4]
+    assert [g.terms.get(2 * d, 0) for d in range(7)] == [1, 1, 2, 2, 3, 3, 4]
 
 
 def test_elementary_symmetric_identity():
