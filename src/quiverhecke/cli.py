@@ -220,76 +220,85 @@ def _klr_idempotents(ctx):
 
 @_suite
 def suite_klr_relations(cfg, rng):
-    from .klr import KLRElement, make_klr
+    from .klr import apply_tau, make_klr
     from .polyring import divide_exact_by_x_difference
 
     ctx = make_klr(_quiver(cfg["quiver"]), cfg["n"])
     n = ctx.n
     idems = _klr_idempotents(ctx)
     cap = cfg["max_deg"] // 2
-    monos = [
-        MPoly(n, ctx.params, {e + (0,) * len(ctx.params): 1})
-        for e in exponent_tuples(n, cap)
-    ]
-    zero = MPoly.zero(n, ctx.params)
+    pad = (0,) * len(ctx.params)
+    monos = [e + pad for e in exponent_tuples(n, cap)]
 
-    # module elements are dicts {idempotent: nonzero polynomial}
-    def add(*mods):
-        out = {}
-        for mod in mods:
-            for u, q in mod.items():
-                bump(out, u, q)
-        return out
-
-    # tau_i as the one element sum_v tau_i 1_v, applied to whole modules
-    taus = {
-        i: sum((KLRElement.tau(ctx, i, v) for v in idems), KLRElement.zero(ctx))
-        for i in range(1, n)
-    }
-
+    # module elements are term dicts {idempotent: {exponents: coefficient}}
+    # without empty components; tau_i acts one source idempotent at a time
+    # through the memoized columns of KLRElement.apply, x_a shifts an
+    # exponent, and a polynomial times the monomial x^p shifts its terms
     def tau(i, mod):
-        return taus[i].apply(mod)
+        return apply_tau(ctx, i, mod)
 
     def xop(a, mod):
-        return {v: p * MPoly.x(a, n, ctx.params) for v, p in mod.items()}
+        return {
+            v: {e[: a - 1] + (e[a - 1] + 1,) + e[a:]: c for e, c in t.items()}
+            for v, t in mod.items()
+        }
+
+    def at(v, terms, p):
+        shifted = {tuple(x + y for x, y in zip(e, p)): c for e, c in terms.items()}
+        return {v: shifted} if shifted else {}
+
+    def add(mod, other):
+        out = {v: dict(t) for v, t in mod.items()}
+        for v, t in other.items():
+            acc = out.setdefault(v, {})
+            for e, c in t.items():
+                bump(acc, e, c)
+            if not acc:
+                del out[v]
+        return out
 
     # Q_{st}(x_a, x_b) = (-1)^{d_st} (x_a - x_b)^{d_st + d_ts}, read off the
     # quiver here rather than from ctx.q_poly, which tau itself applies
     @functools.cache
     def q_expected(s, t, a, b):
         if s == t:
-            return zero
+            return MPoly.zero(n, ctx.params)
         diff = MPoly.x(a, n, ctx.params) - MPoly.x(b, n, ctx.params)
         return diff ** ctx.quiver.m(s, t) * (-1) ** ctx.quiver.d(s, t)
+
+    # the braid correction (Q_{st}(x_{i+2}, x_{i+1}) - Q_{st}(x_i, x_{i+1}))
+    # / (x_{i+2} - x_i) at v_i = v_{i+2} = s != t = v_{i+1}
+    @functools.cache
+    def braid_correction(s, t, i):
+        num = q_expected(s, t, i + 2, i + 1) - q_expected(s, t, i, i + 1)
+        return divide_exact_by_x_difference(num, i + 2, i).terms
 
     def straightening():
         for v in idems:
             for p in monos:
                 for i in range(1, n):
+                    image = tau(i, {v: {p: 1}})
                     for a in range(1, n + 1):
                         sa = i + 1 if a == i else i if a == i + 1 else a
-                        rhs = xop(sa, tau(i, {v: p}))
+                        rhs = xop(sa, image)
                         if v[i - 1] == v[i] and a in (i, i + 1):
-                            rhs = add(rhs, {v: p if a == i + 1 else -p})
-                        yield tau(i, xop(a, {v: p})) == rhs
+                            rhs = add(rhs, {v: {p: 1 if a == i + 1 else -1}})
+                        yield tau(i, xop(a, {v: {p: 1}})) == rhs
 
     def braid():
         for v in idems:
             for p in monos:
                 for i in range(1, n - 1):
-                    rhs = tau(i, tau(i + 1, tau(i, {v: p})))
+                    rhs = tau(i, tau(i + 1, tau(i, {v: {p: 1}})))
                     if v[i - 1] == v[i + 1] != v[i]:
-                        num = q_expected(
-                            v[i - 1], v[i], i + 2, i + 1
-                        ) - q_expected(v[i - 1], v[i], i, i + 1)
-                        corr = divide_exact_by_x_difference(num, i + 2, i)
-                        rhs = add(rhs, {v: corr * p})
-                    yield tau(i + 1, tau(i, tau(i + 1, {v: p}))) == rhs
+                        corr = braid_correction(v[i - 1], v[i], i)
+                        rhs = add(rhs, at(v, corr, p))
+                    yield tau(i + 1, tau(i, tau(i + 1, {v: {p: 1}}))) == rhs
 
     params = {"quiver": cfg["quiver"], "n": n, "max_deg": cfg["max_deg"]}
     yield "klr-quadratic", params, (
-        tau(i, tau(i, {v: p}))
-        == add({v: q_expected(v[i - 1], v[i], i, i + 1) * p})
+        tau(i, tau(i, {v: {p: 1}}))
+        == at(v, q_expected(v[i - 1], v[i], i, i + 1).terms, p)
         for v in idems
         for p in monos
         for i in range(1, n)

@@ -46,9 +46,12 @@ intertwiner formulas of the literature are written.
 
 The scalar field is Q(q) in affine mode, held as integer Laurent
 polynomials in q over a product of tracked unit denominators (exact
-zero tests, no polynomial gcd), and Q in degenerate mode.  QScalar and
-Fraction share +, -, *, / and truth testing, so one code path serves
-both.
+zero tests, no polynomial gcd), and Q in degenerate mode, held as exact
+ints: the vertex values are the labels, and the only inverses are the
+constant terms 1/(a - b) of ``series_inverse``, which stay ints at
+a - b = +-1 and become Fractions otherwise (never floats; rational
+vertex values are Fractions throughout).  QScalar, int and Fraction
+share +, -, * and truth testing, so one code path serves both.
 
 Degree bookkeeping: one application of T_i or s_i lowers total degree
 by at most 1 (only through the divided difference), X_j does not lower
@@ -111,7 +114,8 @@ def _unit_key(poly: dict):
     Returns (key, shift, sign) with poly = sign * q^shift * key-poly,
     the key-poly having positive constant term.
     """
-    assert poly
+    if not poly:
+        raise ArithmeticError("the zero polynomial is not a unit")
     shift = min(poly)
     shifted = {e - shift: c for e, c in poly.items()}
     sign = 1
@@ -216,19 +220,25 @@ class HeckeBridge:
     """Operators on the truncated module for a type-A vertex set.
 
     ``mode`` is "affine" (vertex values q^k for k in ``vertices``) or
-    "degenerate" (vertex values the given rationals).  It fixes the
-    scalars and the constants (alpha, beta) of the one generator formula.
+    "degenerate" (vertex values the given ints, or Fractions).  It fixes
+    the scalars and the constants (alpha, beta) of the one generator
+    formula.
     ``quiver`` has an arrow a -> a+1 between vertex labels, in both
     modes; ``tau`` reads its arrows from it.
     """
 
     def __init__(self, n, cutoff, mode="affine", vertices=None):
-        assert n >= 1 and cutoff >= 1
+        if n < 1 or cutoff < 1:
+            raise ValueError(
+                f"a truncated module needs n >= 1 and cutoff >= 1, got "
+                f"n = {n}, cutoff = {cutoff}"
+            )
         self.n = n
         self.cutoff = cutoff
         self.mode = mode
         self.vertices = tuple(vertices if vertices is not None else (0, 1, 2))
-        assert len(set(self.vertices)) == len(self.vertices)
+        if len(set(self.vertices)) != len(self.vertices):
+            raise ValueError(f"repeated vertex values in {self.vertices}")
         self.quiver = QuiverData(
             self.vertices,
             {(a, a + 1): 1 for a in self.vertices if a + 1 in self.vertices},
@@ -240,9 +250,11 @@ class HeckeBridge:
                 QScalar.q_power(k) for k in self.vertices
             )
         elif mode == "degenerate":
-            self.one = Fraction(1)
-            self.alpha, self.beta = self.one, self.one
-            self.vertex_scalars = tuple(Fraction(v) for v in self.vertices)
+            self.one = 1
+            self.alpha, self.beta = 1, 1
+            self.vertex_scalars = tuple(
+                v if isinstance(v, int) else Fraction(v) for v in self.vertices
+            )
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self._mult_cache = {}
@@ -252,9 +264,20 @@ class HeckeBridge:
     def monomial(self, v, exps, coeff=None):
         v = tuple(v)
         exps = tuple(exps)
-        assert len(v) == self.n and len(exps) == self.n
-        assert all(0 <= k < len(self.vertices) for k in v)
-        assert sum(exps) < self.cutoff
+        if len(v) != self.n or len(exps) != self.n:
+            raise ValueError(
+                f"a monomial of M needs {self.n} vertex indices and "
+                f"{self.n} exponents, got {v} and {exps}"
+            )
+        if not all(0 <= k < len(self.vertices) for k in v):
+            raise ValueError(
+                f"vertex indices {v} outside 0..{len(self.vertices) - 1}"
+            )
+        if any(e < 0 for e in exps) or sum(exps) >= self.cutoff:
+            raise ValueError(
+                f"exponents {exps} are not of total degree below the cutoff "
+                f"{self.cutoff}"
+            )
         return {(v, exps): self.one if coeff is None else coeff}
 
     add_el = staticmethod(_padd)
@@ -298,12 +321,15 @@ class HeckeBridge:
         return out
 
     def _add_product(self, out, el, terms):
-        """out += el * (polynomial [(shift, coeff), ...]), truncated."""
-        cutoff = self.cutoff
+        """out += el * (polynomial [(shift, coeff), ...]), truncated: a
+        product term is skipped by its degree before its exponents are
+        built."""
+        items = [(v, exps, sum(exps), c) for (v, exps), c in el.items()]
         for shift, coeff in terms:
-            for (v, exps), c in el.items():
-                e2 = tuple(a + b for a, b in zip(exps, shift))
-                if sum(e2) < cutoff:
+            room = self.cutoff - sum(shift)
+            for v, exps, deg, c in items:
+                if deg < room:
+                    e2 = tuple(a + b for a, b in zip(exps, shift))
                     bump(out, (v, e2), c * coeff)
 
     def demazure(self, i: int, el):
@@ -331,7 +357,7 @@ class HeckeBridge:
         """The quiver Hecke intertwiner on this module: the divided
         difference on equal-value components, and the swap times
         x_i - x_{i+1} (arrow source) or 1 (otherwise)."""
-        assert 1 <= i < self.n
+        self._check_generator(i)
         one = self.one
         unit = [((0,) * self.n, one)]
         arrow = [(self.x_shift(i), one), (self.x_shift(i + 1), -one)]
@@ -347,8 +373,16 @@ class HeckeBridge:
         return out
 
     def series_inverse(self, const, lin):
-        """(const + lin)^{-1} truncated; lin is [(shift, coeff), ...]."""
-        cinv = self.one / const
+        """(const + lin)^{-1} truncated; lin is [(shift, coeff), ...].
+
+        In degenerate mode const is a difference of vertex values, and
+        1 / const stays an int when const is +-1."""
+        if self.mode == "affine":
+            cinv = self.one / const
+        elif const in (1, -1):
+            cinv = int(const)
+        else:
+            cinv = 1 / Fraction(const)
         out = {(0,) * self.n: cinv}
         layer = dict(out)
         while layer:
@@ -377,7 +411,8 @@ class HeckeBridge:
 
     def X(self, j: int, el):
         """X_j = x_j + v_j, componentwise."""
-        assert 1 <= j <= self.n
+        if not 1 <= j <= self.n:
+            raise ValueError(f"X_{j} is not a generator for n = {self.n}")
         out = self.mul_term(el, self.x_shift(j), self.one)
         for key, c in el.items():
             bump(out, key, c * self.vertex_scalars[key[0][j - 1]])
@@ -419,7 +454,7 @@ class HeckeBridge:
 
     def _generator(self, i: int, el):
         """T_i = N_i (X_i - X_{i+1})^{-1} (s_i - 1) + alpha, componentwise."""
-        assert 1 <= i < self.n
+        self._check_generator(i)
         out = {}
         for key, c in el.items():
             v = key[0]
@@ -439,13 +474,21 @@ class HeckeBridge:
 
     def affine_T(self, i: int, el):
         """T_i of the affine Hecke algebra, (alpha, beta) = (q, 0)."""
-        assert self.mode == "affine"
+        if self.mode != "affine":
+            raise ValueError(f"affine_T needs an affine bridge, not {self.mode!r}")
         return self._generator(i, el)
 
     def degenerate_s(self, i: int, el):
         """s_i of the degenerate affine Hecke algebra, (alpha, beta) = (1, 1)."""
-        assert self.mode == "degenerate"
+        if self.mode != "degenerate":
+            raise ValueError(
+                f"degenerate_s needs a degenerate bridge, not {self.mode!r}"
+            )
         return self._generator(i, el)
+
+    def _check_generator(self, i):
+        if not 1 <= i < self.n:
+            raise ValueError(f"generator index {i} outside 1..{self.n - 1}")
 
 
 # -- convenience entry points --------------------------------------------

@@ -600,21 +600,47 @@ def _apply_word(ctx: KLRContext, v, w: Permutation, a, terms: dict):
     """
     if any(a):
         terms = {tuple(p + q for p, q in zip(e, a)): c for e, c in terms.items()}
-    cache = ctx._column_cache
     u = list(v)
     for l in reversed(w.canonical_word()):
         s, t = u[l - 1], u[l]
-        out = {}
-        for e, c in terms.items():
-            key = (s, t, l, e)
-            col = cache.get(key)
-            if col is None:
-                col = cache[key] = _tau_column(ctx, s, t, l, e)
-            for m, d in col:
-                bump(out, m, c * d)
-        terms = out
+        terms = _apply_letter(ctx, s, t, l, terms)
         u[l - 1], u[l] = t, s
     return tuple(u), terms
+
+
+def _apply_letter(ctx: KLRContext, s, t, l: int, terms: dict) -> dict:
+    """tau_l on the term dict ``terms`` at an idempotent with u_l = s and
+    u_{l+1} = t, through the memoized columns."""
+    cache = ctx._column_cache
+    out = {}
+    for e, c in terms.items():
+        key = (s, t, l, e)
+        col = cache.get(key)
+        if col is None:
+            col = cache[key] = _tau_column(ctx, s, t, l, e)
+        for m, d in col:
+            bump(out, m, c * d)
+    return out
+
+
+def apply_tau(ctx: KLRContext, i: int, module: dict) -> dict:
+    """tau_i = sum_v tau_i 1_v on a module of term dicts.
+
+    ``module`` maps idempotents to term dicts (exponent tuple ->
+    coefficient); so does the result, without empty components.  Each
+    source idempotent v goes to s_i(v) through the columns that
+    ``KLRElement.apply`` memoizes, and s_i permutes the idempotents, so
+    no two images share a target.
+    """
+    if not 1 <= i <= ctx.n - 1:
+        raise ValueError(f"tau_{i} is not a generator of H_{ctx.n}")
+    out = {}
+    for v, terms in module.items():
+        s, t = v[i - 1], v[i]
+        img = _apply_letter(ctx, s, t, i, terms)
+        if img:
+            out[v[: i - 1] + (t, s) + v[i + 1:]] = img
+    return out
 
 
 def _tau_column(ctx: KLRContext, s, t, l: int, e) -> tuple:

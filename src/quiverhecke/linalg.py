@@ -80,7 +80,16 @@ class Combination:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # an element equal to a scalar c (zero, or c times the unit) hashes
+        # as c, so that it meets c in a set or dict
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1:
+            one = self._coerce(1)
+            if one is not None and terms.keys() == one.terms.keys():
+                return hash(next(iter(terms.values())))
+        return hash(frozenset(terms.items()))
 
     def __add__(self, other):
         other = self._operand(other)

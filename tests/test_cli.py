@@ -277,6 +277,10 @@ STDOUT_SHA256 = {
         "bbbc4022c2c26de1f918326cc6e1db73aeb29f8309100bb91d824232aa51f5ef",
     "verify klr-relations --quiver a2 --n 3":
         "263785ebdce1a74de670aba37132baeeea9aa592c85891523f883bde64c96e24",
+    "verify klr-relations --quiver a3 --n 3":
+        "53d5476a8575d154699335509109cee2190316d36abb9b9af1791500e67246b5",
+    "verify heckebridge --n 3 --window 2":
+        "9993bfc1cfffad2324ba2c9188e4b69d195ffc390da83ca5fc984e57a1e65ba7",
 }
 
 

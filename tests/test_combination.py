@@ -110,6 +110,9 @@ def test_scalar_coercion(kind, data):
     assert one == 1 and 1 == one
     const = one.scale(c)
     assert const == c and c == const
+    # a constant, zero included, hashes as its scalar
+    assert equal_and_hashed_alike(const, c) and len({c, const}) == 1
+    assert equal_and_hashed_alike(one.scale(0), 0) and len({0, one.scale(0)}) == 1
     assert equal_and_hashed_alike(a + c, a + const)
     assert equal_and_hashed_alike(c + a, a + const)
     assert equal_and_hashed_alike(a - c, a - const)
@@ -123,6 +126,9 @@ def test_scalars_next_to_elements():
     assert Fraction(1, 2) + Laurent.one() == Laurent.const(Fraction(3, 2))
     assert MPoly.const(Fraction(1, 2), 2) == Fraction(1, 2)
     assert NilHeckeElement.one(2) - 1 == 0
+    assert len({3, Laurent.const(3)}) == len({0, MPoly.zero(2)}) == 1
+    assert len({2, MPoly.const(2, 1)}) == len({NilHeckeElement.zero(2), 0}) == 1
+    assert {Fraction(1, 2): "half"}[MPoly.const(Fraction(1, 2), 2)] == "half"
     # an element of another type or parent is unequal, not an error
     assert MPoly.zero(2) != MPoly.zero(3)
     assert Laurent.one() != MPoly.one(1)

@@ -10,11 +10,13 @@ from quiverhecke.heckebridge import (
     HeckeBridge,
     QScalar,
     _relation_residuals,
+    _unit_key,
     affine_T_action,
     degenerate_s_action,
     verify_affine_relations,
     verify_degenerate_relations,
 )
+from quiverhecke.polyring import MPoly, divide_exact_by_x_difference
 
 
 # -- scalars --------------------------------------------------------------
@@ -220,6 +222,85 @@ def test_degenerate_relations_rank_three():
 
 def test_degenerate_relations_rank_four():
     assert verify_degenerate_relations(4, 2)
+
+
+def _truncated(p, cutoff):
+    return MPoly(p.nx, (), {e: c for e, c in p.terms.items() if sum(e) < cutoff})
+
+
+def _inverse_series(const, d, cutoff):
+    """(const + d)^{-1} = sum_k (-d)^k / const^(k + 1), truncated."""
+    out, power = MPoly.zero(d.nx), MPoly.one(d.nx)
+    for k in range(cutoff):
+        out = out + power.scale(Fraction(1) / const ** (k + 1))
+        power = _truncated(power * -d, cutoff)
+    return out
+
+
+def reference_degenerate_s(n, cutoff, values, i, v, exps):
+    """s_i on x^exps in M_v over Fraction, from the module formulas with
+    (alpha, beta) = (1, 1), composing MPoly objects:
+    (X_i - X_{i+1} + 1) d_i + 1 when v_i = v_{i+1}, and otherwise
+    N_i (X_i - X_{i+1})^{-1} after the swap on the target component plus
+    -(X_i - X_{i+1})^{-1} on the source."""
+    values = [Fraction(c) for c in values]
+    x = [None] + [MPoly.x(j, n) for j in range(1, n + 1)]
+    d = x[i] - x[i + 1]
+    poly = MPoly(n, (), {exps: Fraction(1)})
+    a, b = values[v[i - 1]], values[v[i]]
+    if v[i - 1] == v[i]:
+        divided = divide_exact_by_x_difference(poly - poly.act_simple(i), i + 1, i)
+        return {v: _truncated((d + 1) * divided + poly, cutoff)}
+    target = v[: i - 1] + (v[i], v[i - 1]) + v[i + 1:]
+    # the target component has the values b, a at positions i, i + 1
+    target_part = (d + (b - a + 1)) * _inverse_series(b - a, d, cutoff)
+    source_part = -_inverse_series(a - b, d, cutoff)
+    return {
+        target: _truncated(target_part * poly.act_simple(i), cutoff),
+        v: _truncated(source_part * poly, cutoff),
+    }
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [(0, 1, 2), (0, 2), (0, 1, 3), (Fraction(1, 2), Fraction(3, 2), Fraction(-5, 3))],
+)
+@pytest.mark.parametrize("n, cutoff", [(2, 4), (3, 3)])
+def test_degenerate_columns_are_exact(vertices, n, cutoff):
+    # integer vertex values give int columns with a Fraction only where a
+    # difference of values is not +-1; no coefficient is ever a float
+    br = HeckeBridge(n, cutoff, "degenerate", vertices)
+    for v, exps in br.basis():
+        for i in range(1, n):
+            got = br.degenerate_s(i, br.monomial(v, exps))
+            assert all(type(c) in (int, Fraction) for c in got.values())
+            expected = {
+                (u, e): c
+                for u, p in reference_degenerate_s(
+                    n, cutoff, vertices, i, v, exps
+                ).items()
+                for e, c in p.terms.items()
+            }
+            assert {k: c for k, c in got.items() if c} == expected, (i, v, exps)
+            if all(type(c) is int for c in vertices) and abs(
+                vertices[v[i - 1]] - vertices[v[i]]
+            ) <= 1:
+                assert all(type(c) is int for c in got.values())
+
+
+@pytest.mark.parametrize("vertices", [(0, 1, 2), (0, 2), (0, 1, 3)])
+def test_sign_flipped_degenerate_s_fails(monkeypatch, vertices):
+    # -s_1 squares to 1 too, so the straightening relation must catch it
+    original = HeckeBridge.degenerate_s
+
+    def flipped(self, i, el):
+        out = original(self, i, el)
+        return self.neg_el(out) if i == 1 else out
+
+    assert verify_degenerate_relations(2, 2, vertices)
+    monkeypatch.setattr(HeckeBridge, "degenerate_s", flipped)
+    with pytest.raises(ArithmeticError, match="straighten T_1 fails"):
+        verify_degenerate_relations(2, 2, vertices)
 
 
 # -- the relation suites ---------------------------------------------------
@@ -479,7 +560,89 @@ def test_tau_reads_arrows_by_label():
 
 def test_monomial_validation():
     br = HeckeBridge(2, 3, "affine")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="below the cutoff 3"):
         br.monomial((0, 1), (2, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="outside 0..2"):
         br.monomial((0, 3), (0, 0))
+    with pytest.raises(ValueError, match="needs 2 vertex indices"):
+        br.monomial((0, 1, 2), (0, 0))
+    with pytest.raises(ValueError, match="below the cutoff"):
+        br.monomial((0, 1), (-1, 0))
+
+
+INVALID_INPUTS = {
+    "n": (lambda: HeckeBridge(0, 3), ValueError, "n >= 1 and cutoff >= 1"),
+    "cutoff": (lambda: HeckeBridge(2, 0), ValueError, "n >= 1 and cutoff >= 1"),
+    "repeated vertices": (
+        lambda: HeckeBridge(2, 3, "degenerate", (0, 1, 0)),
+        ValueError,
+        "repeated vertex values",
+    ),
+    "mode": (lambda: HeckeBridge(2, 3, "nil"), ValueError, "unknown mode"),
+    "tau index": (
+        lambda: HeckeBridge(2, 3).tau(2, {}), ValueError, "generator index 2"
+    ),
+    "generator index": (
+        lambda: HeckeBridge(2, 3, "degenerate").degenerate_s(0, {}),
+        ValueError,
+        "generator index 0",
+    ),
+    "X index": (lambda: HeckeBridge(2, 3).X(3, {}), ValueError, "X_3"),
+    "affine_T on degenerate": (
+        lambda: HeckeBridge(2, 3, "degenerate").affine_T(1, {}),
+        ValueError,
+        "affine_T needs an affine bridge",
+    ),
+    "degenerate_s on affine": (
+        lambda: HeckeBridge(2, 3, "affine").degenerate_s(1, {}),
+        ValueError,
+        "degenerate_s needs a degenerate bridge",
+    ),
+    "unit key of zero": (
+        lambda: QScalar({}, ()).inverse(), ZeroDivisionError, "division by zero"
+    ),
+    "unit key": (lambda: _unit_key({}), ArithmeticError, "not a unit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_invalid_input_raises(case):
+    call, error, message = INVALID_INPUTS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_invalid_input_raises_under_optimize():
+    # the input checks were asserts; `python -O` must not skip them
+    code = (
+        "import sys\n"
+        "import quiverhecke.heckebridge as hb\n"
+        "calls = [\n"
+        "    lambda: hb.HeckeBridge(0, 3),\n"
+        "    lambda: hb.HeckeBridge(2, 3, 'degenerate', (0, 1, 0)),\n"
+        "    lambda: hb.HeckeBridge(2, 3).monomial((0, 1), (2, 1)),\n"
+        "    lambda: hb.HeckeBridge(2, 3).monomial((0, 3), (0, 0)),\n"
+        "    lambda: hb.HeckeBridge(2, 3).tau(2, {}),\n"
+        "    lambda: hb.HeckeBridge(2, 3).X(0, {}),\n"
+        "    lambda: hb.HeckeBridge(2, 3, 'degenerate').affine_T(1, {}),\n"
+        "    lambda: hb._unit_key({}),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "        print('returned')\n"
+        "    except ValueError:\n"
+        "        print('value')\n"
+        "    except ArithmeticError:\n"
+        "        print('arithmetic')\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["value"] * 7 + ["arithmetic", "1"]

@@ -27,6 +27,7 @@ from quiverhecke.klr import (
     _delta,
     QMatrix,
     QuiverData,
+    apply_tau,
     cyclic_quiver,
     linear_quiver,
     make_klr,
@@ -34,7 +35,7 @@ from quiverhecke.klr import (
     represent,
     single_vertex_quiver,
 )
-from quiverhecke.polyring import MPoly, divide_exact
+from quiverhecke.polyring import MPoly, divide_exact, exponent_tuples
 
 
 def one_parameter_context():
@@ -191,6 +192,52 @@ def test_represent_matches_apply_on_every_basis_word(name):
                     assert image == expected, (v, w, a, p)
                     compared += 1
     assert compared == 3 * len(idempotents(ctx)) * math.factorial(n) * 2 ** n
+
+
+TAU_CONTEXTS = {
+    "a2-n3": CONTEXTS["a2-n3"],
+    "a3-n3": CONTEXTS["a3-n3"],
+    "one-parameter-n2": one_parameter_context,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_CONTEXTS))
+def test_term_dict_tau_matches_klr_element_apply(name):
+    # verify klr-relations applies tau_i to term dicts through apply_tau;
+    # it must agree with KLRElement.tau(ctx, i, v).apply on MPoly modules
+    # and with the MPoly reference, on every idempotent and every monomial
+    # of degree <= 3 (parameters included)
+    ctx = TAU_CONTEXTS[name]()
+    monomials = list(exponent_tuples(ctx.width, 3))
+    whole = {}
+    for i in range(1, ctx.n):
+        total = KLRElement.zero(ctx)
+        for v in idempotents(ctx):
+            tau = KLRElement.tau(ctx, i, v)
+            total = total + tau
+            for e in monomials:
+                poly = MPoly(ctx.n, ctx.params, {e: 1})
+                got = apply_tau(ctx, i, {v: {e: 1}})
+                expected = {u: p.terms for u, p in tau.apply({v: poly}).items()}
+                assert got == expected, (i, v, e)
+                reference = reference_apply(tau, {v: poly})
+                assert got == {u: p.terms for u, p in reference.items()}
+        # a whole module at once: one term dict per idempotent
+        module = {
+            v: {e: k % 5 - 2 for k, e in enumerate(monomials) if k % 5 != 2}
+            for v in idempotents(ctx)
+        }
+        polys = {v: MPoly(ctx.n, ctx.params, t) for v, t in module.items()}
+        whole[i] = apply_tau(ctx, i, module)
+        assert whole[i] == {u: p.terms for u, p in total.apply(polys).items()}
+    assert all(whole.values())
+
+
+def test_apply_tau_rejects_a_missing_generator():
+    ctx = CONTEXTS["a2-n3"]()
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"tau_{i} is not a generator"):
+            apply_tau(ctx, i, {})
 
 
 def test_pbw_path_raises_under_optimize():
