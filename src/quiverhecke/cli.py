@@ -382,14 +382,14 @@ def suite_cyclotomic(cfg, rng):
         raise ValueError(
             f"--n must be at most 4 for the cyclotomic suite, got {max_n}"
         )
-    ranks = {}  # each distinct (n, i, z) rank is computed once per run
+    ranks = {}  # each (n, i) rank is computed once per run
     yield "cyclotomic-ranks", {"max_n": max_n}, (
-        verify_rank(n, i, rng=rng, points=2, ranks=ranks) == expected_rank(n, i)
+        verify_rank(n, i, ranks=ranks) == expected_rank(n, i)
         for n in range(max_n + 1)
         for i in range(n + 2)
     )
     yield "cyclotomic-iso", {"max_n": max_n}, (
-        sl2_iso_check(n, i, rng=rng, ranks=ranks)
+        sl2_iso_check(n, i, ranks=ranks)
         for n in range(max_n + 1)
         for i in range(n + 1)
     )

@@ -28,7 +28,8 @@ class Permutation:
 
     def __init__(self, images):
         images = tuple(images)
-        assert sorted(images) == list(range(1, len(images) + 1)), images
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
         self.images = images
 
     @property
@@ -49,7 +50,8 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """(v*w)(i) = v(w(i))."""
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError(f"cannot compose permutations of {self.n} and {other.n}")
         return Permutation(tuple(self.images[j - 1] for j in other.images))
 
     def inverse(self) -> "Permutation":
@@ -78,7 +80,8 @@ class Permutation:
     @staticmethod
     def simple(i: int, n: int) -> "Permutation":
         """The adjacent transposition s_i swapping i and i+1."""
-        assert 1 <= i < n
+        if not 1 <= i < n:
+            raise ValueError(f"simple index {i} outside 1..{n - 1}")
         im = list(range(1, n + 1))
         im[i - 1], im[i] = im[i], im[i - 1]
         return Permutation(im)
@@ -108,7 +111,8 @@ class Permutation:
 
     def act_on_list(self, seq):
         """Position action on a sequence: result[w(k)] = seq[k] (1-indexed)."""
-        assert len(seq) == self.n
+        if len(seq) != self.n:
+            raise ValueError(f"{len(seq)} items for a permutation of {self.n}")
         out = [None] * self.n
         for k in range(1, self.n + 1):
             out[self.images[k - 1] - 1] = seq[k - 1]
@@ -128,7 +132,8 @@ def _canonical_word(images):
     segment = tuple(range(j, n))
     c = Permutation.from_word(segment, n)
     rest = c.inverse() * Permutation(images)
-    assert rest.images[n - 1] == n
+    if rest.images[n - 1] != n:
+        raise ArithmeticError(f"stripping {segment} from {images} does not fix {n}")
     return segment + _canonical_word(rest.images[: n - 1])
 
 

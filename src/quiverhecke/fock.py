@@ -87,20 +87,24 @@ def removable_boxes(parts, p: int):
 
 
 def add_box(parts, row: int) -> tuple:
+    """``parts`` plus a box in ``row``, unchecked: f_op takes ``row`` from
+    ``addable_boxes`` of a checked partition, so this is a partition."""
     parts = list(parts)
     if row == len(parts) + 1:
         parts.append(1)
     else:
         parts[row - 1] += 1
-    return check_partition(parts)
+    return tuple(parts)
 
 
 def remove_box(parts, row: int) -> tuple:
+    """``parts`` less a box in ``row``, unchecked: e_op takes ``row`` from
+    ``removable_boxes`` of a checked partition, so this is a partition."""
     parts = list(parts)
     parts[row - 1] -= 1
     if parts[row - 1] == 0:
         parts.pop(row - 1)
-    return check_partition(parts)
+    return tuple(parts)
 
 
 def residue_content(parts, p: int) -> tuple:

@@ -79,29 +79,12 @@ class GF:
         self.NEG = tuple(row.index(0) for row in self.ADD)
         self.INV = (None,) + tuple(row.index(1) for row in self.MUL[1:])
 
-    def add(self, a, b):
-        return self.ADD[a][b]
-
-    def neg(self, a):
-        return self.NEG[a]
-
-    def sub(self, a, b):
-        return self.ADD[a][self.NEG[b]]
-
-    def mul(self, a, b):
-        return self.MUL[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.INV[a]
-
     def multiplicative_generator(self):
         for g in self.elements[1:]:
             seen = set()
             x = 1
             for _ in range(self.q - 1):
-                x = self.mul(x, g)
+                x = self.MUL[x][g]
                 seen.add(x)
             if len(seen) == self.q - 1:
                 return g
@@ -411,7 +394,7 @@ class ClassTable:
         self.q = q
         self.dims = tuple(dims)
         self.label_of = {}  # arrow matrix tuple -> canonical label
-        self.classes = {}  # label -> dict(rep, orbit_size, aut_order)
+        self.classes = {}  # label -> dict(rep, aut_order)
         self._classify()
 
     def _classify(self):
@@ -443,7 +426,6 @@ class ClassTable:
             label = (dims, min(orbit))
             self.classes[label] = {
                 "rep": QuiverRep(quiver, q, dims, label[1]),
-                "orbit_size": len(orbit),
                 "aut_order": g_order // len(orbit),
             }
             for k in orbit:
@@ -462,14 +444,13 @@ class ClassTable:
 
 
 class HallContext:
-    """Caches class tables and Hall numbers for one quiver and field."""
+    """Caches class tables and submodule counts for one quiver and field."""
 
     def __init__(self, quiver: QuiverData, q: int):
         field(q)  # rejects an unsupported q before any work
         self.quiver = quiver
         self.q = q
         self._tables = {}
-        self._hall_cache = {}
         self._subrep_pairs = {}  # (label L, dims N) -> Counter of (label M, label N)
 
     def table(self, dims) -> ClassTable:
@@ -540,10 +521,7 @@ class HallContext:
     def hall_number(self, m: QuiverRep, n: QuiverRep, l: QuiverRep) -> int:
         """F^L_{M,N}: submodules of L isomorphic to N with quotient M."""
         key = (self.label(m), self.label(n), self.label(l))
-        if key in self._hall_cache:
-            return self._hall_cache[key]
         if tuple(a + b for a, b in zip(m.dims, n.dims)) != l.dims:
-            self._hall_cache[key] = 0
             return 0
         # one subrepresentation pass per (L, dim N) answers every (M, N)
         pairs_key = (key[2], n.dims)
@@ -552,9 +530,7 @@ class HallContext:
                 (self.label(quot), self.label(sub))
                 for sub, quot in self.subrep_data(l, n.dims)
             )
-        count = self._subrep_pairs[pairs_key][key[:2]]
-        self._hall_cache[key] = count
-        return count
+        return self._subrep_pairs[pairs_key][key[:2]]
 
     def exact_sequence_count(self, m: QuiverRep, n: QuiverRep, l: QuiverRep) -> int:
         """P^L_{M,N}: exact sequences 0 -> N -> L -> M -> 0, counted as

@@ -283,7 +283,10 @@ class HeckeBridge:
     add_el = staticmethod(_padd)
 
     def scale_el(self, a, c):
-        return {key: val * c for key, val in a.items()}
+        """a * c, with no zero entries: {} when c is 0."""
+        if not c:
+            return {}
+        return {key: p for key, val in a.items() if (p := val * c)}
 
     def neg_el(self, a):
         return {key: -val for key, val in a.items()}
@@ -310,9 +313,6 @@ class HeckeBridge:
         e = [0] * self.n
         e[j - 1] = 1
         return tuple(e)
-
-    def mul_term(self, el, shift, coeff):
-        return self.mul_linear(el, [(shift, coeff)])
 
     def mul_linear(self, el, terms):
         """Multiply by a polynomial [(shift, coeff), ...]."""
@@ -413,7 +413,7 @@ class HeckeBridge:
         """X_j = x_j + v_j, componentwise."""
         if not 1 <= j <= self.n:
             raise ValueError(f"X_{j} is not a generator for n = {self.n}")
-        out = self.mul_term(el, self.x_shift(j), self.one)
+        out = self.mul_linear(el, [(self.x_shift(j), self.one)])
         for key, c in el.items():
             bump(out, key, c * self.vertex_scalars[key[0][j - 1]])
         return out
@@ -491,21 +491,6 @@ class HeckeBridge:
             raise ValueError(f"generator index {i} outside 1..{self.n - 1}")
 
 
-# -- convenience entry points --------------------------------------------
-
-
-def affine_T_action(i, v, exps, n, cutoff=4, vertices=(0, 1, 2)):
-    """T_i applied to the monomial x^exps in the component M_v."""
-    br = HeckeBridge(n, cutoff, "affine", vertices)
-    return br.affine_T(i, br.monomial(v, exps))
-
-
-def degenerate_s_action(i, v, exps, n, cutoff=4, vertices=(0, 1, 2)):
-    """s_i applied to the monomial x^exps in the component M_v."""
-    br = HeckeBridge(n, cutoff, "degenerate", vertices)
-    return br.degenerate_s(i, br.monomial(v, exps))
-
-
 # -- relation suites ------------------------------------------------------
 
 
@@ -550,20 +535,20 @@ class _CachedOp:
         return out
 
 
-def verify_affine_relations(n, window, vertices=(0, 1, 2), slack=3):
+def verify_affine_relations(n, window, vertices=(0, 1, 2)):
     """Check the affine Hecke relations on all monomials of total
     degree < window, exactly in degrees < window.
 
-    Computation runs with cutoff window + slack; one operator
+    Computation runs with cutoff window + 3; one operator
     application loses at most one degree of accuracy, so the compared
     coefficients are exact.
     """
-    return _verify_relations(n, window, "affine", vertices, slack)
+    return _verify_relations(n, window, "affine", vertices)
 
 
-def verify_degenerate_relations(n, window, vertices=(0, 1, 2), slack=3):
+def verify_degenerate_relations(n, window, vertices=(0, 1, 2)):
     """Check the degenerate affine Hecke relations in degrees < window."""
-    return _verify_relations(n, window, "degenerate", vertices, slack)
+    return _verify_relations(n, window, "degenerate", vertices)
 
 
 # Basis monomials of the truncated module, |vertices|^n binomial(n +
@@ -582,10 +567,10 @@ _MAX_BASIS = 12_000
 _MAX_WINDOW = {2: 16, 3: 6}
 
 
-def _verify_relations(n, window, mode, vertices, slack):
+def _verify_relations(n, window, mode, vertices):
     """Check the relations of T_i (``affine_T`` or ``degenerate_s`` by
     ``mode``) and X_j on every monomial of degree < window, on a bridge
-    with cutoff window + slack.
+    with cutoff window + 3, the braid relation applying three T's.
 
     Raises ValueError when n < 2 or window < 1 (there is nothing to
     check), the window is above _MAX_WINDOW or the module has more than
@@ -599,7 +584,7 @@ def _verify_relations(n, window, mode, vertices, slack):
             f"the relation window must be at least 1, got {window}: "
             "no monomial has degree < window"
         )
-    br = HeckeBridge(n, window + slack, mode, vertices)
+    br = HeckeBridge(n, window + 3, mode, vertices)
     generator = br.affine_T if mode == "affine" else br.degenerate_s
     size = len(br.vertices) ** n * math.comb(n + br.cutoff - 1, n)
     if size > _MAX_BASIS:

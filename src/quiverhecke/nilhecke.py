@@ -220,17 +220,11 @@ def group_element(w: Permutation, params=()) -> NilHeckeElement:
 
 
 @lru_cache(maxsize=None)
-def _longest_group_element(n, params):
-    """group_element(w0), built once per (n, params); never mutated, since
-    every NilHeckeElement operation returns a new object."""
-    return group_element(Permutation.longest(n), params)
-
-
-@lru_cache(maxsize=None)
 def _tprime_kernel(n, params):
     """{w: K_w}, K_w the coefficient of T_{w0} in T_w [w0], built once per
-    (n, params) and never mutated, like `_longest_group_element`."""
-    g, w0 = _longest_group_element(n, params), Permutation.longest(n)
+    (n, params); never mutated, as no NilHeckeElement operation mutates."""
+    w0 = Permutation.longest(n)
+    g = group_element(w0, params)
     zero = MPoly.zero(n, params)
     return {
         w: (NilHeckeElement.t_perm(w, params) * g).terms.get(w0, zero)

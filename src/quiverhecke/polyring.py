@@ -108,20 +108,6 @@ class MPoly(Combination):
 
     # -- structure ----------------------------------------------------
 
-    def degree(self, param_degrees=None):
-        """Total degree with deg X_i = 2; parameter degrees default to 0.
-
-        Returns the max over terms; -1 for the zero polynomial.
-        """
-        if not self.terms:
-            return -1
-        pdeg = tuple((param_degrees or {}).get(name, 0) for name in self.params)
-        best = None
-        for e in self.terms:
-            d = 2 * sum(e[: self.nx]) + sum(a * b for a, b in zip(e[self.nx:], pdeg))
-            best = d if best is None else max(best, d)
-        return best
-
     def coefficients_in_x(self, i):
         """Decompose as a polynomial in X_i: {k: coefficient poly with X_i^0}."""
         out = {}
@@ -141,14 +127,6 @@ class MPoly(Combination):
                     t *= v ** k
             total += t
         return total
-
-    def map_coefficients(self, fn):
-        out = {}
-        for e, c in self.terms.items():
-            c2 = fn(c)
-            if c2 != 0:
-                out[e] = c2
-        return self._like(out)
 
     # -- group action and Demazure operators --------------------------
 

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from quiverhecke.coxeter import (
     Permutation,
@@ -110,3 +114,37 @@ def test_act_on_list():
 def test_act_on_list_simple_swap():
     s1 = Permutation.simple(1, 3)
     assert s1.act_on_list((10, 20, 30)) == (20, 10, 30)
+
+
+def test_invalid_input_raises_under_optimize():
+    # `python -O` strips asserts; bad input and a broken canonical-word
+    # invariant must still raise
+    code = (
+        "import sys\n"
+        "import quiverhecke.coxeter as cx\n"
+        "P = cx.Permutation\n"
+        "def attempt(make):\n"
+        "    try:\n"
+        "        make()\n"
+        "        print('returned')\n"
+        "    except (ValueError, ArithmeticError) as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "attempt(lambda: P([1, 1, 3]))\n"
+        "attempt(lambda: P([0, 1]))\n"
+        "attempt(lambda: P([2, 1]) * P([1, 2, 3]))\n"
+        "attempt(lambda: P.simple(0, 3))\n"
+        "attempt(lambda: P.simple(3, 3))\n"
+        "attempt(lambda: P([2, 1]).act_on_list((1, 2, 3)))\n"
+        "P.from_word = staticmethod(lambda word, n: P.identity(n))\n"
+        "attempt(lambda: P([2, 3, 1]).canonical_word())\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["ValueError"] * 6 + ["ArithmeticError", "1"]

@@ -9,6 +9,7 @@ from quiverhecke.fock import (
     addable_boxes,
     affine_cartan,
     all_partitions,
+    check_partition,
     d_op,
     e_op,
     f_op,
@@ -195,3 +196,16 @@ def test_malformed_partition_raises_under_optimize():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["raised"] * 9 + ["(3,", "3,", "1)", "()", "1"]
+
+
+def test_box_moves_give_partitions():
+    # add_box and remove_box do not re-check their result: every image of
+    # f_i and e_i must be a partition of the adjacent size all the same
+    for size in range(11):
+        for parts in all_partitions(size):
+            for p in (2, 3, 5):
+                for i in range(p):
+                    for op, target in ((f_op, size + 1), (e_op, size - 1)):
+                        for key in op(i, p, vec(parts)).terms:
+                            assert check_partition(key) == key
+                            assert sum(key) == target

@@ -11,8 +11,6 @@ from quiverhecke.heckebridge import (
     QScalar,
     _relation_residuals,
     _unit_key,
-    affine_T_action,
-    degenerate_s_action,
     verify_affine_relations,
     verify_degenerate_relations,
 )
@@ -53,10 +51,17 @@ def test_qscalar_negative_powers():
 # -- module primitives ----------------------------------------------------
 
 
+def generator_column(mode, i, v, exps, n, cutoff=4):
+    """T_i (affine) or s_i (degenerate) on x^exps in M_v, vertices (0, 1, 2)."""
+    br = HeckeBridge(n, cutoff, mode)
+    generator = br.affine_T if mode == "affine" else br.degenerate_s
+    return generator(i, br.monomial(v, exps))
+
+
 def test_truncation_drops_high_degrees():
     br = HeckeBridge(2, 3, "affine")
     m = br.monomial((0, 1), (1, 1))
-    out = br.mul_term(m, (1, 0), br.one)
+    out = br.mul_linear(m, [((1, 0), br.one)])
     assert out == {}
 
 
@@ -102,7 +107,7 @@ def test_series_inverse_inverts():
 
 def test_affine_T_on_unit_equal_component():
     # T_i acts by q on the constant function of an equal-value component
-    out = affine_T_action(1, (0, 0), (0, 0), 2)
+    out = generator_column("affine", 1, (0, 0), (0, 0), 2)
     assert out == {((0, 0), (0, 0)): QScalar.q_power(1)}
 
 
@@ -110,7 +115,7 @@ def test_affine_T_equal_component_formula():
     # T_1 x_1 = -(q X_1 - X_2) + q x_1 = x_2 + q - q^2 on the
     # component with both values q (the divided difference of x_1
     # is -1 in the (P - sP)/(x_2 - x_1) convention)
-    out = affine_T_action(1, (1, 1), (1, 0), 2)
+    out = generator_column("affine", 1, (1, 1), (1, 0), 2)
     q = QScalar.q_power(1)
     one = QScalar.from_int(1)
     assert out == {
@@ -121,7 +126,7 @@ def test_affine_T_equal_component_formula():
 
 def test_affine_T_moves_between_components():
     # a distinct-value component maps into itself plus the swapped one
-    out = affine_T_action(1, (0, 1), (0, 0), 2)
+    out = generator_column("affine", 1, (0, 1), (0, 0), 2)
     comps = {v for (v, e) in out}
     assert comps == {(0, 1), (1, 0)}
 
@@ -132,7 +137,7 @@ def test_affine_T_distinct_component_values():
     q = QScalar.q_power(1)
     one = QScalar.from_int(1)
     u = (one - q).inverse()
-    out = affine_T_action(1, (0, 1), (0, 0), 2, cutoff=3)
+    out = generator_column("affine", 1, (0, 1), (0, 0), 2, cutoff=3)
     assert out == {
         ((0, 1), (0, 0)): q,
         ((0, 1), (0, 1)): u,
@@ -169,13 +174,13 @@ def test_affine_relations_rank_four():
 
 
 def test_degenerate_s_fixes_constants_on_equal_component():
-    out = degenerate_s_action(1, (2, 2), (0, 0), 2)
+    out = generator_column("degenerate", 1, (2, 2), (0, 0), 2)
     assert out == {((2, 2), (0, 0)): Fraction(1)}
 
 
 def test_degenerate_s_equal_component_formula():
     # s_1 x_1 = x_2 + d(x_1) = x_2 - 1 on the component (c, c)
-    out = degenerate_s_action(1, (0, 0), (1, 0), 2)
+    out = generator_column("degenerate", 1, (0, 0), (1, 0), 2)
     assert out == {
         ((0, 0), (0, 1)): Fraction(1),
         ((0, 0), (0, 0)): Fraction(-1),
@@ -195,7 +200,7 @@ def test_degenerate_straightening_on_distinct_component():
 
 def test_degenerate_s_distinct_component_values():
     # recorded before both modes shared one generator formula
-    out = degenerate_s_action(1, (0, 1), (0, 0), 2, cutoff=3)
+    out = generator_column("degenerate", 1, (0, 1), (0, 0), 2, cutoff=3)
     assert out == {
         ((0, 1), (0, 0)): Fraction(1),
         ((0, 1), (0, 1)): Fraction(-1),
@@ -306,6 +311,26 @@ def test_sign_flipped_degenerate_s_fails(monkeypatch, vertices):
 # -- the relation suites ---------------------------------------------------
 
 
+def test_scaled_elements_keep_no_zero_entries(monkeypatch):
+    # the relation residuals scale by one - alpha, alpha - one (both 0 in
+    # degenerate mode) and beta (0 in affine mode); a zero scalar or a
+    # zero product must leave no entry behind
+    original = HeckeBridge.scale_el
+    calls = []
+
+    def checked(self, a, c):
+        out = original(self, a, c)
+        calls.append(c)
+        assert all(out.values()), (a, c)
+        return out
+
+    monkeypatch.setattr(HeckeBridge, "scale_el", checked)
+    for n, window in [(2, 4), (3, 2)]:
+        assert verify_degenerate_relations(n, window)
+        assert verify_affine_relations(n, window)
+    assert any(not c for c in calls)
+
+
 @pytest.mark.parametrize(
     "method, verify, relation",
     [
@@ -404,7 +429,7 @@ def _perturbed_operators(br):
 
     def T(i, el):
         out = br.add_el(generator(i, el), br.demazure(br.n - i, el))
-        return br.add_el(out, br.mul_term(el, br.x_shift(1), br.one))
+        return br.add_el(out, br.mul_linear(el, [(br.x_shift(1), br.one)]))
 
     def X(j, el):
         return br.add_el(x_op(j, el), br.swap(1, el))

@@ -80,9 +80,7 @@ def reference_apply(el, module):
         p = module.get(v)
         if p is None or p.is_zero():
             continue
-        img = reference_apply_word(ctx, v, w, a, p).map_coefficients(
-            lambda z: c * z
-        )
+        img = reference_apply_word(ctx, v, w, a, p).scale(c)
         tgt = w.act_on_list(v)
         out[tgt] = out[tgt] + img if tgt in out else img
     return {v: p for v, p in out.items() if not p.is_zero()}
