@@ -514,7 +514,7 @@ def reduced_cyclotomic_graded_dims(ctx, weights: dict, degree_cap: int):
     x_1^{n_{v_1}} 1_v for all idempotents v.  Returns {degree: dim} for
     degrees up to ``degree_cap``.  Only small sizes are supported.
     """
-    from .klr import KLRElement, _lmul_monomial, _lmul_tau, _lmul_x
+    from .klr import KLRElement, _lmul_poly, _lmul_tau
 
     assert not ctx.params
     n = ctx.n
@@ -569,15 +569,16 @@ def reduced_cyclotomic_graded_dims(ctx, weights: dict, degree_cap: int):
             if key_degree(vb, wb, ab) + 2 * m > degree_cap:
                 continue
             el = KLRElement(ctx, {(vb, wb, ab): 1})
-            el = _lmul_monomial(ctx, gen_exps, el)
+            el = _lmul_poly(ctx, MPoly(n, (), {gen_exps: 1}), el)
             el = _prune_above(ctx, el, degree_cap, key_degree)
             if add_if_new(el):
                 frontier.append(el)
+    xs = [MPoly.x(j, n) for j in range(1, n + 1)]
     while frontier:
         new_frontier = []
         for el in frontier:
-            for j in range(1, n + 1):
-                nel = _prune_above(ctx, _lmul_x(ctx, j, el), degree_cap, key_degree)
+            for x in xs:
+                nel = _prune_above(ctx, _lmul_poly(ctx, x, el), degree_cap, key_degree)
                 if add_if_new(nel):
                     new_frontier.append(nel)
             for l in range(1, n):

@@ -63,7 +63,11 @@ def residue(row: int, col: int, p: int) -> int:
 
 def addable_boxes(parts, p: int):
     """All (row, col, residue) where a box may be added."""
-    parts = check_partition(parts)
+    return _addable(check_partition(parts), p)
+
+
+def _addable(parts: tuple, p: int):
+    """``addable_boxes`` of a partition already checked."""
     out = []
     for r in range(1, len(parts) + 2):
         row_len = parts[r - 1] if r <= len(parts) else 0
@@ -76,7 +80,11 @@ def addable_boxes(parts, p: int):
 
 def removable_boxes(parts, p: int):
     """All (row, col, residue) where a box may be removed."""
-    parts = check_partition(parts)
+    return _removable(check_partition(parts), p)
+
+
+def _removable(parts: tuple, p: int):
+    """``removable_boxes`` of a partition already checked."""
     out = []
     for r in range(1, len(parts) + 1):
         row_len = parts[r - 1]
@@ -88,7 +96,7 @@ def removable_boxes(parts, p: int):
 
 def add_box(parts, row: int) -> tuple:
     """``parts`` plus a box in ``row``, unchecked: f_op takes ``row`` from
-    ``addable_boxes`` of a checked partition, so this is a partition."""
+    the addable boxes of a checked partition, so this is a partition."""
     parts = list(parts)
     if row == len(parts) + 1:
         parts.append(1)
@@ -99,7 +107,7 @@ def add_box(parts, row: int) -> tuple:
 
 def remove_box(parts, row: int) -> tuple:
     """``parts`` less a box in ``row``, unchecked: e_op takes ``row`` from
-    ``removable_boxes`` of a checked partition, so this is a partition."""
+    the removable boxes of a checked partition, so this is a partition."""
     parts = list(parts)
     parts[row - 1] -= 1
     if parts[row - 1] == 0:
@@ -136,7 +144,7 @@ class FockVector(Combination):
 
     @staticmethod
     def basis(parts) -> "FockVector":
-        return FockVector({check_partition(parts): 1})
+        return FockVector({tuple(parts): 1})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -146,20 +154,22 @@ class FockVector(Combination):
 
 
 def f_op(i: int, p: int, v: FockVector) -> FockVector:
-    """Add one box of residue i in all possible ways."""
+    """Add one box of residue i in all possible ways (the keys of ``v``
+    are partitions checked when it was built)."""
     out = {}
     for parts, c in v.terms.items():
-        for r, _, res in addable_boxes(parts, p):
+        for r, _, res in _addable(parts, p):
             if res == i % p:
                 bump(out, add_box(parts, r), c)
     return v._like(out)
 
 
 def e_op(i: int, p: int, v: FockVector) -> FockVector:
-    """Remove one box of residue i in all possible ways."""
+    """Remove one box of residue i in all possible ways (the keys of
+    ``v`` are partitions checked when it was built)."""
     out = {}
     for parts, c in v.terms.items():
-        for r, _, res in removable_boxes(parts, p):
+        for r, _, res in _removable(parts, p):
             if res == i % p:
                 bump(out, remove_box(parts, r), c)
     return v._like(out)

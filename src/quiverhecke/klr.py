@@ -13,7 +13,8 @@ words
 where v is a source idempotent (a tuple of vertices), w runs over the
 canonical reduced words of the symmetric group and the x-exponents sit to
 the right.  Multiplication is done by a rewriting engine that moves x's
-to the right and recombines tau-words along the canonical-word segment
+to the right (one push, shared with the torsion rewriter of the larger
+presentation) and recombines tau-words along the canonical-word segment
 structure; the polynomial representation (divided differences and twisted
 multiplication operators) provides an independent engine used as an
 oracle and for extracting PBW coordinates of operators.  Symbolically
@@ -245,6 +246,12 @@ class KLRContext:
             return self.q_poly(i, j, a, b)
         return MPoly.one(self.n, self.params)
 
+    def braid_correction(self, s, t, i: int) -> MPoly:
+        """(Q_st(x_{i+2}, x_{i+1}) - Q_st(x_i, x_{i+1})) / (x_{i+2} - x_i), the
+        deformed braid term at v_i = v_{i+2} = s != t = v_{i+1}."""
+        num = self.q_poly(s, t, i + 2, i + 1) - self.q_poly(s, t, i, i + 1)
+        return divide_exact_by_x_difference(num, i + 2, i)
+
     def tau_degree(self, u, l: int) -> int:
         """Degree of tau_l applied at the idempotent u: -a_{u_l, u_{l+1}}."""
         return -self.quiver.cartan(u[l - 1], u[l])
@@ -306,44 +313,40 @@ def _push_x(j: int, word, v):
     return out
 
 
-def _lmul_x(ctx: KLRContext, j: int, el: "KLRElement") -> "KLRElement":
+def _push_poly(ctx: KLRContext, poly: MPoly, word, v) -> dict:
+    """poly * tau_word 1_v as formal words {(letters, exps): coeff}, by the
+    x-tau relations alone, which both presentations share.  Corrections
+    drop letters; the terms that came through whole keep ``word``."""
     out = {}
-    for (v, w, a), c in el.terms.items():
-        for letters, jn, sign in _push_x(j, w.canonical_word(), v):
-            if jn is not None:
-                b = list(a)
-                b[jn - 1] += 1
-                bump(out, (v, w, tuple(b)), sign * c)
-            else:
-                sub = _word_to_element(ctx, letters, v)
-                for (v2, w2, b2), c2 in sub.terms.items():
-                    b = tuple(p + q for p, q in zip(b2, a))
-                    bump(out, (v2, w2, b), sign * c * c2)
-    return KLRElement(ctx, out)
-
-
-def _lmul_monomial(ctx: KLRContext, exps, el: "KLRElement") -> "KLRElement":
-    cur = el
-    for j in range(1, ctx.n + 1):
-        for _ in range(exps[j - 1]):
-            cur = _lmul_x(ctx, j, cur)
-    tail = tuple(exps[ctx.n:])
-    if any(tail):
-        out = {}
-        for (v, w, a), c in cur.terms.items():
-            b = a[: ctx.n] + tuple(p + q for p, q in zip(a[ctx.n:], tail))
-            bump(out, (v, w, b), c)
-        cur = KLRElement(ctx, out)
-    return cur
+    for exps, coeff in poly.terms.items():
+        items = {(tuple(word), (0,) * ctx.n + tuple(exps[ctx.n:])): coeff}
+        for j in range(1, ctx.n + 1):
+            for _ in range(exps[j - 1]):
+                nxt = {}
+                for (wrd, e), c in items.items():
+                    for letters, jn, sign in _push_x(j, wrd, v):
+                        b = e if jn is None else e[: jn - 1] + (e[jn - 1] + 1,) + e[jn:]
+                        bump(nxt, (letters, b), sign * c)
+                items = nxt
+        for key, c in items.items():
+            bump(out, key, c)
+    return out
 
 
 def _lmul_poly(ctx: KLRContext, p: MPoly, el: "KLRElement") -> "KLRElement":
-    assert p.nx == ctx.n and tuple(p.params) == ctx.params
+    """p * el in PBW normal form, each word left by the push normalized once."""
+    if (p.nx, p.params) != (ctx.n, ctx.params):
+        raise ValueError(f"{p.var_names()} are not the variables of H_{ctx.n}")
     out = {}
-    for exps, coeff in p.terms.items():
-        piece = _lmul_monomial(ctx, exps, el)
-        for key, c in piece.terms.items():
-            bump(out, key, coeff * c)
+    for (v, w, a), c in el.terms.items():
+        word = w.canonical_word()
+        for (letters, e), d in _push_poly(ctx, p, word, v).items():
+            if letters == word:
+                bump(out, (v, w, tuple(x + y for x, y in zip(e, a))), c * d)
+                continue
+            for (v2, w2, b), c2 in _word_to_element(ctx, letters, v).terms.items():
+                b = tuple(x + y + z for x, y, z in zip(b, e, a))
+                bump(out, (v2, w2, b), c * d * c2)
     return KLRElement(ctx, out)
 
 
@@ -387,7 +390,8 @@ def _tau_times_word_compute(ctx, i, word, v, rank) -> "KLRElement":
     word; the result is again in PBW normal form.
     """
     n = ctx.n
-    assert 1 <= i <= rank - 1
+    if not 1 <= i <= rank - 1:
+        raise ValueError(f"tau_{i} is not a generator of H_{rank}")
     if not word:
         return _single(ctx, v, (i,))
     seg = segments_of_canonical_word(word)[0]
@@ -420,10 +424,8 @@ def _tau_times_word_compute(ctx, i, word, v, rank) -> "KLRElement":
     tail = tuple(range(i + 1, rank)) + rest
     ub = Permutation.from_word(tail, n).act_on_list(v)
     a0 = i - 1  # braid pattern acts at positions a0, a0+1, a0+2
-    if ub[a0 - 1] == ub[a0 + 1] and ub[a0 - 1] != ub[a0]:
-        vi, vj = ub[a0 - 1], ub[a0]
-        num = ctx.q_poly(vi, vj, a0 + 2, a0 + 1) - ctx.q_poly(vi, vj, a0, a0 + 1)
-        corr = divide_exact_by_x_difference(num, a0 + 2, a0)
+    if ub[a0 - 1] == ub[a0 + 1] != ub[a0]:
+        corr = ctx.braid_correction(ub[a0 - 1], ub[a0], a0)
         extra = _lmul_poly(ctx, corr, _single(ctx, v, tail))
         for l in reversed(range(j0, i - 1)):
             extra = _lmul_tau(ctx, l, extra)
@@ -518,18 +520,19 @@ class KLRElement(Combination):
             return NotImplemented
         self._check(other)
         ctx = self.ctx
+        by_target = {}
+        for (v2, w2, a2), c2 in other.terms.items():
+            by_target.setdefault(w2.act_on_list(v2), {})[(v2, w2, a2)] = c2
         out = {}
         for (v1, w1, a1), c1 in self.terms.items():
-            word1 = w1.canonical_word()
-            for (v2, w2, a2), c2 in other.terms.items():
-                if w2.act_on_list(v2) != v1:
-                    continue
-                cur = KLRElement(ctx, {(v2, w2, a2): 1})
-                cur = _lmul_monomial(ctx, a1, cur)
-                for l in reversed(word1):
-                    cur = _lmul_tau(ctx, l, cur)
-                for key, c in cur.terms.items():
-                    bump(out, key, c1 * c2 * c)
+            if v1 not in by_target:
+                continue
+            mono = MPoly(ctx.n, ctx.params, {a1: c1})
+            cur = _lmul_poly(ctx, mono, self._like(by_target[v1]))
+            for l in reversed(w1.canonical_word()):
+                cur = _lmul_tau(ctx, l, cur)
+            for key, c in cur.terms.items():
+                bump(out, key, c)
         return self._like(out)
 
     def degrees(self):
@@ -670,41 +673,30 @@ def _delta(ctx: KLRContext, u) -> MPoly:
     return out
 
 
-class KLROperator:
+class KLROperator(Combination):
     """Endomorphism of the polynomial module, one component per idempotent.
 
     The component at v is a finite sum sum_s (N_s / Delta_{s(v)}) s over
-    permutations s, stored as ``comps[v] = {s: N_s}`` with polynomial
+    permutations s, stored as ``terms[(v, s)] = N_s`` with polynomial
     numerators N_s.  The denominator Delta_u (see ``_expand_word``)
     depends only on the target labeling u = s(v), so numerators with the
-    same s add and compare as plain polynomials.
+    same (v, s) add and compare as plain polynomials.
     """
 
-    __slots__ = ("ctx", "comps")
+    __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: KLRContext, comps=None):
+    def __init__(self, ctx: KLRContext, terms=None):
         self.ctx = ctx
-        self.comps = {}
-        for v, comp in (comps or {}).items():
-            clean = {s: f for s, f in comp.items() if f}
-            if clean:
-                self.comps[tuple(v)] = clean
+        self.terms = {(tuple(v), s): f for (v, s), f in (terms or {}).items() if f}
 
-    def is_zero(self) -> bool:
-        return not self.comps
+    def _like(self, terms) -> "KLROperator":
+        op = KLROperator(self.ctx)
+        op.terms = terms
+        return op
 
-    def __sub__(self, other: "KLROperator") -> "KLROperator":
-        if self.ctx is not other.ctx:
+    def _check(self, other):
+        if other.ctx is not self.ctx:
             raise ValueError("operators of different algebra contexts")
-        out = {v: dict(comp) for v, comp in self.comps.items()}
-        for v, comp in other.comps.items():
-            cur = out.setdefault(v, {})
-            for s, f in comp.items():
-                bump(cur, s, -f)
-        return KLROperator(self.ctx, out)
-
-    def __eq__(self, other) -> bool:
-        return (self - other).is_zero()
 
 
 def _expand_word(ctx: KLRContext, w: Permutation, v) -> dict:
@@ -727,14 +719,15 @@ def _expand_word(ctx: KLRContext, w: Permutation, v) -> dict:
     that is not exact raises ArithmeticError (only the sums divide; the
     single contributions do not, first at the word (1, 2, 1)).  Each
     word extends the memoized expansion of the word one letter shorter,
-    in ``ctx._expand_cache`` under (letters, v).
+    in ``ctx._expand_cache[v]`` under its letters; ``pbw_leading_terms``
+    drops v's expansions once v is certified.
     """
     return _expand_letters(ctx, w.canonical_word(), v)
 
 
 def _expand_letters(ctx: KLRContext, word, v) -> dict:
-    key = (word, v)
-    out = ctx._expand_cache.get(key)
+    cache = ctx._expand_cache.setdefault(v, {})
+    out = cache.get(word)
     if out is not None:
         return out
     if not word:
@@ -759,7 +752,7 @@ def _expand_letters(ctx: KLRContext, word, v) -> dict:
                 s: divide_exact_by_x_difference(num, l, l + 1)
                 for s, num in out.items()
             }
-    ctx._expand_cache[key] = out
+    cache[word] = out
     return out
 
 
@@ -767,13 +760,12 @@ def represent(el: KLRElement) -> KLROperator:
     """The element as an operator on the polynomial module (faithful):
     tau_w x^a 1_v contributes N_s s(x^a) to the numerator at s."""
     ctx = el.ctx
-    comps = {}
+    terms = {}
     for (v, w, a), c in el.terms.items():
         mono = MPoly(ctx.n, ctx.params, {tuple(a): c})
-        comp = comps.setdefault(v, {})
         for s, num in _expand_word(ctx, w, v).items():
-            bump(comp, s, num * mono.act(s))
-    return KLROperator(ctx, comps)
+            bump(terms, (v, s), num * mono.act(s))
+    return KLROperator(ctx, terms)
 
 
 def pbw_leading_terms(ctx: KLRContext, v) -> bool:
@@ -797,13 +789,14 @@ def pbw_leading_terms(ctx: KLRContext, v) -> bool:
     inverts ``represent`` by the same triangularity.
     """
     v = ctx.check_idempotent(v)
+    certified = True
     for w in Permutation.all(ctx.n):
         comp = _expand_word(ctx, w, v)
-        if not comp.get(w):
-            return False
-        if any(s != w and s.length() >= w.length() for s in comp):
-            return False
-    return True
+        if not comp.get(w) or any(s != w and s.length() >= w.length() for s in comp):
+            certified = False
+            break
+    ctx._expand_cache.pop(v, None)  # n! expansions; pbw_coordinates rebuilds its leads
+    return certified
 
 
 def pbw_coordinates(op: KLROperator) -> KLRElement:
@@ -818,8 +811,10 @@ def pbw_coordinates(op: KLROperator) -> KLRElement:
     """
     ctx = op.ctx
     out = KLRElement.zero(ctx)
-    for v, comp in op.comps.items():
-        residual = dict(comp)
+    residuals = {}
+    for (v, s), f in op.terms.items():
+        residuals.setdefault(v, {})[s] = f
+    for v, residual in residuals.items():
         while residual:
             # longest permutations first: expansions are triangular in length
             sigma = max(residual, key=lambda s: (s.length(), s.images))
@@ -833,7 +828,7 @@ def pbw_coordinates(op: KLROperator) -> KLRElement:
                 piece_terms[(v, sigma, a)] = cm
             piece = KLRElement(ctx, piece_terms)
             out = out + piece
-            for s, g in represent(piece).comps.get(v, {}).items():
+            for (_, s), g in represent(piece).terms.items():
                 bump(residual, s, -g)
             if sigma in residual:
                 raise ArithmeticError("operator is not in the image of represent")
@@ -916,29 +911,7 @@ def grdim_reconciliation(ctx: KLRContext, v, vp) -> str:
 # the algebra with kernel made of polynomial torsion.  The rewriter below
 # only uses moves valid in the larger presentation: x-straightening,
 # quadratic pairs, commutation, and braid moves at idempotents where the
-# braid relation holds on the nose.
-
-
-def _prime_push_poly(ctx: KLRContext, poly: MPoly, word, v) -> dict:
-    """poly * tau_word 1_v as combinations of (word', exps) pairs."""
-    out = {}
-    for exps, coeff in poly.terms.items():
-        items = {(tuple(word), ctx.zero_exps()): coeff}
-        for j in range(1, ctx.n + 1):
-            for _ in range(exps[j - 1]):
-                nxt = {}
-                for (wrd, e), c in items.items():
-                    for letters, jn, sign in _push_x(j, wrd, v):
-                        e2 = list(e)
-                        if jn is not None:
-                            e2[jn - 1] += 1
-                        bump(nxt, (letters, tuple(e2)), sign * c)
-                items = nxt
-        tail = tuple(exps[ctx.n:])
-        for (wrd, e), c in items.items():
-            e2 = e[: ctx.n] + tuple(p + q for p, q in zip(e[ctx.n:], tail))
-            bump(out, (wrd, e2), c)
-    return out
+# braid relation holds on the nose.  x-straightening is the product's push.
 
 
 def _prime_reduce(ctx: KLRContext, word, v) -> dict:
@@ -961,7 +934,7 @@ def _prime_reduce(ctx: KLRContext, word, v) -> dict:
                 return {}
             qp = ctx.q_poly(vi, vj, l, l + 1)
             out = {}
-            for (wrd, exps), c in _prime_push_poly(ctx, qp, right, v).items():
+            for (wrd, exps), c in _push_poly(ctx, qp, right, v).items():
                 red = _prime_reduce(ctx, word[:p] + wrd, v)
                 for (w2, e2), c2 in red.items():
                     e = tuple(a + b for a, b in zip(e2, exps))
@@ -998,13 +971,15 @@ def torsion_check(ctx: KLRContext, v, i: int = 1) -> MPoly:
     need not vanish in the larger presentation, but tau_i * a does, hence
     Q_{v_i,v_{i+1}}(x_i, x_{i+1}) * a = 0.  Both facts are checked using
     only sound moves; the multiplier polynomial is returned, and a failed
-    check raises ArithmeticError.
+    check raises ArithmeticError.  Any other v or i raises ValueError.
     """
     v = ctx.check_idempotent(v)
-    assert v[i - 1] == v[i + 1] and v[i - 1] != v[i]
+    if not 1 <= i <= ctx.n - 2 or not v[i - 1] == v[i + 1] != v[i]:
+        raise ValueError(
+            f"torsion_check needs v_i = v_(i+2) != v_(i+1) at i = {i}: {v}"
+        )
     vi, vj = v[i - 1], v[i]
-    num = ctx.q_poly(vi, vj, i + 2, i + 1) - ctx.q_poly(vi, vj, i, i + 1)
-    corr = divide_exact_by_x_difference(num, i + 2, i)
+    corr = ctx.braid_correction(vi, vj, i)
     # the discrepancy as formal (word, exps) terms at source v
     disc = {
         ((i + 1, i, i + 1), ctx.zero_exps()): 1,

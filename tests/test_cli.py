@@ -194,6 +194,10 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
             ["verify", "heckebridge", "--n", "3", "--window", "7"],
             "the relation window for n = 3 is at most 6, got 7",
         ),
+        (
+            ["verify", "demazure", "--n", "6", "--max-deg", "6"],
+            "--n must be at most 5 for the demazure suite, got 6",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):

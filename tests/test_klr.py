@@ -27,7 +27,7 @@ from quiverhecke.klr import (
     torsion_check,
 )
 from quiverhecke.laurent import Laurent
-from quiverhecke.linalg import rank
+from quiverhecke.linalg import bump, rank
 from quiverhecke.polyring import MPoly, divide_exact_by_x_difference, exponent_tuples
 
 
@@ -161,6 +161,99 @@ def test_braid_relation_engine(k):
             assert diff == _lmul_poly(ctx, corr, KLRElement.idempotent(ctx, v))
         else:
             assert diff.is_zero()
+
+
+def one_parameter_qmatrix():
+    # Q_12 = t * (u' - u) with a generic parameter t
+    return QMatrix(
+        (1, 2),
+        {
+            (1, 2): {(1, 0, 1): -1, (0, 1, 1): 1},
+            (2, 1): {(0, 1, 1): -1, (1, 0, 1): 1},
+        },
+        params=("t",),
+    )
+
+
+def reference_lmul_x(ctx, j, el):
+    # x_j * el one x at a time, each correction normalized right away
+    from quiverhecke.klr import _push_x, _word_to_element
+
+    out = {}
+    for (v, w, a), c in el.terms.items():
+        for letters, jn, sign in _push_x(j, w.canonical_word(), v):
+            if jn is not None:
+                b = list(a)
+                b[jn - 1] += 1
+                bump(out, (v, w, tuple(b)), sign * c)
+            else:
+                sub = _word_to_element(ctx, letters, v)
+                for (v2, w2, b2), c2 in sub.terms.items():
+                    b = tuple(p + q for p, q in zip(b2, a))
+                    bump(out, (v2, w2, b), sign * c * c2)
+    return KLRElement(ctx, out)
+
+
+def reference_lmul_poly(ctx, poly, el):
+    # poly * el monomial by monomial through reference_lmul_x; the
+    # parameter exponents of a monomial only shift those of each term
+    out = KLRElement.zero(ctx)
+    for exps, coeff in poly.terms.items():
+        cur = el
+        for j in range(1, ctx.n + 1):
+            for _ in range(exps[j - 1]):
+                cur = reference_lmul_x(ctx, j, cur)
+        tail = exps[ctx.n:]
+        shifted = {
+            (v, w, a[: ctx.n] + tuple(p + q for p, q in zip(a[ctx.n:], tail))): c
+            for (v, w, a), c in cur.terms.items()
+        }
+        out = out + KLRElement(ctx, shifted).scale(coeff)
+    return out
+
+
+LMUL_CONTEXTS = {
+    "a2-n3": lambda: make_klr(linear_quiver(2), 3),
+    "a3-n3": lambda: make_klr(linear_quiver(3), 3),
+    "one-parameter-n3": lambda: make_klr(
+        QuiverData((1, 2), {(1, 2): 1}), 3, one_parameter_qmatrix()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LMUL_CONTEXTS))
+def test_lmul_poly_matches_one_x_at_a_time(name):
+    # the one push moves a whole polynomial through each word and
+    # normalizes each formal word once; pushing one x at a time and
+    # normalizing after every x must give the same element exactly
+    from quiverhecke.klr import _lmul_poly
+
+    ctx = LMUL_CONTEXTS[name]()
+    rng = random.Random(1807)
+    idems = idempotents(ctx)
+    perms = list(Permutation.all(ctx.n))
+    monomials = list(exponent_tuples(ctx.width, 3))
+    for _ in range(12):
+        el = KLRElement.zero(ctx)
+        for _ in range(3):
+            word = random_basis_word(rng, ctx, idems, perms)
+            el = el + word.scale(rng.choice([1, -1, 2]))
+        poly = MPoly(
+            ctx.n,
+            ctx.params,
+            {rng.choice(monomials): rng.choice([1, -1, 3]) for _ in range(3)},
+        )
+        assert _lmul_poly(ctx, poly, el) == reference_lmul_poly(ctx, poly, el)
+
+
+def test_lmul_poly_rejects_another_polynomial_ring():
+    from quiverhecke.klr import _lmul_poly
+
+    ctx = make_klr(linear_quiver(2), 3)
+    one_v = KLRElement.idempotent(ctx, (1, 2, 1))
+    for poly in (MPoly.x(1, 2), MPoly.x(1, 3, ("t",))):
+        with pytest.raises(ValueError, match="are not the variables of H_3"):
+            _lmul_poly(ctx, poly, one_v)
 
 
 # -- relations as operator identities (independent engine) ---------------
@@ -428,6 +521,18 @@ def test_pbw_coordinates_of_braid_commutator():
     assert coords == _lmul_poly(ctx, corr, KLRElement.idempotent(ctx, v))
 
 
+def test_operators_of_two_contexts_neither_compare_nor_subtract():
+    ctx = make_klr(linear_quiver(2), 2)
+    other = make_klr(linear_quiver(2), 2)
+    op = represent(KLRElement.tau(ctx, 1, (1, 2)))
+    twin = represent(KLRElement.tau(other, 1, (1, 2)))
+    assert op.terms == twin.terms
+    assert (op == twin) is False
+    with pytest.raises(ValueError, match="different algebra contexts"):
+        op - twin
+    assert (op - op).is_zero() and op == represent(KLRElement.tau(ctx, 1, (1, 2)))
+
+
 def test_represent_examples():
     # single vertex: tau applied to x_2 gives 1
     ctx = make_klr(single_vertex_quiver(), 2)
@@ -579,6 +684,28 @@ def test_broken_certificate_raises_under_optimize(sabotage, call):
     assert res.stdout.split() == ["raised", "1"]
 
 
+def test_torsion_shape_raises_under_optimize():
+    # `python -O` strips asserts; an idempotent without v_1 = v_3 != v_2
+    # must still be refused
+    code = (
+        "import quiverhecke.klr as klr\n"
+        "ctx = klr.make_klr(klr.linear_quiver(2), 3)\n"
+        "try:\n"
+        "    print('returned', klr.torsion_check(ctx, (1, 1, 1)))\n"
+        "except ValueError as e:\n"
+        "    print('raised', e)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised torsion_check needs"), res.stdout
+
+
 def test_single_vertex_braid_is_exact():
     from quiverhecke.klr import _word_to_element
 
@@ -682,16 +809,7 @@ def test_to_text_deterministic():
 
 
 def test_generic_parameter_mode():
-    # Q_12 = t * (u' - u) with a generic parameter t
-    qm = QMatrix(
-        (1, 2),
-        {
-            (1, 2): {(1, 0, 1): -1, (0, 1, 1): 1},
-            (2, 1): {(0, 1, 1): -1, (1, 0, 1): 1},
-        },
-        params=("t",),
-    )
-    ctx = make_klr(QuiverData((1, 2), {(1, 2): 1}), 2, qm)
+    ctx = make_klr(QuiverData((1, 2), {(1, 2): 1}), 2, one_parameter_qmatrix())
     v = (1, 2)
     prod = KLRElement.tau(ctx, 1, (2, 1)) * KLRElement.tau(ctx, 1, v)
     # t * (x_2 - x_1) 1_v

@@ -180,10 +180,10 @@ def test_represent_matches_apply_on_every_basis_word(name):
             target = w.act_on_list(v)
             for a in itertools.product(range(2), repeat=n):
                 el = KLRElement.basis_word(ctx, v, w, a)
-                comp = represent(el).comps[v]
+                op = represent(el)
                 for p in monomials:
                     image = zero
-                    for s, num in comp.items():
+                    for (_, s), num in op.terms.items():
                         image = image + num * p.act(s)
                     image = divide_exact(image, _delta(ctx, target))
                     expected = el.apply({v: p}).get(target, zero)
@@ -249,7 +249,7 @@ def test_pbw_path_raises_under_optimize():
         "ctx = klr.make_klr(klr.linear_quiver(2), 2)\n"
         "op = klr.represent(klr.KLRElement.tau(ctx, 1, (1, 1)))\n"
         "one = klr.Permutation.identity(2)\n"
-        "stray = klr.KLROperator(ctx, {(1, 1): {one: MPoly.one(2)}})\n"
+        "stray = klr.KLROperator(ctx, {((1, 1), one): MPoly.one(2)})\n"
         "other = klr.make_klr(klr.linear_quiver(2), 2)\n"
         "real = klr._expand_word\n"
         "def doubled(ctx, w, v):\n"
