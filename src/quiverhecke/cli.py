@@ -328,7 +328,8 @@ def suite_pbw(cfg, rng):
     words = len(idems) * len(perms)
     if n > 5 or words > 3**5 * 120:
         # the certificate expands every tau_w 1_v: a3 at n = 5 (243 x 120
-        # words) took 59s, a single vertex at n = 6 (720 words) 142s
+        # words) takes 4s, the leading terms alone of a single vertex at
+        # n = 6 (720 words) 24-30s (2 vCPU, Python 3.11)
         raise ValueError(
             f"--n {n} on this quiver expands {words} words tau_w 1_v; the "
             "pbw suite stops at n = 5 and 29160 words"

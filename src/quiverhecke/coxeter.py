@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .laurent import Laurent
+from .laurent import Laurent, geometric_truncated
 
 
 class Permutation:
@@ -167,5 +167,5 @@ def poincare_product_form(n: int) -> Laurent:
     """prod_{i=1}^{n} (1 + q + ... + q^{i-1}), the closed form of the Poincare sum."""
     out = Laurent.one()
     for i in range(1, n + 1):
-        out = out * Laurent({k: 1 for k in range(i)})
+        out = out * geometric_truncated(1, i - 1)
     return out

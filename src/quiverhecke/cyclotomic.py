@@ -34,7 +34,7 @@ import numpy
 
 from .coxeter import Permutation, poincare_polynomial
 from .fock import all_partitions, residue_content
-from .laurent import Laurent
+from .laurent import Laurent, geometric_truncated
 from .linalg import Echelon
 from .nilhecke import NilHeckeElement
 from .polyring import (
@@ -333,17 +333,12 @@ def _laurent_inverted_square(p: Laurent) -> Laurent:
     return Laurent({-2 * k: c for k, c in p.terms.items()})
 
 
-def _quantum_integer(k: int) -> Laurent:
-    """1 + v^2 + ... + v^{2(k-1)}."""
-    return Laurent({2 * t: 1 for t in range(k)})
-
-
 def graded_rank_polynomial(n: int, i: int) -> Laurent:
     """Graded rank of C_i(n) over Z[z]: poincare_i(v^-2) * prod [k]_{v^2}
     for k = n-i+1 .. n.  Its value at 1 is i! * n!/(n-i)!."""
     out = _laurent_inverted_square(poincare_polynomial(i))
     for k in range(n - i + 1, n + 1):
-        out = out * _quantum_integer(k)
+        out = out * geometric_truncated(2, 2 * k - 2)  # [k]_{v^2}
     return out
 
 

@@ -789,10 +789,11 @@ def pbw_leading_terms(ctx: KLRContext, v) -> bool:
     inverts ``represent`` by the same triangularity.
     """
     v = ctx.check_idempotent(v)
+    lengths = {w: w.length() for w in Permutation.all(ctx.n)}
     certified = True
-    for w in Permutation.all(ctx.n):
+    for w, length in lengths.items():
         comp = _expand_word(ctx, w, v)
-        if not comp.get(w) or any(s != w and s.length() >= w.length() for s in comp):
+        if not comp.get(w) or any(s != w and lengths[s] >= length for s in comp):
             certified = False
             break
     ctx._expand_cache.pop(v, None)  # n! expansions; pbw_coordinates rebuilds its leads

@@ -118,7 +118,8 @@ class Laurent(Combination):
 
 def geometric_truncated(power_step: int, cutoff: int) -> Laurent:
     """1 + t^s + t^{2s} + ... up to powers <= cutoff (the series 1/(1 - t^s))."""
-    assert power_step > 0
+    if power_step <= 0:
+        raise ValueError(f"step {power_step} of a geometric series must be positive")
     return Laurent({k: 1 for k in range(0, cutoff + 1, power_step)})
 
 

@@ -9,8 +9,9 @@ is carried along untouched by the group action.  Coefficients are exact
 
 The Demazure operator d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i) is applied in
 closed form monomial by monomial (`demazure_exponents`), without division.
-Exact division (by X_a - X_b, or by any polynomial with `divide_exact`)
-raises ArithmeticError when it is not exact.
+Division by X_a - X_b is closed form monomial by monomial too
+(`try_divide_by_x_difference`).  `divide_exact_by_x_difference`, and
+`divide_exact` for any divisor, raise ArithmeticError when it is not exact.
 """
 
 from __future__ import annotations
@@ -108,17 +109,11 @@ class MPoly(Combination):
 
     # -- structure ----------------------------------------------------
 
-    def coefficients_in_x(self, i):
-        """Decompose as a polynomial in X_i: {k: coefficient poly with X_i^0}."""
-        out = {}
-        for e, c in self.terms.items():
-            out.setdefault(e[i - 1], {})[e[: i - 1] + (0,) + e[i:]] = c
-        return {k: self._like(d) for k, d in out.items()}
-
     def evaluate(self, x_values, param_values=()):
         """Full evaluation at numeric points."""
         vals = tuple(x_values) + tuple(param_values)
-        assert len(vals) == self.nx + len(self.params)
+        if len(vals) != self.nx + len(self.params):
+            raise ValueError(f"{len(vals)} values for {self.var_names()}")
         total = 0
         for e, c in self.terms.items():
             t = c
@@ -132,7 +127,8 @@ class MPoly(Combination):
 
     def act(self, w: Permutation):
         """Apply a permutation to the X block: X_i -> X_{w(i)}."""
-        assert w.n <= self.nx
+        if w.n > self.nx:
+            raise ValueError(f"a permutation of {w.n} acts on {self.nx} X's")
         out = {}
         for e, c in self.terms.items():
             xs = list(e[: self.nx])
@@ -245,23 +241,24 @@ def divide_exact_by_x_difference(p: MPoly, a: int, b: int) -> MPoly:
 
 
 def try_divide_by_x_difference(p: MPoly, a: int, b: int):
-    """Quotient p / (X_a - X_b) if the division is exact, else None."""
-    if p.is_zero():
-        return p
-    coeffs = p.coefficients_in_x(a)
-    zero = MPoly.zero(p.nx, p.params)
-    xb = MPoly.x(b, p.nx, p.params)
-    quot_coeffs = {}
-    carry = zero  # quotient coefficient one degree up
-    for k in range(max(coeffs), 0, -1):
-        carry = quot_coeffs[k - 1] = coeffs.get(k, zero) + xb * carry
-    if not (coeffs.get(0, zero) + xb * carry).is_zero():
-        return None
-    xa = MPoly.x(a, p.nx, p.params)
-    out = zero
-    for k, q in quot_coeffs.items():
-        out = out + q * xa ** k
-    return out
+    """Quotient p / (X_a - X_b) if the division is exact, else None.
+
+    Monomial by monomial in closed form: with k, m the exponents of X_a,
+    X_b, X_a^k X_b^m = (X_a - X_b) * sum_{t<k} X_a^{k-1-t} X_b^{m+t}
+    + X_b^{k+m}.  The division is exact exactly when the remainders
+    X_b^{k+m} cancel.  Raises ValueError unless a != b are among 1..nx."""
+    if a == b or not (1 <= a <= p.nx and 1 <= b <= p.nx):
+        raise ValueError(f"X{a} - X{b} is not a difference of two of X1..X{p.nx}")
+    quot, rem = {}, {}
+    for e, c in p.terms.items():
+        k, m = e[a - 1], e[b - 1]
+        mono = list(e)
+        mono[a - 1], mono[b - 1] = 0, k + m
+        bump(rem, tuple(mono), c)
+        for t in range(k):
+            mono[a - 1], mono[b - 1] = k - 1 - t, m + t
+            bump(quot, tuple(mono), c)
+    return None if rem else p._like(quot)
 
 
 def divide_exact(p: MPoly, d: MPoly) -> MPoly:

@@ -279,6 +279,8 @@ STDOUT_SHA256 = {
         "007670d0b69256623585f0520efc03df43809e984498688bc35c441c2d0d1bfd",
     "verify pbw --quiver a2 --n 4":
         "bbbc4022c2c26de1f918326cc6e1db73aeb29f8309100bb91d824232aa51f5ef",
+    "verify pbw --quiver single --n 4":
+        "301bfe0e95d6e8cecb04fc09e51c10a3a593b655a34aec46da2bbc66ba4fded2",
     "verify klr-relations --quiver a2 --n 3":
         "263785ebdce1a74de670aba37132baeeea9aa592c85891523f883bde64c96e24",
     "verify klr-relations --quiver a3 --n 3":

@@ -251,6 +251,39 @@ def test_inexact_division_raises_under_optimize():
     assert res.stdout.split() == ["raised", "1"]
 
 
+def test_input_checks_raise_under_optimize():
+    # each bad input raises ValueError, also when `python -O` strips asserts
+    code = (
+        "import sys\n"
+        "from quiverhecke.coxeter import Permutation\n"
+        "from quiverhecke.laurent import geometric_truncated\n"
+        "from quiverhecke.polyring import MPoly, try_divide_by_x_difference\n"
+        "p = MPoly(2, ('t',), {(1, 0, 1): 1})\n"
+        "for call in (\n"
+        "    lambda: try_divide_by_x_difference(p, 1, 1),\n"
+        "    lambda: try_divide_by_x_difference(p, 1, 3),\n"
+        "    lambda: try_divide_by_x_difference(p, 0, 2),\n"
+        "    lambda: p.evaluate((1, 2)),\n"
+        "    lambda: p.act(Permutation((1, 3, 2))),\n"
+        "    lambda: geometric_truncated(0, 4),\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised"] * 6 + ["1"]
+
+
 def test_schubert_checks_raise_under_optimize():
     # a polynomial in more variables than n has no Schubert coordinates,
     # and a wrong basis leaves a residual; both must fail under `-O`
@@ -338,3 +371,35 @@ def test_closed_form_demazure_matches_division():
                         )
                         assert expected is not None
                         assert p.demazure(i) == expected
+
+
+def test_closed_form_division_matches_long_division():
+    # oracle: divide_exact by the polynomial X_a - X_b
+    rng = random.Random(29)
+    for n in (2, 3, 4):
+        for params in ((), ("z1",), ("q", "t")):
+            width = n + len(params)
+            for field in (int, Fraction):
+                for _ in range(4):
+                    q = MPoly(n, params, {
+                        tuple(rng.randrange(0, 4) for _ in range(width)):
+                            random_coeff(rng, field)
+                        for _ in range(rng.randrange(1, 6))
+                    })
+                    for a, b in itertools.permutations(range(1, n + 1), 2):
+                        diff = MPoly.x(a, n, params) - MPoly.x(b, n, params)
+                        p = q * diff
+                        assert try_divide_by_x_difference(p, a, b) == q
+                        assert divide_exact(p, diff) == q
+                        # a product plus one monomial does not divide
+                        bad = p + MPoly(n, params, {
+                            tuple(rng.randrange(0, 3) for _ in range(width)):
+                                random_coeff(rng, field) or 1
+                        })
+                        assert try_divide_by_x_difference(bad, a, b) is None
+                        with pytest.raises(ArithmeticError):
+                            divide_exact(bad, diff)
+    p = MPoly(2, ("t",), {(1, 0, 1): 1})
+    for a, b in ((1, 1), (1, 3), (0, 2)):
+        with pytest.raises(ValueError):
+            try_divide_by_x_difference(p, a, b)
