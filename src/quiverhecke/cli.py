@@ -34,7 +34,7 @@ import sys
 import time
 
 from . import __version__
-from .coxeter import Permutation, poincare_polynomial, poincare_product_form
+from .coxeter import Permutation, length_order, poincare_polynomial, poincare_product_form
 from .linalg import bump
 from .polyring import (
     MPoly,
@@ -568,9 +568,7 @@ def compute_schubert_basis(cfg):
     if n < 0:
         raise ValueError(f"--n must be at least 0, got {n}")
     rows = []
-    for w in sorted(
-        Permutation.all(n), key=lambda u: (u.length(), u.images)
-    ):
+    for w in length_order(n):
         rows.append(
             {
                 "word": list(w.canonical_word()),
@@ -764,49 +762,36 @@ def _build_parser():
         "small-rank Hecke-type algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--quiver", default="a2")
+    common.add_argument("--n", type=int, default=3)
+    common.add_argument("--q", type=int, default=2)
+    common.add_argument("--p", type=int, default=3)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
-    ver = sub.add_parser("verify", help="run a verification suite")
+    ver = sub.add_parser("verify", parents=[common], help="run a verification suite")
     ver.add_argument("suite", choices=sorted(_SUITES))
-    ver.add_argument("--quiver", default="a2")
-    ver.add_argument("--n", type=int, default=3)
     ver.add_argument("--max-deg", type=int, default=6)
     ver.add_argument("--window", type=int, default=3)
-    ver.add_argument("--q", type=int, default=2)
-    ver.add_argument("--p", type=int, default=3)
     ver.add_argument("--max-size", type=int, default=6)
     ver.add_argument("--trials", type=int, default=20)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json"
-    )
 
-    comp = sub.add_parser("compute", help="emit a computed table")
+    comp = sub.add_parser("compute", parents=[common], help="emit a computed table")
     comp.add_argument("what", choices=sorted(_COMPUTES))
-    comp.add_argument("--quiver", default="a2")
-    comp.add_argument("--n", type=int, default=3)
     comp.add_argument("--i", type=int, default=0)
     comp.add_argument("--v", default="1,2")
     comp.add_argument("--vprime", default="2,1")
-    comp.add_argument("--q", type=int, default=2)
-    comp.add_argument("--p", type=int, default=3)
     comp.add_argument("--size", type=int, default=4)
     comp.add_argument("--op", choices=("e", "f"), default="f")
     comp.add_argument("--max-dim", default="1,1")
-    comp.add_argument("--seed", type=int, default=0)
-    comp.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json"
-    )
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("command",) and v is not None
-    }
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     if args.command == "verify":
         if cfg["max_deg"] <= 0 or cfg["n"] <= 0 or cfg["window"] <= 0:
             print("caps must be positive", file=sys.stderr)

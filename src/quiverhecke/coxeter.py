@@ -73,6 +73,10 @@ class Permutation:
             if im[a] > im[b]
         )
 
+    def length_key(self):
+        """The sort key of the length order: length, then one-line images."""
+        return (self.length(), self.images)
+
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(range(1, n + 1))
@@ -135,6 +139,14 @@ def _canonical_word(images):
     if rest.images[n - 1] != n:
         raise ArithmeticError(f"stripping {segment} from {images} does not fix {n}")
     return segment + _canonical_word(rest.images[: n - 1])
+
+
+@lru_cache(maxsize=None)
+def length_order(n: int) -> tuple:
+    """S_n sorted by `Permutation.length_key`: the order of every
+    permutation-indexed basis."""
+    perms = list(Permutation.all(n))
+    return tuple(sorted(perms, key=Permutation.length_key))
 
 
 def segments_of_canonical_word(word):

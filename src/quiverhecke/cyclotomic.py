@@ -32,7 +32,7 @@ from math import factorial
 
 import numpy
 
-from .coxeter import Permutation, poincare_polynomial
+from .coxeter import length_order, poincare_polynomial
 from .fock import all_partitions, residue_content
 from .laurent import Laurent, geometric_truncated
 from .linalg import Echelon
@@ -62,27 +62,21 @@ def cyclotomic_polynomial(n: int, i: int, params=None, z_values=None) -> MPoly:
     With ``z_values`` the parameters are specialized to integers and the
     result has no parameter tail.
     """
-    assert n >= 0 and i >= 1
+    if n < 0 or i < 1:
+        raise ValueError(f"g needs n >= 0 and i >= 1, got n = {n}, i = {i}")
     if z_values is not None:
-        assert len(z_values) == n
-        terms = {}
-        width = i
-        for l in range(n + 1):
-            c = 1 if l == 0 else z_values[l - 1]
-            if c:
-                e = [0] * width
-                e[0] = n - l
-                terms[tuple(e)] = terms.get(tuple(e), 0) + c
-        return MPoly(i, (), terms)
-    params = highest_weight_params(n) if params is None else params
-    width = i + len(params)
+        if len(z_values) != n:
+            raise ValueError(f"g of level {n} needs {n} z_values, got {len(z_values)}")
+        params = ()
+    elif params is None:
+        params = highest_weight_params(n)
     terms = {}
     for l in range(n + 1):
-        e = [0] * width
+        e = [0] * (i + len(params))
         e[0] = n - l
-        if l > 0:
-            e[i + l - 1] = 1
-        terms[tuple(e)] = 1
+        if l and z_values is None:
+            e[i + l - 1] = 1  # the parameter z_l
+        terms[tuple(e)] = z_values[l - 1] if l and z_values is not None else 1
     return MPoly(i, params, terms)
 
 
@@ -158,10 +152,7 @@ class CycloContext:
         """Pairs (exponents, permutation) of the spanning operators."""
         if self.is_zero_algebra:
             return []
-        perms = sorted(
-            Permutation.all(self.i), key=lambda w: (w.length(), w.images)
-        )
-        return [(a, w) for w in perms for a in self.module_basis()]
+        return [(a, w) for w in length_order(self.i) for a in self.module_basis()]
 
 
 def cyclotomic_basis(n: int, i: int):
@@ -237,9 +228,9 @@ def _action_matrices(ctx: CycloContext):
     return out
 
 
-def _rank_mod_p(rows, p=_PRIME):
-    """Rank modulo p of an integer matrix, given as a 2-D array or as a
-    row-major list of lists.
+def _rank_mod_p(rows):
+    """Rank modulo p = _PRIME of an integer matrix, given as a 2-D array
+    or as a row-major list of lists.
 
     The working copy stays reduced into [0, p), so every nonzero test is
     exact and every product fits in int64.  Each pivot updates only the
@@ -247,6 +238,7 @@ def _rank_mod_p(rows, p=_PRIME):
     on: the columns to its left are zero in every row not yet used as a
     pivot, so the cost follows the nonzeros rather than the whole block.
     """
+    p = _PRIME
     a = numpy.array(rows, dtype=numpy.int64) % p
     if a.size == 0:
         return 0
@@ -474,8 +466,7 @@ def ideal_stability_check(n: int, i: int, rng, trials: int = 20) -> bool:
     g = NilHeckeElement.from_poly(
         cyclotomic_polynomial(n, i, params), i, params
     )
-    perms = sorted(Permutation.all(i), key=lambda w: (w.length(), w.images))
-    width = i + len(params)
+    perms = length_order(i)
     for _ in range(trials):
         w = perms[rng.randrange(len(perms))]
         exps = [rng.randrange(3) for _ in range(i)] + [
@@ -522,10 +513,9 @@ def reduced_cyclotomic_graded_dims(ctx, weights: dict, degree_cap: int):
         return 2 * sum(a) + ctx.word_degree(w, v)
 
     # all PBW keys in degrees <= cap
-    perms = sorted(Permutation.all(n), key=lambda w: (w.length(), w.images))
     slice_keys = []
     for v in itertools.product(ctx.quiver.vertices, repeat=n):
-        for w in perms:
+        for w in length_order(n):
             wd = ctx.word_degree(w, v)
             max_total = (degree_cap - wd) // 2
             if max_total < 0:

@@ -226,38 +226,17 @@ def gl_order(q: int, n: int) -> int:
     return out
 
 
-def gl_generators(q: int, n: int):
-    """A generating set of GL_n(q): one diagonal, unless it is the
-    identity (q = 2, where GF(2)^* is trivial), and the elementary
+def elementary_ops(q: int, n: int):
+    """Generators of GL_n(q) as triples (i, j, c): g = I + (c - 1) E_ii
+    when i == j and g = I + c E_ij otherwise.  One diagonal, unless it is
+    the identity (q = 2, where GF(2)^* is trivial), then the elementary
     transvections.  The group is finite, so products of the generators
     alone (no inverses) reach every element."""
-    F = field(q)
-    gens = []
-    if n == 0:
-        return []
-    g = F.multiplicative_generator()
-    if g != 1:
-        d = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        d[0][0] = g
-        gens.append(tuple(tuple(r) for r in d))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                e = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-                e[i][j] = 1
-                gens.append(tuple(tuple(r) for r in e))
-    return gens
-
-
-def elementary_op(g):
-    """The generator g of ``gl_generators`` as the triple (i, j, c) with
-    g = I + (c - 1) E_ii when i == j and g = I + c E_ij otherwise."""
-    n = len(g)
+    g = field(q).multiplicative_generator()
+    if n and g != 1:
+        yield (0, 0, g)
     for i, j in itertools.permutations(range(n), 2):
-        if g[i][j]:
-            return (i, j, g[i][j])
-    i = next(i for i in range(n) if g[i][i] != 1)
-    return (i, i, g[i][i])
+        yield (i, j, 1)
 
 
 def matrix_tuples(q: int, shapes):
@@ -356,7 +335,7 @@ def act(F: GF, arrow_index, vi: int, op, mats):
     """g . mats: the arrow matrices ``mats`` (one per arrow of
     ``arrow_index``) acted on by g in GL_d(q) at the vertex with index vi
     and by the identity at every other vertex, for g = ``op`` = (i, j, c)
-    of ``elementary_op``.
+    of ``elementary_ops``.
 
     g m, for an arrow matrix m into the vertex, is a row operation: row i
     times c when i == j, otherwise row i plus c times row j.  m g^{-1},
@@ -404,9 +383,7 @@ class ClassTable:
         quiver, q, dims = self.quiver, self.q, self.dims
         F = field(q)
         arrows = quiver.arrow_index
-        steps = [
-            (vi, elementary_op(g)) for vi, d in enumerate(dims) for g in gl_generators(q, d)
-        ]
+        steps = [(vi, op) for vi, d in enumerate(dims) for op in elementary_ops(q, d)]
         g_order = group_order(quiver, q, dims)
         label_of = self.label_of
         for mats in matrix_tuples(q, [(dims[t], dims[s]) for s, t in arrows]):

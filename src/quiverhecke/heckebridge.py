@@ -78,24 +78,12 @@ import math
 from fractions import Fraction
 
 from .klr import QuiverData
+from .laurent import mul_terms
 from .linalg import bump
 from .polyring import demazure_exponents, exponent_tuples
 
 
 # -- scalars: Q(q) with tracked unit denominators -------------------------
-
-
-def _pmul(a: dict, b: dict) -> dict:
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            c = out.get(e, 0) + c1 * c2
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
-    return out
 
 
 def _padd(a: dict, b: dict) -> dict:
@@ -130,7 +118,7 @@ def _unit_key(poly: dict):
 def _den_product(units) -> dict:
     out = {0: 1}
     for key in units:
-        out = _pmul(out, _UNIT_POLYS[key])
+        out = mul_terms(out, _UNIT_POLYS[key])
     return out
 
 
@@ -170,8 +158,8 @@ class QScalar:
             merged.extend([key] * top)
             extra_a.extend([key] * (top - na))
             extra_b.extend([key] * (top - nb))
-        na = _pmul(self.num, _den_product(extra_a))
-        nb = _pmul(other.num, _den_product(extra_b))
+        na = mul_terms(self.num, _den_product(extra_a))
+        nb = mul_terms(other.num, _den_product(extra_b))
         return QScalar(_padd(na, nb), merged)
 
     def __neg__(self) -> "QScalar":
@@ -183,7 +171,7 @@ class QScalar:
     def __mul__(self, other: "QScalar") -> "QScalar":
         if not self.num or not other.num:
             return QScalar({})
-        return QScalar(_pmul(self.num, other.num), self.den + other.den)
+        return QScalar(mul_terms(self.num, other.num), self.den + other.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QScalar):
@@ -261,7 +249,7 @@ class HeckeBridge:
 
     # -- elements ---------------------------------------------------------
 
-    def monomial(self, v, exps, coeff=None):
+    def monomial(self, v, exps):
         v = tuple(v)
         exps = tuple(exps)
         if len(v) != self.n or len(exps) != self.n:
@@ -278,7 +266,7 @@ class HeckeBridge:
                 f"exponents {exps} are not of total degree below the cutoff "
                 f"{self.cutoff}"
             )
-        return {(v, exps): self.one if coeff is None else coeff}
+        return {(v, exps): self.one}
 
     add_el = staticmethod(_padd)
 

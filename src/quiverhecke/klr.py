@@ -86,7 +86,8 @@ class QuiverData:
     def cartan(self, i, j) -> int:
         """Symmetric Cartan matrix entry 2 delta_{ij} - m_{ij}, so
         2 - 2 d_{ii} on the diagonal."""
-        assert i in self.vertices and j in self.vertices
+        if i not in self.vertices or j not in self.vertices:
+            raise ValueError(f"cartan({i}, {j}) needs vertices of {self}")
         return (2 if i == j else 0) - self.m(i, j)
 
     def __repr__(self):
@@ -103,7 +104,8 @@ def single_vertex_quiver():
 
 def linear_quiver(k: int):
     """Type A_k quiver: vertices 1..k, one arrow i -> i+1."""
-    assert k >= 1
+    if k < 1:
+        raise ValueError(f"a linear quiver needs k >= 1, got {k}")
     return QuiverData(range(1, k + 1), {(i, i + 1): 1 for i in range(1, k)})
 
 
@@ -150,15 +152,16 @@ class QMatrix:
         self.params = tuple(params)
         self.entries = {}
         for (i, j), poly in entries.items():
-            assert i != j
+            if i == j:
+                raise ValueError(f"Q_{{ii}} is zero, got an entry at ({i}, {j})")
             clean = {tuple(e): c for e, c in poly.items() if c != 0}
-            assert clean, "Q_{ij} must be nonzero for i != j"
+            if not clean:
+                raise ValueError(f"Q_{{ij}} must be nonzero for i != j, at ({i}, {j})")
             self.entries[(i, j)] = clean
         for (i, j), poly in self.entries.items():
             mirror = {(e[1], e[0]) + tuple(e[2:]): c for e, c in poly.items()}
-            assert self.entries.get((j, i)) == mirror, (
-                "Q_{ij}(u,u') must equal Q_{ji}(u',u)"
-            )
+            if self.entries.get((j, i)) != mirror:
+                raise ValueError(f"Q_{{ij}}(u,u') is not Q_{{ji}}(u',u) at ({i}, {j})")
 
     @staticmethod
     def from_quiver(quiver: QuiverData) -> "QMatrix":
@@ -178,7 +181,8 @@ class QMatrix:
 
     def instantiate(self, i, j, a: int, b: int, nx: int) -> MPoly:
         """Q_{ij}(x_a, x_b) as a polynomial in x_1..x_nx (plus params)."""
-        assert i != j
+        if i == j:
+            raise ValueError(f"Q_{{ij}} is instantiated for i != j, got {i} twice")
         width = nx + len(self.params)
         terms = {}
         for e, c in self.entries[(i, j)].items():
@@ -199,7 +203,8 @@ class KLRContext:
     """Immutable data for H_n of a quiver (or an explicit Q-matrix)."""
 
     def __init__(self, quiver: QuiverData, n: int, qmat: QMatrix = None):
-        assert n >= 1
+        if n < 1:
+            raise ValueError(f"a quiver Hecke algebra needs n >= 1, got {n}")
         if any(i == j for i, j in quiver.arrows):
             raise ValueError(
                 f"a quiver Hecke algebra needs a quiver without loops, got {quiver}"
@@ -207,7 +212,11 @@ class KLRContext:
         self.quiver = quiver
         self.n = n
         self.qmat = qmat if qmat is not None else QMatrix.from_quiver(quiver)
-        assert self.qmat.vertices == quiver.vertices
+        if self.qmat.vertices != quiver.vertices:
+            raise ValueError(
+                f"Q-matrix vertices {list(self.qmat.vertices)} are not the "
+                f"quiver's {list(quiver.vertices)}"
+            )
         self.params = self.qmat.params
         self.width = n + len(self.params)
         self._q_cache = {}
@@ -241,7 +250,8 @@ class KLRContext:
 
     def p_poly(self, i, j, a: int, b: int) -> MPoly:
         """P_{ij}(x_a, x_b) with P_{ij} = Q_{ij} for i < j and P_{ji} = 1."""
-        assert i != j
+        if i == j:
+            raise ValueError(f"P_{{ij}} is defined for i != j, got {i} twice")
         if i < j:
             return self.q_poly(i, j, a, b)
         return MPoly.one(self.n, self.params)
@@ -537,7 +547,8 @@ class KLRElement(Combination):
 
     def degrees(self):
         """Set of degrees of the homogeneous components (quiver mode)."""
-        assert not self.ctx.params
+        if self.ctx.params:
+            raise ValueError(f"degrees need no parameters, got {self.ctx.params}")
         out = set()
         for (v, w, a), _ in self.terms.items():
             out.add(2 * sum(a) + self.ctx.word_degree(w, v))
@@ -818,7 +829,7 @@ def pbw_coordinates(op: KLROperator) -> KLRElement:
     for v, residual in residuals.items():
         while residual:
             # longest permutations first: expansions are triangular in length
-            sigma = max(residual, key=lambda s: (s.length(), s.images))
+            sigma = max(residual, key=Permutation.length_key)
             lead = _expand_word(ctx, sigma, v)[sigma]
             piece_terms = {}
             for exps, cm in divide_exact(residual[sigma], lead).terms.items():
@@ -1143,6 +1154,7 @@ def _candidate_base_polynomial(ctx: KLRContext, base, el: KLRElement) -> MPoly:
     ident = Permutation.identity(ctx.n)
     for (mu, w, a), c in el.terms.items():
         if mu == base:
-            assert w == ident
+            if w != ident:
+                raise ArithmeticError(f"candidate term at {base} has tau-word {w}, not 1")
             poly = poly + MPoly(ctx.n, ctx.params, {tuple(a): c})
     return poly

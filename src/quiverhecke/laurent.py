@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Combination
+from .linalg import Combination, format_terms
 
 
 class Laurent(Combination):
@@ -55,16 +55,7 @@ class Laurent(Combination):
     def __mul__(self, other) -> "Laurent":
         if isinstance(other, (int, Fraction)):
             return Laurent({k: c * other for k, c in self.terms.items()})
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return self._like(out)
+        return self._like(mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -88,32 +79,27 @@ class Laurent(Combination):
 
     def str_in(self, var: str) -> str:
         """Canonical rendering with the given variable name, powers ascending."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            if k == 0:
-                term = str(c)
-            else:
-                mono = var if k == 1 else f"{var}^{k}"
-                if c == 1:
-                    term = mono
-                elif c == -1:
-                    term = "-" + mono
-                else:
-                    term = f"{c}*{mono}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        return format_terms(
+            (self.terms[k], "" if k == 0 else var if k == 1 else f"{var}^{k}")
+            for k in sorted(self.terms)
+        )
 
     def __repr__(self) -> str:
         return self.str_in("t")
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    """The product of two Laurent term dicts {power: coefficient}."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            c = out.get(k, 0) + c1 * c2
+            if c:
+                out[k] = c
+            else:
+                out.pop(k, None)
+    return out
 
 
 def geometric_truncated(power_step: int, cutoff: int) -> Laurent:

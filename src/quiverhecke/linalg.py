@@ -5,7 +5,8 @@ fraction-free determinant.
 A vector is a dict {key: nonzero coefficient}; `bump` adds into one
 entry and keeps it so.  `Combination` is the base of the package's
 element types (Laurent and multivariate polynomials, nil Hecke, KLR,
-Fock and Hall elements), which are such vectors over a basis.
+Fock and Hall elements), which are such vectors over a basis, and
+`format_terms` is the text form of the polynomials among them.
 
 For elimination the keys are mutually comparable column keys, and a
 vector's smallest key is its lead.  Coefficients are exact ``int`` or
@@ -32,6 +33,29 @@ def bump(out, key, val):
         out[key] = val
     else:
         out.pop(key, None)
+
+
+def format_terms(pairs) -> str:
+    """The text of a sum of (coefficient, monomial) pairs, the monomial a
+    string, "" for the unit: "c*m", or "m" and "-m" when c = +-1, joined
+    by " + " and " - " in the given order; "0" for no pairs."""
+    out = ""
+    for c, mono in pairs:
+        if not mono:
+            term = str(c)
+        elif c == 1:
+            term = mono
+        elif c == -1:
+            term = "-" + mono
+        else:
+            term = f"{c}*{mono}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out or "0"
 
 
 class Combination:

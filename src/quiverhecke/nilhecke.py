@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coxeter import Permutation
+from .coxeter import Permutation, length_order
 from .linalg import Combination, bump, determinant
 from .polyring import MPoly, staircase_monomial
 
@@ -199,7 +199,7 @@ class NilHeckeElement(Combination):
         if not self.terms:
             return "0"
         parts = []
-        for w in sorted(self.terms, key=lambda u: (u.length(), u.images)):
+        for w in sorted(self.terms, key=Permutation.length_key):
             word = w.canonical_word()
             label = "T[" + ",".join(map(str, word)) + "]" if word else "1"
             parts.append(f"({self.terms[w]}) {label}")
@@ -284,7 +284,7 @@ def frobenius_gram_matrix(n: int):
         raise ValueError(
             f"the t'-Gram matrix is built for n <= {MAX_GRAM_N} only, got {n}"
         )
-    order = sorted(Permutation.all(n), key=lambda w: (w.length(), w.images))
+    order = length_order(n)
     basis = [
         NilHeckeElement(n, {w: schubert_basis_element(u, n)})
         for u in order

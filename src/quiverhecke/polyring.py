@@ -19,9 +19,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .coxeter import Permutation
+from .coxeter import Permutation, length_order
 from .laurent import Laurent, geometric_truncated, series_product
-from .linalg import Combination, bump
+from .linalg import Combination, bump, format_terms
 
 
 class MPoly(Combination):
@@ -109,9 +109,10 @@ class MPoly(Combination):
 
     # -- structure ----------------------------------------------------
 
-    def evaluate(self, x_values, param_values=()):
-        """Full evaluation at numeric points."""
-        vals = tuple(x_values) + tuple(param_values)
+    def evaluate(self, values):
+        """Full evaluation at numeric points, one per variable of
+        `var_names` (the X's, then the parameters)."""
+        vals = tuple(values)
         if len(vals) != self.nx + len(self.params):
             raise ValueError(f"{len(vals)} values for {self.var_names()}")
         total = 0
@@ -191,32 +192,11 @@ class MPoly(Combination):
         return tuple(f"X{i}" for i in range(1, self.nx + 1)) + self.params
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         names = self.var_names()
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        return format_terms(
+            (c, "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(names, e) if k))
+            for e, c in self.sorted_terms()
+        )
 
 
 def demazure_exponents(e, i):
@@ -315,7 +295,7 @@ def schubert_coordinates(p: MPoly, n: int):
     w0 = Permutation.longest(n)
     residual = p
     coords = {}
-    for w in sorted(Permutation.all(n), key=lambda u: (u.length(), u.images)):
+    for w in length_order(n):
         q = residual.demazure_perm(w0 * w.inverse())
         if not q.is_symmetric():
             raise ArithmeticError(f"Schubert coordinate {q} at {w} is not symmetric")

@@ -254,19 +254,28 @@ def test_poincare_cross_check_exits_two_under_optimize():
     assert "Poincare polynomial" in res.stderr
 
 
-# sha256 of the stdout of the README `compute` examples and four suites;
-# a changed digest is a changed command-line output
+# sha256 of the stdout of the README `compute` examples, larger tables and
+# several suites; a changed digest is a changed command-line output
 STDOUT_SHA256 = {
     "compute poincare --n 4":
         "2e2e08174b864b9af4427154d514c89e3277357fd723d694f88f01af63f201a5",
     "compute schubert-basis --n 3":
         "d66557374c525697c60e1da2763db7f3e3c23aecdbc2f11160ef55583f8bc6e2",
+    "compute schubert-basis --n 4":
+        "965c4121b6088fac7acc4cf0e7426d41a815188d70a234c7cdd5770429b544ca",
     "compute grdim --quiver a2 --v 1,2 --vprime 2,1":
         "50af2a6a27ef48e23ed5eeae7ff84ca9a51bb7746005e0af6f2490581a044e0e",
+    "compute grdim --quiver a3 --v 1,2,3 --vprime 3,2,1":
+        "d7cf5e28049fa42cbc1a64f0a46e8d3f5b3f311d26f79c0e6ff6d8875d1cf595",
     "compute cyclotomic-basis --n 3 --i 2":
         "56b9340d38a8af8d74b9c4a03584adba4bd8c9755dcb0157004236ea93e2d4e4",
+    "compute cyclotomic-basis --n 4 --i 3":
+        "488e9e9bda45a2b34cfc780acd39b3efc1ead612cc82b936778d7e836714d6bf",
     "compute hall-table --q 2 --max-dim 2,2":
         "b286b59e9ccde76522ff882d197dfa84f2efc3a4d76bc060ad0d707e832b1ec0",
+    # q = 3 walks orbits with the diagonal step, which q = 2 does not have
+    "compute hall-table --q 3 --max-dim 2,2":
+        "5e03baa3d706a1529bb75df28903b137b27c67eecb5a213067d746ba0dabf401",
     "compute fock-matrix --p 3 --i 0 --size 4 --op f":
         "69ca21c6c1bd13df9a9781c77044b7ab236120bd98c49c288f1d25710b4115b3",
     "verify hall --q 2":

@@ -7,6 +7,7 @@ from pathlib import Path
 from quiverhecke.coxeter import (
     Permutation,
     is_reduced,
+    length_order,
     poincare_polynomial,
     poincare_product_form,
     segments_of_canonical_word,
@@ -100,6 +101,18 @@ def test_poincare_polynomial_matches_product_form():
 def test_poincare_small_values():
     assert poincare_polynomial(2) == Laurent({0: 1, 1: 1})
     assert poincare_polynomial(3) == Laurent({0: 1, 1: 2, 2: 2, 3: 1})
+
+
+def test_length_order():
+    # all of S_n, by length and then one-line images, built once per n
+    assert [w.images for w in length_order(3)] == [
+        (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)
+    ]
+    for n in range(5):
+        order = length_order(n)
+        assert set(order) == set(Permutation.all(n))
+        assert [w.length_key() for w in order] == sorted(w.length_key() for w in order)
+        assert order is length_order(n)
 
 
 def test_act_on_list():

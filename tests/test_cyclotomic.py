@@ -190,6 +190,9 @@ def test_input_checks_raise_under_optimize():
         "attempt(lambda: cyc.CycloContext(2, 1, z_values=(0,)))\n"
         "attempt(lambda: cyc._action_matrices(cyc.CycloContext(2, 1)))\n"
         "attempt(lambda: cyc.verify_rank(5, 5))\n"
+        "attempt(lambda: cyc.cyclotomic_polynomial(-1, 1))\n"
+        "attempt(lambda: cyc.cyclotomic_polynomial(2, 0))\n"
+        "attempt(lambda: cyc.cyclotomic_polynomial(2, 1, z_values=(0,)))\n"
         "right = cyc.cyclotomic_polynomial\n"
         "cyc.cyclotomic_polynomial = lambda *args: right(*args) * 2\n"
         "attempt(lambda: cyc.CycloContext(1, 2))\n"
@@ -203,7 +206,7 @@ def test_input_checks_raise_under_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["ValueError"] * 5 + ["ArithmeticError", "1"]
+    assert res.stdout.split() == ["ValueError"] * 8 + ["ArithmeticError", "1"]
 
 
 def test_wrong_grading_raises_under_optimize():

@@ -14,10 +14,9 @@ from quiverhecke.hall import (
     a2_quiver,
     act,
     direct_sum,
-    elementary_op,
+    elementary_ops,
     field,
     gaussian_binomial,
-    gl_generators,
     gl_order,
     group_order,
     jordan_quiver,
@@ -132,6 +131,15 @@ def test_mat_mul_matches_schoolbook(q):
             assert mat_mul(F, A, B) == got
 
 
+def _generator(n, op):
+    """The matrix of the step (i, j, c) of ``elementary_ops``: I + (c - 1) E_ii
+    when i == j, I + c E_ij otherwise; either way entry (i, j) becomes c."""
+    i, j, c = op
+    g = [[int(a == b) for b in range(n)] for a in range(n)]
+    g[i][j] = c
+    return tuple(map(tuple, g))
+
+
 @pytest.mark.parametrize(
     "n, q", [(n, q) for n in (1, 2) for q in (2, 3, 4, 5)] + [(3, 2), (3, 3)]
 )
@@ -139,7 +147,7 @@ def test_gl_generators_generate_the_group(n, q):
     # the orbit BFS uses the generators without their inverses, so
     # their products alone must reach all of GL_n(q)
     F = field(q)
-    gens = gl_generators(q, n)
+    gens = [_generator(n, op) for op in elementary_ops(q, n)]
     identity = tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
     seen = {identity}
     frontier = [identity]
@@ -158,7 +166,7 @@ def test_gl_generators_exclude_the_identity(q):
     # the identity is a no-op step in every orbit walk
     for n in range(4):
         identity = tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
-        assert identity not in gl_generators(q, n)
+        assert identity not in [_generator(n, op) for op in elementary_ops(q, n)]
 
 
 def test_singular_inverse_raises_under_optimize():
@@ -530,7 +538,8 @@ def test_orbit_step_matches_matrix_products(q):
         for outer in (0, 2):
             dims = (outer, d, 3 - outer)
             shapes = [(dims[t], dims[s]) for s, t in arrows]
-            for g in gl_generators(q, d):
+            for op in elementary_ops(q, d):
+                g = _generator(d, op)
                 g_inv = mat_inverse(F, g)
                 for _ in range(3):
                     mats = _random_mats(rng, q, shapes)
@@ -541,16 +550,15 @@ def test_orbit_step_matches_matrix_products(q):
                         if s == 1:
                             m = mat_mul(F, m, g_inv)
                         expected.append(m)
-                    assert act(F, arrows, 1, elementary_op(g), mats) == tuple(expected)
+                    assert act(F, arrows, 1, op, mats) == tuple(expected)
 
 
 def _reference_classes(quiver, q, dims):
     """The orbit BFS on QuiverReps with two matrix products per step:
     label of every matrix tuple, and (orbit size, |Aut|) per label."""
     F = field(q)
-    bundles = [
-        (vi, g, mat_inverse(F, g)) for vi, d in enumerate(dims) for g in gl_generators(q, d)
-    ]
+    gens = [(vi, _generator(d, op)) for vi, d in enumerate(dims) for op in elementary_ops(q, d)]
+    bundles = [(vi, g, mat_inverse(F, g)) for vi, g in gens]
     order = group_order(quiver, q, dims)
     shapes = [(dims[t], dims[s]) for s, t in quiver.arrow_index]
     label_of, classes = {}, {}

@@ -102,7 +102,7 @@ def test_q_matrix_quiver_specialization():
 
 
 def test_q_matrix_symmetry_checked():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         QMatrix((1, 2), {(1, 2): {(1, 0): 1}, (2, 1): {(1, 0): 1}})
 
 
@@ -704,6 +704,50 @@ def test_torsion_shape_raises_under_optimize():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("raised torsion_check needs"), res.stdout
+
+
+def test_input_checks_raise_under_optimize():
+    # `python -O` strips asserts; each bad input must still raise
+    # ValueError, and a candidate with a tau-word at its base ArithmeticError
+    code = (
+        "import sys\n"
+        "import quiverhecke.klr as klr\n"
+        "from quiverhecke.coxeter import Permutation\n"
+        "def attempt(make):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except (ValueError, ArithmeticError) as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "    else:\n"
+        "        print('returned')\n"
+        "a2 = klr.linear_quiver(2)\n"
+        "ok = {(1, 2): {(1, 0): 1}, (2, 1): {(0, 1): 1}}\n"
+        "attempt(lambda: klr.QMatrix((1, 2), {(1, 1): {(1, 0): 1}}))\n"
+        "attempt(lambda: klr.QMatrix((1, 2), {(1, 2): {(1, 0): 0}}))\n"
+        "attempt(lambda: klr.QMatrix((1, 2), {(1, 2): {(1, 0): 1}}))\n"
+        "attempt(lambda: klr.QMatrix((1, 2), ok).instantiate(1, 1, 1, 2, 2))\n"
+        "attempt(lambda: klr.KLRContext(a2, 0))\n"
+        "attempt(lambda: klr.KLRContext(a2, 2, klr.QMatrix((1, 3), {})))\n"
+        "ctx = klr.make_klr(a2, 2)\n"
+        "attempt(lambda: ctx.p_poly(1, 1, 1, 2))\n"
+        "attempt(lambda: a2.cartan(1, 5))\n"
+        "attempt(lambda: klr.linear_quiver(0))\n"
+        "t = {(1, 2): {(1, 0, 0): 1, (0, 0, 1): 1}, (2, 1): {(0, 1, 0): 1, (0, 0, 1): 1}}\n"
+        "pctx = klr.make_klr(a2, 2, klr.QMatrix((1, 2), t, ('t',)))\n"
+        "attempt(lambda: klr.KLRElement.zero(pctx).degrees())\n"
+        "el = klr.KLRElement(ctx, {((1, 2), Permutation.simple(1, 2), (0, 0)): 1})\n"
+        "attempt(lambda: klr._candidate_base_polynomial(ctx, (1, 2), el))\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["ValueError"] * 10 + ["ArithmeticError", "1"]
 
 
 def test_single_vertex_braid_is_exact():

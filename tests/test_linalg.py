@@ -13,7 +13,9 @@ from quiverhecke.cyclotomic import (
     _rank_mod_p,
     spanning_rank,
 )
-from quiverhecke.linalg import Echelon, determinant, rank
+from quiverhecke.laurent import Laurent
+from quiverhecke.linalg import Echelon, determinant, format_terms, rank
+from quiverhecke.polyring import MPoly
 
 
 def leibniz(matrix):
@@ -37,6 +39,27 @@ def random_matrix(rng, nrows, ncols, lo=-3, hi=3):
         c, k = rng.randrange(nrows), rng.randint(-2, 2)
         rows[a] = [x + k * y for x, y in zip(rows[c], rows[b])]
     return rows
+
+
+def test_format_terms():
+    # the one text form of Laurent and MPoly; the renderings below were
+    # recorded before the two shared it
+    assert format_terms([]) == "0"
+    assert format_terms([(-1, "X1"), (3, ""), (1, "t"), (Fraction(-2, 3), "t^2")]) == (
+        "-X1 + 3 + t - 2/3*t^2"
+    )
+    assert Laurent({-2: 1, 0: -3, 1: -1, 4: Fraction(2, 3)}).str_in("v") == (
+        "v^-2 - 3 - v + 2/3*v^4"
+    )
+    assert Laurent({0: -1, 3: -5}).str_in("q") == "-1 - 5*q^3"
+    assert Laurent().str_in("q") == "0"
+    p = MPoly(2, ("z1",), {
+        (2, 0, 0): 1, (1, 1, 0): -1, (0, 0, 1): -4, (0, 0, 0): 5, (0, 3, 2): Fraction(-1, 2)
+    })
+    assert repr(p) == "-1/2*X2^3*z1^2 + X1^2 - X1*X2 - 4*z1 + 5"
+    assert repr(-p) == "1/2*X2^3*z1^2 - X1^2 + X1*X2 + 4*z1 - 5"
+    assert repr(MPoly.zero(2)) == "0"
+    assert repr(MPoly.const(-7, 2)) == "-7"
 
 
 def test_determinant_matches_leibniz():
