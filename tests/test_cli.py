@@ -296,6 +296,10 @@ STDOUT_SHA256 = {
         "53d5476a8575d154699335509109cee2190316d36abb9b9af1791500e67246b5",
     "verify heckebridge --n 3 --window 2":
         "9993bfc1cfffad2324ba2c9188e4b69d195ffc390da83ca5fc984e57a1e65ba7",
+    "verify cyclotomic --n 3":
+        "cba3b17271f5cdb81ddafd1bd971b63e6331916848e53a78b95f578a25cbb49f",
+    "verify cyclotomic --n 4":
+        "3ccbdac7f9399c79c6d969f0623c1b9671e9faec42e193f3eeceaefdd5845935",
 }
 
 
