@@ -15,7 +15,10 @@ other monomial has strictly smaller x_j exponent.  Rewriting with these
 pivots terminates and puts the polynomial module into the span of the
 monomials x^a with a_j <= n-j, a free Z[z]-module of rank n!/(n-i)!.
 The algebra acts faithfully there, so exhibiting i! * n!/(n-i)! many
-independent operators x^a T_w certifies the rank of C_i(n).
+independent operators x^a T_w certifies the rank of C_i(n).  Their
+independence is checked modulo a prime at integer z: each operator is
+composed from sparse generator columns and flattened into one row of a
+sparse elimination (`spanning_rank`).
 
 For i > n the chain reaches the constant r_{n+1} = 1, so the quotient
 vanishes.
@@ -30,12 +33,10 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-import numpy
-
 from .coxeter import length_order, poincare_polynomial
 from .fock import all_partitions, residue_content
 from .laurent import Laurent, geometric_truncated
-from .linalg import Echelon
+from .linalg import Echelon, rank_mod_p
 from .nilhecke import NilHeckeElement
 from .polyring import (
     MPoly,
@@ -95,9 +96,7 @@ class CycloContext:
         self.n = n
         self.i = i
         self.z_values = None if z_values is None else tuple(z_values)
-        self.params = (
-            highest_weight_params(n) if z_values is None else ()
-        )
+        self.params = highest_weight_params(n) if z_values is None else ()
         self.is_zero_algebra = i > n
         # reduction elements r_1..r_jmax; r_j pivots on x_j^{n-j+1}
         self.rules = []
@@ -108,11 +107,10 @@ class CycloContext:
             for j in range(1, jmax):
                 r = -r.demazure(j)
                 self.rules.append(r)
-        if i > n:
-            if self.rules[n] != MPoly.one(i, self.params):
-                raise ArithmeticError(
-                    f"the reduction chain of C_{i}({n}) does not reach 1 at r_{n + 1}"
-                )
+        if i > n and self.rules[n] != MPoly.one(i, self.params):
+            raise ArithmeticError(
+                f"the reduction chain of C_{i}({n}) does not reach 1 at r_{n + 1}"
+            )
 
     def module_basis(self):
         """In-bounds monomial exponents a with a_j <= n-j, sorted."""
@@ -137,7 +135,10 @@ class CycloContext:
 
     def reduce(self, p: MPoly) -> MPoly:
         """Normal form of p modulo the left-ideal submodule."""
-        assert p.nx == self.i and p.params == self.params
+        if p.nx != self.i or p.params != self.params:
+            raise ValueError(
+                f"C_{self.i}({self.n}) reduces in {self.i} variables over {self.params}"
+            )
         while True:
             hit = self._find_violation(p)
             if hit is None:
@@ -162,129 +163,113 @@ def cyclotomic_basis(n: int, i: int):
     Empty when i > n (the zero algebra); {1} when i = 0.
     """
     ctx = CycloContext(n, i)
-    params = highest_weight_params(n)
     out = []
     for a, w in ctx.spanning_set():
-        poly = MPoly(i, params, {tuple(a) + (0,) * n: 1})
-        out.append(NilHeckeElement(i, {w: poly}, params))
+        poly = MPoly(i, ctx.params, {tuple(a) + (0,) * n: 1})
+        out.append(NilHeckeElement(i, {w: poly}, ctx.params))
     return out
 
 
 # -- rank certification by action on the module ---------------------------
 
 
-def _operator_matrix(ctx: CycloContext, op, basis, index):
-    """Matrix (mod _PRIME) of a module map given on basis monomials."""
-    m = numpy.zeros((len(basis), len(basis)), dtype=numpy.int64)
-    for col, a in enumerate(basis):
-        mono = MPoly(ctx.i, ctx.params, {a: 1})
-        img = ctx.reduce(op(mono))
-        for exps, c in img.terms.items():
-            m[index[exps], col] = c % _PRIME
-    return m
-
-
-def _action_matrices(ctx: CycloContext):
-    """Matrices (mod _PRIME) of all spanning operators x^a T_w."""
-    if ctx.z_values is None:
-        raise ValueError("action matrices need integer z_values, not parameters")
-    basis = [a for a in ctx.module_basis()]
+def _generator_columns(ctx: CycloContext, basis):
+    """Columns {row: value mod _PRIME} of x_1..x_i and T_1..T_{i-1} on basis."""
     index = {a: r for r, a in enumerate(basis)}
-    xmats = [
-        _operator_matrix(
-            ctx, (lambda q, j=j: MPoly.x(j, ctx.i) * q), basis, index
-        )
-        for j in range(1, ctx.i + 1)
-    ]
-    tmats = [
-        _operator_matrix(ctx, (lambda q, j=j: q.demazure(j)), basis, index)
-        for j in range(1, ctx.i)
-    ]
-    tcache = {(): numpy.eye(len(basis), dtype=numpy.int64)}
 
-    def t_matrix(word):
-        if word not in tcache:
-            head = t_matrix(word[:-1])
-            tcache[word] = (head @ tmats[word[-1] - 1]) % _PRIME
-        return tcache[word]
+    def columns(op):
+        out = []
+        for a in basis:
+            img = ctx.reduce(op(MPoly(ctx.i, ctx.params, {a: 1})))
+            out.append({index[e]: c % _PRIME for e, c in img.terms.items() if c % _PRIME})
+        return out
 
-    dcache = {}
+    xcols = [columns(lambda q, j=j: MPoly.x(j, ctx.i) * q) for j in range(1, ctx.i + 1)]
+    tcols = [columns(lambda q, j=j: q.demazure(j)) for j in range(1, ctx.i)]
+    return xcols, tcols
 
-    def d_matrix(a):
-        if a not in dcache:
-            if sum(a) == 0:
-                dcache[a] = tcache[()]
-            else:
-                j = next(k for k, e in enumerate(a) if e > 0)
-                prev = list(a)
-                prev[j] -= 1
-                dcache[a] = (xmats[j] @ d_matrix(tuple(prev))) % _PRIME
-        return dcache[a]
 
+def _compose(a, b):
+    """Columns of the product a b of two maps given by their columns."""
     out = []
-    for a, w in ctx.spanning_set():
-        m = (d_matrix(a) @ t_matrix(w.canonical_word())) % _PRIME
-        out.append(((a, w), m))
+    for col in b:
+        acc = {}
+        for k, t in col.items():
+            for r, x in a[k].items():
+                acc[r] = acc.get(r, 0) + x * t
+        out.append({r: v % _PRIME for r, v in acc.items() if v % _PRIME})
     return out
 
 
-def _rank_mod_p(rows):
-    """Rank modulo p = _PRIME of an integer matrix, given as a 2-D array
-    or as a row-major list of lists.
+def _action_rows(ctx: CycloContext):
+    """The spanning operators x^a T_w, in spanning_set order, each
+    flattened into one sparse row {key: value}; an iterator.
 
-    The working copy stays reduced into [0, p), so every nonzero test is
-    exact and every product fits in int64.  Each pivot updates only the
-    rows with a nonzero entry in its column, and only from that column
-    on: the columns to its left are zero in every row not yet used as a
-    pivot, so the cost follows the nonzeros rather than the whole block.
+    The entry at (r, c), for basis monomials of total degrees deg r and
+    deg c, gets the key ((top + deg c - deg r) d + r) d + c, where d is
+    the module rank and top the largest degree: the entries that raise
+    the degree most come first.  At z = 0 every operator is homogeneous;
+    at other z each row's lead, its smallest key, lies in its top
+    homogeneous part, so the elimination makes little fill-in.
     """
-    p = _PRIME
-    a = numpy.array(rows, dtype=numpy.int64) % p
-    if a.size == 0:
-        return 0
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        nz = numpy.flatnonzero(a[r:, c])
-        if not nz.size:
-            continue
-        piv = r + nz[0]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
-        # after the swap row piv holds the old row r, zero in column c
-        below = r + nz[1:]
-        if below.size:
-            a[below, c:] = (a[below, c:] - numpy.outer(a[below, c], a[r, c:])) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
+    if ctx.z_values is None:
+        raise ValueError("action rows need integer z_values, not parameters")
+    basis = ctx.module_basis()
+    d = len(basis)
+    xcols, tcols = _generator_columns(ctx, basis)
+    tcache = {(): [{c: 1} for c in range(d)]}
+
+    def t_columns(word):
+        if word not in tcache:
+            tcache[word] = _compose(t_columns(word[:-1]), tcols[word[-1] - 1])
+        return tcache[word]
+
+    # x^a = x_j x^b, b = a lowered at its first nonzero a_j, sorts before a
+    dcols = {}
+    for a in basis:
+        j = next((k for k, e in enumerate(a) if e), None)
+        dcols[a] = tcache[()] if j is None else _compose(
+            xcols[j], dcols[a[:j] + (a[j] - 1,) + a[j + 1 :]]
+        )
+    degs = [sum(a) for a in basis]
+    top = max(degs)
+    row_key = [(top - deg) * d * d + r * d for r, deg in enumerate(degs)]
+    col_key = [deg * d * d + c for c, deg in enumerate(degs)]
+    for a, w in ctx.spanning_set():
+        left, row = dcols[a], {}
+        for c, col in enumerate(t_columns(w.canonical_word())):
+            ck = col_key[c]
+            for k, t in col.items():
+                for r, x in left[k].items():
+                    key = row_key[r] + ck
+                    row[key] = row.get(key, 0) + x * t
+        yield row
 
 
-# 4M int64 entries are 32 MB.  The largest rank matrix below that, of
-# C_3(5), is 360 x 3600 and takes 0.03-0.25 s; the next ones, C_4(5) at
-# 2880 x 14400 (330 MB) and C_5(5) at 14400 x 14400 (1.7 GB), are refused.
-_MAX_RANK_ENTRIES = 4_000_000
+# C_5(5), the largest admitted, has 14400 spanning operators on a module
+# of rank 120 and takes about 1 s at z = 0; C_4(6), the next, has 8640 on
+# a module of rank 360
+_MAX_RANK_COLUMNS = 2_000_000
 
 
 def spanning_rank(n: int, i: int, z_values) -> int:
-    """Rank of the spanning operators of C_i(n) at a z-specialization.
+    """Rank of the spanning operators of C_i(n) at a z-specialization,
+    by sparse elimination of their rows modulo _PRIME.
 
-    Raises ValueError, before building any matrix, when the flattened
-    action matrices would exceed _MAX_RANK_ENTRIES entries.
+    Raises ValueError, before building anything, when the operators
+    have more than _MAX_RANK_COLUMNS columns in all.
     """
     ctx = CycloContext(n, i, z_values=z_values)
     if ctx.is_zero_algebra:
         return 0
-    shape = (len(ctx.spanning_set()), len(ctx.module_basis()) ** 2)
-    if shape[0] * shape[1] > _MAX_RANK_ENTRIES:
+    ops = expected_rank(n, i)  # the size of the spanning set
+    d = ops // factorial(i)
+    if ops * d > _MAX_RANK_COLUMNS:
         raise ValueError(
-            f"the rank matrix of C_{i}({n}) is {shape[0]} x {shape[1]}, "
-            f"above the limit of {_MAX_RANK_ENTRIES} entries"
+            f"C_{i}({n}) has {ops} spanning operators on a module of rank {d}, "
+            f"above the limit of {_MAX_RANK_COLUMNS} columns in all"
         )
-    mats = _action_matrices(ctx)
-    return _rank_mod_p(numpy.stack([m.reshape(-1) for _, m in mats]))
+    return rank_mod_p(_action_rows(ctx), _PRIME)
 
 
 def expected_rank(n: int, i: int) -> int:
@@ -303,8 +288,8 @@ def verify_rank(n: int, i: int, ranks=None) -> int:
     is a proof.  No random specialization is drawn, so ``--seed`` does
     not change what ``verify cyclotomic`` computes.  ``ranks``, a dict
     the caller owns, memoizes spanning_rank by ``(n, i)`` across calls.
-    Raises ArithmeticError on a mismatch, and ValueError, through
-    spanning_rank, when the rank matrix is above its size limit.
+    Raises ArithmeticError on a mismatch, and ValueError past the size
+    limit of spanning_rank.
     """
     expected = expected_rank(n, i)
     ranks = {} if ranks is None else ranks
@@ -345,7 +330,8 @@ def sl2_iso_check(n: int, i: int, ranks=None) -> bool:
     both as numbers and as graded series.  ``ranks`` is passed on to
     verify_rank.
     """
-    assert 0 <= i <= n
+    if not 0 <= i <= n:
+        raise ValueError(f"the sl2 isomorphism needs 0 <= i <= n, got n = {n}, i = {i}")
     if n == 0:
         return verify_rank(0, 0, ranks=ranks) == 1
     # the defining relation maps to the vanishing alternating sum

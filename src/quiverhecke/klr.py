@@ -143,8 +143,8 @@ class QMatrix:
     Each entry is a dict mapping exponent tuples to coefficients; the
     first two entries of an exponent tuple are the powers of u and u',
     any further entries are powers of the generic parameters in
-    ``params``.  Q_{ii} = 0 is implicit, and the symmetry
-    Q_{ij}(u, u') = Q_{ji}(u', u) is checked.
+    ``params``.  Q_{ii} = 0 is implicit; every Q_{ij} with i != j must
+    be given, and the symmetry Q_{ij}(u, u') = Q_{ji}(u', u) is checked.
     """
 
     def __init__(self, vertices, entries, params=()):
@@ -158,6 +158,8 @@ class QMatrix:
             if not clean:
                 raise ValueError(f"Q_{{ij}} must be nonzero for i != j, at ({i}, {j})")
             self.entries[(i, j)] = clean
+        if missing := set(itertools.permutations(self.vertices, 2)) - self.entries.keys():
+            raise ValueError(f"Q_{{ij}} has no entry at {min(missing)}")
         for (i, j), poly in self.entries.items():
             mirror = {(e[1], e[0]) + tuple(e[2:]): c for e, c in poly.items()}
             if self.entries.get((j, i)) != mirror:

@@ -9,14 +9,14 @@ Fock and Hall elements), which are such vectors over a basis, and
 `format_terms` is the text form of the polynomials among them.
 
 For elimination the keys are mutually comparable column keys, and a
-vector's smallest key is its lead.  Coefficients are exact ``int`` or
-``Fraction``: integer rows stay integer until a pivot other than +-1 has
-to be inverted, so an elimination with unit pivots builds no Fraction.
-Eliminations over other fields stay with their callers: `hall.rref`
-(GF(q) lookup tables) and `cyclotomic._rank_mod_p` (an int64 numpy array
-modulo a prime, updating only the rows that are nonzero in each pivot
-column).  `determinant` is fraction-free: Bareiss elimination on
-integers, with one Fraction at the end.
+vector's smallest key is its lead.  Over Q (`Echelon`) coefficients are
+exact ``int`` or ``Fraction``: integer rows stay integer until a pivot
+other than +-1 has to be inverted, so an elimination with unit pivots
+builds no Fraction.  `rank_mod_p` is the same elimination over GF(p) on
+Python ints; its cost follows the fill-in, which the caller's choice of
+column keys decides.  `hall.rref` keeps its own GF(q) lookup tables.
+`determinant` is fraction-free: Bareiss elimination on integers, with
+one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -221,12 +221,25 @@ class Echelon:
         return vec
 
 
-def rank(rows) -> int:
-    """Rank over Q of sparse rows ({column: coefficient} dicts)."""
-    echelon = Echelon()
-    for row in rows:
-        echelon.insert(row)
-    return len(echelon)
+def rank_mod_p(rows, p: int) -> int:
+    """Rank modulo a prime p of sparse integer rows ({column: int} dicts),
+    by the elimination of `Echelon`: each stored row is keyed by its lead,
+    the smallest key, with entry 1 there.  The rows given are not modified."""
+    pivots = {}
+    for vec in rows:
+        vec = {k: c % p for k, c in vec.items() if c % p}
+        while vec and (lead := min(vec)) in pivots:
+            factor = vec[lead]
+            for k, c in pivots[lead].items():
+                nv = (vec.get(k, 0) - factor * c) % p
+                if nv:
+                    vec[k] = nv
+                else:
+                    del vec[k]
+        if vec:
+            inv = pow(vec[lead], p - 2, p)
+            pivots[lead] = {k: c * inv % p for k, c in vec.items()}
+    return len(pivots)
 
 
 def determinant(matrix) -> Fraction:

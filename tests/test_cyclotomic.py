@@ -136,6 +136,19 @@ def test_suite_computes_each_rank_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def run_python(code, *flags):
+    """Run ``code`` in a fresh interpreter on src/; its stdout, split."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
 def test_wrong_rank_raises_under_optimize():
     # a rank mismatch must fail under `python -O`, which strips asserts
     code = (
@@ -147,29 +160,60 @@ def test_wrong_rank_raises_under_optimize():
         "except ArithmeticError:\n"
         "    print('raised', sys.flags.optimize)\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("PYTHONOPTIMIZE", None)
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=env, capture_output=True, text=True, timeout=60,
+    assert run_python(code, "-O") == ["raised", "1"]
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_perturbed_generator_column_fails_the_rank(flags):
+    # negative control: T_1 has one nonzero column on the module of C_2(2);
+    # zeroing it lowers the rank from 4 to 2, and verify_rank must raise,
+    # under -O too.  (On C_2(3) no single zeroed column of T_1 changes
+    # the rank: the perturbed operators still span 12 dimensions.)
+    code = (
+        "import sys\n"
+        "import quiverhecke.cyclotomic as cyc\n"
+        "right = cyc._generator_columns\n"
+        "def perturbed(*args):\n"
+        "    xcols, tcols = right(*args)\n"
+        "    c = next(c for c, col in enumerate(tcols[0]) if col)\n"
+        "    tcols[0][c] = {}\n"
+        "    return xcols, tcols\n"
+        "cyc._generator_columns = perturbed\n"
+        "print(cyc.spanning_rank(2, 2, (0, 0)))\n"
+        "try:\n"
+        "    cyc.verify_rank(2, 2)\n"
+        "except ArithmeticError:\n"
+        "    print('raised', sys.flags.optimize)\n"
     )
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["raised", "1"]
+    assert run_python(code, *flags) == ["2", "raised", str(len(flags))]
 
 
-def test_rank_size_guard():
-    # C_5(5) would need a 14400 x 14400 rank matrix (1.7 GB as int64);
-    # the guard refuses it before building anything
+def test_import_leaves_numpy_out():
+    code = "import sys, quiverhecke.cyclotomic\nprint('numpy' in sys.modules)\n"
+    assert run_python(code) == ["False"]
+
+
+def test_rank_size_guard(monkeypatch):
+    # the guard counts spanning operators times module rank and refuses
+    # C_4(6) (8640 operators on a module of rank 360) and larger before
+    # building anything
+    from quiverhecke import cyclotomic
+
+    monkeypatch.setattr(cyclotomic, "_action_rows", lambda ctx: pytest.fail("built"))
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="14400 x 14400"):
-        verify_rank(5, 5)
-    with pytest.raises(ValueError, match="2880 x 14400"):
-        spanning_rank(5, 4, (0,) * 5)
+    with pytest.raises(ValueError, match="8640 spanning operators on a module of rank 360"):
+        verify_rank(6, 4)
+    with pytest.raises(ValueError, match="518400 spanning operators on a module of rank 720"):
+        spanning_rank(6, 6, (0,) * 6)
     assert time.perf_counter() - start < 5
-    # the largest admitted certificate, 360 x 3600
-    assert spanning_rank(5, 3, (0,) * 5) == expected_rank(5, 3) == 360
     assert verify_rank(6, 7) == 0
+    # C_5(5), 14400 operators on a module of rank 120, is admitted
+    assert 14400 * 120 <= cyclotomic._MAX_RANK_COLUMNS < 8640 * 360
+
+
+def test_rank_of_c4_5():
+    # 2880 operators on a module of rank 120
+    assert verify_rank(5, 4) == expected_rank(5, 4) == 2880
 
 
 def test_input_checks_raise_under_optimize():
@@ -178,6 +222,7 @@ def test_input_checks_raise_under_optimize():
     code = (
         "import sys\n"
         "import quiverhecke.cyclotomic as cyc\n"
+        "from quiverhecke.polyring import MPoly\n"
         "def attempt(make):\n"
         "    try:\n"
         "        make()\n"
@@ -188,8 +233,10 @@ def test_input_checks_raise_under_optimize():
         "attempt(lambda: cyc.CycloContext(-1, 2))\n"
         "attempt(lambda: cyc.CycloContext(2, -1))\n"
         "attempt(lambda: cyc.CycloContext(2, 1, z_values=(0,)))\n"
-        "attempt(lambda: cyc._action_matrices(cyc.CycloContext(2, 1)))\n"
-        "attempt(lambda: cyc.verify_rank(5, 5))\n"
+        "attempt(lambda: cyc.CycloContext(2, 1).reduce(MPoly.x(1, 1)))\n"
+        "attempt(lambda: cyc.spanning_rank(2, 1, None))\n"
+        "attempt(lambda: cyc.verify_rank(6, 4))\n"
+        "attempt(lambda: cyc.sl2_iso_check(2, 3))\n"
         "attempt(lambda: cyc.cyclotomic_polynomial(-1, 1))\n"
         "attempt(lambda: cyc.cyclotomic_polynomial(2, 0))\n"
         "attempt(lambda: cyc.cyclotomic_polynomial(2, 1, z_values=(0,)))\n"
@@ -198,15 +245,7 @@ def test_input_checks_raise_under_optimize():
         "attempt(lambda: cyc.CycloContext(1, 2))\n"
         "print(sys.flags.optimize)\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("PYTHONOPTIMIZE", None)
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["ValueError"] * 8 + ["ArithmeticError", "1"]
+    assert run_python(code, "-O") == ["ValueError"] * 10 + ["ArithmeticError", "1"]
 
 
 def test_wrong_grading_raises_under_optimize():
@@ -222,15 +261,7 @@ def test_wrong_grading_raises_under_optimize():
         "except ArithmeticError:\n"
         "    print('raised', sys.flags.optimize)\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("PYTHONOPTIMIZE", None)
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["raised", "1"]
+    assert run_python(code, "-O") == ["raised", "1"]
 
 
 def test_reduced_rank_matches_generic():

@@ -27,7 +27,7 @@ from quiverhecke.klr import (
     torsion_check,
 )
 from quiverhecke.laurent import Laurent
-from quiverhecke.linalg import bump, rank
+from quiverhecke.linalg import Echelon, bump
 from quiverhecke.polyring import MPoly, divide_exact_by_x_difference, exponent_tuples
 
 
@@ -104,6 +104,17 @@ def test_q_matrix_quiver_specialization():
 def test_q_matrix_symmetry_checked():
     with pytest.raises(ValueError):
         QMatrix((1, 2), {(1, 2): {(1, 0): 1}, (2, 1): {(1, 0): 1}})
+
+
+def test_q_matrix_needs_every_entry():
+    # a missing Q_ij is refused when the Q-matrix is built, not by a
+    # KeyError in the first product that crosses i and j
+    with pytest.raises(ValueError, match=r"no entry at \(1, 2\)"):
+        make_klr(linear_quiver(2), 2, QMatrix((1, 2), {}))
+    with pytest.raises(ValueError, match=r"no entry at \(1, 3\)"):
+        QMatrix((1, 2, 3), {(1, 2): {(0, 0): 1}, (2, 1): {(0, 0): 1}})
+    qm = QMatrix.from_quiver(linear_quiver(3))
+    assert len(qm.entries) == 6
 
 
 def test_parse_quiver():
@@ -427,7 +438,7 @@ def test_pbw_words_linearly_independent(n, max_a):
     # images under the polynomial representation of all PBW words with
     # bounded exponents are linearly independent over Z; the action is
     # block diagonal per source idempotent.  A numeric cross-check of
-    # klr.pbw_leading_terms on apply, with the exact rank of linalg
+    # klr.pbw_leading_terms on apply, with the exact echelon of linalg
     ctx = make_klr(linear_quiver(2), n)
     test_monos = [mono(ctx, e) for e in itertools.product(range(3), repeat=n)]
     for v in idempotents(ctx):
@@ -441,7 +452,8 @@ def test_pbw_words_linearly_independent(n, max_a):
                         for e, c in img.terms.items():
                             row[(k, tgt, e)] = c
                 rows.append(row)
-        assert rank(rows) == len(rows), v
+        echelon = Echelon()
+        assert all(echelon.insert(row) for row in rows), v
 
 
 @pytest.mark.parametrize(
@@ -725,9 +737,11 @@ def test_input_checks_raise_under_optimize():
         "attempt(lambda: klr.QMatrix((1, 2), {(1, 1): {(1, 0): 1}}))\n"
         "attempt(lambda: klr.QMatrix((1, 2), {(1, 2): {(1, 0): 0}}))\n"
         "attempt(lambda: klr.QMatrix((1, 2), {(1, 2): {(1, 0): 1}}))\n"
+        "attempt(lambda: klr.QMatrix((1, 2), {}))\n"
         "attempt(lambda: klr.QMatrix((1, 2), ok).instantiate(1, 1, 1, 2, 2))\n"
         "attempt(lambda: klr.KLRContext(a2, 0))\n"
-        "attempt(lambda: klr.KLRContext(a2, 2, klr.QMatrix((1, 3), {})))\n"
+        "one = {(0, 0): 1}\n"
+        "attempt(lambda: klr.KLRContext(a2, 2, klr.QMatrix((1, 3), {(1, 3): one, (3, 1): one})))\n"
         "ctx = klr.make_klr(a2, 2)\n"
         "attempt(lambda: ctx.p_poly(1, 1, 1, 2))\n"
         "attempt(lambda: a2.cartan(1, 5))\n"
@@ -747,7 +761,7 @@ def test_input_checks_raise_under_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["ValueError"] * 10 + ["ArithmeticError", "1"]
+    assert res.stdout.split() == ["ValueError"] * 11 + ["ArithmeticError", "1"]
 
 
 def test_single_vertex_braid_is_exact():

@@ -3,19 +3,21 @@ import math
 import random
 from fractions import Fraction
 
-import numpy
 import pytest
 
-from quiverhecke.cyclotomic import (
-    _PRIME,
-    CycloContext,
-    _action_matrices,
-    _rank_mod_p,
-    spanning_rank,
-)
+from quiverhecke.cyclotomic import _PRIME, CycloContext, _action_rows, spanning_rank
 from quiverhecke.laurent import Laurent
-from quiverhecke.linalg import Echelon, determinant, format_terms, rank
+from quiverhecke.linalg import Echelon, determinant, format_terms, rank_mod_p
 from quiverhecke.polyring import MPoly
+
+
+def rank(rows):
+    """Rank over Q of sparse rows ({column: coefficient} dicts): the
+    oracle for the mod-p ranks."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.insert(row)
+    return len(echelon)
 
 
 def leibniz(matrix):
@@ -89,7 +91,7 @@ def test_rank_matches_rank_mod_p():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         mat = random_matrix(rng, nrows, ncols, -2, 2)
         sparse = [{j: c for j, c in enumerate(row)} for row in mat]
-        assert rank(sparse) == _rank_mod_p(mat), mat
+        assert rank(sparse) == rank_mod_p(sparse, _PRIME), mat
 
 
 def test_rank_with_pivot_entries_outside_the_row():
@@ -204,6 +206,11 @@ def test_unit_pivots_keep_integer_rows():
     assert determinant([[0]]) == 0 and type(determinant([[0]])) is Fraction
 
 
+def dense_rank_mod_p(mat):
+    """rank_mod_p of a matrix given as a list of rows."""
+    return rank_mod_p([dict(enumerate(row)) for row in mat], _PRIME)
+
+
 def schoolbook_rank_mod_p(rows, p=_PRIME):
     """Gauss-Jordan on Python ints, every row reduced at every pivot."""
     m = [[x % p for x in row] for row in rows]
@@ -252,42 +259,51 @@ def test_rank_mod_p_matches_schoolbook_on_sparse_matrices():
         density = rng.choice((0.02, 0.05, 0.1, 0.3))
         mat = sparse_matrix(rng, nrows, ncols, density)
         expected = schoolbook_rank_mod_p(mat)
-        assert _rank_mod_p(mat) == expected, (trial, nrows, ncols, density)
-        assert _rank_mod_p(numpy.array(mat, dtype=numpy.int64)) == expected
+        assert dense_rank_mod_p(mat) == expected, (trial, nrows, ncols, density)
+        # the same rows without their zero entries
+        sparse = [{j: c for j, c in enumerate(row) if c} for row in mat]
+        assert rank_mod_p(sparse, _PRIME) == expected
 
 
 def test_rank_mod_p_edge_shapes():
     p = _PRIME
-    assert _rank_mod_p([]) == 0
-    assert _rank_mod_p([[], []]) == 0
-    assert _rank_mod_p(numpy.zeros((0, 4), dtype=numpy.int64)) == 0
-    assert _rank_mod_p([[0] * 5] * 4) == 0
+    assert dense_rank_mod_p([]) == 0
+    assert dense_rank_mod_p([[], []]) == 0
+    # no rows at all, from an iterator
+    assert rank_mod_p(iter(()), p) == 0
+    assert dense_rank_mod_p([[0] * 5] * 4) == 0
     # entries that vanish modulo p
-    assert _rank_mod_p([[p, -p, 0], [2 * p, 0, -3 * p]]) == 0
+    assert dense_rank_mod_p([[p, -p, 0], [2 * p, 0, -3 * p]]) == 0
     # rows dependent only modulo p
-    assert _rank_mod_p([[1, 2], [p + 1, 2]]) == 1
-    assert _rank_mod_p([[1, 2], [p + 1, 3]]) == 2
+    assert dense_rank_mod_p([[1, 2], [p + 1, 2]]) == 1
+    assert dense_rank_mod_p([[1, 2], [p + 1, 3]]) == 2
     # zero columns, and a pivot that only the last row holds
-    assert _rank_mod_p([[0, 0, 1], [0, 0, 2], [0, 3, 0]]) == 2
-    assert _rank_mod_p([[0, 0], [0, 0], [0, 7]]) == 1
+    assert dense_rank_mod_p([[0, 0, 1], [0, 0, 2], [0, 3, 0]]) == 2
+    assert dense_rank_mod_p([[0, 0], [0, 0], [0, 7]]) == 1
     # tall and wide
     tall = [[k, k * k] for k in range(1, 9)]
-    assert _rank_mod_p(tall) == schoolbook_rank_mod_p(tall) == 2
+    assert dense_rank_mod_p(tall) == schoolbook_rank_mod_p(tall) == 2
     wide = [list(range(k, k + 40)) for k in range(3)]
-    assert _rank_mod_p(wide) == schoolbook_rank_mod_p(wide) == 2
-    # the caller's array is not modified
-    arr = numpy.array([[2, 4], [1, 2]], dtype=numpy.int64)
-    assert _rank_mod_p(arr) == 1
-    assert arr.tolist() == [[2, 4], [1, 2]]
+    assert dense_rank_mod_p(wide) == schoolbook_rank_mod_p(wide) == 2
+    # the caller's rows are not modified
+    rows = [{0: 2, 1: 4}, {0: 1, 1: 2, 2: p}]
+    assert rank_mod_p(rows, p) == 1
+    assert rows == [{0: 2, 1: 4}, {0: 1, 1: 2, 2: p}]
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_rank_mod_p_matches_schoolbook_on_cyclotomic_matrices(i):
+    # the rows of the action of C_i(3), keyed by degree, row-major and
+    # dense: the column order leaves the rank as it is
     rng = random.Random(23 + i)
     for z in [(0, 0, 0), tuple(rng.randint(-5, 5) for _ in range(3))]:
-        mats = _action_matrices(CycloContext(3, i, z_values=z))
-        rows = numpy.stack([m.reshape(-1) for _, m in mats])
-        assert _rank_mod_p(rows) == schoolbook_rank_mod_p(rows.tolist())
+        ctx = CycloContext(3, i, z_values=z)
+        d = len(ctx.module_basis())
+        rows = list(_action_rows(ctx))
+        row_major = [{k % (d * d): v for k, v in row.items()} for row in rows]
+        dense = [[row.get(k, 0) for k in range(d * d)] for row in row_major]
+        expected = schoolbook_rank_mod_p(dense)
+        assert rank_mod_p(rows, _PRIME) == rank_mod_p(row_major, _PRIME) == expected
 
 
 @pytest.mark.parametrize("i, expected", [(3, 144), (4, 576)])

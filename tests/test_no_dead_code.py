@@ -38,7 +38,6 @@ TEST_ONLY = {
     "count_monomials_by_degree": "enumerative oracle for grdim_polynomial_ring",
     "is_reduced": "reduced-word test for Coxeter words",
     "is_identity": "identity test for permutations",
-    "rank": "exact rank over Q of sparse rows, the oracle for PBW words and mod-p ranks",
 }
 
 
