@@ -380,9 +380,9 @@ def suite_cyclotomic(cfg, rng):
 
     max_n = cfg["n"]
     if max_n > 4:
-        # spanning_rank admits up to C_5(5), 14400 operators on a module
-        # of rank 120, in about 1 s; the suite, which runs every (n, i)
-        # up to --n, stops at 4
+        # spanning_rank admits modules up to rank 120, so up to C_5(5),
+        # 14400 operators in about 1.4 s; the suite, which runs every
+        # (n, i) up to --n, stops at 4
         raise ValueError(
             f"--n must be at most 4 for the cyclotomic suite, got {max_n}"
         )

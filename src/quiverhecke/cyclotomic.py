@@ -31,12 +31,12 @@ and the symmetric polynomials, via z_l -> (-1)^l e_l(x_1..x_n).
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from math import factorial, perm
 
 from .coxeter import length_order, poincare_polynomial
 from .fock import all_partitions, residue_content
 from .laurent import Laurent, geometric_truncated
-from .linalg import Echelon, rank_mod_p
+from .linalg import PRIME, Echelon, rank_mod_p
 from .nilhecke import NilHeckeElement
 from .polyring import (
     MPoly,
@@ -45,8 +45,6 @@ from .polyring import (
     grdim_polynomial_ring,
     grdim_symmetric_ring,
 )
-
-_PRIME = 999983
 
 
 # -- the single-vertex (sl2) quotient -------------------------------------
@@ -174,14 +172,14 @@ def cyclotomic_basis(n: int, i: int):
 
 
 def _generator_columns(ctx: CycloContext, basis):
-    """Columns {row: value mod _PRIME} of x_1..x_i and T_1..T_{i-1} on basis."""
+    """Columns {row: value mod PRIME} of x_1..x_i and T_1..T_{i-1} on basis."""
     index = {a: r for r, a in enumerate(basis)}
 
     def columns(op):
         out = []
         for a in basis:
             img = ctx.reduce(op(MPoly(ctx.i, ctx.params, {a: 1})))
-            out.append({index[e]: c % _PRIME for e, c in img.terms.items() if c % _PRIME})
+            out.append({index[e]: c % PRIME for e, c in img.terms.items() if c % PRIME})
         return out
 
     xcols = [columns(lambda q, j=j: MPoly.x(j, ctx.i) * q) for j in range(1, ctx.i + 1)]
@@ -197,7 +195,7 @@ def _compose(a, b):
         for k, t in col.items():
             for r, x in a[k].items():
                 acc[r] = acc.get(r, 0) + x * t
-        out.append({r: v % _PRIME for r, v in acc.items() if v % _PRIME})
+        out.append({r: v % PRIME for r, v in acc.items() if v % PRIME})
     return out
 
 
@@ -248,27 +246,25 @@ def _action_rows(ctx: CycloContext):
         yield row
 
 
-# C_5(5), the largest admitted, has 14400 spanning operators on a module
-# of rank 120 and takes about 1 s at z = 0; C_4(6), the next, has 8640 on
-# a module of rank 360
-_MAX_RANK_COLUMNS = 2_000_000
+# the cost follows the module rank more than the operator count: C_5(5)
+# takes 7.4 s at a random z, C_2(16) (480 operators, rank 240) 16 s, 1.2 GB
+_MAX_MODULE_RANK = 120
 
 
 def spanning_rank(n: int, i: int, z_values) -> int:
     """Rank of the spanning operators of C_i(n) at a z-specialization, by
-    sparse elimination of their rows modulo _PRIME.  Raises ValueError,
-    before building anything, past _MAX_RANK_COLUMNS columns in all."""
+    sparse elimination of their rows modulo PRIME.  Raises ValueError, before
+    building anything, when the module rank is above _MAX_MODULE_RANK."""
+    d = perm(n, i) if 0 <= i <= n else 0
+    if d > _MAX_MODULE_RANK:
+        raise ValueError(
+            f"C_{i}({n}) acts on a module of rank {d}, "
+            f"above the limit of {_MAX_MODULE_RANK}"
+        )
     ctx = CycloContext(n, i, z_values=z_values)
     if ctx.is_zero_algebra:
         return 0
-    ops = expected_rank(n, i)  # the size of the spanning set
-    d = ops // factorial(i)
-    if ops * d > _MAX_RANK_COLUMNS:
-        raise ValueError(
-            f"C_{i}({n}) has {ops} spanning operators on a module of rank {d}, "
-            f"above the limit of {_MAX_RANK_COLUMNS} columns in all"
-        )
-    return rank_mod_p(_action_rows(ctx), _PRIME)
+    return rank_mod_p(_action_rows(ctx))
 
 
 def expected_rank(n: int, i: int) -> int:

@@ -194,26 +194,34 @@ def test_import_leaves_numpy_out():
 
 
 def test_rank_size_guard(monkeypatch):
-    # the guard counts spanning operators times module rank and refuses
-    # C_4(6) (8640 operators on a module of rank 360) and larger before
-    # building anything
+    # the guard refuses a module of rank above 120 before building
+    # anything: C_4(6) and C_6(6) as well as the small i shapes C_1(121),
+    # C_2(16) (16 s and 1.2 GB at a random z), C_3(7), C_3(9), C_2(30)
+    # and C_1(1000)
     from quiverhecke import cyclotomic
 
     monkeypatch.setattr(cyclotomic, "_action_rows", lambda ctx: pytest.fail("built"))
+    monkeypatch.setattr(cyclotomic, "CycloContext", lambda *args, **kw: pytest.fail("built"))
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="8640 spanning operators on a module of rank 360"):
+    with pytest.raises(ValueError, match="C_4\\(6\\) acts on a module of rank 360"):
         verify_rank(6, 4)
-    with pytest.raises(ValueError, match="518400 spanning operators on a module of rank 720"):
+    with pytest.raises(ValueError, match="C_6\\(6\\) acts on a module of rank 720"):
         spanning_rank(6, 6, (0,) * 6)
+    for n, i in [(121, 1), (16, 2), (7, 3), (9, 3), (30, 2), (1000, 1)]:
+        with pytest.raises(ValueError, match="above the limit of 120"):
+            spanning_rank(n, i, (0,) * n)
     assert time.perf_counter() - start < 5
+    monkeypatch.undo()
     assert verify_rank(6, 7) == 0
-    # C_5(5), 14400 operators on a module of rank 120, is admitted
-    assert 14400 * 120 <= cyclotomic._MAX_RANK_COLUMNS < 8640 * 360
+    # the largest admitted modules have rank 120: C_1(120) and C_5(5)
+    assert spanning_rank(120, 1, (0,) * 120) == 120
+    assert expected_rank(5, 5) // 120 == cyclotomic._MAX_MODULE_RANK
 
 
-def test_rank_of_c4_5():
-    # 2880 operators on a module of rank 120
-    assert verify_rank(5, 4) == expected_rank(5, 4) == 2880
+@pytest.mark.parametrize("n, i, expected", [(5, 3, 360), (5, 4, 2880)])
+def test_rank_at_five(n, i, expected):
+    # 360 and 2880 operators on modules of rank 60 and 120
+    assert verify_rank(n, i) == expected_rank(n, i) == expected
 
 
 def test_input_checks_raise_under_optimize():

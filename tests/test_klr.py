@@ -736,7 +736,7 @@ def test_input_checks_raise_under_optimize():
         "ok = {(1, 2): {(1, 0): 1}, (2, 1): {(0, 1): 1}}\n"
         "attempt(lambda: klr.QMatrix((1, 2), {(1, 1): {(1, 0): 1}}))\n"
         "attempt(lambda: klr.QMatrix((1, 2), {(1, 2): {(1, 0): 0}}))\n"
-        "attempt(lambda: klr.QMatrix((1, 2), {(1, 2): {(1, 0): 1}}))\n"
+        "attempt(lambda: klr.QMatrix((1, 2), {(1, 2): {(1, 0): 1}, (2, 1): {(1, 0): 1}}))\n"
         "attempt(lambda: klr.QMatrix((1, 2), {}))\n"
         "attempt(lambda: klr.QMatrix((1, 2), ok).instantiate(1, 1, 1, 2, 2))\n"
         "attempt(lambda: klr.KLRContext(a2, 0))\n"

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from quiverhecke.cyclotomic import _PRIME, CycloContext, _action_rows, spanning_rank
+from quiverhecke.cyclotomic import CycloContext, _action_rows, spanning_rank
 from quiverhecke.laurent import Laurent
-from quiverhecke.linalg import Echelon, determinant, format_terms, rank_mod_p
+from quiverhecke.linalg import PRIME, Echelon, determinant, format_terms, rank_mod_p
 from quiverhecke.polyring import MPoly
 
 
@@ -91,7 +91,7 @@ def test_rank_matches_rank_mod_p():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         mat = random_matrix(rng, nrows, ncols, -2, 2)
         sparse = [{j: c for j, c in enumerate(row)} for row in mat]
-        assert rank(sparse) == rank_mod_p(sparse, _PRIME), mat
+        assert rank(sparse) == rank_mod_p(sparse), mat
 
 
 def test_rank_with_pivot_entries_outside_the_row():
@@ -208,11 +208,12 @@ def test_unit_pivots_keep_integer_rows():
 
 def dense_rank_mod_p(mat):
     """rank_mod_p of a matrix given as a list of rows."""
-    return rank_mod_p([dict(enumerate(row)) for row in mat], _PRIME)
+    return rank_mod_p([dict(enumerate(row)) for row in mat])
 
 
-def schoolbook_rank_mod_p(rows, p=_PRIME):
+def schoolbook_rank_mod_p(rows):
     """Gauss-Jordan on Python ints, every row reduced at every pivot."""
+    p = PRIME
     m = [[x % p for x in row] for row in rows]
     rank = 0
     for c in range(len(m[0]) if m else 0):
@@ -230,7 +231,8 @@ def schoolbook_rank_mod_p(rows, p=_PRIME):
     return rank
 
 
-def sparse_entry(rng, density, p=_PRIME):
+def sparse_entry(rng, density):
+    p = PRIME
     if rng.random() >= density:
         return 0
     if rng.random() < 0.3:
@@ -238,7 +240,8 @@ def sparse_entry(rng, density, p=_PRIME):
     return rng.randrange(-p, p)
 
 
-def sparse_matrix(rng, nrows, ncols, density, p=_PRIME):
+def sparse_matrix(rng, nrows, ncols, density):
+    p = PRIME
     rows = [
         [sparse_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)
     ]
@@ -262,15 +265,15 @@ def test_rank_mod_p_matches_schoolbook_on_sparse_matrices():
         assert dense_rank_mod_p(mat) == expected, (trial, nrows, ncols, density)
         # the same rows without their zero entries
         sparse = [{j: c for j, c in enumerate(row) if c} for row in mat]
-        assert rank_mod_p(sparse, _PRIME) == expected
+        assert rank_mod_p(sparse) == expected
 
 
 def test_rank_mod_p_edge_shapes():
-    p = _PRIME
+    p = PRIME
     assert dense_rank_mod_p([]) == 0
     assert dense_rank_mod_p([[], []]) == 0
     # no rows at all, from an iterator
-    assert rank_mod_p(iter(()), p) == 0
+    assert rank_mod_p(iter(())) == 0
     assert dense_rank_mod_p([[0] * 5] * 4) == 0
     # entries that vanish modulo p
     assert dense_rank_mod_p([[p, -p, 0], [2 * p, 0, -3 * p]]) == 0
@@ -287,7 +290,7 @@ def test_rank_mod_p_edge_shapes():
     assert dense_rank_mod_p(wide) == schoolbook_rank_mod_p(wide) == 2
     # the caller's rows are not modified
     rows = [{0: 2, 1: 4}, {0: 1, 1: 2, 2: p}]
-    assert rank_mod_p(rows, p) == 1
+    assert rank_mod_p(rows) == 1
     assert rows == [{0: 2, 1: 4}, {0: 1, 1: 2, 2: p}]
 
 
@@ -303,7 +306,7 @@ def test_rank_mod_p_matches_schoolbook_on_cyclotomic_matrices(i):
         row_major = [{k % (d * d): v for k, v in row.items()} for row in rows]
         dense = [[row.get(k, 0) for k in range(d * d)] for row in row_major]
         expected = schoolbook_rank_mod_p(dense)
-        assert rank_mod_p(rows, _PRIME) == rank_mod_p(row_major, _PRIME) == expected
+        assert rank_mod_p(rows) == rank_mod_p(row_major) == expected
 
 
 @pytest.mark.parametrize("i, expected", [(3, 144), (4, 576)])
