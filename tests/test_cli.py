@@ -300,6 +300,10 @@ STDOUT_SHA256 = {
         "cba3b17271f5cdb81ddafd1bd971b63e6331916848e53a78b95f578a25cbb49f",
     "verify cyclotomic --n 4":
         "3ccbdac7f9399c79c6d969f0623c1b9671e9faec42e193f3eeceaefdd5845935",
+    "verify demazure --n 4":
+        "796aa123125aa6f38d416aa7720a61efb678d78867045201a46feac3853bb5bf",
+    "verify nilhecke --n 3":
+        "f7eaa644ec48cdb06e97c6c9e2b6e5cec8d47ddf19a92108582409cea644ab06",
 }
 
 
