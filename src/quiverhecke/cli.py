@@ -121,7 +121,7 @@ def suite_demazure(cfg, rng):
     n = cfg["n"]
     if n > 5:
         # schubert-round-trip expands all n! Schubert polynomials per
-        # trial: 4.0s at n = 5 and 188s at n = 6 on a 2-vCPU machine
+        # trial: 1.4s at n = 5 and 124s at n = 6 on a 2-vCPU machine
         raise ValueError(f"--n must be at most 5 for the demazure suite, got {n}")
     cap = cfg["max_deg"]
     monos = [MPoly(n, (), {e: 1}) for e in exponent_tuples(n, cap)]

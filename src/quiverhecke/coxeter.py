@@ -60,9 +60,6 @@ class Permutation:
             inv[j - 1] = i
         return Permutation(inv)
 
-    def is_identity(self) -> bool:
-        return all(self.images[k] == k + 1 for k in range(self.n))
-
     def length(self) -> int:
         """Number of inversions; equals the reduced-word length."""
         im = self.images
@@ -161,10 +158,6 @@ def segments_of_canonical_word(word):
     if cur:
         segs.append(tuple(cur))
     return segs
-
-
-def is_reduced(word, n: int) -> bool:
-    return Permutation.from_word(word, n).length() == len(word)
 
 
 def poincare_polynomial(n: int) -> Laurent:

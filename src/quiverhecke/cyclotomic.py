@@ -385,7 +385,8 @@ def minimal_sl2_dimension_ledger(n: int):
     """Per weight n-2i: the simple dimension i!, the induction and
     restriction multipliers, and the commutator defect per unit of
     dimension, which must equal the weight."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"the ledger needs n >= 0, got {n}")
     rows = []
     for i in range(n + 1):
         ef = (i + 1) * (n - i)
@@ -413,7 +414,8 @@ def weight_space_dims_fock_check(p: int, n: int):
     sorted by content; the contents are the weights of the layer and
     the dims compare with block decompositions.
     """
-    assert p >= 1 and n >= 0
+    if p < 1 or n < 0:
+        raise ValueError(f"residues need p >= 1 and n >= 0, got p = {p}, n = {n}")
     groups = {}
     for parts in all_partitions(n):
         groups.setdefault(residue_content(parts, p), []).append(parts)
@@ -441,7 +443,8 @@ def ideal_stability_check(n: int, i: int, rng, trials: int = 20) -> bool:
     normal form vanishes.  This is the well-definedness of the quotient
     action.  Returns True, or raises ArithmeticError.
     """
-    assert i >= 1
+    if i < 1:
+        raise ValueError(f"ideal stability needs i >= 1 strands, got {i}")
     ctx = CycloContext(n, i)
     params = ctx.params
     g = NilHeckeElement.from_poly(
@@ -483,12 +486,13 @@ def reduced_cyclotomic_graded_dims(ctx, weights: dict, degree_cap: int):
     """
     from .klr import KLRElement, _lmul_poly, _lmul_tau
 
-    assert not ctx.params
+    if ctx.params:
+        raise ValueError(f"the KLR context has parameters {ctx.params}")
     n = ctx.n
     if n > 2 or degree_cap > 12:
         raise ValueError("unsupported-quiver: brute-force bound exceeded")
-    for s in ctx.quiver.vertices:
-        assert weights.get(s, 0) >= 0
+    if any(weights.get(s, 0) < 0 for s in ctx.quiver.vertices):
+        raise ValueError(f"weights {weights} are not all nonnegative")
 
     def key_degree(v, w, a):
         return 2 * sum(a) + ctx.word_degree(w, v)
@@ -521,7 +525,8 @@ def reduced_cyclotomic_graded_dims(ctx, weights: dict, degree_cap: int):
         d = key_degree(v0, w0, a0)
         vec = {}
         for key, c in el.terms.items():
-            assert key_degree(*key) == d
+            if key_degree(*key) != d:
+                raise ArithmeticError(f"key {key} sits outside degree {d}")
             vec[index[key]] = c
         return bool(echelons.setdefault(d, Echelon()).insert(vec))
 

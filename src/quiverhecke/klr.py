@@ -34,10 +34,12 @@ from .laurent import Laurent
 from .linalg import Combination, Echelon, bump
 from .polyring import (
     MPoly,
+    add_product,
     demazure_exponents,
     divide_exact,
     divide_exact_by_x_difference,
     elementary_symmetric,
+    swap_terms,
 )
 
 
@@ -665,11 +667,8 @@ def _tau_column(ctx: KLRContext, s, t, l: int, e) -> tuple:
     if s == t:
         sign, monomials = demazure_exponents(e, l)
         return tuple((m, sign) for m in monomials)
-    swapped = e[: l - 1] + (e[l], e[l - 1]) + e[l + 1:]
-    return tuple(
-        (tuple(p + q for p, q in zip(swapped, pe)), pc)
-        for pe, pc in ctx.p_poly(s, t, l + 1, l).terms.items()
-    )
+    p = ctx.p_poly(s, t, l + 1, l).terms
+    return tuple(add_product({}, swap_terms({e: 1}, l), p).items())
 
 
 # -- symbolic operators and PBW coordinates ------------------------------

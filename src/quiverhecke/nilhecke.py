@@ -21,7 +21,8 @@ from functools import lru_cache
 
 from .coxeter import Permutation, length_order
 from .linalg import Combination, bump, determinant
-from .polyring import MPoly, staircase_monomial
+from .polyring import MPoly, add_product, demazure_terms, schubert_basis_element
+from .polyring import staircase_monomial, swap_terms
 
 
 class NilHeckeElement(Combination):
@@ -93,30 +94,21 @@ class NilHeckeElement(Combination):
 
     # -- multiplication -----------------------------------------------
 
-    def _lmul_t(self, i):
-        """Left multiply by T_i: T_i * P T_w = s_i(P) T_i T_w + d_i(P) T_w."""
-        out = {}
-        si = Permutation.simple(i, self.n)
-        for w, p in self.terms.items():
-            # l(s_i w) > l(w) exactly when i precedes i+1 in one-line notation
-            if w.images.index(i) < w.images.index(i + 1):
-                bump(out, si * w, p.act_simple(i))
-            bump(out, w, p.demazure(i))
-        return self._like(out)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        start = {v.images: q.terms for v, q in other.terms.items()}
         out = {}
         for w, p in self.terms.items():
             # (P T_w) * other: apply T letters of w from the right inward
-            acc = other
+            acc = start
             for i in reversed(w.canonical_word()):
-                acc = acc._lmul_t(i)
-            for v, q in acc.terms.items():
-                bump(out, v, p * q)
-        return self._like(out)
+                acc = _lmul_t(acc, i)
+            for v, q in acc.items():
+                add_product(out.setdefault(v, {}), p.terms, q)
+        zero = MPoly.zero(self.n, self.params)
+        return self._like({Permutation(v): zero._like(t) for v, t in out.items() if t})
 
     __rmul__ = Combination.scale
 
@@ -125,9 +117,11 @@ class NilHeckeElement(Combination):
     def apply_to_polynomial(self, q: MPoly) -> MPoly:
         """Faithful representation: sum_w P_w * d_w(q)."""
         out = MPoly.zero(self.n, self.params)
+        out._check(q)
+        terms = {}
         for w, p in self.terms.items():
-            out = out + p * q.demazure_perm(w)
-        return out
+            add_product(terms, p.terms, demazure_terms(q.terms, w.canonical_word()))
+        return out._like(terms)
 
     # -- grading ------------------------------------------------------
 
@@ -219,6 +213,25 @@ def group_element(w: Permutation, params=()) -> NilHeckeElement:
     return out
 
 
+def _lmul_t(terms, i):
+    """T_i * sum_w P_w T_w on {images of w: terms of P_w}, as a new dict:
+    T_i P T_w = s_i(P) T_{s_i w} + d_i(P) T_w."""
+    out = {}
+    for v, p in terms.items():
+        images = [(v, demazure_terms(p, (i,)))]
+        # l(s_i w) > l(w) exactly when i precedes i+1 in one-line notation
+        a, b = v.index(i), v.index(i + 1)
+        if a < b:
+            images.append((v[:a] + (i + 1,) + v[a + 1:b] + (i,) + v[b + 1:], swap_terms(p, i)))
+        for u, t in images:
+            if u in out:
+                for e, c in t.items():
+                    bump(out[u], e, c)
+            elif t:
+                out[u] = t
+    return out
+
+
 @lru_cache(maxsize=None)
 def _tprime_kernel(n, params):
     """{w: K_w}, K_w the coefficient of T_{w0} in T_w [w0], built once per
@@ -234,9 +247,10 @@ def _tprime_kernel(n, params):
 
 def _pair(a, coefficients):
     """sum_w P_w coefficients[w] for a = sum_w P_w T_w."""
-    return sum(
-        (p * coefficients[w] for w, p in a.terms.items()), MPoly.zero(a.n, a.params)
-    )
+    terms = {}
+    for w, p in a.terms.items():
+        add_product(terms, p.terms, coefficients[w].terms)
+    return MPoly.zero(a.n, a.params)._like(terms)
 
 
 def idempotent_b(n: int, params=()) -> NilHeckeElement:
@@ -278,8 +292,6 @@ def frobenius_gram_matrix(n: int):
     n <= 3, evaluated at X_k = k + 1 after the degree checks of
     `frobenius_gram_determinant`, and checked to be symmetric, as
     t'(ab) = t'(ba) makes it; an asymmetric entry raises ArithmeticError."""
-    from .polyring import schubert_basis_element
-
     if n > MAX_GRAM_N:
         raise ValueError(
             f"the t'-Gram matrix is built for n <= {MAX_GRAM_N} only, got {n}"

@@ -7,8 +7,10 @@ is carried along untouched by the group action.  Coefficients are exact
 (int, promoted to Fraction on demand).  Each X variable sits in degree
 2, parameters declare their own degrees.
 
-The Demazure operator d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i) is applied in
-closed form monomial by monomial (`demazure_exponents`), without division.
+`MPoly` wraps kernels on term dicts {exponents: coefficient}: the product
+`add_product`, the swap `swap_terms` of X_i and X_{i+1}, and `demazure_terms`,
+a word of Demazure operators d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i) applied
+right to left through the memoized closed-form column `demazure_exponents`.
 Division by X_a - X_b is closed form monomial by monomial too
 (`try_divide_by_x_difference`).  `divide_exact_by_x_difference`, and
 `divide_exact` for any divisor, raise ArithmeticError when it is not exact.
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 from .coxeter import Permutation, length_order
 from .laurent import Laurent, geometric_truncated, series_product
@@ -94,16 +98,7 @@ class MPoly(Combination):
                 return MPoly.zero(self.nx, self.params)
             return self._like({e: c * other for e, c in self.terms.items()})
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return self._like(out)
+        return self._like(add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -130,46 +125,23 @@ class MPoly(Combination):
         """Apply a permutation to the X block: X_i -> X_{w(i)}."""
         if w.n > self.nx:
             raise ValueError(f"a permutation of {w.n} acts on {self.nx} X's")
-        out = {}
-        for e, c in self.terms.items():
-            xs = list(e[: self.nx])
-            new = list(xs)
-            for i in range(w.n):
-                new[w.images[i] - 1] = xs[i]
-            out[tuple(new) + e[self.nx:]] = c
-        return self._like(out)
+        n = w.n
+        return self._like({w.act_on_list(e[:n]) + e[n:]: c for e, c in self.terms.items()})
 
     def act_simple(self, i):
         """Swap X_i and X_{i+1}."""
-        out = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i - 1], e2[i] = e2[i], e2[i - 1]
-            out[tuple(e2)] = c
-        return self._like(out)
+        return self._like(swap_terms(self.terms, i))
 
     def demazure(self, i):
         """d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i), term by term in closed form."""
-        if not 1 <= i < self.nx:
-            raise ValueError(f"d_{i} is undefined on {self.nx} variables")
-        out = {}
-        for e, c in self.terms.items():
-            sign, monomials = demazure_exponents(e, i)
-            c = c if sign > 0 else -c
-            for m in monomials:
-                s = out.get(m, 0) + c
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return self._like(out)
+        return self.demazure_word((i,))
 
     def demazure_word(self, word):
         """Compose Demazure operators along a word: d_{i_1} o ... o d_{i_r}."""
-        out = self
-        for i in reversed(word):
-            out = out.demazure(i)
-        return out
+        for i in word:
+            if not 1 <= i < self.nx:
+                raise ValueError(f"d_{i} is undefined on {self.nx} variables")
+        return self._like(demazure_terms(self.terms, word))
 
     def demazure_perm(self, w: Permutation):
         """d_w along the canonical reduced word of w."""
@@ -199,6 +171,7 @@ class MPoly(Combination):
         )
 
 
+@lru_cache(maxsize=None)
 def demazure_exponents(e, i):
     """d_i of the monomial with exponents e, as (sign, exponent tuples).
 
@@ -208,8 +181,43 @@ def demazure_exponents(e, i):
     a, b = e[i - 1], e[i]
     head, tail = e[: i - 1], e[i + 1:]
     if a > b:
-        return -1, [head + (a - 1 - t, b + t) + tail for t in range(a - b)]
-    return 1, [head + (a + t, b - 1 - t) + tail for t in range(b - a)]
+        return -1, tuple(head + (a - 1 - t, b + t) + tail for t in range(a - b))
+    return 1, tuple(head + (a + t, b - 1 - t) + tail for t in range(b - a))
+
+
+def add_product(out, a, b):
+    """out += a * b on term dicts; returns out."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            if e in out:  # `bump`, inlined in this hot loop
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+    return out
+
+
+def swap_terms(terms, i):
+    """The term dict with the exponents of X_i and X_{i+1} swapped."""
+    return {e[: i - 1] + (e[i], e[i - 1]) + e[i + 1:]: c for e, c in terms.items()}
+
+
+def demazure_terms(terms, word):
+    """d_{i_1} o ... o d_{i_r} on a term dict, the word applied right to
+    left; the letters are not checked.  The empty word returns `terms`."""
+    for i in reversed(word):
+        out = {}
+        for e, c in terms.items():
+            sign, monomials = demazure_exponents(e, i)
+            if sign < 0:
+                c = -c
+            for m in monomials:
+                bump(out, m, c)
+        terms = out
+    return terms
 
 
 def divide_exact_by_x_difference(p: MPoly, a: int, b: int) -> MPoly:
@@ -324,23 +332,6 @@ def grdim_symmetric_ring(n: int, cutoff: int) -> Laurent:
     return series_product(
         (geometric_truncated(2 * i, cutoff) for i in range(1, n + 1)), cutoff
     )
-
-
-def count_monomials_by_degree(n: int, cutoff: int) -> Laurent:
-    """Enumerative oracle for grdim P_n: count monomials, v-degree 2*|a|."""
-    counts = {}
-
-    def rec(var, total):
-        if var == n:
-            counts[2 * total] = counts.get(2 * total, 0) + 1
-            return
-        k = 0
-        while 2 * (total + k) <= cutoff:
-            rec(var + 1, total + k)
-            k += 1
-
-    rec(0, 0)
-    return Laurent(counts)
 
 
 def elementary_symmetric(r: int, nx: int, params=(), variables=None) -> MPoly:

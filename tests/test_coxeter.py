@@ -6,13 +6,20 @@ from pathlib import Path
 
 from quiverhecke.coxeter import (
     Permutation,
-    is_reduced,
     length_order,
     poincare_polynomial,
     poincare_product_form,
     segments_of_canonical_word,
 )
 from quiverhecke.laurent import Laurent
+
+
+def is_identity(w):
+    return w.images == tuple(range(1, w.n + 1))
+
+
+def is_reduced(word, n):
+    return Permutation.from_word(word, n).length() == len(word)
 
 
 def brute_force_length(w):
@@ -83,8 +90,8 @@ def test_longest_element_canonical_word_s3():
 
 def test_inverse_and_identity():
     for w in Permutation.all(4):
-        assert (w * w.inverse()).is_identity()
-        assert (w.inverse() * w).is_identity()
+        assert is_identity(w * w.inverse())
+        assert is_identity(w.inverse() * w)
 
 
 def test_is_reduced():

@@ -251,9 +251,30 @@ def test_input_checks_raise_under_optimize():
         "right = cyc.cyclotomic_polynomial\n"
         "cyc.cyclotomic_polynomial = lambda *args: right(*args) * 2\n"
         "attempt(lambda: cyc.CycloContext(1, 2))\n"
+        "import itertools, random\n"
+        "from quiverhecke.klr import QMatrix, linear_quiver, make_klr\n"
+        "from quiverhecke.klr import single_vertex_quiver\n"
+        "attempt(lambda: cyc.minimal_sl2_dimension_ledger(-1))\n"
+        "attempt(lambda: cyc.weight_space_dims_fock_check(0, 2))\n"
+        "attempt(lambda: cyc.weight_space_dims_fock_check(2, -1))\n"
+        "attempt(lambda: cyc.ideal_stability_check(2, 0, random.Random(0)))\n"
+        "ctx = make_klr(single_vertex_quiver(), 2)\n"
+        "attempt(lambda: cyc.reduced_cyclotomic_graded_dims(ctx, {1: -1}, 6))\n"
+        "q = QMatrix((1, 2), {(1, 2): {(1, 0, 1): -1, (0, 1, 1): 1},\n"
+        "                     (2, 1): {(0, 1, 1): -1, (1, 0, 1): 1}}, ('t',))\n"
+        "tctx = make_klr(linear_quiver(2), 1, q)\n"
+        "attempt(lambda: cyc.reduced_cyclotomic_graded_dims(tctx, {1: 1}, 6))\n"
+        "# a word degree that alternates breaks the homogeneity of the keys\n"
+        "count = itertools.count()\n"
+        "right_degree = ctx.word_degree\n"
+        "ctx.word_degree = lambda w, v: right_degree(w, v) + 2 * (next(count) % 2)\n"
+        "attempt(lambda: cyc.reduced_cyclotomic_graded_dims(ctx, {1: 1}, 6))\n"
         "print(sys.flags.optimize)\n"
     )
-    assert run_python(code, "-O") == ["ValueError"] * 10 + ["ArithmeticError", "1"]
+    assert run_python(code, "-O") == (
+        ["ValueError"] * 10 + ["ArithmeticError"] + ["ValueError"] * 6
+        + ["ArithmeticError", "1"]
+    )
 
 
 def test_wrong_grading_raises_under_optimize():

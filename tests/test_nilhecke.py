@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from quiverhecke.coxeter import Permutation
+from quiverhecke.linalg import bump
 from quiverhecke.nilhecke import (
     NilHeckeElement,
+    _lmul_t,
     _tprime_kernel,
     frobenius_gram_determinant,
     frobenius_gram_matrix,
@@ -18,7 +20,12 @@ from quiverhecke.nilhecke import (
     group_element,
     idempotent_b,
 )
-from quiverhecke.polyring import MPoly, schubert_basis_element, staircase_monomial
+from quiverhecke.polyring import (
+    MPoly,
+    demazure_exponents,
+    schubert_basis_element,
+    staircase_monomial,
+)
 
 
 def t(i, n):
@@ -294,14 +301,87 @@ def test_tprime_symmetric_random_n4():
 def test_lmul_t_length_test_matches_permutation_length():
     # T_i T_w = T_{s_i w} if l(s_i w) = l(w) + 1, else 0
     n = 4
+    one = MPoly.one(n).terms
     for w in Permutation.all(n):
         for i in range(1, n):
             siw = Permutation.simple(i, n) * w
-            prod = NilHeckeElement.t_perm(w)._lmul_t(i)
+            prod = _lmul_t({w.images: one}, i)
             if siw.length() > w.length():
-                assert prod == NilHeckeElement.t_perm(siw)
+                assert prod == {siw.images: one}
             else:
-                assert prod.is_zero()
+                assert prod == {}
+
+
+# -- the term-dict kernels against MPoly-composing references --------------
+
+
+def ref_poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            bump(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+    return MPoly(p.nx, p.params, out)
+
+
+def ref_demazure_word(p, word):
+    """d_{i_1} o ... o d_{i_r}(p), one MPoly per letter."""
+    for i in reversed(word):
+        out = {}
+        for e, c in p.terms.items():
+            sign, monomials = demazure_exponents(e, i)
+            for m in monomials:
+                bump(out, m, c * sign)
+        p = MPoly(p.nx, p.params, out)
+    return p
+
+
+def ref_mul(a, b):
+    """a * b, applying T_i to a whole NilHeckeElement per letter."""
+    out = {}
+    for w, p in a.terms.items():
+        acc = b
+        for i in reversed(w.canonical_word()):
+            si = Permutation.simple(i, a.n)
+            nxt = {}
+            for v, q in acc.terms.items():
+                if v.images.index(i) < v.images.index(i + 1):
+                    bump(nxt, si * v, q.act_simple(i))
+                bump(nxt, v, ref_demazure_word(q, (i,)))
+            acc = NilHeckeElement(a.n, nxt, a.params)
+        for v, q in acc.terms.items():
+            bump(out, v, ref_poly_mul(p, q))
+    return NilHeckeElement(a.n, out, a.params)
+
+
+def ref_apply(a, q):
+    out = MPoly.zero(a.n, a.params)
+    for w, p in a.terms.items():
+        out = out + ref_poly_mul(p, ref_demazure_word(q, w.canonical_word()))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("params", [(), ("t",)])
+def test_term_dict_kernels_match_references(n, params):
+    rng = random.Random(31 * n + len(params))
+    for _ in range(6):
+        a = random_element(rng, n, nterms=3, params=params)
+        b = random_element(rng, n, nterms=3, params=params)
+        q = random_poly(rng, n, max_deg=3, max_terms=4, params=params)
+        word = tuple(rng.randrange(1, n) for _ in range(rng.randrange(5)))
+        assert a * b == ref_mul(a, b)
+        assert a.apply_to_polynomial(q) == ref_apply(a, q)
+        assert q.demazure_word(word) == ref_demazure_word(q, word)
+        r = random_poly(rng, n, max_deg=3, max_terms=4, params=params)
+        assert q * r == ref_poly_mul(q, r)
+
+
+def test_demazure_column_is_an_immutable_memo():
+    sign, monomials = demazure_exponents((3, 0, 1), 1)
+    assert (sign, monomials) == (-1, ((2, 0, 1), (1, 1, 1), (0, 2, 1)))
+    assert demazure_exponents((3, 0, 1), 1)[1] is monomials
+    assert all(isinstance(demazure_exponents(e, 1)[1], tuple)
+               for e in [(0, 0, 0), (0, 2, 5), (1, 1, 0)])
 
 
 def test_tprime_matches_fresh_group_element():
@@ -443,6 +523,7 @@ def test_invalid_input_raises_under_optimize():
         "from quiverhecke.coxeter import Permutation\n"
         "from quiverhecke.nilhecke import NilHeckeElement as H\n"
         "from quiverhecke.nilhecke import frobenius_gram_determinant\n"
+        "from quiverhecke.nilhecke import frobenius_gram_matrix\n"
         "from quiverhecke.polyring import MPoly\n"
         "cases = [\n"
         "    lambda: H(3, {Permutation.identity(2): MPoly.one(3)}),\n"
@@ -450,9 +531,15 @@ def test_invalid_input_raises_under_optimize():
         "    lambda: H(2, {Permutation.identity(2): MPoly.one(2, ('t',))}),\n"
         "    lambda: H.t(1, 2) + H.t(1, 3),\n"
         "    lambda: H.t(1, 2) * H.t(1, 2, ('t',)),\n"
+        "    lambda: H.t(1, 2) * H.t(1, 3),\n"
+        "    lambda: H.zero(3).apply_to_polynomial(MPoly.x(1, 4)),\n"
+        "    lambda: H.t(1, 3).apply_to_polynomial(MPoly.x(1, 4)),\n"
+        "    lambda: H.t(1, 3).apply_to_polynomial(MPoly.x(1, 3, ('t',))),\n"
+        "    lambda: H.one(3).apply_to_polynomial(MPoly.x(1, 2)),\n"
         "    lambda: H.x(1, 2).sigma(),\n"
         "    lambda: H.x(1, 2).trace_t0(),\n"
         "    lambda: frobenius_gram_determinant(4),\n"
+        "    lambda: frobenius_gram_matrix(4),\n"
         "]\n"
         "for case in cases:\n"
         "    try:\n"
@@ -470,4 +557,4 @@ def test_invalid_input_raises_under_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["raised"] * 8 + ["1"]
+    assert res.stdout.split() == ["raised"] * 14 + ["1"]

@@ -34,10 +34,6 @@ TEST_ONLY = {
     "transpose": "conjugate partition",
     "filtration_count": "Hall algebra filtration count of a composite product",
     "jordan_quiver": "one-loop quiver: conjugacy classes of matrices",
-    # test oracles and small helpers
-    "count_monomials_by_degree": "enumerative oracle for grdim_polynomial_ring",
-    "is_reduced": "reduced-word test for Coxeter words",
-    "is_identity": "identity test for permutations",
 }
 
 
