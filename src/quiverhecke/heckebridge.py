@@ -73,6 +73,7 @@ _MAX_BASIS of them, and windows above _MAX_WINDOW.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -115,7 +116,9 @@ def _unit_key(poly: dict):
     return key, shift, sign
 
 
-def _den_product(units) -> dict:
+@functools.lru_cache(maxsize=None)
+def _den_product(units: tuple) -> dict:
+    """The product of a sorted tuple of unit keys; shared, never mutated."""
     out = {0: 1}
     for key in units:
         out = mul_terms(out, _UNIT_POLYS[key])
@@ -124,15 +127,14 @@ def _den_product(units) -> dict:
 
 class QScalar:
     """num / prod(units): num an integer Laurent polynomial in q and
-    units a multiset of tracked invertible factors."""
+    units a multiset of tracked invertible factors, held as a sorted
+    tuple."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: dict, den=()):
-        if not num:
-            den = ()
+    def __init__(self, num: dict, den: tuple = ()):
         self.num = num
-        self.den = tuple(sorted(den))
+        self.den = den if num else ()
 
     @staticmethod
     def from_int(c) -> "QScalar":
@@ -152,15 +154,15 @@ class QScalar:
         if self.den == other.den:
             return QScalar(_padd(self.num, other.num), self.den)
         extra_a, extra_b, merged = [], [], []
-        for key in set(self.den) | set(other.den):
+        for key in sorted(set(self.den) | set(other.den)):
             na, nb = self.den.count(key), other.den.count(key)
             top = max(na, nb)
             merged.extend([key] * top)
             extra_a.extend([key] * (top - na))
             extra_b.extend([key] * (top - nb))
-        na = mul_terms(self.num, _den_product(extra_a))
-        nb = mul_terms(other.num, _den_product(extra_b))
-        return QScalar(_padd(na, nb), merged)
+        na = mul_terms(self.num, _den_product(tuple(extra_a)))
+        nb = mul_terms(other.num, _den_product(tuple(extra_b)))
+        return QScalar(_padd(na, nb), tuple(merged))
 
     def __neg__(self) -> "QScalar":
         return QScalar({e: -c for e, c in self.num.items()}, self.den)
@@ -171,7 +173,10 @@ class QScalar:
     def __mul__(self, other: "QScalar") -> "QScalar":
         if not self.num or not other.num:
             return QScalar({})
-        return QScalar(mul_terms(self.num, other.num), self.den + other.den)
+        den = self.den + other.den
+        if self.den and other.den:
+            den = tuple(sorted(den))
+        return QScalar(mul_terms(self.num, other.num), den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QScalar):
@@ -246,6 +251,7 @@ class HeckeBridge:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self._mult_cache = {}
+        self._inverse_cache = {}
 
     # -- elements ---------------------------------------------------------
 
@@ -311,14 +317,17 @@ class HeckeBridge:
     def _add_product(self, out, el, terms):
         """out += el * (polynomial [(shift, coeff), ...]), truncated: a
         product term is skipped by its degree before its exponents are
-        built."""
+        built, and a factor one is not multiplied."""
+        one = self.one
         items = [(v, exps, sum(exps), c) for (v, exps), c in el.items()]
         for shift, coeff in terms:
             room = self.cutoff - sum(shift)
             for v, exps, deg, c in items:
                 if deg < room:
                     e2 = tuple(a + b for a, b in zip(exps, shift))
-                    bump(out, (v, e2), c * coeff)
+                    if coeff is not one:
+                        c = coeff if c is one else c * coeff
+                    bump(out, (v, e2), c)
 
     def demazure(self, i: int, el):
         """Componentwise divided difference (P - s_i P)/(x_{i+1}-x_i)."""
@@ -403,7 +412,8 @@ class HeckeBridge:
             raise ValueError(f"X_{j} is not a generator for n = {self.n}")
         out = self.mul_linear(el, [(self.x_shift(j), self.one)])
         for key, c in el.items():
-            bump(out, key, c * self.vertex_scalars[key[0][j - 1]])
+            value = self.vertex_scalars[key[0][j - 1]]
+            bump(out, key, value if c is self.one else c * value)
         return out
 
     # -- the Hecke generators ----------------------------------------------
@@ -421,21 +431,26 @@ class HeckeBridge:
         """Cached multiplier series of T_i on a component whose vertices
         va != vb sit at positions i, i+1: ((1 - alpha) X_{i+1} - beta)
         (X_i - X_{i+1})^{-1} on the source, and N_i (X_i - X_{i+1})^{-1}
-        after the swap, with the target component's constants."""
+        after the swap, with the target component's constants.  Each
+        series (X_i - X_{i+1})^{-1} is computed once per component."""
         key = (i, va, vb)
         if key not in self._mult_cache:
             one, alpha = self.one, self.alpha
             a, b = self.vertex_scalars[va], self.vertex_scalars[vb]
             diff = [(self.x_shift(i), one), (self.x_shift(i + 1), -one)]
+            inverses = self._inverse_cache
+            for k, const in (((i, va, vb), a - b), ((i, vb, va), b - a)):
+                if k not in inverses:
+                    inverses[k] = self.series_inverse(const, diff)
             source = self.series_mul(
-                self.series_inverse(a - b, diff),
+                inverses[i, va, vb],
                 [
                     (self.x_shift(i + 1), one - alpha),
                     ((0,) * self.n, (one - alpha) * b - self.beta),
                 ],
             )
             target = self.series_mul(
-                self.series_inverse(b - a, diff), self._n_terms(i, b, a)
+                inverses[i, vb, va], self._n_terms(i, b, a)
             )
             self._mult_cache[key] = (source, target)
         return self._mult_cache[key]
@@ -510,6 +525,9 @@ class _CachedOp:
         return layers
 
     def __call__(self, el, bound):
+        """el mapped column by column, zero entries dropped at the end; a
+        basis monomial {key: one} gets its column cut at the bound."""
+        one = self.br.one
         out = {}
         for key, c in el.items():
             layers = self.cols.get(key)
@@ -519,8 +537,11 @@ class _CachedOp:
                 layers = self.cols[key] = self._column(key)
             for layer in layers[:bound]:
                 for k2, c2 in layer:
-                    bump(out, k2, c * c2)
-        return out
+                    if c is not one:
+                        c2 = c * c2
+                    prev = out.get(k2)
+                    out[k2] = c2 if prev is None else prev + c2
+        return {k2: c2 for k2, c2 in out.items() if c2}
 
 
 def verify_affine_relations(n, window, vertices=(0, 1, 2)):

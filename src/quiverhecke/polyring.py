@@ -130,6 +130,8 @@ class MPoly(Combination):
 
     def act_simple(self, i):
         """Swap X_i and X_{i+1}."""
+        if not 1 <= i < self.nx:
+            raise ValueError(f"s_{i} is undefined on {self.nx} variables")
         return self._like(swap_terms(self.terms, i))
 
     def demazure(self, i):

@@ -1,4 +1,6 @@
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from quiverhecke.heckebridge import (
+    _UNIT_POLYS,
     HeckeBridge,
     QScalar,
     _relation_residuals,
@@ -46,6 +49,76 @@ def test_qscalar_negative_powers():
     q = QScalar.q_power(1)
     qi = QScalar.q_power(-1)
     assert q * qi == QScalar.from_int(1)
+
+
+_POINTS = (Fraction(2), Fraction(3), Fraction(1, 2))
+
+
+def _poly_at(terms, x):
+    return sum(c * x ** e for e, c in terms.items())
+
+
+def _qscalar_at(s, x):
+    """num(x) / prod(unit(x)), exactly."""
+    den = math.prod(_poly_at(_UNIT_POLYS[key], x) for key in s.den)
+    return Fraction(_poly_at(s.num, x)) / den
+
+
+def _leaf(rng):
+    """A random q^k, integer or 1/(q^a - q^b), with its values at _POINTS."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        k = rng.randint(-2, 2)
+        return QScalar.q_power(k), [x ** k for x in _POINTS]
+    if kind == 1:
+        c = rng.randint(-3, 3)
+        return QScalar.from_int(c), [Fraction(c)] * len(_POINTS)
+    a, b = rng.sample(range(4), 2)
+    unit = QScalar.q_power(a) - QScalar.q_power(b)
+    return unit.inverse(), [1 / (x ** a - x ** b) for x in _POINTS]
+
+
+def _combine(op, left, right):
+    (s, sv), (t, tv) = left, right
+    if op == "+":
+        return s + t, [a + b for a, b in zip(sv, tv)]
+    if op == "-":
+        return s - t, [a - b for a, b in zip(sv, tv)]
+    return s * t, [a * b for a, b in zip(sv, tv)]
+
+
+def _expression(rng, depth):
+    if depth == 0:
+        return _leaf(rng)
+    left = _expression(rng, depth - 1)
+    right = _expression(rng, rng.randrange(depth))
+    return _combine(rng.choice("+-*"), left, right)
+
+
+def test_qscalar_matches_exact_evaluation():
+    # random expressions in q^k, integers and 1/(q^a - q^b), evaluated at
+    # q = 2, 3, 1/2, against the same expression over Fraction
+    rng = random.Random(2301)
+    mixed_sums = 0
+    for _ in range(300):
+        left = _expression(rng, rng.randrange(4))
+        right = _expression(rng, rng.randrange(4))
+        mixed_sums += left[0].den != right[0].den
+        for op in "+-*":
+            s, values = _combine(op, left, right)
+            assert s.den == tuple(sorted(s.den))
+            assert [_qscalar_at(s, x) for x in _POINTS] == values, (op, s)
+    assert mixed_sums > 100
+    # sums and products of the same units taken in different orders
+    leaves = [_leaf(rng) for _ in range(8)]
+    for _ in range(20):
+        rng.shuffle(leaves)
+        for op in "+*":
+            acc = leaves[0]
+            for leaf in leaves[1:]:
+                acc = _combine(op, acc, leaf)
+            s, values = acc
+            assert [_qscalar_at(s, x) for x in _POINTS] == values, (op, s)
 
 
 # -- module primitives ----------------------------------------------------
@@ -471,13 +544,28 @@ def _unpruned_residuals(br, T, X, window):
     return {k: br.low_part(v, window) for k, v in out.items()}
 
 
-@pytest.mark.parametrize("mode", ["affine", "degenerate"])
-@pytest.mark.parametrize("n, window", [(2, 3), (3, 2)])
-def test_pruned_residuals_match_plain_composition(mode, n, window):
+@pytest.mark.parametrize(
+    "mode, n, window, vertices",
+    [
+        pytest.param(mode, n, window, (0, 1, 2), id=f"{n}-{window}-{mode}")
+        for mode in ("affine", "degenerate")
+        for n, window in ((2, 3), (3, 2))
+    ]
+    + [
+        # three unit denominators q^a - q^b
+        pytest.param("affine", 2, 3, (0, 1, 3), id="2-3-affine-0-1-3"),
+        pytest.param(
+            "degenerate", 2, 3,
+            (Fraction(1, 2), Fraction(3, 2), Fraction(-5, 3)),
+            id="2-3-degenerate-fractions",
+        ),
+    ],
+)
+def test_pruned_residuals_match_plain_composition(mode, n, window, vertices):
     # the relation check drops the terms that cannot reach the window;
     # with wrong operators its residuals must still be exactly the
     # low parts of the plain compositions
-    br = HeckeBridge(n, window + 3, mode)
+    br = HeckeBridge(n, window + 3, mode, vertices)
     T, X = _perturbed_operators(br)
     br.X = X
     pruned = {

@@ -274,6 +274,8 @@ def test_input_checks_raise_under_optimize():
         "    lambda: p.evaluate((1, 2)),\n"
         "    lambda: p.act(Permutation((1, 3, 2))),\n"
         "    lambda: geometric_truncated(0, 4),\n"
+        "    lambda: p.act_simple(0),\n"
+        "    lambda: p.act_simple(2),\n"
         "):\n"
         "    try:\n"
         "        call()\n"
@@ -289,7 +291,7 @@ def test_input_checks_raise_under_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["raised"] * 6 + ["1"]
+    assert res.stdout.split() == ["raised"] * 8 + ["1"]
 
 
 def test_schubert_checks_raise_under_optimize():
