@@ -563,16 +563,16 @@ def verify_degenerate_relations(n, window, vertices=(0, 1, 2)):
 # Basis monomials of the truncated module, |vertices|^n binomial(n +
 # cutoff - 1, n), above which the relation check is refused; the count
 # grows exponentially in n.  With three vertices it admits n = 4 at
-# window 3 (10,206 monomials; about 7 s affine and 4.5 s degenerate on
-# a 2-vCPU VM) and refuses n = 4 at window 4 (17,010; 16 s and 11 s) and
+# window 3 (10,206 monomials; about 3.9 s affine and 1.9 s degenerate on
+# a 2-vCPU VM) and refuses n = 4 at window 4 (17,010; 11 s and 5 s) and
 # every n >= 5.  It does not bound the growth in the window at fixed n.
 _MAX_BASIS = 12_000
 
 # Largest relation window per n (3 past n = 3), because the cost grows
 # much faster in the window than the basis count does.  The affine check
-# (degenerate takes about half) took on a 2-vCPU VM: n = 2, 2.5 s at
-# window 12, 5.2 s at 14, 10 s at 16; n = 3, 3.0 s at window 5, 7.0 s at
-# 6, 15 s at 7; n = 4, 3.5 s at window 3.
+# (degenerate takes a quarter to a half) took on a 2-vCPU VM: n = 2,
+# 3.1 s at window 12, 6.2 s at 14, 11 s at 16; n = 3, 4.0 s at window 5,
+# 7.8 s at 6, 16 s at 7; n = 4, 3.9 s at window 3.
 _MAX_WINDOW = {2: 16, 3: 6}
 
 
