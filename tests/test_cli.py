@@ -304,6 +304,19 @@ STDOUT_SHA256 = {
         "796aa123125aa6f38d416aa7720a61efb678d78867045201a46feac3853bb5bf",
     "verify nilhecke --n 3":
         "f7eaa644ec48cdb06e97c6c9e2b6e5cec8d47ddf19a92108582409cea644ab06",
+    # the six commands of the perfbench hall-fock workload
+    "compute hall-table --q 2 --max-dim 3,3":
+        "9d690f29734c9cc199fce54d9ee84dc0d2869fe8725e6ac3798930eb1aacdf30",
+    "compute hall-table --q 3 --max-dim 3,2":
+        "42c2e14d0cc2c962d2054a18b0a8118cbec7fc00e2f9d40f96db6ebbc3408d5a",
+    "verify hall --q 3":
+        "ed697ee933836386ba542459511913e853f9fb39a27d0a1cb415c6384f00fdaf",
+    "verify hall --q 4":
+        "d9c4ca167a56bdd63d88bd855311a23e8330c90449ef4052d9bb820ab20dbd43",
+    "verify fock --p 3 --max-size 12":
+        "dfafcc72f31236d159053a1a2ce84f5e3f5de88800eb59ae104e4863c3d121f4",
+    "compute fock-matrix --p 3 --i 0 --size 14":
+        "ab8a0d8e8b3e5427f22c8b780c7db2e6876e49e4745ca10ab38e55e24d316598",
 }
 
 
