@@ -8,11 +8,15 @@ convention).
 Isomorphism classes are G_d-orbits, G_d = prod_i GL_{d_i}(q), acting by
 g . (f_a) = (g_j f_a g_i^{-1}); each class is identified by its
 canonical label, the lexicographically smallest flattened matrix tuple
-in the orbit.  |Aut M| = |G_d| / |orbit|.  The orbits are walked on the
-plain matrix tuples, one generator of some GL_{d_i}(q) per step
-(``act``): a diagonal or a transvection, so each step is one elementary
+in the orbit.  |Aut M| = |G_d| / |orbit|.  The orbits are walked one
+generator of some GL_{d_i}(q) per step (``elementary_ops``: a diagonal
+or an adjacent transvection).  ``act`` defines a step: one elementary
 row operation on the arrow matrices into vertex i and one elementary
-column operation on those out of it, with no matrix product.
+column operation on those out of it, with no matrix product.  A step is
+linear, so ``compile_step`` turns it, once per dimension vector, into a
+sparse linear map on flat entry tuples, read off ``act`` on the unit
+matrix tuples.  The walk runs on flat tuples, and each orbit element
+becomes a matrix tuple once, as a key of the class table.
 
 Hall numbers F^L_{M,N} count submodules of L isomorphic to N with
 quotient isomorphic to M.  Submodules are read off one RREF basis per
@@ -228,15 +232,42 @@ def gl_order(q: int, n: int) -> int:
 
 def elementary_ops(q: int, n: int):
     """Generators of GL_n(q) as triples (i, j, c): g = I + (c - 1) E_ii
-    when i == j and g = I + c E_ij otherwise.  One diagonal, unless it is
-    the identity (q = 2, where GF(2)^* is trivial), then the elementary
-    transvections.  The group is finite, so products of the generators
-    alone (no inverses) reach every element."""
+    when i == j and g = I + c E_ij otherwise.  One diagonal
+    D = diag(g, 1, ..., 1), g a generator of F_q^*, unless it is the
+    identity (q = 2, where F_2^* is trivial), then the adjacent
+    transvections I + E_{i,i+1} and I + E_{i+1,i}: 2(n - 1) + 1 steps.
+
+    They generate: the commutator of I + a E_ij and I + b E_jk (i != k)
+    is I + ab E_ik, so the adjacent ones reach every I + E_ij.  Over a
+    prime field the powers of I + E_ij are all I + c E_ij.  At q = 4,
+    D conjugates I + E_01 and I + E_10 to I + g E_01 and I + g^{-1} E_10;
+    with 1 they sum to every c of F_4^*, and the commutators carry every
+    c to every (i, j).  The transvections generate SL_n(q), and D's
+    determinant generates F_q^*.  The group is finite, so products of the
+    generators alone (no inverses) reach every element."""
     g = field(q).multiplicative_generator()
     if n and g != 1:
         yield (0, 0, g)
-    for i, j in itertools.permutations(range(n), 2):
-        yield (i, j, 1)
+    for i in range(n - 1):
+        yield (i, i + 1, 1)
+        yield (i + 1, i, 1)
+
+
+def _nester(shapes):
+    """The map from a flat entry tuple (the entries of matrices of the
+    given (rows, cols) shapes, row by row and matrix by matrix) to its
+    tuple of matrices.  Equal rows are one shared tuple object, which
+    keeps the matrix tuples kept as class-table keys small."""
+    slices, pos = [], 0
+    for r, c in shapes:
+        slices.append([slice(pos + k * c, pos + (k + 1) * c) for k in range(r)])
+        pos += r * c
+    rows = {}
+
+    def nest(values):
+        return tuple([tuple([rows.setdefault(r := values[s], r) for s in m]) for m in slices])
+
+    return nest
 
 
 def matrix_tuples(q: int, shapes):
@@ -244,14 +275,7 @@ def matrix_tuples(q: int, shapes):
     shapes: the entries, row by row and matrix by matrix, run through
     itertools.product of the field elements."""
     total = sum(r * c for r, c in shapes)
-    for values in itertools.product(field(q).elements, repeat=total):
-        mats = []
-        pos = 0
-        for r, c in shapes:
-            rows = (values[pos + k * c : pos + (k + 1) * c] for k in range(r))
-            mats.append(tuple(rows))
-            pos += r * c
-        yield tuple(mats)
+    return map(_nester(shapes), itertools.product(field(q).elements, repeat=total))
 
 
 # -- quivers and representations ----------------------------------------
@@ -365,6 +389,31 @@ def act(F: GF, arrow_index, vi: int, op, mats):
     return tuple(out)
 
 
+def compile_step(F: GF, arrow_index, shapes, vi: int, op):
+    """The step ``act(F, arrow_index, vi, op, .)`` as a sparse linear map
+    on flat entry tuples x (the entries of matrices of the given (rows,
+    cols) shapes, row by row and matrix by matrix, as ``matrix_tuples``
+    runs through them).  It is a tuple of (p, k0, m0, rest), one for
+    each entry p that the step changes, whose new value is m0[x[k0]]
+    plus the sum of mc[x[k]] over (k, mc) in ``rest``; each m is the
+    row MUL[c] of a nonzero coefficient c.  Column k of the map is
+    ``act`` applied to the k-th unit matrix tuple, so ``act`` stays the
+    one definition of a step."""
+    nest = _nester(shapes)
+    n = sum(r * c for r, c in shapes)
+    rows = [[] for _ in range(n)]
+    for k in range(n):
+        image = act(F, arrow_index, vi, op, nest((0,) * k + (1,) + (0,) * (n - k - 1)))
+        for p, c in enumerate(e for m in image for row in m for e in row):
+            if c:
+                rows[p].append((k, F.MUL[c]))
+    return tuple(
+        (p, *terms[0], tuple(terms[1:]))
+        for p, terms in enumerate(rows)
+        if terms != [(p, F.MUL[1])]
+    )
+
+
 class ClassTable:
     """Isomorphism classes of representations for one dimension vector."""
 
@@ -378,35 +427,52 @@ class ClassTable:
 
     def _classify(self):
         """Walk the orbit of every matrix tuple not yet labelled, one
-        generator step at a time; a QuiverRep is built only for the
-        label of each class."""
+        compiled generator step at a time, on flat entry tuples.  The
+        orbit's least flat tuple is its least matrix tuple (every tuple
+        has the same shapes), the label; each orbit element becomes its
+        matrix tuple once, as a key of ``label_of``, and a QuiverRep is
+        built only for the label of each class."""
         quiver, q, dims = self.quiver, self.q, self.dims
         F = field(q)
+        ADD = F.ADD
         arrows = quiver.arrow_index
-        steps = [(vi, op) for vi, d in enumerate(dims) for op in elementary_ops(q, d)]
+        shapes = [(dims[t], dims[s]) for s, t in arrows]
+        nest = _nester(shapes)
+        steps = [
+            compile_step(F, arrows, shapes, vi, op)
+            for vi, d in enumerate(dims)
+            for op in elementary_ops(q, d)
+        ]
         g_order = group_order(quiver, q, dims)
         label_of = self.label_of
-        for mats in matrix_tuples(q, [(dims[t], dims[s]) for s, t in arrows]):
+        for mats in matrix_tuples(q, shapes):
             if mats in label_of:
                 continue
-            orbit = {mats}
-            todo = [mats]
+            start = tuple(e for m in mats for row in m for e in row)
+            orbit = {start}
+            todo = [start]
             while todo:
-                r = todo.pop()
-                for vi, op in steps:
-                    r2 = act(F, arrows, vi, op, r)
-                    if r2 not in orbit:
-                        orbit.add(r2)
-                        todo.append(r2)
+                x = todo.pop()
+                for step in steps:
+                    y = list(x)
+                    for p, k0, m0, rest in step:
+                        e = m0[x[k0]]
+                        for k, mc in rest:
+                            e = ADD[e][mc[x[k]]]
+                        y[p] = e
+                    y = tuple(y)
+                    if y not in orbit:
+                        orbit.add(y)
+                        todo.append(y)
             if g_order % len(orbit):
                 raise ArithmeticError(f"orbit size {len(orbit)} does not divide {g_order}")
-            label = (dims, min(orbit))
+            label = (dims, nest(min(orbit)))
             self.classes[label] = {
                 "rep": QuiverRep(quiver, q, dims, label[1]),
                 "aut_order": g_order // len(orbit),
             }
-            for k in orbit:
-                label_of[k] = label
+            for x in orbit:
+                label_of[nest(x)] = label
 
     def label(self, rep: QuiverRep):
         if rep.dims != self.dims:
@@ -429,6 +495,8 @@ class HallContext:
         self.q = q
         self._tables = {}
         self._subrep_pairs = {}  # (label L, dims N) -> Counter of (label M, label N)
+        self._image_counts = {}  # (rep N, rep L) -> Counter of injection images
+        self._kernel_counts = {}  # (rep L, rep M) -> Counter of surjection kernels
 
     def table(self, dims) -> ClassTable:
         dims = tuple(dims)
@@ -514,31 +582,50 @@ class HallContext:
         pairs (injection f, surjection g) with im f = ker g.
 
         Each injection is keyed by its image and each surjection by its
-        kernel: one RREF basis per vertex, from ``rref`` of the columns
-        of f_i and of the ``null_space`` basis of g_i.  The count is
+        kernel (``_images``, ``_kernels``).  The count is
         sum_U #{f : im f = U} * #{g : ker g = U}.  A pair with g f = 0
         alone is not counted: that gives only im f inside ker g, so when
         dim L != dim M + dim N no key matches and the count is 0.
         Independent of hall_number: no class table, ``subspaces`` or
-        ``residue``.
+        ``residue``, and the memos are keyed by representations.
         """
-        F = field(self.q)
-        images = Counter()
-        for f in self._homs(n, l):
-            key = tuple(rref(F, tuple(zip(*fi)))[0] for fi in f)
-            if all(len(basis) == d for basis, d in zip(key, n.dims)):
-                images[key] += 1
-        count = 0
-        for g in self._homs(l, m):
-            key = []
-            for gi, dl, dm in zip(g, l.dims, m.dims):
-                reduced, pivots = rref(F, gi)
-                if len(reduced) != dm:
-                    break
-                key.append(rref(F, null_space(F, reduced, pivots, dl))[0])
-            else:
-                count += images[tuple(key)]
-        return count
+        images = self._images(n, l)
+        return sum(c * images[key] for key, c in self._kernels(l, m).items())
+
+    def _images(self, n: QuiverRep, l: QuiverRep) -> Counter:
+        """#{f : im f = U} over the injections f : N -> L, each image U
+        keyed by one RREF basis per vertex, from ``rref`` of the columns
+        of f_i; counted once per (N, L)."""
+        key = (n, l)
+        if key not in self._image_counts:
+            F = field(self.q)
+            images = Counter()
+            for f in self._homs(n, l):
+                basis = tuple(rref(F, tuple(zip(*fi)))[0] for fi in f)
+                if all(len(b) == d for b, d in zip(basis, n.dims)):
+                    images[basis] += 1
+            self._image_counts[key] = images
+        return self._image_counts[key]
+
+    def _kernels(self, l: QuiverRep, m: QuiverRep) -> Counter:
+        """#{g : ker g = U} over the surjections g : L -> M, each kernel U
+        keyed by one RREF basis per vertex, from ``rref`` of the
+        ``null_space`` basis of g_i; counted once per (L, M)."""
+        key = (l, m)
+        if key not in self._kernel_counts:
+            F = field(self.q)
+            kernels = Counter()
+            for g in self._homs(l, m):
+                basis = []
+                for gi, dl, dm in zip(g, l.dims, m.dims):
+                    reduced, pivots = rref(F, gi)
+                    if len(reduced) != dm:
+                        break
+                    basis.append(rref(F, null_space(F, reduced, pivots, dl))[0])
+                else:
+                    kernels[tuple(basis)] += 1
+            self._kernel_counts[key] = kernels
+        return self._kernel_counts[key]
 
     def _homs(self, a: QuiverRep, b: QuiverRep):
         """All morphisms a -> b: tuples of d_i(b) x d_i(a) matrices f_i

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from quiverhecke.hall import (
     HallContext,
     a2_quiver,
     act,
+    compile_step,
     direct_sum,
     elementary_ops,
     field,
@@ -159,6 +160,49 @@ def test_gl_generators_generate_the_group(n, q):
         ]
         seen.update(frontier)
     assert len(seen) == gl_order(q, n)
+
+
+def _left_step(F, n, op, x):
+    """g x for g = ``_generator(n, op)`` and x an n x n matrix as a flat
+    row-major tuple: row i times c when i == j, else row i plus c row j."""
+    i, j, c = op
+    mc, ADD = F.MUL[c], F.ADD
+    y = list(x)
+    for k in range(i * n, i * n + n):
+        y[k] = mc[x[k]] if i == j else ADD[x[k]][mc[x[k + (j - i) * n]]]
+    return tuple(y)
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for n in (1, 2, 3) for q in (2, 3, 4, 5)])
+def test_gl_generators_reach_every_elementary_matrix(n, q):
+    # every transvection I + c E_ij and the diagonal generator is a
+    # product of the generators; the walk stops once all are found,
+    # since a full walk of GL_3(4) or GL_3(5) is too slow for tier-1
+    F = field(q)
+    ops = list(elementary_ops(q, n))
+
+    def flat(op):
+        return sum(_generator(n, op), ())
+
+    missing = {
+        flat((i, j, c))
+        for i, j in itertools.permutations(range(n), 2)
+        for c in F.elements[1:]
+    }
+    missing.add(flat((0, 0, F.multiplicative_generator())))
+    identity = flat((0, 0, 1))
+    missing.discard(identity)  # the diagonal generator is 1 at q = 2
+    seen = {identity}
+    todo = deque([identity])
+    while todo and missing:
+        x = todo.popleft()
+        for op in ops:
+            y = _left_step(F, n, op, x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+                missing.discard(y)
+    assert not missing
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -553,6 +597,40 @@ def test_orbit_step_matches_matrix_products(q):
                     assert act(F, arrows, 1, op, mats) == tuple(expected)
 
 
+def _apply_compiled(F, step, x):
+    """The sparse map of ``compile_step`` as its docstring defines it."""
+    y = list(x)
+    for p, k0, m0, rest in step:
+        y[p] = m0[x[k0]]
+        for k, mc in rest:
+            y[p] = F.ADD[y[p]][mc[x[k]]]
+    return tuple(y)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_compiled_steps_match_act(q):
+    # every vertex of the quiver above, loop included, and every step
+    # (i, j, c), the adjacent generators of elementary_ops among them
+    F = field(q)
+    quiver = QuiverData((1, 2, 3), {(1, 2): 1, (2, 3): 1, (2, 2): 1})
+    arrows = quiver.arrow_index
+    rng = random.Random(100 + q)
+    for d in (1, 2, 3):
+        for outer in (0, 2):
+            dims = (outer, d, 3 - outer)
+            shapes = [(dims[t], dims[s]) for s, t in arrows]
+            for vi, dv in enumerate(dims):
+                ops = [(i, j, c) for i in range(dv) for j in range(dv) for c in F.elements[1:]]
+                for op in ops:
+                    step = compile_step(F, arrows, shapes, vi, op)
+                    for _ in range(3):
+                        mats = _random_mats(rng, q, shapes)
+                        flat = tuple(e for m in mats for row in m for e in row)
+                        expected = act(F, arrows, vi, op, mats)
+                        got = _apply_compiled(F, step, flat)
+                        assert got == tuple(e for m in expected for row in m for e in row)
+
+
 def _reference_classes(quiver, q, dims):
     """The orbit BFS on QuiverReps with two matrix products per step:
     label of every matrix tuple, and (orbit size, |Aut|) per label."""
@@ -697,6 +775,31 @@ def test_homs_and_exact_sequences_match_enumeration(q):
         check_homs(n, l)
         check_homs(l, m)
         assert ctx.exact_sequence_count(m, n, l) == _pair_loop_count(ctx, m, n, l)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_exact_sequence_counts_are_memoized(q):
+    # asked twice on every triple, the counts match the g f = 0 pair
+    # loop, and each Hom space is enumerated once per (source, target)
+    expected = {}
+    ref = HallContext(a2_quiver(), q)
+    for m, n, l in _triples(ref, SUITE_DIM_PAIRS):
+        expected[m, n, l] = _pair_loop_count(ref, m, n, l)
+    ctx = HallContext(a2_quiver(), q)
+    homs = ctx._homs
+    calls = Counter()
+
+    def counted(a, b):
+        calls[a, b] += 1
+        return homs(a, b)
+
+    ctx._homs = counted
+    for _ in range(2):
+        for (m, n, l), count in expected.items():
+            assert ctx.exact_sequence_count(m, n, l) == count
+    pairs = {pair for m, n, l in expected for pair in ((n, l), (l, m))}
+    assert set(calls) == pairs
+    assert set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("quiver", [A3_SINK, KRONECKER], ids=["a3-sink", "kronecker"])
