@@ -483,6 +483,8 @@ def suite_fock(cfg, rng):
     max_size = cfg["max_size"]
     if p < 1:
         raise ValueError(f"--p must be at least 1, got {p}")
+    if max_size < 0:
+        raise ValueError(f"--max-size must be at least 0, got {max_size}")
 
     def vec(parts):
         return FockVector({tuple(parts): 1})
@@ -492,11 +494,13 @@ def suite_fock(cfg, rng):
         for size in range(max_size + 1):
             for lam in all_partitions(size):
                 v = vec(lam)
+                fv = [f_op(j, p, v) for j in range(p)]
+                ev = [e_op(i, p, v) for i in range(p)]
                 for i in range(p):
                     add = sum(1 for *_, r in addable_boxes(lam, p) if r == i)
                     rem = sum(1 for *_, r in removable_boxes(lam, p) if r == i)
                     for j in range(p):
-                        lhs = e_op(i, p, f_op(j, p, v)) - f_op(j, p, e_op(i, p, v))
+                        lhs = e_op(i, p, fv[j]) - f_op(j, p, ev[i])
                         yield lhs == v.scale(add - rem if i == j else 0)
 
     def adjointness():
@@ -684,6 +688,8 @@ def compute_fock_matrix(cfg):
     p, i, size = cfg["p"], cfg["i"], cfg["size"]
     if p < 1:
         raise ValueError(f"--p must be at least 1, got {p}")
+    if size < 0:
+        raise ValueError(f"--size must be at least 0, got {size}")
     rows, cols, mat = operator_matrix(cfg["op"], i, p, size)
     return {
         "op": cfg["op"],

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import lru_cache
 
 from .klr import cyclic_quiver
 from .linalg import Combination, bump
@@ -66,8 +67,10 @@ def addable_boxes(parts, p: int):
     return _addable(check_partition(parts), p)
 
 
-def _addable(parts: tuple, p: int):
-    """``addable_boxes`` of a partition already checked."""
+@lru_cache(maxsize=None)
+def _addable(parts: tuple, p: int) -> tuple:
+    """``addable_boxes`` of a partition already checked, computed once
+    per (partition, p)."""
     out = []
     for r in range(1, len(parts) + 2):
         row_len = parts[r - 1] if r <= len(parts) else 0
@@ -75,7 +78,7 @@ def _addable(parts: tuple, p: int):
         if prev_len is None or row_len < prev_len:
             c = row_len + 1
             out.append((r, c, residue(r, c, p)))
-    return out
+    return tuple(out)
 
 
 def removable_boxes(parts, p: int):
@@ -83,15 +86,17 @@ def removable_boxes(parts, p: int):
     return _removable(check_partition(parts), p)
 
 
-def _removable(parts: tuple, p: int):
-    """``removable_boxes`` of a partition already checked."""
+@lru_cache(maxsize=None)
+def _removable(parts: tuple, p: int) -> tuple:
+    """``removable_boxes`` of a partition already checked, computed once
+    per (partition, p)."""
     out = []
     for r in range(1, len(parts) + 1):
         row_len = parts[r - 1]
         next_len = parts[r] if r < len(parts) else 0
         if row_len > next_len:
             out.append((r, row_len, residue(r, row_len, p)))
-    return out
+    return tuple(out)
 
 
 def add_box(parts, row: int) -> tuple:
@@ -210,10 +215,11 @@ def operator_matrix(op_letter: str, i: int, p: int, size: int):
     cols = list(all_partitions(size))
     target = size + 1 if op_letter == "f" else size - 1
     rows = list(all_partitions(target)) if target >= 0 else []
+    row_of = {parts: k for k, parts in enumerate(rows)}
     mat = [[0] * len(cols) for _ in rows]
     for jc, parts in enumerate(cols):
         v = FockVector.basis(parts)
         image = f_op(i, p, v) if op_letter == "f" else e_op(i, p, v)
         for out_parts, c in image.terms.items():
-            mat[rows.index(out_parts)][jc] = c
+            mat[row_of[out_parts]][jc] = c
     return rows, cols, mat

@@ -209,3 +209,34 @@ def test_box_moves_give_partitions():
                         for key in op(i, p, vec(parts)).terms:
                             assert check_partition(key) == key
                             assert sum(key) == target
+
+
+def _reference_boxes(parts, p):
+    """Addable and removable boxes from the Young diagram as a set of
+    cells: a cell is addable when the diagram plus it is a diagram, and
+    removable when the diagram less it is one, row by row."""
+    cells = {(r, c) for r, n in enumerate(parts, start=1) for c in range(1, n + 1)}
+
+    def is_diagram(cs):
+        return all((r == 1 or (r - 1, c) in cs) and (c == 1 or (r, c - 1) in cs) for r, c in cs)
+
+    width = parts[0] if parts else 0
+    candidates = sorted(itertools.product(range(1, len(parts) + 2), range(1, width + 2)))
+    addable = tuple(
+        (r, c, (c - r) % p) for r, c in candidates if (r, c) not in cells and is_diagram(cells | {(r, c)})
+    )
+    removable = tuple(
+        (r, c, (c - r) % p) for r, c in candidates if (r, c) in cells and is_diagram(cells - {(r, c)})
+    )
+    return addable, removable
+
+
+def test_memoized_boxes_match_the_diagram():
+    # addable_boxes and removable_boxes are memoized per (partition, p):
+    # asked twice, they give the boxes read off the diagram both times
+    for _ in range(2):
+        for size in range(9):
+            for parts in all_partitions(size):
+                for p in (1, 2, 3, 5):
+                    expected = _reference_boxes(parts, p)
+                    assert (addable_boxes(parts, p), removable_boxes(parts, p)) == expected
