@@ -252,6 +252,7 @@ class HeckeBridge:
             raise ValueError(f"unknown mode {mode!r}")
         self._mult_cache = {}
         self._inverse_cache = {}
+        self._n_cache = {}
 
     # -- elements ---------------------------------------------------------
 
@@ -418,14 +419,19 @@ class HeckeBridge:
 
     # -- the Hecke generators ----------------------------------------------
 
-    def _n_terms(self, i, a, b):
-        """N_i = alpha X_i - X_{i+1} + beta on a component whose vertex
-        values at positions i, i+1 are a, b."""
-        return [
-            (self.x_shift(i), self.alpha),
-            (self.x_shift(i + 1), -self.one),
-            ((0,) * self.n, self.alpha * a - b + self.beta),
-        ]
+    def _n_terms(self, i, va, vb):
+        """N_i = alpha X_i - X_{i+1} + beta on a component whose vertices
+        at positions i, i+1 are va, vb (values a, b), built once per
+        (i, va, vb)."""
+        key = (i, va, vb)
+        if key not in self._n_cache:
+            a, b = self.vertex_scalars[va], self.vertex_scalars[vb]
+            self._n_cache[key] = [
+                (self.x_shift(i), self.alpha),
+                (self.x_shift(i + 1), -self.one),
+                ((0,) * self.n, self.alpha * a - b + self.beta),
+            ]
+        return self._n_cache[key]
 
     def _mults(self, i, va, vb):
         """Cached multiplier series of T_i on a component whose vertices
@@ -450,7 +456,7 @@ class HeckeBridge:
                 ],
             )
             target = self.series_mul(
-                inverses[i, vb, va], self._n_terms(i, b, a)
+                inverses[i, vb, va], self._n_terms(i, vb, va)
             )
             self._mult_cache[key] = (source, target)
         return self._mult_cache[key]
@@ -464,9 +470,8 @@ class HeckeBridge:
             comp = {key: c}
             if v[i - 1] == v[i]:
                 # N_i d_i + alpha
-                a = self.vertex_scalars[v[i - 1]]
                 self._add_product(
-                    out, self.demazure(i, comp), self._n_terms(i, a, a)
+                    out, self.demazure(i, comp), self._n_terms(i, v[i - 1], v[i])
                 )
                 bump(out, key, c * self.alpha)
             else:
@@ -624,7 +629,8 @@ def _relation_residuals(br, generator, window):
     window: window + k after an operator with k more T's still to apply.
     """
     n = br.n
-    one, alpha, beta = br.one, br.alpha, br.beta
+    alpha, beta = br.alpha, br.beta
+    one_minus_alpha, alpha_minus_one = br.one - alpha, alpha - br.one
     w = window
     T = {
         i: _CachedOp(br, lambda el, i=i: generator(i, el), f"T_{i}", 1)
@@ -636,11 +642,12 @@ def _relation_residuals(br, generator, window):
     }
 
     def quadratic(m, i):
-        # (T_i - alpha)(T_i + 1) = 0
+        # (T_i - alpha)(T_i + 1) = 0; m is a basis monomial {key: one},
+        # so alpha m is {key: alpha}
         tm = T[i](m, w + 1)
         return br.add_el(
             T[i](tm, w),
-            br.sub_el(br.scale_el(tm, one - alpha), br.scale_el(m, alpha)),
+            br.sub_el(br.scale_el(tm, one_minus_alpha), dict.fromkeys(m, alpha)),
         )
 
     def straighten(m, i):
@@ -648,7 +655,7 @@ def _relation_residuals(br, generator, window):
         xm = X[i + 1](m, w + 1)
         return br.sub_el(
             br.sub_el(T[i](xm, w), X[i](T[i](m, w), w)),
-            br.add_el(br.scale_el(xm, alpha - one), br.scale_el(m, beta)),
+            br.add_el(br.scale_el(xm, alpha_minus_one), br.scale_el(m, beta)),
         )
 
     def commute(m, a, b):
