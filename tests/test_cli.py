@@ -123,8 +123,6 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
         ),
         (["verify", "fock", "--p", "0"], "--p must be at least 1"),
         (["compute", "fock-matrix", "--p", "-1"], "--p must be at least 1"),
-        (["verify", "fock", "--max-size", "-1"], "--max-size must be at least 0"),
-        (["compute", "fock-matrix", "--size", "-2"], "--size must be at least 0"),
         (
             ["compute", "hall-table", "--max-dim", "1"],
             "--max-dim must be two nonnegative integers",
@@ -200,6 +198,8 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
             ["verify", "demazure", "--n", "6", "--max-deg", "6"],
             "--n must be at most 5 for the demazure suite, got 6",
         ),
+        (["verify", "fock", "--max-size", "-1"], "--max-size must be at least 0"),
+        (["compute", "fock-matrix", "--size", "-2"], "--size must be at least 0"),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):
