@@ -630,6 +630,9 @@ def compute_hall_table(cfg):
         raise ValueError(
             f"--max-dim must be two nonnegative integers d1,d2, got {cfg['max_dim']}"
         )
+    if not any(max_dim):
+        # the zero dimension vector has no table: nothing would be computed
+        raise ValueError(f"--max-dim must have a positive entry, got {cfg['max_dim']}")
     matrices = q ** (max_dim[0] * max_dim[1])
     if matrices > 3**9:
         # the orbit enumeration visits every matrix: q = 3 at 3,3 takes
