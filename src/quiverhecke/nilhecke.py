@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .coxeter import Permutation, length_order
 from .linalg import Combination, bump, determinant
@@ -186,8 +187,10 @@ class NilHeckeElement(Combination):
         this is d_{w0}(sum_w P_w K_w), K_w the T_{w0} coefficient of T_w [w0]
         (`_tprime_kernel`); the product a * [w0] is never formed.
         """
+        terms = {w.images: p.terms for w, p in self.terms.items()}
         kernel = _tprime_kernel(self.n, self.params)
-        return _pair(self, kernel).demazure_perm(Permutation.longest(self.n))
+        out = MPoly.zero(self.n, self.params)._like(_pair(terms, kernel))
+        return out.demazure_perm(Permutation.longest(self.n))
 
     def __repr__(self):
         if not self.terms:
@@ -232,25 +235,55 @@ def _lmul_t(terms, i):
     return out
 
 
+def _t_products(x):
+    """Yield (w, T_w x) for w in `length_order(x.n)`, T_w x as {images of
+    v: terms of P_v} for T_w x = sum_v P_v T_v.
+
+    T_w x = T_i (T_{w'} x) with i the first letter of w's canonical word
+    and w' = s_i w, one `_lmul_t` step from a product of the previous
+    length; only that length's products are kept, by canonical word (the
+    word of w' is that of w without its first letter).  The yielded dicts
+    are shared with the next step and with x: callers must not mutate
+    them."""
+    depth, prev, cur = 0, {}, {}
+    for w in length_order(x.n):
+        word = w.canonical_word()
+        if not word:
+            terms = {v.images: p.terms for v, p in x.terms.items()}
+        else:
+            if len(word) != depth:
+                depth, prev, cur = len(word), cur, {}
+            terms = _lmul_t(prev[word[1:]], word[0])
+        cur[word] = terms
+        yield w, terms
+
+
 @lru_cache(maxsize=None)
 def _tprime_kernel(n, params):
-    """{w: K_w}, K_w the coefficient of T_{w0} in T_w [w0], built once per
-    (n, params); never mutated, as no NilHeckeElement operation mutates."""
-    w0 = Permutation.longest(n)
-    g = group_element(w0, params)
-    zero = MPoly.zero(n, params)
+    """{images of w: terms of K_w}, K_w the coefficient of T_{w0} in
+    T_w [w0], built once per (n, params) along `_t_products`; never
+    mutated."""
+    w0 = Permutation.longest(n).images
     return {
-        w: (NilHeckeElement.t_perm(w, params) * g).terms.get(w0, zero)
-        for w in Permutation.all(n)
+        w.images: terms.get(w0, {})
+        for w, terms in _t_products(group_element(Permutation.longest(n), params))
     }
 
 
-def _pair(a, coefficients):
-    """sum_w P_w coefficients[w] for a = sum_w P_w T_w."""
-    terms = {}
-    for w, p in a.terms.items():
-        add_product(terms, p.terms, coefficients[w].terms)
-    return MPoly.zero(a.n, a.params)._like(terms)
+def _pair(terms, kernel):
+    """sum_w P_w K_w as a term dict, for terms {images of w: terms of P_w}
+    and kernel {images of w: terms of K_w}."""
+    out = {}
+    for v, p in terms.items():
+        add_product(out, p, kernel[v])
+    return out
+
+
+def _tprime_columns(b):
+    """{w: R_w(b)} for every w in S_n, R_w(b) the T_{w0} coefficient of
+    T_w b [w0] as a term dict: t'(P T_w b) = d_{w0}(P R_w(b))."""
+    kernel = _tprime_kernel(b.n, b.params)
+    return {w: _pair(terms, kernel) for w, terms in _t_products(b)}
 
 
 def idempotent_b(n: int, params=()) -> NilHeckeElement:
@@ -261,86 +294,85 @@ def idempotent_b(n: int, params=()) -> NilHeckeElement:
     )
 
 
-def gram_matrix_tprime(elements):
-    """Rows of the matrix of t'(a * b) over a list of nil Hecke elements,
-    one list per a, built as they are read.
-
-    For a = sum_w P_w T_w, t'(a b) = d_{w0}(sum_w P_w R_w(b)) with R_w(b)
-    the T_{w0} coefficient of T_w b [w0]: one product T_w b per column b
-    and T index w of the elements, instead of a * b and (a b) * [w0].
-    """
-    indices = {w for a in elements for w in a.terms}
-    columns = [
-        {
-            w: _pair(NilHeckeElement.t_perm(w, b.params) * b,
-                     _tprime_kernel(b.n, b.params))
-            for w in indices
-        }
-        for b in elements
-    ]
-    for a in elements:
-        yield [_pair(a, r).demazure_perm(Permutation.longest(a.n)) for r in columns]
-
-
-# (n!)^2 basis elements; at n = 4 (576) the Gram matrix took 42 s and 250 MB,
-# and its determinant did not finish in 350 s more (2-vCPU x86_64, Python 3.11)
-MAX_GRAM_N = 3
-
-
-def frobenius_gram_matrix(n: int):
-    """The t'-Gram matrix on the basis {Schubert_u * T_w : u, w in S_n},
-    n <= 3, evaluated at X_k = k + 1 after the degree checks of
-    `frobenius_gram_determinant`, and checked to be symmetric, as
-    t'(ab) = t'(ba) makes it; an asymmetric entry raises ArithmeticError."""
-    if n > MAX_GRAM_N:
-        raise ValueError(
-            f"the t'-Gram matrix is built for n <= {MAX_GRAM_N} only, got {n}"
-        )
-    order = length_order(n)
-    basis = [
-        NilHeckeElement(n, {w: schubert_basis_element(u, n)})
-        for u in order
-        for w in order
-    ]
-    degs = []
-    for el in basis:
-        d = el.degrees()
-        if len(d) != 1:
-            raise ArithmeticError(f"basis element of degrees {sorted(d)}")
-        degs.append(next(iter(d)))
-    if sum(degs) != 0:
-        raise ArithmeticError(f"basis degrees sum to {sum(degs)}, not 0")
-    point = [k + 2 for k in range(n)]
-    mat = []
-    for i, entries in enumerate(gram_matrix_tprime(basis)):
-        for j, p in enumerate(entries):
-            xdegs = {sum(e) for e in p.terms}
-            if xdegs and xdegs != {(degs[i] + degs[j]) // 2}:
-                raise ArithmeticError(
-                    f"Gram entry ({i}, {j}) has x-degrees {sorted(xdegs)}"
-                )
-        mat.append([p.evaluate(point) for p in entries])
-    for i in range(len(mat)):
-        for j in range(i):
-            if mat[i][j] != mat[j][i]:
-                raise ArithmeticError(
-                    f"Gram entry ({i}, {j}) is {mat[i][j]} but ({j}, {i}) is "
-                    f"{mat[j][i]}: t'(ab) = t'(ba) fails"
-                )
-    return mat
+# (n!)^2 basis elements.  n = 4 (576, largest block 106 x 106) takes
+# 1.3-1.9 s at 15.5 MB peak RSS in a fresh interpreter (2-vCPU x86_64,
+# Python 3.11).  n = 5 has 14,400; counted from the degrees
+# 2 l(u) - 2 l(w) of the S_u T_w alone, its largest block (degree 0) is
+# 1,930 x 1,930.  It is refused before any work.
+MAX_GRAM_N = 4
 
 
 def frobenius_gram_determinant(n: int):
-    """Determinant of the t'-Gram matrix on the basis
-    {Schubert_u * T_w : u, w in S_n}, exactly.
+    """Determinant of the t'-Gram matrix G, G[a][b] = t'(ab), on the basis
+    {Schubert_u * T_w : u, w in S_n}, exactly, n <= MAX_GRAM_N.
 
-    Each basis element is homogeneous of a single degree d_i, the
-    degrees sum to zero, and every nonzero Gram entry is homogeneous of
-    x-degree (d_i + d_j)/2; these facts are checked and a violation
-    raises ArithmeticError, as does an evaluated matrix that is not
-    symmetric.  The determinant is then homogeneous of
-    degree zero, hence a constant, so a single integer evaluation
-    computes it.  A value of +-1 certifies that the symmetrizing form is
-    nondegenerate with unit discriminant.
+    Each basis element is homogeneous of a single degree, and the degrees
+    sum to zero; a violation raises ArithmeticError.  An entry t'(ab) is
+    homogeneous of x-degree (deg a + deg b)/2, so it vanishes when
+    deg a + deg b < 0 and is a constant when deg a = -deg b.  Sort the
+    rows by ascending degree and the columns by descending degree: the
+    matrix becomes block lower triangular, its diagonal blocks B_d
+    pairing the rows of degree d with the columns of degree -d.  So
+    det G = sign * prod_d det B_d, where sign is that of the row and
+    column reordering: (-1) to the number of pairs of basis elements of
+    different degrees.  Only the B_d are built.  Each entry is checked
+    to be a constant, each B_{-d} to be the transpose of B_d, as
+    t'(ab) = t'(ba) makes it, and each det B_d to be +-1; a failure
+    raises ArithmeticError naming d.  A value of +-1 certifies that the
+    symmetrizing form is nondegenerate with unit discriminant.
     """
-    return int(determinant(frobenius_gram_matrix(n)))
+    if n > MAX_GRAM_N:
+        raise ValueError(
+            f"the t'-Gram determinant is computed for n <= {MAX_GRAM_N} only, "
+            f"got {n}: {factorial(n) ** 2} basis elements"
+        )
+    order = length_order(n)
+    schubert = {u: schubert_basis_element(u, n) for u in order}
+    basis = {}  # degree -> [S_u T_w] in basis order
+    for u in order:
+        for w in order:
+            el = NilHeckeElement(n, {w: schubert[u]})
+            degs = el.degrees()
+            if len(degs) != 1:
+                raise ArithmeticError(f"basis element of degrees {sorted(degs)}")
+            basis.setdefault(degs.pop(), []).append(el)
+    total = sum(d * len(els) for d, els in basis.items())
+    if total:
+        raise ArithmeticError(f"basis degrees sum to {total}, not 0")
+    longest = Permutation.longest(n).canonical_word()
+    unit = (0,) * n
+    # transposed[d][j][i] = t'(a_i b_j) = B_d[i][j], a_i of degree d and
+    # b_j of degree -d: one list per column b
+    transposed = {d: [] for d in basis}
+    for d, els in basis.items():
+        for b in els:
+            columns = _tprime_columns(b)
+            column = []
+            for a in basis[-d]:
+                ((w, p),) = a.terms.items()
+                entry = demazure_terms(add_product({}, p.terms, columns[w]), longest)
+                if entry.keys() - {unit}:
+                    raise ArithmeticError(
+                        f"an entry of block d = {-d} is not a constant"
+                    )
+                column.append(entry.get(unit, 0))
+            transposed[-d].append(column)
+    det = 1
+    for d in sorted(transposed):
+        if d < 0:
+            continue
+        if transposed[d] != [list(row) for row in zip(*transposed[-d])]:
+            raise ArithmeticError(
+                f"block d = {d} is not the transpose of block d = {-d}: "
+                "t'(ab) = t'(ba) fails"
+            )
+        block_det = determinant(transposed[d])
+        if block_det not in (1, -1):
+            raise ArithmeticError(
+                f"block d = {d} has determinant {block_det}, not +-1"
+            )
+        # det B_{-d} = det B_d, its transpose
+        det *= int(block_det) if d == 0 else int(block_det) ** 2
+    sizes = [len(els) for els in basis.values()]
+    mixed = (sum(sizes) ** 2 - sum(m * m for m in sizes)) // 2
+    return -det if mixed % 2 else det

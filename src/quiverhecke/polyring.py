@@ -104,21 +104,6 @@ class MPoly(Combination):
 
     # -- structure ----------------------------------------------------
 
-    def evaluate(self, values):
-        """Full evaluation at numeric points, one per variable of
-        `var_names` (the X's, then the parameters)."""
-        vals = tuple(values)
-        if len(vals) != self.nx + len(self.params):
-            raise ValueError(f"{len(vals)} values for {self.var_names()}")
-        total = 0
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(vals, e):
-                if k:
-                    t *= v ** k
-            total += t
-        return total
-
     # -- group action and Demazure operators --------------------------
 
     def act(self, w: Permutation):

@@ -200,6 +200,10 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
         ),
         (["verify", "fock", "--max-size", "-1"], "--max-size must be at least 0"),
         (["compute", "fock-matrix", "--size", "-2"], "--size must be at least 0"),
+        (
+            ["compute", "hall-table", "--q", "2", "--max-dim", "0,0"],
+            "--max-dim must have a positive entry, got 0,0",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):
@@ -306,6 +310,9 @@ STDOUT_SHA256 = {
         "796aa123125aa6f38d416aa7720a61efb678d78867045201a46feac3853bb5bf",
     "verify nilhecke --n 3":
         "f7eaa644ec48cdb06e97c6c9e2b6e5cec8d47ddf19a92108582409cea644ab06",
+    # certifies the t'-Gram determinant at n = 4 as well
+    "verify nilhecke --n 4":
+        "c14b6744b1b2c53188ef949dcb06934146f85a19ac719be9b2e4ff5a4e790cf6",
     # the six commands of the perfbench hall-fock workload
     "compute hall-table --q 2 --max-dim 3,3":
         "9d690f29734c9cc199fce54d9ee84dc0d2869fe8725e6ac3798930eb1aacdf30",

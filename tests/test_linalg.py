@@ -336,7 +336,7 @@ def test_singular_matrix_found_after_a_row_swap():
 
 
 def test_determinant_of_the_nil_hecke_gram_matrix():
-    from quiverhecke.nilhecke import frobenius_gram_matrix
+    from test_nilhecke import frobenius_gram_matrix
 
     gram = frobenius_gram_matrix(3)
     assert len(gram) == 36

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -8,15 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from quiverhecke.coxeter import Permutation
-from quiverhecke.linalg import bump
+from quiverhecke.coxeter import Permutation, length_order
+from quiverhecke.linalg import bump, determinant
 from quiverhecke.nilhecke import (
     NilHeckeElement,
     _lmul_t,
+    _t_products,
+    _tprime_columns,
     _tprime_kernel,
     frobenius_gram_determinant,
-    frobenius_gram_matrix,
-    gram_matrix_tprime,
     group_element,
     idempotent_b,
 )
@@ -407,19 +408,35 @@ def test_tprime_matches_full_product_with_a_parameter(n):
 def test_tprime_memo_is_not_mutated():
     rng = random.Random(22)
     n = 3
-    w0 = Permutation.longest(n)
     kernel = _tprime_kernel(n, ())
-    kernel_snapshot = {w: dict(p.terms) for w, p in kernel.items()}
+    kernel_snapshot = {w: dict(p) for w, p in kernel.items()}
     for _ in range(10):
         a = random_element(rng, n)
         (a * a).trace_tprime()
         a.trace_tprime()
-        list(gram_matrix_tprime([a, a * a]))
+        _tprime_columns(a * a)
+    frobenius_gram_determinant(n)
     assert _tprime_kernel(n, ()) is kernel
-    assert {w: dict(p.terms) for w, p in kernel.items()} == kernel_snapshot
-    # K_w is the T_{w0} coefficient of T_w [w0]
-    for w in Permutation.all(n):
-        assert kernel[w] == (NilHeckeElement.t_perm(w) * group_element(w0)).terms[w0]
+    assert {w: dict(p) for w, p in kernel.items()} == kernel_snapshot
+    # K_w is the T_{w0} coefficient of T_w [w0], the product formed in full
+    for n in (2, 3, 4):
+        w0 = Permutation.longest(n)
+        g0 = group_element(w0)
+        kernel = _tprime_kernel(n, ())
+        assert len(kernel) == len(list(Permutation.all(n)))
+        for w in Permutation.all(n):
+            assert kernel[w.images] == (NilHeckeElement.t_perm(w) * g0).terms[w0].terms
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_prefix_tree_products_match_full_products(n):
+    rng = random.Random(40 + n)
+    x = random_element(rng, n, nterms=3)
+    products = list(_t_products(x))
+    assert [w for w, _ in products] == list(length_order(n))
+    for w, terms in products:
+        full = NilHeckeElement.t_perm(w) * x
+        assert terms == {v.images: p.terms for v, p in full.terms.items()}
 
 
 def test_grading_multiplicative():
@@ -452,22 +469,77 @@ def schubert_t_basis(n):
     ]
 
 
+def gram_matrix_tprime(elements):
+    """Rows of the matrix of t'(a * b) over a list of nil Hecke elements:
+    for a = sum_w P_w T_w, t'(a b) = d_{w0}(sum_w P_w R_w(b)) with R_w(b)
+    the T_{w0} coefficient of T_w b [w0], each T_w b and T_w [w0] formed
+    as a full product."""
+    n, params = elements[0].n, elements[0].params
+    w0 = Permutation.longest(n)
+    g0 = group_element(w0, params)
+    zero = MPoly.zero(n, params)
+    kernel = {
+        w: (NilHeckeElement.t_perm(w, params) * g0).terms.get(w0, zero)
+        for w in Permutation.all(n)
+    }
+
+    def pair(a, coefficients):
+        out = zero
+        for w, p in a.terms.items():
+            out = out + p * coefficients[w]
+        return out
+
+    indices = {w for a in elements for w in a.terms}
+    columns = [
+        {w: pair(NilHeckeElement.t_perm(w, params) * b, kernel) for w in indices}
+        for b in elements
+    ]
+    for a in elements:
+        yield [pair(a, r).demazure_perm(w0) for r in columns]
+
+
+def frobenius_gram_matrix(n):
+    """The whole t'-Gram matrix on the basis {Schubert_u * T_w}, evaluated
+    at X_k = k + 1 after checking that every entry has x-degree
+    (deg a + deg b)/2 and that the matrix is symmetric: the reference for
+    `frobenius_gram_determinant`."""
+    basis = schubert_t_basis(n)
+    degs = []
+    for el in basis:
+        (d,) = el.degrees()
+        degs.append(d)
+    point = [k + 2 for k in range(n)]
+    mat = []
+    for i, entries in enumerate(gram_matrix_tprime(basis)):
+        for j, p in enumerate(entries):
+            xdegs = {sum(e) for e in p.terms}
+            assert not xdegs or xdegs == {(degs[i] + degs[j]) // 2}, (i, j)
+        mat.append([
+            sum(c * math.prod(v**k for v, k in zip(point, e)) for e, c in p.terms.items())
+            for p in entries
+        ])
+    assert all(row == list(col) for row, col in zip(mat, zip(*mat)))
+    return mat
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_determinant_matches_the_full_matrix(n):
+    # block by block, as the whole matrix eliminated: -1 at n = 2 and 3
+    assert frobenius_gram_determinant(n) == determinant(frobenius_gram_matrix(n)) == -1
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_gram_entries_match_full_products(n):
     # every entry against t((a * b) * [w0]), both products formed in full
     g0 = group_element(Permutation.longest(n))
     basis = schubert_t_basis(n)
     gram = list(gram_matrix_tprime(basis))
-    point = [k + 2 for k in range(n)]
     nonzero = 0
     for a, row in zip(basis, gram):
         for b, entry in zip(basis, row):
             assert entry == full_product_tprime(a * b, g0), (a, b)
             nonzero += not entry.is_zero()
     assert nonzero > len(basis)
-    assert frobenius_gram_matrix(n) == [
-        [entry.evaluate(point) for entry in row] for row in gram
-    ]
 
 
 def test_gram_entries_of_sums_match_full_products():
@@ -485,34 +557,48 @@ def test_gram_matrix_refuses_products_on_the_wrong_side(monkeypatch):
     # determinant, but breaks t'(ab) = t'(ba) at n = 3
     from quiverhecke import nilhecke
 
-    def wrong_side(elements):
-        indices = {w for a in elements for w in a.terms}
-        columns = [
-            {
-                w: nilhecke._pair(b * NilHeckeElement.t_perm(w, b.params),
-                                  _tprime_kernel(b.n, b.params))
-                for w in indices
-            }
-            for b in elements
-        ]
-        for a in elements:
-            yield [
-                nilhecke._pair(a, r).demazure_perm(Permutation.longest(a.n))
-                for r in columns
-            ]
+    def wrong_side(b):
+        kernel = _tprime_kernel(b.n, b.params)
+        columns = {}
+        for w in Permutation.all(b.n):
+            prod = b * NilHeckeElement.t_perm(w, b.params)
+            terms = {v.images: p.terms for v, p in prod.terms.items()}
+            columns[w] = nilhecke._pair(terms, kernel)
+        return columns
 
-    monkeypatch.setattr(nilhecke, "gram_matrix_tprime", wrong_side)
-    with pytest.raises(ArithmeticError, match=r"Gram entry \(\d+, \d+\)"):
-        frobenius_gram_matrix(3)
-    with pytest.raises(ArithmeticError, match=r"t'\(ab\) = t'\(ba\)"):
+    monkeypatch.setattr(nilhecke, "_tprime_columns", wrong_side)
+    # at n = 2 every block stays symmetric and unimodular
+    assert frobenius_gram_determinant(2) in (1, -1)
+    with pytest.raises(ArithmeticError, match=r"block d = -?\d+ .*t'\(ab\) = t'\(ba\)"):
         frobenius_gram_determinant(3)
 
 
-def test_gram_matrix_refuses_n_above_three_at_once():
+@pytest.mark.parametrize(
+    "perturbed, message",
+    [
+        # one K_w scaled: t'(ab) = t'(ba) fails
+        ({(3, 2, 1)}, r"block d = 0 is not the transpose of block d = 0"),
+        # every K_w scaled: t' stays symmetric, its blocks lose their unit
+        # determinants
+        (set(itertools.permutations((1, 2, 3))), r"block d = 0 has determinant -?\d+, not"),
+    ],
+)
+def test_perturbed_kernel_fails_a_named_block(monkeypatch, perturbed, message):
+    from quiverhecke import nilhecke
+
+    kernel = {
+        w: {e: 2 * c for e, c in k.items()} if w in perturbed else k
+        for w, k in _tprime_kernel(3, ()).items()
+    }
+    monkeypatch.setattr(nilhecke, "_tprime_kernel", lambda n, params: kernel)
+    with pytest.raises(ArithmeticError, match=message):
+        frobenius_gram_determinant(3)
+
+
+def test_gram_determinant_refuses_n_above_four_at_once():
     start = time.perf_counter()
-    for build in (frobenius_gram_determinant, frobenius_gram_matrix):
-        with pytest.raises(ValueError, match="n <= 3"):
-            build(4)
+    with pytest.raises(ValueError, match=r"n <= 4 only, got 5: 14400 basis elements"):
+        frobenius_gram_determinant(5)
     assert time.perf_counter() - start < 1
 
 
@@ -523,7 +609,6 @@ def test_invalid_input_raises_under_optimize():
         "from quiverhecke.coxeter import Permutation\n"
         "from quiverhecke.nilhecke import NilHeckeElement as H\n"
         "from quiverhecke.nilhecke import frobenius_gram_determinant\n"
-        "from quiverhecke.nilhecke import frobenius_gram_matrix\n"
         "from quiverhecke.polyring import MPoly\n"
         "cases = [\n"
         "    lambda: H(3, {Permutation.identity(2): MPoly.one(3)}),\n"
@@ -538,8 +623,7 @@ def test_invalid_input_raises_under_optimize():
         "    lambda: H.one(3).apply_to_polynomial(MPoly.x(1, 2)),\n"
         "    lambda: H.x(1, 2).sigma(),\n"
         "    lambda: H.x(1, 2).trace_t0(),\n"
-        "    lambda: frobenius_gram_determinant(4),\n"
-        "    lambda: frobenius_gram_matrix(4),\n"
+        "    lambda: frobenius_gram_determinant(5),\n"
         "]\n"
         "for case in cases:\n"
         "    try:\n"
@@ -557,4 +641,4 @@ def test_invalid_input_raises_under_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["raised"] * 14 + ["1"]
+    assert res.stdout.split() == ["raised"] * 13 + ["1"]

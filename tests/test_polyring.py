@@ -271,7 +271,6 @@ def test_input_checks_raise_under_optimize():
         "    lambda: try_divide_by_x_difference(p, 1, 1),\n"
         "    lambda: try_divide_by_x_difference(p, 1, 3),\n"
         "    lambda: try_divide_by_x_difference(p, 0, 2),\n"
-        "    lambda: p.evaluate((1, 2)),\n"
         "    lambda: p.act(Permutation((1, 3, 2))),\n"
         "    lambda: geometric_truncated(0, 4),\n"
         "    lambda: p.act_simple(0),\n"
@@ -291,7 +290,7 @@ def test_input_checks_raise_under_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["raised"] * 8 + ["1"]
+    assert res.stdout.split() == ["raised"] * 7 + ["1"]
 
 
 def test_schubert_checks_raise_under_optimize():
