@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +309,13 @@ STDOUT_SHA256 = {
         "3ccbdac7f9399c79c6d969f0623c1b9671e9faec42e193f3eeceaefdd5845935",
     "verify demazure --n 4":
         "796aa123125aa6f38d416aa7720a61efb678d78867045201a46feac3853bb5bf",
+    # demazure-commutation has no case at n = 3 and is reported SKIP
+    "verify demazure --n 3":
+        "1abd2be0c749942eade75d8ef6a5a32a3ae221a08fc3f8fae4f1562113922c95",
+    "verify klr-relations --quiver single --n 4":
+        "d9b619c0544e44a3bcd78e5dd6ba5ebb312cfb92e77537e705f7796502b14950",
+    "verify klr-relations --quiver a2 --n 4 --max-deg 4":
+        "a14addf349bf31984d4adf706e741a6aecf4824ebc6a87d964be20fd5da4281a",
     "verify nilhecke --n 3":
         "f7eaa644ec48cdb06e97c6c9e2b6e5cec8d47ddf19a92108582409cea644ab06",
     # certifies the t'-Gram determinant at n = 4 as well
@@ -334,6 +342,47 @@ def test_stdout_is_pinned(capsys, command):
     code, out = run_cli(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+# cases examined per check, as stderr reports them: a relation check that
+# visits other cases shows here even when stdout is unchanged
+STDERR_CASES = {
+    "verify demazure --n 3": {
+        "demazure-square-zero": 168,
+        "demazure-commutation": 0,
+        "demazure-braid": 84,
+        "staircase-longest-word": 2,
+        "schubert-round-trip": 20,
+    },
+    "verify demazure --n 4": {
+        "demazure-square-zero": 630,
+        "demazure-commutation": 210,
+        "demazure-braid": 420,
+        "staircase-longest-word": 3,
+        "schubert-round-trip": 20,
+    },
+    "verify klr-relations --quiver single --n 4": {
+        "klr-quadratic": 105, "klr-straightening": 420, "klr-braid": 70,
+    },
+    "verify klr-relations --quiver a2 --n 4 --max-deg 4": {
+        "klr-quadratic": 720, "klr-straightening": 2880, "klr-braid": 480,
+    },
+    "verify klr-relations --quiver a2 --n 3": {
+        "klr-quadratic": 320, "klr-straightening": 960, "klr-braid": 160,
+    },
+    "verify klr-relations --quiver a3 --n 3": {
+        "klr-quadratic": 1080, "klr-straightening": 3240, "klr-braid": 540,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDERR_CASES))
+def test_stderr_case_counts_are_pinned(capsys, command):
+    code = cli.main(command.split())
+    err = capsys.readouterr().err
+    assert code == 0
+    counts = re.findall(r"^(\S+): \d+\.\d+s, (\d+) cases$", err, re.MULTILINE)
+    assert {name: int(k) for name, k in counts} == STDERR_CASES[command]
 
 
 @pytest.mark.parametrize("quiver", ["single", "a2"])
