@@ -35,11 +35,10 @@ import time
 
 from . import __version__
 from .coxeter import Permutation, length_order, poincare_polynomial, poincare_product_form
-from .linalg import bump
 from .polyring import (
     MPoly,
+    demazure_terms,
     elementary_symmetric,
-    exponent_tuples,
     schubert_basis_element,
     schubert_coordinates,
     staircase_monomial,
@@ -118,29 +117,24 @@ def _suite(checks):
 
 @_suite
 def suite_demazure(cfg, rng):
+    from .klr import make_klr, relation_cases, single_vertex_quiver
+
     n = cfg["n"]
     if n > 5:
         # schubert-round-trip expands all n! Schubert polynomials per
         # trial: 1.4s at n = 5 and 124s at n = 6 on a 2-vCPU machine
         raise ValueError(f"--n must be at most 5 for the demazure suite, got {n}")
-    cap = cfg["max_deg"]
-    monos = [MPoly(n, (), {e: 1}) for e in exponent_tuples(n, cap)]
-    params = {"n": n, "max_deg": cap}
-    yield "demazure-square-zero", params, (
-        p.demazure(i).demazure(i).is_zero() for p in monos for i in range(1, n)
+    # the nil Hecke relations are the one-vertex rows of the KLR relation
+    # table, with tau_i the Demazure operator d_i of the polyring kernel
+    rows = relation_cases(
+        make_klr(single_vertex_quiver(), n),
+        lambda i, mod: {v: d for v, t in mod.items() if (d := demazure_terms(t, (i,)))},
+        cfg["max_deg"],
     )
-    yield "demazure-commutation", params, (
-        p.demazure(i).demazure(j) == p.demazure(j).demazure(i)
-        for p in monos
-        for i in range(1, n)
-        for j in range(i + 2, n)
-    )
-    yield "demazure-braid", params, (
-        p.demazure(i).demazure(i + 1).demazure(i)
-        == p.demazure(i + 1).demazure(i).demazure(i + 1)
-        for p in monos
-        for i in range(1, n - 1)
-    )
+    params = {"n": n, "max_deg": cfg["max_deg"]}
+    yield "demazure-square-zero", params, rows["quadratic"]
+    yield "demazure-commutation", params, rows["commutation"]
+    yield "demazure-braid", params, rows["braid"]
     yield "staircase-longest-word", {"max_n": n}, (
         staircase_monomial(m).demazure_perm(Permutation.longest(m))
         == MPoly.one(m)
@@ -170,6 +164,7 @@ def suite_demazure(cfg, rng):
 @_suite
 def suite_nilhecke(cfg, rng):
     from .nilhecke import (
+        GRAM_DETERMINANTS,
         MAX_GRAM_N,
         NilHeckeElement,
         frobenius_gram_determinant,
@@ -213,7 +208,7 @@ def suite_nilhecke(cfg, rng):
         for a, b in random_pairs()
     )
     yield "gram-unit-determinant", {"max_n": min(n, MAX_GRAM_N)}, (
-        frobenius_gram_determinant(m) in (1, -1)
+        frobenius_gram_determinant(m) == GRAM_DETERMINANTS[m]
         for m in range(2, min(n, MAX_GRAM_N) + 1)
     )
 
@@ -224,91 +219,15 @@ def _klr_idempotents(ctx):
 
 @_suite
 def suite_klr_relations(cfg, rng):
-    from .klr import apply_tau, make_klr
-    from .polyring import divide_exact_by_x_difference
+    from .klr import apply_tau, make_klr, relation_cases
 
     ctx = make_klr(_quiver(cfg["quiver"]), cfg["n"])
-    n = ctx.n
-    idems = _klr_idempotents(ctx)
-    cap = cfg["max_deg"] // 2
-    pad = (0,) * len(ctx.params)
-    monos = [e + pad for e in exponent_tuples(n, cap)]
-
-    # module elements are term dicts {idempotent: {exponents: coefficient}}
-    # without empty components; tau_i acts one source idempotent at a time
-    # through the memoized columns of KLRElement.apply, x_a shifts an
-    # exponent, and a polynomial times the monomial x^p shifts its terms
-    def tau(i, mod):
-        return apply_tau(ctx, i, mod)
-
-    def xop(a, mod):
-        return {
-            v: {e[: a - 1] + (e[a - 1] + 1,) + e[a:]: c for e, c in t.items()}
-            for v, t in mod.items()
-        }
-
-    def at(v, terms, p):
-        shifted = {tuple(x + y for x, y in zip(e, p)): c for e, c in terms.items()}
-        return {v: shifted} if shifted else {}
-
-    def add(mod, other):
-        out = {v: dict(t) for v, t in mod.items()}
-        for v, t in other.items():
-            acc = out.setdefault(v, {})
-            for e, c in t.items():
-                bump(acc, e, c)
-            if not acc:
-                del out[v]
-        return out
-
-    # Q_{st}(x_a, x_b) = (-1)^{d_st} (x_a - x_b)^{d_st + d_ts}, read off the
-    # quiver here rather than from ctx.q_poly, which tau itself applies
-    @functools.cache
-    def q_expected(s, t, a, b):
-        if s == t:
-            return MPoly.zero(n, ctx.params)
-        diff = MPoly.x(a, n, ctx.params) - MPoly.x(b, n, ctx.params)
-        return diff ** ctx.quiver.m(s, t) * (-1) ** ctx.quiver.d(s, t)
-
-    # the braid correction (Q_{st}(x_{i+2}, x_{i+1}) - Q_{st}(x_i, x_{i+1}))
-    # / (x_{i+2} - x_i) at v_i = v_{i+2} = s != t = v_{i+1}
-    @functools.cache
-    def braid_correction(s, t, i):
-        num = q_expected(s, t, i + 2, i + 1) - q_expected(s, t, i, i + 1)
-        return divide_exact_by_x_difference(num, i + 2, i).terms
-
-    def straightening():
-        for v in idems:
-            for p in monos:
-                for i in range(1, n):
-                    image = tau(i, {v: {p: 1}})
-                    for a in range(1, n + 1):
-                        sa = i + 1 if a == i else i if a == i + 1 else a
-                        rhs = xop(sa, image)
-                        if v[i - 1] == v[i] and a in (i, i + 1):
-                            rhs = add(rhs, {v: {p: 1 if a == i + 1 else -1}})
-                        yield tau(i, xop(a, {v: {p: 1}})) == rhs
-
-    def braid():
-        for v in idems:
-            for p in monos:
-                for i in range(1, n - 1):
-                    rhs = tau(i, tau(i + 1, tau(i, {v: {p: 1}})))
-                    if v[i - 1] == v[i + 1] != v[i]:
-                        corr = braid_correction(v[i - 1], v[i], i)
-                        rhs = add(rhs, at(v, corr, p))
-                    yield tau(i + 1, tau(i, tau(i + 1, {v: {p: 1}}))) == rhs
-
-    params = {"quiver": cfg["quiver"], "n": n, "max_deg": cfg["max_deg"]}
-    yield "klr-quadratic", params, (
-        tau(i, tau(i, {v: {p: 1}}))
-        == at(v, q_expected(v[i - 1], v[i], i, i + 1).terms, p)
-        for v in idems
-        for p in monos
-        for i in range(1, n)
-    )
-    yield "klr-straightening", params, straightening()
-    yield "klr-braid", params, braid()
+    rows = relation_cases(ctx, functools.partial(apply_tau, ctx), cfg["max_deg"] // 2)
+    # no klr-commutation line yet: perfbench/reference.json pins these three
+    params = {"quiver": cfg["quiver"], "n": ctx.n, "max_deg": cfg["max_deg"]}
+    yield "klr-quadratic", params, rows["quadratic"]
+    yield "klr-straightening", params, rows["straightening"]
+    yield "klr-braid", params, rows["braid"]
 
 
 @_suite

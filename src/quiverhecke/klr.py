@@ -21,10 +21,13 @@ oracle and for extracting PBW coordinates of operators.  Symbolically
 (``represent``), tau_w 1_v acts as sum_s (N_s / Delta_u) s with
 polynomial numerators N_s over the one denominator Delta_u, the product
 of x_a - x_b over equal labels u_a = u_b of the target u = w(v).
+``relation_cases`` checks the defining relations on a module given by its
+tau_i on term dicts: ``apply_tau``, or the Demazure operators at one vertex.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -39,6 +42,7 @@ from .polyring import (
     divide_exact,
     divide_exact_by_x_difference,
     elementary_symmetric,
+    exponent_tuples,
     swap_terms,
 )
 
@@ -669,6 +673,79 @@ def _tau_column(ctx: KLRContext, s, t, l: int, e) -> tuple:
         return tuple((m, sign) for m in monomials)
     p = ctx.p_poly(s, t, l + 1, l).terms
     return tuple(add_product({}, swap_terms({e: 1}, l), p).items())
+
+
+# -- defining relations on a module --------------------------------------
+
+# idempotents x monomials x n^2 x (max_deg + 1), read before any work.
+# klr-relations on single at n = 20 (2.8M) and on a2 at n = 7 (3.0M) take
+# 5-7s, demazure --n 4 --max-deg 20 (3.6M) 2.3s; a3 at n = 6 (8.8M) took
+# 18s and demazure --n 5 --max-deg 30 (252M) over 60s (2 vCPU, Python 3.11)
+_MAX_RELATION_COST = 4_000_000
+
+
+def relation_cases(ctx: KLRContext, tau, max_deg: int) -> dict:
+    """{row: lazy bools}, the relations of H_n on a module given by
+    ``tau(i, module)`` on term dicts {idempotent: {exponents: coefficient}}
+    without empty components, as ``apply_tau``.  A case is (v, p, letters),
+    in that order, on x^p 1_v, deg p <= max_deg.  The right-hand sides read
+    Q_st = (-1)^{d_st} (x_a - x_b)^{m_st} off ``ctx.quiver``, not ctx.q_poly."""
+    n, quiver, params = ctx.n, ctx.quiver, ctx.params
+    idems, monos = len(quiver.vertices) ** n, math.comb(n + max_deg, n)
+    if (cost := idems * monos * n * n * (max_deg + 1)) > _MAX_RELATION_COST:
+        raise ValueError(
+            f"the relations on {idems} idempotents and {monos} monomials of degree at "
+            f"most {max_deg} at n = {n} cost {cost}, above the limit {_MAX_RELATION_COST}"
+        )
+    monomials = [e + (0,) * len(params) for e in exponent_tuples(n, max_deg)]
+
+    @functools.cache
+    def q(s, t, a, b):
+        if s == t:
+            return MPoly.zero(n, params)
+        diff = MPoly.x(a, n, params) - MPoly.x(b, n, params)
+        return diff ** quiver.m(s, t) * (-1) ** quiver.d(s, t)
+
+    def plus(mod, v, terms, p):  # mod + x^p terms at v
+        out = dict(mod)
+        out[v] = add_product(dict(mod.get(v, {})), terms, {p: 1})
+        return out if out[v] else {u: t for u, t in out.items() if u != v}
+
+    def x(a, mod):
+        return {v: {e[: a - 1] + (e[a - 1] + 1,) + e[a:]: c for e, c in t.items()}
+                for v, t in mod.items()}
+
+    def quadratic(v, p, one):
+        for i in range(1, n):
+            yield tau(i, tau(i, one)) == plus({}, v, q(v[i - 1], v[i], i, i + 1).terms, p)
+
+    def straightening(v, p, one):
+        for i in range(1, n):
+            image = tau(i, one)
+            for a in range(1, n + 1):
+                rhs = x(i + 1 if a == i else i if a == i + 1 else a, image)
+                if v[i - 1] == v[i] and a in (i, i + 1):
+                    rhs = plus(rhs, v, {ctx.zero_exps(): 1 if a == i + 1 else -1}, p)
+                yield tau(i, x(a, one)) == rhs
+
+    def commutation(v, p, one):
+        pairs = ((i, j) for i in range(1, n) for j in range(i + 2, n))
+        return (tau(i, tau(j, one)) == tau(j, tau(i, one)) for i, j in pairs)
+
+    def braid(v, p, one):
+        for i in range(1, n - 1):
+            rhs = tau(i, tau(i + 1, tau(i, one)))
+            if v[i - 1] == v[i + 1] != v[i]:
+                num = q(v[i - 1], v[i], i + 2, i + 1) - q(v[i - 1], v[i], i, i + 1)
+                rhs = plus(rhs, v, divide_exact_by_x_difference(num, i + 2, i).terms, p)
+            yield tau(i + 1, tau(i, tau(i + 1, one))) == rhs
+
+    def cases(row):
+        for v in itertools.product(quiver.vertices, repeat=n):
+            for p in monomials:
+                yield from row(v, p, {v: {p: 1}})
+
+    return {row.__name__: cases(row) for row in (quadratic, straightening, commutation, braid)}
 
 
 # -- symbolic operators and PBW coordinates ------------------------------

@@ -300,6 +300,8 @@ def idempotent_b(n: int, params=()) -> NilHeckeElement:
 # 2 l(u) - 2 l(w) of the S_u T_w alone, its largest block (degree 0) is
 # 1,930 x 1,930.  It is refused before any work.
 MAX_GRAM_N = 4
+# det G up to MAX_GRAM_N: only these pin its sign, each block is +-1
+GRAM_DETERMINANTS = {2: -1, 3: -1, 4: 1}
 
 
 def frobenius_gram_determinant(n: int):

@@ -205,6 +205,14 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
             ["compute", "hall-table", "--q", "2", "--max-dim", "0,0"],
             "--max-dim must have a positive entry, got 0,0",
         ),
+        (
+            ["verify", "klr-relations", "--quiver", "a3", "--n", "6"],
+            "729 idempotents and 84 monomials of degree at most 3 at n = 6",
+        ),
+        (
+            ["verify", "demazure", "--n", "5", "--max-deg", "30"],
+            "324632 monomials of degree at most 30 at n = 5",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):

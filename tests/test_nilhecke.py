@@ -552,25 +552,41 @@ def test_gram_entries_of_sums_match_full_products():
                 assert entry == full_product_tprime(a * b, g0)
 
 
-def test_gram_matrix_refuses_products_on_the_wrong_side(monkeypatch):
-    # R_w(b) read off b T_w instead of T_w b keeps every degree and a unit
-    # determinant, but breaks t'(ab) = t'(ba) at n = 3
+def wrong_side(b):
+    """R_w(b) read off b T_w instead of T_w b."""
     from quiverhecke import nilhecke
 
-    def wrong_side(b):
-        kernel = _tprime_kernel(b.n, b.params)
-        columns = {}
-        for w in Permutation.all(b.n):
-            prod = b * NilHeckeElement.t_perm(w, b.params)
-            terms = {v.images: p.terms for v, p in prod.terms.items()}
-            columns[w] = nilhecke._pair(terms, kernel)
-        return columns
+    kernel = _tprime_kernel(b.n, b.params)
+    columns = {}
+    for w in Permutation.all(b.n):
+        prod = b * NilHeckeElement.t_perm(w, b.params)
+        terms = {v.images: p.terms for v, p in prod.terms.items()}
+        columns[w] = nilhecke._pair(terms, kernel)
+    return columns
+
+
+def test_gram_matrix_refuses_products_on_the_wrong_side(monkeypatch):
+    # the wrong side keeps every degree and a unit determinant, but breaks
+    # t'(ab) = t'(ba) at n = 3
+    from quiverhecke import nilhecke
 
     monkeypatch.setattr(nilhecke, "_tprime_columns", wrong_side)
     # at n = 2 every block stays symmetric and unimodular
     assert frobenius_gram_determinant(2) in (1, -1)
     with pytest.raises(ArithmeticError, match=r"block d = -?\d+ .*t'\(ab\) = t'\(ba\)"):
         frobenius_gram_determinant(3)
+
+
+def test_wrong_side_fails_the_pinned_gram_sign(capsys, monkeypatch):
+    # n = 2's blocks pass on the wrong side, but its determinant turns to
+    # +1: only the pinned sign sees it
+    from quiverhecke import cli, nilhecke
+
+    monkeypatch.setattr(nilhecke, "_tprime_columns", wrong_side)
+    assert nilhecke.frobenius_gram_determinant(2) == -nilhecke.GRAM_DETERMINANTS[2]
+    assert cli.main(["verify", "nilhecke", "--n", "2", "--format", "text"]) == 1
+    out = capsys.readouterr().out
+    assert 'FAIL gram-unit-determinant {"max_n": 2}' in out.splitlines()
 
 
 @pytest.mark.parametrize(
