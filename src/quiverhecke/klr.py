@@ -690,20 +690,20 @@ def relation_cases(ctx: KLRContext, tau, max_deg: int) -> dict:
     without empty components, as ``apply_tau``.  A case is (v, p, letters),
     in that order, on x^p 1_v, deg p <= max_deg.  The right-hand sides read
     Q_st = (-1)^{d_st} (x_a - x_b)^{m_st} off ``ctx.quiver``, not ctx.q_poly."""
-    n, quiver, params = ctx.n, ctx.quiver, ctx.params
+    n, quiver = ctx.n, ctx.quiver
     idems, monos = len(quiver.vertices) ** n, math.comb(n + max_deg, n)
     if (cost := idems * monos * n * n * (max_deg + 1)) > _MAX_RELATION_COST:
         raise ValueError(
             f"the relations on {idems} idempotents and {monos} monomials of degree at "
             f"most {max_deg} at n = {n} cost {cost}, above the limit {_MAX_RELATION_COST}"
         )
-    monomials = [e + (0,) * len(params) for e in exponent_tuples(n, max_deg)]
+    monomials = list(exponent_tuples(n, max_deg))
 
     @functools.cache
     def q(s, t, a, b):
         if s == t:
-            return MPoly.zero(n, params)
-        diff = MPoly.x(a, n, params) - MPoly.x(b, n, params)
+            return MPoly.zero(n)
+        diff = MPoly.x(a, n) - MPoly.x(b, n)
         return diff ** quiver.m(s, t) * (-1) ** quiver.d(s, t)
 
     def plus(mod, v, terms, p):  # mod + x^p terms at v
@@ -725,7 +725,7 @@ def relation_cases(ctx: KLRContext, tau, max_deg: int) -> dict:
             for a in range(1, n + 1):
                 rhs = x(i + 1 if a == i else i if a == i + 1 else a, image)
                 if v[i - 1] == v[i] and a in (i, i + 1):
-                    rhs = plus(rhs, v, {ctx.zero_exps(): 1 if a == i + 1 else -1}, p)
+                    rhs = plus(rhs, v, {(0,) * n: 1 if a == i + 1 else -1}, p)
                 yield tau(i, x(a, one)) == rhs
 
     def commutation(v, p, one):
