@@ -342,6 +342,16 @@ STDOUT_SHA256 = {
         "dfafcc72f31236d159053a1a2ce84f5e3f5de88800eb59ae104e4863c3d121f4",
     "compute fock-matrix --p 3 --i 0 --size 14":
         "ab8a0d8e8b3e5427f22c8b780c7db2e6876e49e4745ca10ab38e55e24d316598",
+    # graded dimensions and the Poincare product form, read off the
+    # q-numbers (`verify hall --q 3`, their other consumer, is pinned above)
+    "verify grdim --quiver a2 --n 4":
+        "1dee9b3db6caa001a1f0b5140b3f7ef9c59b688981fd2eedc087ab18344bd42e",
+    "verify grdim --quiver a3 --n 3":
+        "49b5164a184590e2823359a911eaa79a9199d1b5be41ea861453782ac540b11d",
+    "verify grdim --quiver single --n 5":
+        "00187ccbb546bae41906c18ee594df3b5ba15426bd08abee319ef01ae0672da3",
+    "compute poincare --n 6":
+        "796bab1ed64eb33f3c8c357180bb35f1ba5056c42487144580fe21294b1e642b",
 }
 
 
