@@ -275,14 +275,13 @@ def suite_pbw(cfg, rng):
 
 @_suite
 def suite_grdim(cfg, rng):
-    from .klr import grdim_reconciliation, make_klr
+    from .klr import hom_graded_dimension, hom_graded_dimension_closed, make_klr
 
     ctx = make_klr(_quiver(cfg["quiver"]), cfg["n"])
     idems = _klr_idempotents(ctx)
     params = {"quiver": cfg["quiver"], "n": ctx.n}
-    # grdim_reconciliation raises ArithmeticError when the two disagree
     yield "grdim-closed-form-vs-enumeration", params, (
-        grdim_reconciliation(ctx, v, vp) in ("same", "inverse")
+        hom_graded_dimension(ctx, v, vp) == hom_graded_dimension_closed(ctx, v, vp)
         for v in idems
         for vp in idems
     )

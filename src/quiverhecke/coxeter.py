@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .laurent import Laurent, geometric_truncated
+from .laurent import Laurent, q_factorial
 
 
 class Permutation:
@@ -169,8 +169,7 @@ def poincare_polynomial(n: int) -> Laurent:
 
 
 def poincare_product_form(n: int) -> Laurent:
-    """prod_{i=1}^{n} (1 + q + ... + q^{i-1}), the closed form of the Poincare sum."""
-    out = Laurent.one()
-    for i in range(1, n + 1):
-        out = out * geometric_truncated(1, i - 1)
-    return out
+    """prod_{i=1}^{n} (1 + q + ... + q^{i-1}) = v^{n(n-1)/2} [n]! at v^2 = q,
+    the closed form of the Poincare sum."""
+    shift = n * (n - 1) // 2
+    return Laurent({(k + shift) // 2: c for k, c in q_factorial(n).terms.items()})

@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .klr import QuiverData, linear_quiver
-from .laurent import Laurent
+from .laurent import Laurent, q_binomial
 from .linalg import Combination, bump
 
 
@@ -757,23 +757,6 @@ class HallElement(Combination):
         return " + ".join(parts)
 
 
-def gaussian_binomial(n: int, k: int) -> Laurent:
-    """The quantum binomial [n choose k]_q in Z[v, v^{-1}], v = q^{1/2},
-    with the balanced convention [m]_q = (v^m - v^{-m})/(v - v^{-1}); zero
-    unless 0 <= k <= n.  Rows of the q-Pascal rule
-    [m, j] = v^{-j} [m-1, j] + v^{m-j} [m-1, j-1], with no division."""
-    if not 0 <= k <= n:
-        return Laurent.zero()
-    row = [Laurent.one()]
-    for m in range(1, n + 1):
-        row = [
-            (Laurent.gen(-j) * row[j] if j < m else Laurent.zero())
-            + (Laurent.gen(m - j) * row[j - 1] if j else Laurent.zero())
-            for j in range(m + 1)
-        ]
-    return row[k]
-
-
 def reduce_v2_equals_q(el: Laurent, q: int) -> Laurent:
     """Reduce a Laurent polynomial in v modulo v^2 = q: the result has
     only powers 0 and 1 of v, with Fraction coefficients (v^{-1} = v/q)."""
@@ -804,7 +787,7 @@ def serre_relation_check(ctx: HallContext, i, j) -> HallElement:
         term = fj.mul(term, twisted=True)
         for _ in range(r):
             term = fi.mul(term, twisted=True)
-        coeff = gaussian_binomial(top, r)
+        coeff = q_binomial(top, r)
         if r % 2:
             coeff = -coeff
         total = total + term.scale(coeff)

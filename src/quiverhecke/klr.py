@@ -949,8 +949,8 @@ def hom_graded_dimension_closed(ctx: KLRContext, v, vp) -> Laurent:
     """Closed-form sum over the product of small symmetric groups.
 
     Counts, for each tuple of permutations (one per vertex), the pairs of
-    strands that cross, weighted by Cartan entries.  This normalization
-    is opposite to the PBW enumeration: see grdim_reconciliation.
+    strands that cross: a crossing of an s-strand with a t-strand has
+    degree -a_st, as tau_k has in the PBW enumeration.
     """
     v = ctx.check_idempotent(v)
     vp = ctx.check_idempotent(vp)
@@ -976,23 +976,8 @@ def hom_graded_dimension_closed(ctx: KLRContext, v, vp) -> Laurent:
                         ):
                             count += 1
                 expo += ctx.quiver.cartan(s, t) * count
-        out = out + Laurent.gen(expo)
+        out = out + Laurent.gen(-expo)
     return out
-
-
-def grdim_reconciliation(ctx: KLRContext, v, vp) -> str:
-    """Which substitution matches the closed form to the enumeration.
-
-    Returns "same" if they agree as written, "inverse" if they agree
-    after q -> q^{-1}; raises ArithmeticError if neither reconciles.
-    """
-    enum = hom_graded_dimension(ctx, v, vp)
-    closed = hom_graded_dimension_closed(ctx, v, vp)
-    if enum == closed:
-        return "same"
-    if enum == closed.invert_variable():
-        return "inverse"
-    raise ArithmeticError(f"graded dimensions at {v}, {vp} do not reconcile")
 
 
 # -- torsion between the two presentations -------------------------------

@@ -3,7 +3,9 @@ Laurent polynomials in one variable with exact coefficients.
 
 Used for graded dimensions (variable v = q^{1/2}, with deg X = 2 so that
 polynomial degrees land on even powers of v) and for the twisted Hall
-algebra, whose structure constants live in Z[v, v^{-1}].
+algebra, whose structure constants live in Z[v, v^{-1}].  The balanced
+q-numbers [k], [k]! and [n choose k] live here, and every graded rank,
+Poincare polynomial and Serre coefficient of the package is read off them.
 """
 
 from __future__ import annotations
@@ -69,14 +71,6 @@ class Laurent(Combination):
                 total += c * Fraction(1, 1) / value ** (-k)
         return total
 
-    def invert_variable(self) -> "Laurent":
-        """t -> t^{-1}."""
-        return Laurent({-k: c for k, c in self.terms.items()})
-
-    def truncate(self, max_power: int) -> "Laurent":
-        """Drop all terms of power > max_power."""
-        return Laurent({k: c for k, c in self.terms.items() if k <= max_power})
-
     def str_in(self, var: str) -> str:
         """Canonical rendering with the given variable name, powers ascending."""
         return format_terms(
@@ -102,16 +96,38 @@ def mul_terms(a: dict, b: dict) -> dict:
     return out
 
 
-def geometric_truncated(power_step: int, cutoff: int) -> Laurent:
-    """1 + t^s + t^{2s} + ... up to powers <= cutoff (the series 1/(1 - t^s))."""
-    if power_step <= 0:
-        raise ValueError(f"step {power_step} of a geometric series must be positive")
-    return Laurent({k: 1 for k in range(0, cutoff + 1, power_step)})
+# -- balanced q-numbers in v = q^{1/2} ------------------------------------
 
 
-def series_product(factors, cutoff: int) -> Laurent:
-    """Product of Laurent series truncated at the given power cutoff."""
+def q_integer(k: int) -> Laurent:
+    """The quantum integer [k] = (v^k - v^{-k}) / (v - v^{-1})
+    = v^{k-1} + v^{k-3} + ... + v^{1-k}, for k >= 0 ([0] = 0)."""
+    if k < 0:
+        raise ValueError(f"the quantum integer [{k}] needs k >= 0")
+    return Laurent({e: 1 for e in range(1 - k, k, 2)})
+
+
+def q_factorial(k: int) -> Laurent:
+    """[k]! = [1][2]...[k], for k >= 0."""
+    if k < 0:
+        raise ValueError(f"the quantum factorial [{k}]! needs k >= 0")
     out = Laurent.one()
-    for f in factors:
-        out = (out * f).truncate(cutoff)
+    for j in range(2, k + 1):
+        out = out * q_integer(j)
     return out
+
+
+def q_binomial(n: int, k: int) -> Laurent:
+    """The quantum binomial [n choose k] = [n]! / ([k]! [n-k]!); zero
+    unless 0 <= k <= n.  Rows of the q-Pascal rule
+    [m, j] = v^{-j} [m-1, j] + v^{m-j} [m-1, j-1], with no division."""
+    if not 0 <= k <= n:
+        return Laurent.zero()
+    row = [Laurent.one()]
+    for m in range(1, n + 1):
+        row = [
+            (Laurent.gen(-j) * row[j] if j < m else Laurent.zero())
+            + (Laurent.gen(m - j) * row[j - 1] if j else Laurent.zero())
+            for j in range(m + 1)
+        ]
+    return row[k]

@@ -24,7 +24,6 @@ from functools import lru_cache
 from operator import add
 
 from .coxeter import Permutation, length_order
-from .laurent import Laurent, geometric_truncated, series_product
 from .linalg import Combination, bump, format_terms
 
 
@@ -300,25 +299,6 @@ def schubert_coordinates(p: MPoly, n: int):
     if not residual.is_zero():
         raise ArithmeticError(f"Schubert residual {residual} does not vanish")
     return coords
-
-
-def grdim_polynomial_ring(n: int, cutoff: int) -> Laurent:
-    """Graded dimension of P_n up to q-degree cutoff (deg X = 2): 1/(1-q)^n.
-
-    Powers are in q; deg X_i = 2 means X_i contributes q^1 here because
-    graded dimensions are usually quoted in q = v^2.  We keep v-powers:
-    the returned series is in v with X_i contributing v^2.
-    """
-    return series_product(
-        (geometric_truncated(2, cutoff) for _ in range(n)), cutoff
-    )
-
-
-def grdim_symmetric_ring(n: int, cutoff: int) -> Laurent:
-    """Graded dimension of P_n^{S_n}: prod_i 1/(1-q^i), in v-powers (q = v^2)."""
-    return series_product(
-        (geometric_truncated(2 * i, cutoff) for i in range(1, n + 1)), cutoff
-    )
 
 
 def elementary_symmetric(r: int, nx: int, params=(), variables=None) -> MPoly:

@@ -497,6 +497,46 @@ def test_wrong_q_matrix_fails_klr_relations(capsys, monkeypatch):
     }
 
 
+def test_opposite_grading_fails_verify_grdim(capsys, monkeypatch):
+    # one grading convention: the closed form under q -> q^-1 must fail
+    from quiverhecke import klr
+    from quiverhecke.laurent import Laurent
+
+    right = klr.hom_graded_dimension_closed
+    monkeypatch.setattr(
+        klr,
+        "hom_graded_dimension_closed",
+        lambda *args: Laurent({-k: c for k, c in right(*args).terms.items()}),
+    )
+    code, out = run_cli(capsys, ["verify", "grdim", "--n", "2"])
+    assert code == 1
+    assert [c["pass"] for c in json.loads(out)["checks"]] == [False]
+
+
+@pytest.mark.parametrize(
+    "argv, failing",
+    [
+        (["verify", "cyclotomic", "--n", "2"], "cyclotomic-iso"),
+        (["verify", "hall", "--q", "2"], "hall-serre-relation"),
+    ],
+)
+def test_wrong_q_binomial_fails(capsys, monkeypatch, argv, failing):
+    # a quantum binomial one too large in its top coefficient
+    from quiverhecke import cyclotomic, hall
+    from quiverhecke.laurent import Laurent, q_binomial
+
+    def off_by_one(n, k):
+        return q_binomial(n, k) + Laurent.gen(k * (n - k))
+
+    monkeypatch.setattr(cyclotomic, "q_binomial", off_by_one)
+    monkeypatch.setattr(hall, "q_binomial", off_by_one)
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == [
+        failing
+    ]
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [

@@ -101,7 +101,7 @@ def test_is_reduced():
 
 
 def test_poincare_polynomial_matches_product_form():
-    for n in range(1, 7):
+    for n in range(7):
         assert poincare_polynomial(n) == poincare_product_form(n)
 
 

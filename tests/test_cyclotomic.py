@@ -24,7 +24,9 @@ from quiverhecke.cyclotomic import (
     verify_rank,
     weight_space_dims_fock_check,
 )
+from quiverhecke.coxeter import poincare_polynomial
 from quiverhecke.klr import linear_quiver, make_klr, single_vertex_quiver
+from quiverhecke.laurent import Laurent
 from quiverhecke.nilhecke import NilHeckeElement
 from quiverhecke.polyring import MPoly
 
@@ -316,6 +318,22 @@ def test_graded_rank_values():
         for i in range(n + 1):
             poly = graded_rank_polynomial(n, i)
             assert all(c > 0 for c in poly.terms.values())
+
+
+def series_graded_rank(n, i):
+    """The graded rank as poincare_i(v^-2) * prod_{k=n-i+1}^{n} [k]_{v^2},
+    with [k]_{v^2} = 1 + v^2 + ... + v^{2k-2}: the enumeration of S_i
+    and geometric sums, no quantum binomial."""
+    out = Laurent({-2 * k: c for k, c in poincare_polynomial(i).terms.items()})
+    for k in range(n - i + 1, n + 1):
+        out = out * Laurent({2 * j: 1 for j in range(k)})
+    return out
+
+
+def test_graded_rank_matches_the_series_construction():
+    for n in range(7):
+        for i in range(n + 1):
+            assert graded_rank_polynomial(n, i) == series_graded_rank(n, i), (n, i)
 
 
 # -- dimension ledger -----------------------------------------------------

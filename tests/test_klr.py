@@ -14,7 +14,6 @@ from quiverhecke.klr import (
     QuiverData,
     central_ideal_probe,
     cyclic_quiver,
-    grdim_reconciliation,
     hom_graded_dimension,
     hom_graded_dimension_closed,
     linear_quiver,
@@ -604,14 +603,7 @@ def test_grdim_closed_form_vs_enumeration(k, n):
             if sorted(v) != sorted(vp):
                 assert enum.is_zero() and closed.is_zero()
             else:
-                # the closed form is in the opposite normalization
-                assert enum == closed.invert_variable(), (v, vp)
-
-
-def test_grdim_reconciliation_recorded():
-    ctx = make_klr(linear_quiver(2), 2)
-    assert grdim_reconciliation(ctx, (1, 2), (2, 1)) == "inverse"
-    assert grdim_reconciliation(ctx, (1, 2), (1, 2)) == "same"
+                assert enum == closed, (v, vp)
 
 
 def test_grdim_examples():
@@ -653,37 +645,41 @@ def test_torsion_multiplier_a3():
 
 
 @pytest.mark.parametrize(
-    "sabotage, call",
+    "sabotage, call, outcome",
     [
         # no rewriting move at all: the torsion statement must fail
         (
             "klr._prime_reduce = lambda ctx, word, v: "
             "{(tuple(word), ctx.zero_exps()): 1}",
             "klr.torsion_check(klr.make_klr(klr.linear_quiver(2), 3), (1, 2, 1))",
+            "raised",
         ),
-        # a closed form times q^2 matches the enumeration neither as
-        # written nor after q -> q^-1
+        # a closed form in the opposite grading convention (q -> q^-1)
+        # fails the plain comparison that `verify grdim --n 2` makes
         (
             "right = klr.hom_graded_dimension_closed\n"
-            "klr.hom_graded_dimension_closed = "
-            "lambda *args: right(*args) * Laurent.gen(2)",
-            "klr.grdim_reconciliation("
-            "klr.make_klr(klr.linear_quiver(2), 2), (1, 2), (1, 2))",
+            "klr.hom_graded_dimension_closed = lambda *args: "
+            "Laurent({-k: c for k, c in right(*args).terms.items()})\n"
+            "from quiverhecke.cli import suite_grdim",
+            "suite_grdim({'quiver': 'a2', 'n': 2}, None)[0]['pass']",
+            "False",
         ),
     ],
     ids=["torsion_check", "grdim_reconciliation"],
 )
-def test_broken_certificate_raises_under_optimize(sabotage, call):
-    # `python -O` strips asserts; a broken certificate must still raise
+def test_broken_certificate_raises_under_optimize(sabotage, call, outcome):
+    # `python -O` strips asserts; a broken certificate must still raise,
+    # or fail its check
     code = (
         "import sys\n"
         "import quiverhecke.klr as klr\n"
         "from quiverhecke.laurent import Laurent\n"
         f"{sabotage}\n"
         "try:\n"
-        f"    print('returned', {call})\n"
+        f"    outcome = {call}\n"
         "except ArithmeticError:\n"
-        "    print('raised', sys.flags.optimize)\n"
+        "    outcome = 'raised'\n"
+        "print(outcome, sys.flags.optimize)\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -693,7 +689,7 @@ def test_broken_certificate_raises_under_optimize(sabotage, call):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["raised", "1"]
+    assert res.stdout.split() == [outcome, "1"]
 
 
 def test_torsion_shape_raises_under_optimize():

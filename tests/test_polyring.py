@@ -9,15 +9,12 @@ from pathlib import Path
 import pytest
 
 from quiverhecke.coxeter import Permutation
-from quiverhecke.laurent import Laurent
 from quiverhecke.polyring import (
     MPoly,
     divide_exact,
     divide_exact_by_x_difference,
     elementary_symmetric,
     exponent_tuples,
-    grdim_polynomial_ring,
-    grdim_symmetric_ring,
     schubert_basis_element,
     schubert_coordinates,
     staircase_monomial,
@@ -175,28 +172,6 @@ def test_schubert_coordinates_round_trip():
         assert coords == {w: c for w, c in chosen.items() if not c.is_zero()}
 
 
-def count_monomials_by_degree(n, cutoff):
-    """Enumerative oracle for grdim P_n: count monomials, v-degree 2*|a|."""
-    counts = {}
-    for exps in itertools.product(range(cutoff // 2 + 1), repeat=n):
-        if 2 * sum(exps) <= cutoff:
-            counts[2 * sum(exps)] = counts.get(2 * sum(exps), 0) + 1
-    return Laurent(counts)
-
-
-def test_grdim_series_match_enumeration():
-    for n in (1, 2, 3):
-        cutoff = 12
-        assert grdim_polynomial_ring(n, cutoff) == count_monomials_by_degree(n, cutoff)
-
-
-def test_grdim_symmetric_ring_counts():
-    # coefficients count partitions with at most n parts (degree doubled)
-    g = grdim_symmetric_ring(2, 12)
-    # number of partitions of d into at most 2 parts: 1,1,2,2,3,3,4
-    assert [g.terms.get(2 * d, 0) for d in range(7)] == [1, 1, 2, 2, 3, 3, 4]
-
-
 def test_elementary_symmetric_identity():
     # prod_j (t - X_j) evaluated at t = X_1 vanishes
     n = 4
@@ -264,7 +239,7 @@ def test_input_checks_raise_under_optimize():
     code = (
         "import sys\n"
         "from quiverhecke.coxeter import Permutation\n"
-        "from quiverhecke.laurent import geometric_truncated\n"
+        "from quiverhecke.laurent import q_factorial\n"
         "from quiverhecke.polyring import MPoly, try_divide_by_x_difference\n"
         "p = MPoly(2, ('t',), {(1, 0, 1): 1})\n"
         "for call in (\n"
@@ -272,7 +247,7 @@ def test_input_checks_raise_under_optimize():
         "    lambda: try_divide_by_x_difference(p, 1, 3),\n"
         "    lambda: try_divide_by_x_difference(p, 0, 2),\n"
         "    lambda: p.act(Permutation((1, 3, 2))),\n"
-        "    lambda: geometric_truncated(0, 4),\n"
+        "    lambda: q_factorial(-1),\n"
         "    lambda: p.act_simple(0),\n"
         "    lambda: p.act_simple(2),\n"
         "):\n"
