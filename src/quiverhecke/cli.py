@@ -275,9 +275,15 @@ def suite_pbw(cfg, rng):
 
 @_suite
 def suite_grdim(cfg, rng):
-    from .klr import hom_graded_dimension, hom_graded_dimension_closed, make_klr
+    from .klr import (
+        check_grdim_size,
+        hom_graded_dimension,
+        hom_graded_dimension_closed,
+        make_klr,
+    )
 
     ctx = make_klr(_quiver(cfg["quiver"]), cfg["n"])
+    check_grdim_size(ctx, len(ctx.quiver.vertices) ** ctx.n)
     idems = _klr_idempotents(ctx)
     params = {"quiver": cfg["quiver"], "n": ctx.n}
     yield "grdim-closed-form-vs-enumeration", params, (
@@ -500,7 +506,7 @@ def compute_schubert_basis(cfg):
 
 
 def compute_grdim(cfg):
-    from .klr import hom_graded_dimension, make_klr
+    from .klr import check_grdim_size, hom_graded_dimension, make_klr
 
     v = tuple(int(t) for t in cfg["v"].split(","))
     vp = tuple(int(t) for t in cfg["vprime"].split(","))
@@ -516,6 +522,7 @@ def compute_grdim(cfg):
                 f"of the quiver, got {list(idem)}"
             )
     ctx = make_klr(quiver, len(v))
+    check_grdim_size(ctx, 1)
     poly = hom_graded_dimension(ctx, v, vp)
     return {
         "quiver": cfg["quiver"],

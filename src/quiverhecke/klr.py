@@ -689,8 +689,12 @@ def relation_cases(ctx: KLRContext, tau, max_deg: int) -> dict:
     ``tau(i, module)`` on term dicts {idempotent: {exponents: coefficient}}
     without empty components, as ``apply_tau``.  A case is (v, p, letters),
     in that order, on x^p 1_v, deg p <= max_deg.  The right-hand sides read
-    Q_st = (-1)^{d_st} (x_a - x_b)^{m_st} off ``ctx.quiver``, not ctx.q_poly."""
+    Q_st = (-1)^{d_st} (x_a - x_b)^{m_st} off ``ctx.quiver``, not ctx.q_poly,
+    so a context whose Q-matrix is not the quiver's raises ValueError."""
     n, quiver = ctx.n, ctx.quiver
+    # monomials without a parameter tail would drop any parameter of Q
+    if (ctx.qmat.params, ctx.qmat.entries) != ((), QMatrix.from_quiver(quiver).entries):
+        raise ValueError("the relation table needs the Q-matrix of the quiver")
     idems, monos = len(quiver.vertices) ** n, math.comb(n + max_deg, n)
     if (cost := idems * monos * n * n * (max_deg + 1)) > _MAX_RELATION_COST:
         raise ValueError(
@@ -926,6 +930,22 @@ def pbw_coordinates(op: KLROperator) -> KLRElement:
 
 
 # -- graded dimensions of Hom spaces -------------------------------------
+
+# the words tau_w 1_v, w in S_n, over the source idempotents v, read before
+# any work.  verify grdim on a2 at n = 6 (46,080 words), a3 at n = 5
+# (29,160) and single at n = 8 (40,320) takes 2.6-3.2s; a2 at n = 7
+# (645,120) took 71s and single at n = 9 (362,880) 28s (2 vCPU, Python 3.11)
+_MAX_GRDIM_WORDS = 50_000
+
+
+def check_grdim_size(ctx: KLRContext, sources: int):
+    """Raise ValueError if the graded dimensions from ``sources`` source
+    idempotents range over more than _MAX_GRDIM_WORDS words tau_w 1_v."""
+    if (words := sources * math.factorial(ctx.n)) > _MAX_GRDIM_WORDS:
+        raise ValueError(
+            f"graded dimensions at n = {ctx.n} range over {sources} x {ctx.n}! = "
+            f"{words} words tau_w 1_v, above the limit {_MAX_GRDIM_WORDS}"
+        )
 
 
 def hom_graded_dimension(ctx: KLRContext, v, vp) -> Laurent:

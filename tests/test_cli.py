@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,23 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
             ["verify", "demazure", "--n", "5", "--max-deg", "30"],
             "324632 monomials of degree at most 30 at n = 5",
         ),
+        (
+            ["verify", "grdim", "--quiver", "a2", "--n", "7"],
+            "128 x 7! = 645120 words tau_w 1_v, above the limit 50000",
+        ),
+        (
+            ["verify", "grdim", "--quiver", "a3", "--n", "6"],
+            "729 x 6! = 524880 words tau_w 1_v, above the limit 50000",
+        ),
+        (
+            ["verify", "grdim", "--quiver", "single", "--n", "9"],
+            "1 x 9! = 362880 words tau_w 1_v, above the limit 50000",
+        ),
+        (
+            ["compute", "grdim", "--quiver", "single", "--v", "1,1,1,1,1,1,1,1,1",
+             "--vprime", "1,1,1,1,1,1,1,1,1"],
+            "1 x 9! = 362880 words tau_w 1_v, above the limit 50000",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):
@@ -227,6 +245,22 @@ def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify grdim --quiver a2 --n 7",
+        "verify grdim --quiver a3 --n 6",
+        "verify grdim --quiver single --n 9",
+        "compute grdim --quiver single --v 1,1,1,1,1,1,1,1,1 --vprime 1,1,1,1,1,1,1,1,1",
+    ],
+)
+def test_grdim_guard_refuses_at_once(capsys, command):
+    # these took 21-98s before the guard
+    start = time.perf_counter()
+    assert cli.main(command.split()) == 2
+    assert time.perf_counter() - start < 1
 
 
 def test_loop_quiver_exits_two_under_optimize(tmp_path):

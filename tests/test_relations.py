@@ -195,3 +195,21 @@ def test_relation_guard_refuses_at_once(command):
     start = time.perf_counter()
     assert cli.main(command.split()) == 2
     assert time.perf_counter() - start < 1
+
+
+def test_relation_table_refuses_a_q_matrix_not_the_quivers():
+    # Q_12 = t (u' - u): the table's monomials have no parameter tail, so
+    # apply_tau would drop t and every row would agree with the quiver's Q
+    quiver = klr.QuiverData((1, 2), {(1, 2): 1})
+    qmat = klr.QMatrix(
+        (1, 2),
+        {(1, 2): {(1, 0, 1): -1, (0, 1, 1): 1}, (2, 1): {(0, 1, 1): -1, (1, 0, 1): 1}},
+        params=("t",),
+    )
+    ctx = make_klr(quiver, 2, qmat)
+    with pytest.raises(ValueError, match="needs the Q-matrix of the quiver"):
+        relation_cases(ctx, functools.partial(klr.apply_tau, ctx), 2)
+    # the quiver's own matrix, given explicitly, is accepted
+    ctx = make_klr(quiver, 2, klr.QMatrix.from_quiver(quiver))
+    rows = relation_cases(ctx, functools.partial(klr.apply_tau, ctx), 2)
+    assert all(all(cases) for cases in rows.values())
