@@ -4,8 +4,9 @@ Laurent polynomials in one variable with exact coefficients.
 Used for graded dimensions (variable v = q^{1/2}, with deg X = 2 so that
 polynomial degrees land on even powers of v) and for the twisted Hall
 algebra, whose structure constants live in Z[v, v^{-1}].  The balanced
-q-numbers [k], [k]! and [n choose k] live here, and every graded rank,
-Poincare polynomial and Serre coefficient of the package is read off them.
+q-numbers [k], [k]! and [n choose k] live here: the Poincare product form,
+the graded ranks of the cyclotomic quotients and the Hall Serre
+coefficients are read off them.
 """
 
 from __future__ import annotations
