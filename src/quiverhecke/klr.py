@@ -933,8 +933,9 @@ def pbw_coordinates(op: KLROperator) -> KLRElement:
 
 # the words tau_w 1_v, w in S_n, over the source idempotents v, read before
 # any work.  verify grdim on a2 at n = 6 (46,080 words), a3 at n = 5
-# (29,160) and single at n = 8 (40,320) takes 2.6-3.2s; a2 at n = 7
-# (645,120) took 71s and single at n = 9 (362,880) 28s (2 vCPU, Python 3.11)
+# (29,160) and single at n = 8 (40,320) takes 1.3-3.1s; with a scan of all
+# of S_n, a2 at n = 7 (645,120) took 71s and single at n = 9 (362,880) 28s
+# (2 vCPU, Python 3.11)
 _MAX_GRDIM_WORDS = 50_000
 
 
@@ -952,16 +953,21 @@ def hom_graded_dimension(ctx: KLRContext, v, vp) -> Laurent:
     """grdim of the free factor of 1_{v'} H 1_v, by PBW enumeration.
 
     The variable is q^{1/2}: each basis word tau_w contributes its word
-    degree and the polynomial tensor factor is omitted.
+    degree and the polynomial tensor factor is omitted.  The w that carry
+    v to v' are built from one bijection per vertex, from its positions
+    in v to its positions in v'.
     """
     v = ctx.check_idempotent(v)
     vp = ctx.check_idempotent(vp)
     if sorted(v) != sorted(vp):
         return Laurent.zero()
+    verts = sorted(set(v))
+    sources = [k for s in verts for k in range(ctx.n) if v[k] == s]
+    targets = [[k + 1 for k in range(ctx.n) if vp[k] == s] for s in verts]
     out = Laurent.zero()
-    for w in Permutation.all(ctx.n):
-        if w.act_on_list(v) == vp:
-            out = out + Laurent.gen(ctx.word_degree(w, v))
+    for images in itertools.product(*map(itertools.permutations, targets)):
+        w = Permutation(j for _, j in sorted(zip(sources, itertools.chain(*images))))
+        out = out + Laurent.gen(ctx.word_degree(w, v))
     return out
 
 

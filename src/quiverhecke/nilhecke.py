@@ -12,6 +12,9 @@ The grading puts deg X_i = 2 and deg T_i = -2.
 
 The faithful polynomial representation sends T_i to the Demazure
 operator d_i and X_i to multiplication.
+
+Products, the representation and the Gram entries read memoized monomial
+columns: `_t_step` for T_i on x^e T_v, `_d_column` for d_w(x^e).
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from functools import lru_cache
 from math import factorial
 
 from .coxeter import Permutation, length_order
-from .linalg import Combination, bump, determinant
-from .polyring import MPoly, add_product, demazure_terms, schubert_basis_element
-from .polyring import staircase_monomial, swap_terms
+from .linalg import Combination, determinant
+from .polyring import MPoly, add_product, demazure_exponents, demazure_terms
+from .polyring import schubert_basis_element, staircase_monomial, swap_terms
 
 
 class NilHeckeElement(Combination):
@@ -109,7 +112,7 @@ class NilHeckeElement(Combination):
             for v, q in acc.items():
                 add_product(out.setdefault(v, {}), p.terms, q)
         zero = MPoly.zero(self.n, self.params)
-        return self._like({Permutation(v): zero._like(t) for v, t in out.items() if t})
+        return self._like({_permutation(v): zero._like(t) for v, t in out.items() if t})
 
     __rmul__ = Combination.scale
 
@@ -121,7 +124,10 @@ class NilHeckeElement(Combination):
         out._check(q)
         terms = {}
         for w, p in self.terms.items():
-            add_product(terms, p.terms, demazure_terms(q.terms, w.canonical_word()))
+            word, image = w.canonical_word(), {}
+            for e, c in q.terms.items():
+                _add_column(image, _d_column(word, e), c)
+            add_product(terms, p.terms, image)
         return out._like(terms)
 
     # -- grading ------------------------------------------------------
@@ -216,22 +222,52 @@ def group_element(w: Permutation, params=()) -> NilHeckeElement:
     return out
 
 
+# the Permutation with given images, validated once
+_permutation = lru_cache(maxsize=None)(Permutation)
+
+
+def _add_column(out, column, c):
+    """out += c * column on a term dict, column a tuple of (exponents,
+    coefficient) pairs."""
+    for m, k in column:
+        k = out.get(m, 0) + k * c  # `bump`, inlined in this hot loop
+        if k:
+            out[m] = k
+        else:
+            out.pop(m, None)
+
+
+@lru_cache(maxsize=None)
+def _d_column(word, e):
+    """d_{i_1} o ... o d_{i_r}(x^e) for the word (i_1, ..., i_r), as a
+    tuple of (exponents, coefficient) pairs."""
+    return tuple(demazure_terms({e: 1}, word).items())
+
+
+@lru_cache(maxsize=None)
+def _t_step(v, e, i):
+    """The column of T_i on x^e T_v, v given by its images: the pairs
+    (images of u, column of P_u) of T_i x^e T_v = s_i(x^e) T_{s_i v} +
+    d_i(x^e) T_v, columns as in `_d_column`, without an empty one."""
+    sign, monomials = demazure_exponents(e, i)
+    step = ((v, tuple((m, sign) for m in monomials)),) if monomials else ()
+    # l(s_i v) > l(v) exactly when i precedes i+1 in one-line notation
+    a, b = v.index(i), v.index(i + 1)
+    if a < b:
+        u = v[:a] + (i + 1,) + v[a + 1:b] + (i,) + v[b + 1:]
+        step += ((u, tuple(swap_terms({e: 1}, i).items())),)
+    return step
+
+
 def _lmul_t(terms, i):
-    """T_i * sum_w P_w T_w on {images of w: terms of P_w}, as a new dict:
-    T_i P T_w = s_i(P) T_{s_i w} + d_i(P) T_w."""
+    """T_i * sum_w P_w T_w on {images of w: terms of P_w}, as a new dict,
+    one memoized `_t_step` column per monomial of each P_w; a P_w that
+    cancels stays as an empty dict."""
     out = {}
     for v, p in terms.items():
-        images = [(v, demazure_terms(p, (i,)))]
-        # l(s_i w) > l(w) exactly when i precedes i+1 in one-line notation
-        a, b = v.index(i), v.index(i + 1)
-        if a < b:
-            images.append((v[:a] + (i + 1,) + v[a + 1:b] + (i,) + v[b + 1:], swap_terms(p, i)))
-        for u, t in images:
-            if u in out:
-                for e, c in t.items():
-                    bump(out[u], e, c)
-            elif t:
-                out[u] = t
+        for e, c in p.items():
+            for u, column in _t_step(v, e, i):
+                _add_column(out.setdefault(u, {}), column, c)
     return out
 
 
@@ -295,7 +331,7 @@ def idempotent_b(n: int, params=()) -> NilHeckeElement:
 
 
 # (n!)^2 basis elements.  n = 4 (576, largest block 106 x 106) takes
-# 1.3-1.9 s at 15.5 MB peak RSS in a fresh interpreter (2-vCPU x86_64,
+# 1.0-1.3 s at 16.9 MB peak RSS in a fresh interpreter (2-vCPU x86_64,
 # Python 3.11).  n = 5 has 14,400; counted from the degrees
 # 2 l(u) - 2 l(w) of the S_u T_w alone, its largest block (degree 0) is
 # 1,930 x 1,930.  It is refused before any work.
@@ -342,6 +378,7 @@ def frobenius_gram_determinant(n: int):
     if total:
         raise ArithmeticError(f"basis degrees sum to {total}, not 0")
     longest = Permutation.longest(n).canonical_word()
+    top = n * (n - 1) // 2  # d_{w0} sends x-degrees below l(w0) to 0
     unit = (0,) * n
     # transposed[d][j][i] = t'(a_i b_j) = B_d[i][j], a_i of degree d and
     # b_j of degree -d: one list per column b
@@ -352,7 +389,10 @@ def frobenius_gram_determinant(n: int):
             column = []
             for a in basis[-d]:
                 ((w, p),) = a.terms.items()
-                entry = demazure_terms(add_product({}, p.terms, columns[w]), longest)
+                entry = {}
+                for e, c in add_product({}, p.terms, columns[w]).items():
+                    if sum(e) >= top:
+                        _add_column(entry, _d_column(longest, e), c)
                 if entry.keys() - {unit}:
                     raise ArithmeticError(
                         f"an entry of block d = {-d} is not a constant"

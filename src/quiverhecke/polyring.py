@@ -10,7 +10,8 @@ is carried along untouched by the group action.  Coefficients are exact
 `MPoly` wraps kernels on term dicts {exponents: coefficient}: the product
 `add_product`, the swap `swap_terms` of X_i and X_{i+1}, and `demazure_terms`,
 a word of Demazure operators d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i) applied
-right to left through the memoized closed-form column `demazure_exponents`.
+right to left through the memoized closed-form column `demazure_exponents`;
+the nil Hecke monomial columns (`nilhecke._t_step`, `_d_column`) read it too.
 Division by X_a - X_b is closed form monomial by monomial too
 (`try_divide_by_x_difference`).  `divide_exact_by_x_difference`, and
 `divide_exact` for any divisor, raise ArithmeticError when it is not exact.
@@ -120,7 +121,9 @@ class MPoly(Combination):
 
     def demazure(self, i):
         """d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i), term by term in closed form."""
-        return self.demazure_word((i,))
+        if not 1 <= i < self.nx:
+            raise ValueError(f"d_{i} is undefined on {self.nx} variables")
+        return self._like(demazure_terms(self.terms, (i,)))
 
     def demazure_word(self, word):
         """Compose Demazure operators along a word: d_{i_1} o ... o d_{i_r}."""
@@ -201,7 +204,11 @@ def demazure_terms(terms, word):
             if sign < 0:
                 c = -c
             for m in monomials:
-                bump(out, m, c)
+                k = out.get(m, 0) + c  # `bump`, inlined in this hot loop
+                if k:
+                    out[m] = k
+                else:
+                    out.pop(m, None)
         terms = out
     return terms
 

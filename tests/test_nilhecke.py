@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import os
@@ -13,8 +14,10 @@ from quiverhecke.coxeter import Permutation, length_order
 from quiverhecke.linalg import bump, determinant
 from quiverhecke.nilhecke import (
     NilHeckeElement,
+    _d_column,
     _lmul_t,
     _t_products,
+    _t_step,
     _tprime_columns,
     _tprime_kernel,
     frobenius_gram_determinant,
@@ -23,9 +26,13 @@ from quiverhecke.nilhecke import (
 )
 from quiverhecke.polyring import (
     MPoly,
+    add_product,
     demazure_exponents,
+    demazure_terms,
+    exponent_tuples,
     schubert_basis_element,
     staircase_monomial,
+    swap_terms,
 )
 
 
@@ -377,6 +384,145 @@ def test_term_dict_kernels_match_references(n, params):
         assert q * r == ref_poly_mul(q, r)
 
 
+# -- the memoized monomial columns against the letter-by-letter kernels ----
+
+
+def lmul_t_reference(terms, i):
+    """T_i * sum_w P_w T_w on {images of w: terms of P_w}, one Demazure
+    step, one swap and two `index` calls per P_w: T_i P T_w = s_i(P)
+    T_{s_i w} + d_i(P) T_w.  The kernel `_lmul_t` replaced."""
+    out = {}
+    for v, p in terms.items():
+        images = [(v, demazure_terms(p, (i,)))]
+        # l(s_i w) > l(w) exactly when i precedes i+1 in one-line notation
+        a, b = v.index(i), v.index(i + 1)
+        if a < b:
+            images.append((v[:a] + (i + 1,) + v[a + 1:b] + (i,) + v[b + 1:], swap_terms(p, i)))
+        for u, t in images:
+            if u in out:
+                for e, c in t.items():
+                    bump(out[u], e, c)
+            elif t:
+                out[u] = t
+    return out
+
+
+def t_word_reference(w, terms):
+    """T_w * sum_v P_v T_v, letter by letter with `lmul_t_reference`,
+    without the P_v that cancelled."""
+    for i in reversed(w.canonical_word()):
+        terms = lmul_t_reference(terms, i)
+    return {v: t for v, t in terms.items() if t}
+
+
+def mul_reference(a, b):
+    """a * b with the letter-by-letter kernel."""
+    start = {v.images: q.terms for v, q in b.terms.items()}
+    out = {}
+    for w, p in a.terms.items():
+        for v, q in t_word_reference(w, start).items():
+            add_product(out.setdefault(v, {}), p.terms, q)
+    return NilHeckeElement(
+        a.n, {Permutation(v): MPoly(a.n, a.params, t) for v, t in out.items()}, a.params
+    )
+
+
+def apply_reference(a, q):
+    """sum_w P_w * d_w(q), each d_w by `demazure_terms` on the whole of q:
+    the `apply_to_polynomial` that the memoized columns replaced."""
+    terms = {}
+    for w, p in a.terms.items():
+        add_product(terms, p.terms, demazure_terms(q.terms, w.canonical_word()))
+    return MPoly(a.n, a.params, terms)
+
+
+def pbw_monomials(n, params):
+    """x^e T_w for every w in S_n and every x-degree |e| <= 2, times the
+    parameter when there is one."""
+    tail = (1,) * len(params)
+    return [
+        NilHeckeElement(n, {w: MPoly(n, params, {e + tail: 1})}, params)
+        for w in length_order(n)
+        for e in exponent_tuples(n, 2)
+    ]
+
+
+@pytest.mark.parametrize("params", [(), ("t",)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_memoized_columns_match_the_letter_by_letter_kernel(n, params):
+    rng = random.Random(50 + n + len(params))
+    basis = pbw_monomials(n, params)
+    mixed = [random_element(rng, n, nterms=3, params=params) for _ in range(3)]
+    q = random_poly(rng, n, max_deg=3, max_terms=4, params=params)
+    # every pair at n = 3; at n = 4 each monomial against mixed elements
+    partners = basis if n == 3 else mixed
+    for a in basis:
+        for b in partners:
+            assert a * b == mul_reference(a, b)
+        for b in mixed:
+            assert b * a == mul_reference(b, a)
+        assert a.apply_to_polynomial(q) == apply_reference(a, q)
+        start = {v.images: p.terms for v, p in a.terms.items()}
+        for w, terms in _t_products(a):
+            assert {v: t for v, t in terms.items() if t} == t_word_reference(w, start)
+    for b in mixed:
+        assert b.apply_to_polynomial(q) == apply_reference(b, q)
+
+
+@pytest.mark.parametrize("params", [(), ("t",)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_t_step_is_the_straightening_rule(n, params):
+    # T_i P T_w = s_i(P) T_{s_i w} + d_i(P) T_w, the first term only when
+    # l(s_i w) > l(w): T_i T_w = 0 otherwise
+    tail = (1,) * len(params)
+    for w in length_order(n):
+        for e in exponent_tuples(n, 3):
+            p = MPoly(n, params, {e + tail: 1})
+            for i in range(1, n):
+                si = Permutation.simple(i, n)
+                expected = {}
+                if (si * w).length() > w.length():
+                    expected[si * w] = p.act_simple(i)
+                if not p.demazure(i).is_zero():
+                    expected[w] = p.demazure(i)
+                step = _t_step(w.images, e + tail, i)
+                assert len(step) == len(expected)
+                assert {
+                    Permutation(u): MPoly(n, params, dict(column)) for u, column in step
+                } == expected
+
+
+def test_results_do_not_alias_the_memos():
+    # every column is read into fresh dicts: mutating a result in place
+    # leaves the next computation of it unchanged
+    rng = random.Random(60)
+    n, params = 3, ("t",)
+    a = random_element(rng, n, nterms=3, params=params)
+    b = random_element(rng, n, nterms=3, params=params)
+    q = random_poly(rng, n, max_deg=3, max_terms=4, params=params)
+
+    def spoil(term_dicts):
+        for terms in term_dicts:
+            for e in list(terms):
+                terms[e] *= 7
+            terms[(9,) * (n + len(params))] = 1
+
+    def snapshot(term_dicts):
+        return [dict(terms) for terms in term_dicts]
+
+    results = {
+        "product": lambda: [p.terms for p in (a * b).terms.values()],
+        "apply": lambda: [a.apply_to_polynomial(q).terms],
+        "columns": lambda: list(_tprime_columns(b).values()),
+    }
+    for name, compute in results.items():
+        first = compute()
+        before = snapshot(first)
+        assert any(before), name
+        spoil(first)
+        assert snapshot(compute()) == before, name
+
+
 def test_demazure_column_is_an_immutable_memo():
     sign, monomials = demazure_exponents((3, 0, 1), 1)
     assert (sign, monomials) == (-1, ((2, 0, 1), (1, 1, 1), (0, 2, 1)))
@@ -658,3 +804,95 @@ def test_invalid_input_raises_under_optimize():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["raised"] * 13 + ["1"]
+
+
+# -- negative controls: a wrong column must fail its verify check ---------
+
+
+def swap_with_the_wrong_sign(v, e, i):
+    """`_t_step` with -s_i(x^e) T_{s_i v} in place of s_i(x^e) T_{s_i v}."""
+    return tuple(
+        (u, column if u == v else tuple((m, -k) for m, k in column))
+        for u, column in _t_step(v, e, i)
+    )
+
+
+def one_coefficient_doubled(word, e):
+    """`_d_column` with its first coefficient doubled."""
+    column = _d_column(word, e)
+    return ((column[0][0], 2 * column[0][1]),) + column[1:] if column else column
+
+
+def gram_filter_one_degree_up():
+    """`frobenius_gram_determinant` that skips the terms below x-degree
+    n(n-1)/2 + 1, so also the terms whose d_{w0} is a nonzero constant."""
+    from quiverhecke import nilhecke
+
+    source = inspect.getsource(nilhecke.frobenius_gram_determinant)
+    line = "top = n * (n - 1) // 2"
+    if source.count(line) != 1:
+        raise LookupError(f"{line!r} is not one line of frobenius_gram_determinant")
+    namespace = dict(vars(nilhecke))
+    exec(source.replace(line, line + " + 1"), namespace)
+    return namespace["frobenius_gram_determinant"]
+
+
+# name: (attribute of nilhecke, a maker of its replacement, verify
+# nilhecke --n, the check that must fail)
+NEGATIVE_CONTROLS = {
+    "t-step-sign": (
+        "_t_step", lambda: swap_with_the_wrong_sign, 3, "pbw-product-vs-operators",
+    ),
+    "d-column-coefficient": (
+        "_d_column", lambda: one_coefficient_doubled, 3, "pbw-product-vs-operators",
+    ),
+    "gram-degree-filter": (
+        "frobenius_gram_determinant", gram_filter_one_degree_up, 2, "gram-unit-determinant",
+    ),
+}
+
+
+@pytest.mark.parametrize("control", sorted(NEGATIVE_CONTROLS))
+def test_a_wrong_column_fails_its_check(control, capsys, monkeypatch):
+    from quiverhecke import cli, nilhecke
+
+    attr, make, n, check = NEGATIVE_CONTROLS[control]
+    monkeypatch.setattr(nilhecke, attr, make())
+    try:
+        assert cli.main(["verify", "nilhecke", "--n", str(n), "--format", "text"]) == 1
+    finally:
+        # the kernel of t' is memoized per n from whatever `_t_step` gave
+        _tprime_kernel.cache_clear()
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert any(line.startswith(f"FAIL {check} ") for line in fails), fails
+
+
+def test_a_wrong_column_fails_its_check_under_optimize():
+    # `python -O` strips asserts; each control must still exit 1 with its FAIL line
+    code = (
+        "import contextlib, io, sys\n"
+        "from quiverhecke import cli, nilhecke\n"
+        "import test_nilhecke as t\n"
+        "for name, (attr, make, n, check) in sorted(t.NEGATIVE_CONTROLS.items()):\n"
+        "    original = getattr(nilhecke, attr)\n"
+        "    setattr(nilhecke, attr, make())\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        status = cli.main(['verify', 'nilhecke', '--n', str(n), '--format', 'text'])\n"
+        "    setattr(nilhecke, attr, original)\n"
+        "    nilhecke._tprime_kernel.cache_clear()\n"
+        "    failed = any(l.startswith(f'FAIL {check} ') for l in out.getvalue().splitlines())\n"
+        "    print(name, status, failed)\n"
+        "print(sys.flags.optimize)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [
+        word for name in sorted(NEGATIVE_CONTROLS) for word in (name, "1", "True")
+    ] + ["1"]
