@@ -283,7 +283,8 @@ def suite_grdim(cfg, rng):
     )
 
     ctx = make_klr(_quiver(cfg["quiver"]), cfg["n"])
-    check_grdim_size(ctx, len(ctx.quiver.vertices) ** ctx.n)
+    # every w in S_n carries each source to one target
+    check_grdim_size(ctx, len(ctx.quiver.vertices) ** ctx.n, (ctx.n,))
     idems = _klr_idempotents(ctx)
     params = {"quiver": cfg["quiver"], "n": ctx.n}
     yield "grdim-closed-form-vs-enumeration", params, (
@@ -522,7 +523,8 @@ def compute_grdim(cfg):
                 f"of the quiver, got {list(idem)}"
             )
     ctx = make_klr(quiver, len(v))
-    check_grdim_size(ctx, 1)
+    # one bijection per vertex s, from its c_s positions in v to those in v'
+    check_grdim_size(ctx, 1, [v.count(s) for s in sorted(set(v))])
     poly = hom_graded_dimension(ctx, v, vp)
     return {
         "quiver": cfg["quiver"],

@@ -49,7 +49,7 @@ def highest_weight_params(n: int) -> tuple:
     return tuple(f"z{l}" for l in range(1, n + 1))
 
 
-def cyclotomic_polynomial(n: int, i: int, params=None, z_values=None) -> MPoly:
+def cyclotomic_polynomial(n: int, i: int, z_values=None) -> MPoly:
     """g = x_1^n + z_1 x_1^{n-1} + ... + z_n in i variables.
 
     With ``z_values`` the parameters are specialized to integers and the
@@ -57,12 +57,9 @@ def cyclotomic_polynomial(n: int, i: int, params=None, z_values=None) -> MPoly:
     """
     if n < 0 or i < 1:
         raise ValueError(f"g needs n >= 0 and i >= 1, got n = {n}, i = {i}")
-    if z_values is not None:
-        if len(z_values) != n:
-            raise ValueError(f"g of level {n} needs {n} z_values, got {len(z_values)}")
-        params = ()
-    elif params is None:
-        params = highest_weight_params(n)
+    if z_values is not None and len(z_values) != n:
+        raise ValueError(f"g of level {n} needs {n} z_values, got {len(z_values)}")
+    params = highest_weight_params(n) if z_values is None else ()
     terms = {}
     for l in range(n + 1):
         e = [0] * (i + len(params))
@@ -94,7 +91,7 @@ class CycloContext:
         self.rules = []
         jmax = min(i, n + 1)
         if jmax >= 1:
-            r = cyclotomic_polynomial(n, i, self.params, self.z_values)
+            r = cyclotomic_polynomial(n, i, self.z_values)
             self.rules.append(r)
             for j in range(1, jmax):
                 r = -r.demazure(j)
@@ -431,9 +428,7 @@ def ideal_stability_check(n: int, i: int, rng, trials: int = 20) -> bool:
         raise ValueError(f"ideal stability needs i >= 1 strands, got {i}")
     ctx = CycloContext(n, i)
     params = ctx.params
-    g = NilHeckeElement.from_poly(
-        cyclotomic_polynomial(n, i, params), i, params
-    )
+    g = NilHeckeElement.from_poly(cyclotomic_polynomial(n, i))
     perms = length_order(i)
     for _ in range(trials):
         w = perms[rng.randrange(len(perms))]
@@ -478,9 +473,6 @@ def reduced_cyclotomic_graded_dims(ctx, weights: dict, degree_cap: int):
     if any(weights.get(s, 0) < 0 for s in ctx.quiver.vertices):
         raise ValueError(f"weights {weights} are not all nonnegative")
 
-    def key_degree(v, w, a):
-        return 2 * sum(a) + ctx.word_degree(w, v)
-
     # all PBW keys in degrees <= cap
     slice_keys = []
     for v in itertools.product(ctx.quiver.vertices, repeat=n):
@@ -494,7 +486,7 @@ def reduced_cyclotomic_graded_dims(ctx, weights: dict, degree_cap: int):
     index = {key: r for r, key in enumerate(slice_keys)}
     dim_by_degree = {}
     for v, w, a in slice_keys:
-        d = key_degree(v, w, a)
+        d = ctx.degree(v, w, a)
         dim_by_degree[d] = dim_by_degree.get(d, 0) + 1
 
     # close the right multiples of the generators under left
@@ -505,11 +497,10 @@ def reduced_cyclotomic_graded_dims(ctx, weights: dict, degree_cap: int):
         """Insert el into the echelon of its degree; True if it was new."""
         if el.is_zero():
             return False
-        (v0, w0, a0) = next(iter(el.terms))
-        d = key_degree(v0, w0, a0)
+        d = ctx.degree(*next(iter(el.terms)))
         vec = {}
         for key, c in el.terms.items():
-            if key_degree(*key) != d:
+            if ctx.degree(*key) != d:
                 raise ArithmeticError(f"key {key} sits outside degree {d}")
             vec[index[key]] = c
         return bool(echelons.setdefault(d, Echelon()).insert(vec))
@@ -521,11 +512,11 @@ def reduced_cyclotomic_graded_dims(ctx, weights: dict, degree_cap: int):
         for vb, wb, ab in slice_keys:
             if tuple(wb.act_on_list(vb)) != v:
                 continue
-            if key_degree(vb, wb, ab) + 2 * m > degree_cap:
+            if ctx.degree(vb, wb, ab) + 2 * m > degree_cap:
                 continue
             el = KLRElement(ctx, {(vb, wb, ab): 1})
             el = _lmul_poly(ctx, MPoly(n, (), {gen_exps: 1}), el)
-            el = _prune_above(ctx, el, degree_cap, key_degree)
+            el = _prune_above(ctx, el, degree_cap)
             if add_if_new(el):
                 frontier.append(el)
     xs = [MPoly.x(j, n) for j in range(1, n + 1)]
@@ -533,13 +524,11 @@ def reduced_cyclotomic_graded_dims(ctx, weights: dict, degree_cap: int):
         new_frontier = []
         for el in frontier:
             for x in xs:
-                nel = _prune_above(ctx, _lmul_poly(ctx, x, el), degree_cap, key_degree)
+                nel = _prune_above(ctx, _lmul_poly(ctx, x, el), degree_cap)
                 if add_if_new(nel):
                     new_frontier.append(nel)
             for l in range(1, n):
-                nel = _prune_above(
-                    ctx, _lmul_tau(ctx, l, el), degree_cap, key_degree
-                )
+                nel = _prune_above(ctx, _lmul_tau(ctx, l, el), degree_cap)
                 if add_if_new(nel):
                     new_frontier.append(nel)
         frontier = new_frontier
@@ -552,12 +541,9 @@ def reduced_cyclotomic_graded_dims(ctx, weights: dict, degree_cap: int):
     return {d: c for d, c in out.items() if c}
 
 
-def _prune_above(ctx, el, degree_cap, key_degree):
+def _prune_above(ctx, el, degree_cap):
     from .klr import KLRElement
 
-    kept = {
-        key: c
-        for key, c in el.terms.items()
-        if key_degree(*key) <= degree_cap
-    }
-    return KLRElement(ctx, kept)
+    return KLRElement(
+        ctx, {key: c for key, c in el.terms.items() if ctx.degree(*key) <= degree_cap}
+    )

@@ -513,8 +513,8 @@ class HallContext:
     # -- submodule machinery ------------------------------------------
 
     def subrep_data(self, rep: QuiverRep, sub_dims):
-        """Yield (sub_rep, quot_rep) for every subrepresentation of the
-        given dimension vector.
+        """Yield the labels (sub, quotient) of every subrepresentation of
+        the given dimension vector, read from ``table(dims).label_of``.
 
         Each vertex space runs through the RREF bases B of ``subspaces``;
         the pivot columns P of B are read as ``row.index(1)``.  The unit
@@ -530,21 +530,21 @@ class HallContext:
           P_t.
 
         The quotient's basis is the classes of those unit vectors; only
-        its isomorphism class, the canonical label, is used downstream.
+        the isomorphism classes, the canonical labels, are used downstream.
         """
-        quiver, q = self.quiver, self.q
-        F = field(q)
+        F = field(self.q)
         choices = []  # per vertex: (basis, pivot columns, other columns)
         for d, k in zip(rep.dims, sub_dims):
             vertex = []
-            for B in subspaces(q, d, k):
+            for B in subspaces(self.q, d, k):
                 P = tuple(row.index(1) for row in B)
                 vertex.append((B, P, tuple(c for c in range(d) if c not in P)))
             choices.append(vertex)
-        quot_dims = tuple(d - k for d, k in zip(rep.dims, sub_dims))
+        sub_labels = self.table(sub_dims).label_of
+        quot_labels = self.table(d - k for d, k in zip(rep.dims, sub_dims)).label_of
         for bases in itertools.product(*choices):
             sub_mats, quot_mats = [], []
-            for (si, ti), m in zip(quiver.arrow_index, rep.mats):
+            for (si, ti), m in zip(self.quiver.arrow_index, rep.mats):
                 Bs, _, free_s = bases[si]
                 Bt, Pt, free_t = bases[ti]
                 images = [mat_vec(F, m, b) for b in Bs]
@@ -558,10 +558,7 @@ class HallContext:
                     tuple(tuple(col[c] for col in quot_cols) for c in free_t)
                 )
             else:
-                yield (
-                    QuiverRep(quiver, q, sub_dims, sub_mats),
-                    QuiverRep(quiver, q, quot_dims, quot_mats),
-                )
+                yield sub_labels[tuple(sub_mats)], quot_labels[tuple(quot_mats)]
 
     def hall_number(self, m: QuiverRep, n: QuiverRep, l: QuiverRep) -> int:
         """F^L_{M,N}: submodules of L isomorphic to N with quotient M."""
@@ -572,8 +569,7 @@ class HallContext:
         pairs_key = (key[2], n.dims)
         if pairs_key not in self._subrep_pairs:
             self._subrep_pairs[pairs_key] = Counter(
-                (self.label(quot), self.label(sub))
-                for sub, quot in self.subrep_data(l, n.dims)
+                (quot, sub) for sub, quot in self.subrep_data(l, n.dims)
             )
         return self._subrep_pairs[pairs_key][key[:2]]
 
@@ -690,9 +686,8 @@ class HallContext:
             out = out.scale(Laurent.gen(self.euler_form(m.dims, n.dims)))
         return out
 
-    def element(self, rep: QuiverRep, coeff=None) -> "HallElement":
-        c = Laurent.one() if coeff is None else coeff
-        return HallElement(self, {(rep.dims, self.label(rep)): c})
+    def element(self, rep: QuiverRep) -> "HallElement":
+        return HallElement(self, {(rep.dims, self.label(rep)): Laurent.one()})
 
     def rep_of_key(self, key) -> QuiverRep:
         dims, label = key
@@ -710,8 +705,8 @@ class HallContext:
             return 0
         lt = self.label(top)
         for sub, quot in self.subrep_data(l, sub_dims):
-            if self.label(quot) == lt:
-                total += self.filtration_count(factors[1:], sub)
+            if quot == lt:
+                total += self.filtration_count(factors[1:], self.rep_of_key((sub_dims, sub)))
         return total
 
 

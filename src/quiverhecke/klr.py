@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .coxeter import Permutation, segments_of_canonical_word
@@ -282,6 +283,10 @@ class KLRContext:
             deg += self.tau_degree(u, l)
             u[l - 1], u[l] = u[l], u[l - 1]
         return deg
+
+    def degree(self, v, w: Permutation, a) -> int:
+        """Degree of the PBW word tau_w x^a 1_v: 2 per x, plus the word degree."""
+        return 2 * sum(a) + self.word_degree(w, v)
 
 
 def make_klr(quiver: QuiverData, n: int, qmat: QMatrix = None) -> KLRContext:
@@ -557,10 +562,7 @@ class KLRElement(Combination):
         """Set of degrees of the homogeneous components (quiver mode)."""
         if self.ctx.params:
             raise ValueError(f"degrees need no parameters, got {self.ctx.params}")
-        out = set()
-        for (v, w, a), _ in self.terms.items():
-            out.add(2 * sum(a) + self.ctx.word_degree(w, v))
-        return out
+        return {self.ctx.degree(*key) for key in self.terms}
 
     def apply(self, module: dict) -> dict:
         """Apply to an element of the polynomial module.
@@ -939,12 +941,14 @@ def pbw_coordinates(op: KLROperator) -> KLRElement:
 _MAX_GRDIM_WORDS = 50_000
 
 
-def check_grdim_size(ctx: KLRContext, sources: int):
+def check_grdim_size(ctx: KLRContext, sources: int, blocks):
     """Raise ValueError if the graded dimensions from ``sources`` source
-    idempotents range over more than _MAX_GRDIM_WORDS words tau_w 1_v."""
-    if (words := sources * math.factorial(ctx.n)) > _MAX_GRDIM_WORDS:
+    idempotents, each carried by prod_b b! permutations over ``blocks``,
+    range over more than _MAX_GRDIM_WORDS words tau_w 1_v."""
+    if (words := sources * math.prod(map(math.factorial, blocks))) > _MAX_GRDIM_WORDS:
+        count = " x ".join([str(sources)] + [f"{b}!" for b in blocks])
         raise ValueError(
-            f"graded dimensions at n = {ctx.n} range over {sources} x {ctx.n}! = "
+            f"graded dimensions at n = {ctx.n} range over {count} = "
             f"{words} words tau_w 1_v, above the limit {_MAX_GRDIM_WORDS}"
         )
 
@@ -972,38 +976,30 @@ def hom_graded_dimension(ctx: KLRContext, v, vp) -> Laurent:
 
 
 def hom_graded_dimension_closed(ctx: KLRContext, v, vp) -> Laurent:
-    """Closed-form sum over the product of small symmetric groups.
-
-    Counts, for each tuple of permutations (one per vertex), the pairs of
-    strands that cross: a crossing of an s-strand with a t-strand has
-    degree -a_st, as tau_k has in the PBW enumeration.
+    """grdim of the free factor of 1_{v'} H 1_v in closed form: an
+    inversion count over the tuples of bijections, one per vertex, from
+    its positions in v to its positions in v'.  The strands from
+    positions a < b cross when their targets come in the opposite order,
+    and each crossing has degree -a_{v_a v_b}, read from ``quiver.cartan``.
+    No word is built, so the PBW enumeration is an independent oracle.
     """
     v = ctx.check_idempotent(v)
     vp = ctx.check_idempotent(vp)
-    verts = sorted(set(v))
-    gam = {s: [k for k in range(1, ctx.n + 1) if v[k - 1] == s] for s in verts}
-    gam_p = {s: [k for k in range(1, ctx.n + 1) if vp[k - 1] == s] for s in verts}
     if sorted(v) != sorted(vp):
         return Laurent.zero()
-    out = Laurent.zero()
-    choices = [list(itertools.permutations(range(len(gam[s])))) for s in verts]
-    for combo in itertools.product(*choices):
-        ws = dict(zip(verts, combo))
-        expo = 0
-        for s in verts:
-            for t in verts:
-                count = 0
-                for ia in range(len(gam[s])):
-                    for ib in range(len(gam[t])):
-                        if s == t and ia == ib:
-                            continue
-                        if gam[s][ia] < gam[t][ib] and (
-                            gam_p[s][ws[s][ia]] > gam_p[t][ws[t][ib]]
-                        ):
-                            count += 1
-                expo += ctx.quiver.cartan(s, t) * count
-        out = out + Laurent.gen(-expo)
-    return out
+    n = ctx.n
+    verts = sorted(set(v))
+    sources = [a for s in verts for a in range(n) if v[a] == s]
+    targets = [[b for b in range(n) if vp[b] == s] for s in verts]
+    cartan = ctx.quiver.cartan
+    pairs = [(a, b, -cartan(v[a], v[b])) for a in range(n) for b in range(a + 1, n)]
+    degrees = Counter()
+    target = [0] * n
+    for images in itertools.product(*map(itertools.permutations, targets)):
+        for a, t in zip(sources, itertools.chain(*images)):
+            target[a] = t
+        degrees[sum(d for a, b, d in pairs if target[a] > target[b])] += 1
+    return Laurent(degrees)
 
 
 # -- torsion between the two presentations -------------------------------
@@ -1034,13 +1030,7 @@ def _prime_reduce(ctx: KLRContext, word, v) -> dict:
             if vi == vj:
                 return {}
             qp = ctx.q_poly(vi, vj, l, l + 1)
-            out = {}
-            for (wrd, exps), c in _push_poly(ctx, qp, right, v).items():
-                red = _prime_reduce(ctx, word[:p] + wrd, v)
-                for (w2, e2), c2 in red.items():
-                    e = tuple(a + b for a, b in zip(e2, exps))
-                    bump(out, (w2, e), c * c2)
-            return out
+            return _prime_reduce_terms(ctx, word[:p], _push_poly(ctx, qp, right, v), v)
     # commutation: sort far-apart letters ascending to expose pairs
     for p in range(len(word) - 1):
         if abs(word[p] - word[p + 1]) > 1 and word[p] > word[p + 1]:
@@ -1062,6 +1052,17 @@ def _prime_reduce(ctx: KLRContext, word, v) -> dict:
             if creates:
                 return _prime_reduce(ctx, new, v)
     return {(word, ctx.zero_exps()): 1}
+
+
+def _prime_reduce_terms(ctx: KLRContext, prefix, terms, v) -> dict:
+    """Sound reduction of the formal terms {(word, exps): coeff}, each read
+    as tau_{prefix + word} 1_v times x^exps: ``_prime_reduce`` of
+    prefix + word, shifted by exps."""
+    out = {}
+    for (word, exps), c in terms.items():
+        for (w2, e2), c2 in _prime_reduce(ctx, prefix + word, v).items():
+            bump(out, (w2, tuple(a + b for a, b in zip(e2, exps))), c * c2)
+    return out
 
 
 def torsion_check(ctx: KLRContext, v, i: int = 1) -> MPoly:
@@ -1089,20 +1090,10 @@ def torsion_check(ctx: KLRContext, v, i: int = 1) -> MPoly:
     for exps, c in corr.terms.items():
         bump(disc, ((), tuple(exps)), -c)
     # the discrepancy itself does not reduce away: the torsion is genuine
-    reduced = {}
-    for (word, exps), c in disc.items():
-        for (w2, e2), c2 in _prime_reduce(ctx, word, v).items():
-            e = tuple(a + b for a, b in zip(e2, exps))
-            bump(reduced, (w2, e), c * c2)
-    if not reduced:
+    if not _prime_reduce_terms(ctx, (), disc, v):
         raise ArithmeticError("discrepancy reduced to zero without the extra relation")
     # tau_i * a = 0 using sound moves only
-    total = {}
-    for (word, exps), c in disc.items():
-        for (w2, e2), c2 in _prime_reduce(ctx, (i,) + word, v).items():
-            e = tuple(a + b for a, b in zip(e2, exps))
-            bump(total, (w2, e), c * c2)
-    if total:
+    if _prime_reduce_terms(ctx, (i,), disc, v):
         raise ArithmeticError("tau * discrepancy did not reduce to zero")
     # the quadratic pair tau_i tau_i at the source v is exactly the
     # multiplier, so multiplier * a = tau tau a = 0

@@ -61,10 +61,8 @@ class NilHeckeElement(Combination):
         )
 
     @staticmethod
-    def from_poly(p: MPoly, n=None, params=None):
-        n = p.nx if n is None else n
-        params = p.params if params is None else params
-        return NilHeckeElement(n, {Permutation.identity(n): p}, params)
+    def from_poly(p: MPoly):
+        return NilHeckeElement(p.nx, {Permutation.identity(p.nx): p}, p.params)
 
     @staticmethod
     def t(i, n, params=()):
@@ -322,11 +320,10 @@ def _tprime_columns(b):
     return {w: _pair(terms, kernel) for w, terms in _t_products(b)}
 
 
-def idempotent_b(n: int, params=()) -> NilHeckeElement:
+def idempotent_b(n: int) -> NilHeckeElement:
     """b_n = T_{w0} X_2 X_3^2 ... X_n^{n-1}; satisfies b_n^2 = b_n."""
-    w0 = Permutation.longest(n)
-    return NilHeckeElement.t_perm(w0, params) * NilHeckeElement.from_poly(
-        staircase_monomial(n, params)
+    return NilHeckeElement.t_perm(Permutation.longest(n)) * NilHeckeElement.from_poly(
+        staircase_monomial(n)
     )
 
 
@@ -378,7 +375,6 @@ def frobenius_gram_determinant(n: int):
     if total:
         raise ArithmeticError(f"basis degrees sum to {total}, not 0")
     longest = Permutation.longest(n).canonical_word()
-    top = n * (n - 1) // 2  # d_{w0} sends x-degrees below l(w0) to 0
     unit = (0,) * n
     # transposed[d][j][i] = t'(a_i b_j) = B_d[i][j], a_i of degree d and
     # b_j of degree -d: one list per column b
@@ -391,8 +387,7 @@ def frobenius_gram_determinant(n: int):
                 ((w, p),) = a.terms.items()
                 entry = {}
                 for e, c in add_product({}, p.terms, columns[w]).items():
-                    if sum(e) >= top:
-                        _add_column(entry, _d_column(longest, e), c)
+                    _add_column(entry, _d_column(longest, e), c)
                 if entry.keys() - {unit}:
                     raise ArithmeticError(
                         f"an entry of block d = {-d} is not a constant"

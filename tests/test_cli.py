@@ -64,6 +64,25 @@ def test_compute_grdim_single_monomial(capsys):
     assert json.loads(out)["data"]["grdim"] == "q"
 
 
+def test_compute_grdim_is_guarded_by_the_words_it_visits(capsys):
+    # 9 letters, but only the 5! x 4! = 2,880 permutations that carry v to
+    # v' are visited; the guard counts those, not 9!
+    from quiverhecke.klr import hom_graded_dimension_closed, linear_quiver, make_klr
+
+    v, vp = (1, 1, 1, 1, 1, 2, 2, 2, 2), (2, 2, 2, 2, 1, 1, 1, 1, 1)
+    code, out = run_cli(
+        capsys,
+        [
+            "compute", "grdim", "--quiver", "a2",
+            "--v", ",".join(map(str, v)), "--vprime", ",".join(map(str, vp)),
+        ],
+    )
+    assert code == 0
+    closed = hom_graded_dimension_closed(make_klr(linear_quiver(2), 9), v, vp)
+    assert json.loads(out)["data"]["grdim"] == closed.str_in("q")
+    assert sum(closed.terms.values()) == 2880
+
+
 def test_compute_hall_table(capsys):
     code, out = run_cli(
         capsys,
@@ -231,6 +250,11 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
              "--vprime", "1,1,1,1,1,1,1,1,1"],
             "1 x 9! = 362880 words tau_w 1_v, above the limit 50000",
         ),
+        (
+            ["compute", "grdim", "--quiver", "a2", "--v", "1,1,1,1,1,1,2,2,2,2,2",
+             "--vprime", "2,2,2,2,2,1,1,1,1,1,1"],
+            "1 x 6! x 5! = 86400 words tau_w 1_v, above the limit 50000",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):
@@ -254,6 +278,7 @@ def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):
         "verify grdim --quiver a3 --n 6",
         "verify grdim --quiver single --n 9",
         "compute grdim --quiver single --v 1,1,1,1,1,1,1,1,1 --vprime 1,1,1,1,1,1,1,1,1",
+        "compute grdim --quiver a2 --v 1,1,1,1,1,1,2,2,2,2,2 --vprime 2,2,2,2,2,1,1,1,1,1,1",
     ],
 )
 def test_grdim_guard_refuses_at_once(capsys, command):

@@ -459,7 +459,7 @@ def test_brute_force_bound_errors():
 
 def test_cyclotomic_polynomial_forms():
     params = highest_weight_params(2)
-    g = cyclotomic_polynomial(2, 1, params)
+    g = cyclotomic_polynomial(2, 1)
     assert g == MPoly(1, params, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): 1})
     gs = cyclotomic_polynomial(2, 1, z_values=(3, -1))
     assert gs == MPoly(1, (), {(2,): 1, (1,): 3, (0,): -1})

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -8,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from quiverhecke.coxeter import Permutation, poincare_polynomial
+from quiverhecke.cyclotomic import reduced_cyclotomic_graded_dims
 from quiverhecke.klr import (
+    KLRContext,
     KLRElement,
     QMatrix,
     QuiverData,
@@ -580,6 +584,25 @@ def test_grading_homogeneous_and_additive():
         assert prod.degrees() <= {da + db}
 
 
+def test_one_pbw_degree_moves_elements_and_cyclotomic_dims(monkeypatch):
+    # KLRContext.degree is the one home of the PBW degree: shifted by 2, it
+    # moves both KLRElement.degrees() and the keys of the cyclotomic dims.
+    # The slice of keys stays bounded by the unshifted word degree, so the
+    # shifted dims at cap 10 are the plain dims at cap 8, moved up by 2.
+    ctx = make_klr(single_vertex_quiver(), 2)
+    el = KLRElement.tau(ctx, 1, (1, 1))
+    assert el.degrees() == {-2}
+    plain = reduced_cyclotomic_graded_dims(ctx, {1: 2}, 8)
+    assert plain
+    right = KLRContext.degree
+    monkeypatch.setattr(
+        KLRContext, "degree", lambda self, v, w, a: right(self, v, w, a) + 2
+    )
+    assert el.degrees() == {0}
+    shifted = reduced_cyclotomic_graded_dims(ctx, {1: 2}, 10)
+    assert shifted == {d + 2: c for d, c in plain.items()}
+
+
 def test_tau_degree_values():
     ctx = make_klr(linear_quiver(2), 2)
     assert ctx.tau_degree((1, 1), 1) == -2
@@ -604,6 +627,119 @@ def test_grdim_closed_form_vs_enumeration(k, n):
                 assert enum.is_zero() and closed.is_zero()
             else:
                 assert enum == closed, (v, vp)
+
+
+def closed_form_by_quadruple_loop(ctx, v, vp):
+    """Reference closed form: for each tuple of permutations, one per
+    vertex, and each pair of vertices (s, t), count the s-strands that
+    start left of a t-strand and end right of it; each such crossing has
+    degree -a_st."""
+    verts = sorted(set(v))
+    gam = {s: [k for k in range(1, ctx.n + 1) if v[k - 1] == s] for s in verts}
+    gam_p = {s: [k for k in range(1, ctx.n + 1) if vp[k - 1] == s] for s in verts}
+    if sorted(v) != sorted(vp):
+        return Laurent.zero()
+    out = Laurent.zero()
+    choices = [list(itertools.permutations(range(len(gam[s])))) for s in verts]
+    for combo in itertools.product(*choices):
+        ws = dict(zip(verts, combo))
+        expo = 0
+        for s in verts:
+            for t in verts:
+                count = 0
+                for ia in range(len(gam[s])):
+                    for ib in range(len(gam[t])):
+                        if s == t and ia == ib:
+                            continue
+                        if gam[s][ia] < gam[t][ib] and (
+                            gam_p[s][ws[s][ia]] > gam_p[t][ws[t][ib]]
+                        ):
+                            count += 1
+                expo += ctx.quiver.cartan(s, t) * count
+        out = out + Laurent.gen(-expo)
+    return out
+
+
+def kronecker_quiver():
+    """1 => 2: two arrows from 1 to 2, so a_12 = -2."""
+    return QuiverData((1, 2), {(1, 2): 2})
+
+
+GRDIM_QUIVERS = {
+    "a2": (lambda: linear_quiver(2), 5),
+    "a3": (lambda: linear_quiver(3), 4),
+    "single": (single_vertex_quiver, 6),
+    "cyclic3": (lambda: cyclic_quiver(3), 4),
+    "kronecker": (kronecker_quiver, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRDIM_QUIVERS))
+def test_inversion_count_matches_the_quadruple_loop(name):
+    make, max_n = GRDIM_QUIVERS[name]
+    for n in range(1, max_n + 1):
+        ctx = make_klr(make(), n)
+        for v in idempotents(ctx):
+            for vp in set(itertools.permutations(v)):
+                assert hom_graded_dimension_closed(
+                    ctx, v, vp
+                ) == closed_form_by_quadruple_loop(ctx, v, vp), (n, v, vp)
+
+
+@pytest.mark.parametrize("name", sorted(GRDIM_QUIVERS))
+def test_both_engines_match_a_scan_of_all_of_sn(name):
+    # the plain enumeration oracle: every w in S_n with w(v) = v'
+    make, max_n = GRDIM_QUIVERS[name]
+    for n in range(1, min(max_n, 4) + 1):
+        ctx = make_klr(make(), n)
+        perms = list(Permutation.all(n))
+        for v in idempotents(ctx):
+            scans = {}
+            for w in perms:
+                vp = tuple(w.act_on_list(v))
+                scans[vp] = scans.get(vp, Laurent.zero()) + Laurent.gen(
+                    ctx.word_degree(w, v)
+                )
+            for vp in idempotents(ctx):
+                scan = scans.get(vp, Laurent.zero())
+                assert hom_graded_dimension(ctx, v, vp) == scan, (v, vp)
+                assert hom_graded_dimension_closed(ctx, v, vp) == scan, (v, vp)
+
+
+@pytest.mark.parametrize("name", sorted(GRDIM_QUIVERS))
+def test_grdim_at_one_counts_the_guarded_words(name):
+    # at q = 1 the graded dimension counts the prod_s c_s! permutations
+    # that carry v to v', the words that compute grdim's guard counts
+    make, max_n = GRDIM_QUIVERS[name]
+    ctx = make_klr(make(), max_n)
+    for v in idempotents(ctx):
+        vp = tuple(reversed(v))
+        words = math.prod(math.factorial(v.count(s)) for s in set(v))
+        assert sum(hom_graded_dimension(ctx, v, vp).terms.values()) == words
+
+
+def closed_form_counting_the_pairs_that_do_not_cross():
+    """`hom_graded_dimension_closed` with the crossing test reversed."""
+    from quiverhecke import klr
+
+    source = inspect.getsource(klr.hom_graded_dimension_closed)
+    test = "target[a] > target[b]"
+    if source.count(test) != 1:
+        raise LookupError(f"{test!r} is not once in hom_graded_dimension_closed")
+    namespace = dict(vars(klr))
+    exec(source.replace(test, "target[a] < target[b]"), namespace)
+    return namespace["hom_graded_dimension_closed"]
+
+
+def test_uncrossed_pairs_fail_verify_grdim(capsys, monkeypatch):
+    from quiverhecke import cli, klr
+
+    monkeypatch.setattr(
+        klr, "hom_graded_dimension_closed", closed_form_counting_the_pairs_that_do_not_cross()
+    )
+    assert cli.main(["verify", "grdim", "--n", "2", "--format", "text"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split()[1] for line in fails] == ["grdim-closed-form-vs-enumeration"]
 
 
 def test_grdim_examples():
@@ -664,8 +800,18 @@ def test_torsion_multiplier_a3():
             "suite_grdim({'quiver': 'a2', 'n': 2}, None)[0]['pass']",
             "False",
         ),
+        # a closed form that counts the pairs of strands that do not cross
+        (
+            "import inspect\n"
+            "source = inspect.getsource(klr.hom_graded_dimension_closed)\n"
+            "exec(source.replace('target[a] > target[b]', 'target[a] < target[b]'), "
+            "vars(klr))\n"
+            "from quiverhecke.cli import suite_grdim",
+            "suite_grdim({'quiver': 'a2', 'n': 2}, None)[0]['pass']",
+            "False",
+        ),
     ],
-    ids=["torsion_check", "grdim_reconciliation"],
+    ids=["torsion_check", "grdim_reconciliation", "grdim_uncrossed_pairs"],
 )
 def test_broken_certificate_raises_under_optimize(sabotage, call, outcome):
     # `python -O` strips asserts; a broken certificate must still raise,

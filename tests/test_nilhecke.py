@@ -823,17 +823,17 @@ def one_coefficient_doubled(word, e):
     return ((column[0][0], 2 * column[0][1]),) + column[1:] if column else column
 
 
-def gram_filter_one_degree_up():
-    """`frobenius_gram_determinant` that skips the terms below x-degree
-    n(n-1)/2 + 1, so also the terms whose d_{w0} is a nonzero constant."""
+def gram_entries_drop_a_term():
+    """`frobenius_gram_determinant` whose entries t'(ab) each drop the
+    first term of the product that d_{w0} is applied to."""
     from quiverhecke import nilhecke
 
     source = inspect.getsource(nilhecke.frobenius_gram_determinant)
-    line = "top = n * (n - 1) // 2"
-    if source.count(line) != 1:
-        raise LookupError(f"{line!r} is not one line of frobenius_gram_determinant")
+    terms = "add_product({}, p.terms, columns[w]).items()"
+    if source.count(terms) != 1:
+        raise LookupError(f"{terms!r} is not once in frobenius_gram_determinant")
     namespace = dict(vars(nilhecke))
-    exec(source.replace(line, line + " + 1"), namespace)
+    exec(source.replace(terms, f"list({terms})[1:]"), namespace)
     return namespace["frobenius_gram_determinant"]
 
 
@@ -846,8 +846,8 @@ NEGATIVE_CONTROLS = {
     "d-column-coefficient": (
         "_d_column", lambda: one_coefficient_doubled, 3, "pbw-product-vs-operators",
     ),
-    "gram-degree-filter": (
-        "frobenius_gram_determinant", gram_filter_one_degree_up, 2, "gram-unit-determinant",
+    "gram-entry-term": (
+        "frobenius_gram_determinant", gram_entries_drop_a_term, 2, "gram-unit-determinant",
     ),
 }
 
