@@ -46,18 +46,24 @@ intertwiner formulas of the literature are written.
 
 The scalar field is Q(q) in affine mode, held as integer Laurent
 polynomials in q over a product of tracked unit denominators (exact
-zero tests, no polynomial gcd), and Q in degenerate mode, held as exact
-ints: the vertex values are the labels, and the only inverses are the
-constant terms 1/(a - b) of ``series_inverse``, which stay ints at
-a - b = +-1 and become Fractions otherwise (never floats; rational
-vertex values are Fractions throughout).  QScalar, int and Fraction
+zero tests, no polynomial gcd).  Each numerator q^s P(q) is packed into
+the one integer P(2^64) (Kronecker substitution) with its shift s and a
+bound on the sum of |coefficients|, so +, - and * are integer
+arithmetic; a zero test the bound cannot decide raises ArithmeticError
+rather than pass.  Q in degenerate mode is held as exact ints: the
+vertex values are the labels, and the only inverses are the constant
+terms 1/(a - b) of ``series_inverse``, which stay ints at a - b = +-1
+and become Fractions otherwise (never floats; rational vertex values
+are Fractions throughout).  QScalar, int and Fraction
 share +, -, * and truth testing, so one code path serves both.
 
 Degree bookkeeping: one application of T_i or s_i lowers total degree
 by at most 1 (only through the divided difference), X_j does not lower
-it, and the truncation drops degrees >= cutoff, so after applying k
-operators the terms of degree < cutoff - k are exact.  The relation
-checks run with that slack and compare below the reliable window.
+it, and the truncation drops degrees >= cutoff.  The image of one basis
+monomial is exact below the cutoff, so after applying k operators to it
+the terms of degree < cutoff - k + 1 are exact.  The relation checks
+run with cutoff window + 2, enough for the braid relation's three T's,
+and compare below the window.
 
 The same premise prunes the compositions.  Before an operator with k
 more T's still to apply, a term of degree >= window + k cannot reach
@@ -79,12 +85,23 @@ import math
 from fractions import Fraction
 
 from .klr import QuiverData
-from .laurent import mul_terms
 from .linalg import bump
 from .polyring import demazure_exponents, exponent_tuples
 
 
 # -- scalars: Q(q) with tracked unit denominators -------------------------
+
+# A numerator q^s P(q) is held as n = P(2^64) (P an integer polynomial,
+# possibly with q | P), the shift s and a bound l1 >= ||P||_1.  Evaluation
+# at 2^64 is a ring homomorphism, so sums and products are int sums and
+# products, and a product by q^k is a shift by 64 k bits.  A nonzero n
+# means a nonzero P; n == 0 means P == 0 when l1 < 2^63, since the
+# balanced base-2^64 digits of n are then P's coefficients.
+_BITS = 64
+_L1_LIMIT = 1 << (_BITS - 1)
+_MASK = (1 << _BITS) - 1
+
+_UNIT_POLYS = {}
 
 
 def _padd(a: dict, b: dict) -> dict:
@@ -92,9 +109,6 @@ def _padd(a: dict, b: dict) -> dict:
     for e, c in b.items():
         bump(out, e, c)
     return out
-
-
-_UNIT_POLYS = {}
 
 
 def _unit_key(poly: dict):
@@ -116,67 +130,148 @@ def _unit_key(poly: dict):
     return key, shift, sign
 
 
+def _pack(poly: dict):
+    """(n, shift, l1) of an integer Laurent polynomial {power: coefficient}."""
+    if not poly:
+        return 0, 0, 0
+    shift = min(poly)
+    n = sum(c << (_BITS * (e - shift)) for e, c in poly.items())
+    return n, shift, sum(abs(c) for c in poly.values())
+
+
 @functools.lru_cache(maxsize=None)
-def _den_product(units: tuple) -> dict:
-    """The product of a sorted tuple of unit keys; shared, never mutated."""
-    out = {0: 1}
+def _den_product(units: tuple):
+    """(n, l1) of the product of a sorted tuple of unit keys."""
+    n = l1 = 1
     for key in units:
-        out = mul_terms(out, _UNIT_POLYS[key])
+        kn, _, kl1 = _pack(_UNIT_POLYS[key])
+        n *= kn
+        l1 *= kl1
+    return n, l1
+
+
+@functools.lru_cache(maxsize=None)
+def _den_merge(da: tuple, db: tuple):
+    """The least common multiple of two unit tuples, with the packed
+    factors (n, l1) that carry each side onto it."""
+    extra_a, extra_b, merged = [], [], []
+    for key in sorted(set(da) | set(db)):
+        na, nb = da.count(key), db.count(key)
+        top = max(na, nb)
+        merged.extend([key] * top)
+        extra_a.extend([key] * (top - na))
+        extra_b.extend([key] * (top - nb))
+    return (
+        tuple(merged),
+        _den_product(tuple(extra_a)),
+        _den_product(tuple(extra_b)),
+    )
+
+
+_new = object.__new__
+
+
+def _make(n, shift, l1, den):
+    """The QScalar q^shift P(q) / prod(den) with n = P(2^64) and
+    l1 >= ||P||_1; raises ArithmeticError when n == 0 cannot prove
+    P == 0."""
+    out = _new(QScalar)
+    if n:
+        out._n, out._shift, out._l1, out.den = n, shift, l1, den
+    elif l1 >= _L1_LIMIT:
+        raise ArithmeticError(
+            f"zero test inconclusive: coefficient bound 2^{l1.bit_length() - 1}"
+            f" or more reaches 2^{_BITS - 1}"
+        )
+    else:
+        out._n, out._shift, out._l1, out.den = 0, 0, 0, ()
     return out
 
 
 class QScalar:
-    """num / prod(units): num an integer Laurent polynomial in q and
-    units a multiset of tracked invertible factors, held as a sorted
-    tuple."""
+    """num / prod(units): num an integer Laurent polynomial in q, held
+    packed (see _make), and units a multiset of tracked invertible
+    factors, held as a sorted tuple."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_shift", "_l1", "den")
 
     def __init__(self, num: dict, den: tuple = ()):
-        self.num = num
-        self.den = den if num else ()
+        n, shift, l1 = _pack(num)
+        self._n, self._shift, self._l1 = n, shift, l1
+        self.den = den if n else ()
+
+    @property
+    def num(self) -> dict:
+        """The numerator as {power: coefficient}, read from the balanced
+        base-2^64 digits of n."""
+        if self._l1 >= _L1_LIMIT:
+            raise ArithmeticError(
+                f"numerator coefficients bounded only by 2^"
+                f"{self._l1.bit_length() - 1} or more cannot be unpacked"
+            )
+        out = {}
+        n, e = self._n, self._shift
+        while n:
+            c = n & _MASK
+            if c >= _L1_LIMIT:
+                c -= 1 << _BITS
+            if c:
+                out[e] = c
+            n = (n - c) >> _BITS
+            e += 1
+        return out
 
     @staticmethod
     def from_int(c) -> "QScalar":
-        return QScalar({0: c} if c else {})
+        return _make(c, 0, abs(c), ())
 
     @staticmethod
     def q_power(k: int) -> "QScalar":
-        return QScalar({k: 1})
+        return _make(1, k, 1, ())
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._n)
 
     def __add__(self, other: "QScalar") -> "QScalar":
-        if self.den == other.den:
-            return QScalar(_padd(self.num, other.num), self.den)
-        extra_a, extra_b, merged = [], [], []
-        for key in sorted(set(self.den) | set(other.den)):
-            na, nb = self.den.count(key), other.den.count(key)
-            top = max(na, nb)
-            merged.extend([key] * top)
-            extra_a.extend([key] * (top - na))
-            extra_b.extend([key] * (top - nb))
-        na = mul_terms(self.num, _den_product(tuple(extra_a)))
-        nb = mul_terms(other.num, _den_product(tuple(extra_b)))
-        return QScalar(_padd(na, nb), tuple(merged))
+        na, nb = self._n, other._n
+        if not nb:
+            return self
+        if not na:
+            return other
+        la, lb = self._l1, other._l1
+        den = self.den
+        if den != other.den:
+            den, (fa, ga), (fb, gb) = _den_merge(den, other.den)
+            na, la, nb, lb = na * fa, la * ga, nb * fb, lb * gb
+        sa, sb = self._shift, other._shift
+        if sa < sb:
+            nb <<= _BITS * (sb - sa)
+        elif sb < sa:
+            na <<= _BITS * (sa - sb)
+            sa = sb
+        return _make(na + nb, sa, la + lb, den)
 
     def __neg__(self) -> "QScalar":
-        return QScalar({e: -c for e, c in self.num.items()}, self.den)
+        return _make(-self._n, self._shift, self._l1, self.den)
 
     def __sub__(self, other: "QScalar") -> "QScalar":
         return self + (-other)
 
     def __mul__(self, other: "QScalar") -> "QScalar":
-        if not self.num or not other.num:
-            return QScalar({})
+        na, nb = self._n, other._n
+        if not na or not nb:
+            return _make(0, 0, 0, ())
         den = self.den + other.den
         if self.den and other.den:
             den = tuple(sorted(den))
-        return QScalar(mul_terms(self.num, other.num), den)
+        out = _new(QScalar)  # nonzero, as both factors are
+        out._n, out._shift, out._l1, out.den = (
+            na * nb, self._shift + other._shift, self._l1 * other._l1, den
+        )
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QScalar):
@@ -187,20 +282,19 @@ class QScalar:
         raise TypeError("unhashable")
 
     def inverse(self) -> "QScalar":
-        if not self.num:
+        if not self._n:
             raise ZeroDivisionError("QScalar division by zero")
         key, shift, sign = _unit_key(self.num)
-        num = _den_product(self.den)
-        num = {e - shift: sign * c for e, c in num.items()}
-        return QScalar(num, (key,))
+        n, l1 = _den_product(self.den)
+        return _make(sign * n, -shift, l1, (key,))
 
     def __truediv__(self, other: "QScalar") -> "QScalar":
         return self * other.inverse()
 
     def __repr__(self):
+        if self._l1 >= _L1_LIMIT:
+            return f"QScalar(packed {self._n} * q^{self._shift}, den={self.den})"
         return f"QScalar({self.num}, den={self.den})"
-
-
 
 
 # -- truncated module -----------------------------------------------------
@@ -551,40 +645,54 @@ class _CachedOp:
 
 def verify_affine_relations(n, window, vertices=(0, 1, 2)):
     """Check the affine Hecke relations on all monomials of total
-    degree < window, exactly in degrees < window.
+    degree < window, exactly in degrees < window, over Q(q).
 
-    Computation runs with cutoff window + 3; one operator
-    application loses at most one degree of accuracy, so the compared
-    coefficients are exact.
+    Computation runs with cutoff window + 2: a basis monomial's image is
+    exact below the cutoff, and each further operator application loses
+    at most one degree of accuracy, so after the braid relation's three
+    T's the compared coefficients are exact.  Raises ValueError past the
+    size guards and ArithmeticError on a failing relation or an
+    undecidable zero test.
     """
     return _verify_relations(n, window, "affine", vertices)
 
 
 def verify_degenerate_relations(n, window, vertices=(0, 1, 2)):
-    """Check the degenerate affine Hecke relations in degrees < window."""
+    """Check the degenerate affine Hecke relations on all monomials of
+    total degree < window, exactly in degrees < window, over Q (ints and
+    Fractions), on the same cutoff window + 2 and guards as
+    ``verify_affine_relations``."""
     return _verify_relations(n, window, "degenerate", vertices)
 
 
 # Basis monomials of the truncated module, |vertices|^n binomial(n +
 # cutoff - 1, n), above which the relation check is refused; the count
 # grows exponentially in n.  With three vertices it admits n = 4 at
-# window 3 (10,206 monomials; about 3.9 s affine and 1.9 s degenerate on
-# a 2-vCPU VM) and refuses n = 4 at window 4 (17,010; 11 s and 5 s) and
-# every n >= 5.  It does not bound the growth in the window at fixed n.
+# window 4 (10,206 monomials; _MAX_WINDOW refuses it) and n = 5 at
+# window 1 (5,103; about 0.4 s affine and 0.3 s degenerate on a 2-vCPU
+# VM), and refuses n = 5 at window 2 (13,608; 3.2 s and 2.6 s) and every
+# n >= 6.  It does not bound the growth in the window at fixed n.
 _MAX_BASIS = 12_000
 
 # Largest relation window per n (3 past n = 3), because the cost grows
 # much faster in the window than the basis count does.  The affine check
-# (degenerate takes a quarter to a half) took on a 2-vCPU VM: n = 2,
-# 3.1 s at window 12, 6.2 s at 14, 11 s at 16; n = 3, 4.0 s at window 5,
-# 7.8 s at 6, 16 s at 7; n = 4, 3.9 s at window 3.
+# (degenerate takes half to three quarters of it) took on a 2-vCPU VM:
+# n = 2, 4.0 s at window 16, 9.1 s at 18; n = 3, 2.8 s at window 6,
+# 8.0 s at 7; n = 4, 1.7 s at window 3, 5.9 s at 4.
 _MAX_WINDOW = {2: 16, 3: 6}
+
+# The relation check's cutoff is window + _CUTOFF_ABOVE_WINDOW.  Each
+# column is the image of one basis monomial, exact below any cutoff, and
+# the pruned compositions read no layer at or above window + 2 (the
+# braid relation's bounds are window + 2, window + 1, window).
+_CUTOFF_ABOVE_WINDOW = 2
 
 
 def _verify_relations(n, window, mode, vertices):
     """Check the relations of T_i (``affine_T`` or ``degenerate_s`` by
     ``mode``) and X_j on every monomial of degree < window, on a bridge
-    with cutoff window + 3, the braid relation applying three T's.
+    with cutoff window + _CUTOFF_ABOVE_WINDOW, the braid relation
+    applying three T's.
 
     Raises ValueError when n < 2 or window < 1 (there is nothing to
     check), the window is above _MAX_WINDOW or the module has more than
@@ -598,7 +706,7 @@ def _verify_relations(n, window, mode, vertices):
             f"the relation window must be at least 1, got {window}: "
             "no monomial has degree < window"
         )
-    br = HeckeBridge(n, window + 3, mode, vertices)
+    br = HeckeBridge(n, window + _CUTOFF_ABOVE_WINDOW, mode, vertices)
     generator = br.affine_T if mode == "affine" else br.degenerate_s
     size = len(br.vertices) ** n * math.comb(n + br.cutoff - 1, n)
     if size > _MAX_BASIS:

@@ -80,6 +80,11 @@ class QuiverData:
         self.arrows = tuple(a for a, d in sorted(counts.items()) for _ in range(d))
         position = {v: k for k, v in enumerate(self.vertices)}
         self.arrow_index = tuple((position[i], position[j]) for i, j in self.arrows)
+        self._cartan = {
+            (i, j): (2 if i == j else 0) - self.m(i, j)
+            for i in self.vertices
+            for j in self.vertices
+        }
 
     def d(self, i, j) -> int:
         """Number of arrows i -> j."""
@@ -93,9 +98,10 @@ class QuiverData:
     def cartan(self, i, j) -> int:
         """Symmetric Cartan matrix entry 2 delta_{ij} - m_{ij}, so
         2 - 2 d_{ii} on the diagonal."""
-        if i not in self.vertices or j not in self.vertices:
+        entry = self._cartan.get((i, j))
+        if entry is None:
             raise ValueError(f"cartan({i}, {j}) needs vertices of {self}")
-        return (2 if i == j else 0) - self.m(i, j)
+        return entry
 
     def __repr__(self):
         arrows = ", ".join(

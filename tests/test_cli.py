@@ -205,7 +205,7 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
         ),
         (
             ["verify", "heckebridge", "--n", "4", "--window", "4"],
-            "17010 basis monomials, above the limit",
+            "the relation window for n = 4 is at most 3, got 4",
         ),
         (
             ["verify", "heckebridge", "--n", "2", "--window", "17"],
@@ -254,6 +254,10 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
             ["compute", "grdim", "--quiver", "a2", "--v", "1,1,1,1,1,1,2,2,2,2,2",
              "--vprime", "2,2,2,2,2,1,1,1,1,1,1"],
             "1 x 6! x 5! = 86400 words tau_w 1_v, above the limit 50000",
+        ),
+        (
+            ["verify", "heckebridge", "--n", "5", "--window", "2"],
+            "13608 basis monomials, above the limit",
         ),
     ],
 )

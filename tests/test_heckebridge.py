@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import quiverhecke.heckebridge as hb
 from quiverhecke.heckebridge import (
+    _CUTOFF_ABOVE_WINDOW,
     _UNIT_POLYS,
     HeckeBridge,
     QScalar,
@@ -17,6 +19,8 @@ from quiverhecke.heckebridge import (
     verify_affine_relations,
     verify_degenerate_relations,
 )
+from quiverhecke.laurent import mul_terms
+from quiverhecke.linalg import bump
 from quiverhecke.polyring import MPoly, divide_exact_by_x_difference
 
 
@@ -51,6 +55,84 @@ def test_qscalar_negative_powers():
     assert q * qi == QScalar.from_int(1)
 
 
+def _padd(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        bump(out, e, c)
+    return out
+
+
+def _dict_den_product(units):
+    out = {0: 1}
+    for key in units:
+        out = mul_terms(out, _UNIT_POLYS[key])
+    return out
+
+
+class DictQScalar:
+    """The reference scalar: QScalar with its numerator held as a term
+    dict {power: coefficient} and multiplied by ``laurent.mul_terms``,
+    over the same sorted tuples of unit keys."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=()):
+        self.num = num
+        self.den = den if num else ()
+
+    @staticmethod
+    def from_int(c):
+        return DictQScalar({0: c} if c else {})
+
+    @staticmethod
+    def q_power(k):
+        return DictQScalar({k: 1})
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __add__(self, other):
+        if self.den == other.den:
+            return DictQScalar(_padd(self.num, other.num), self.den)
+        extra_a, extra_b, merged = [], [], []
+        for key in sorted(set(self.den) | set(other.den)):
+            na, nb = self.den.count(key), other.den.count(key)
+            top = max(na, nb)
+            merged.extend([key] * top)
+            extra_a.extend([key] * (top - na))
+            extra_b.extend([key] * (top - nb))
+        na = mul_terms(self.num, _dict_den_product(extra_a))
+        nb = mul_terms(other.num, _dict_den_product(extra_b))
+        return DictQScalar(_padd(na, nb), tuple(merged))
+
+    def __neg__(self):
+        return DictQScalar({e: -c for e, c in self.num.items()}, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self.num or not other.num:
+            return DictQScalar({})
+        den = self.den + other.den
+        if self.den and other.den:
+            den = tuple(sorted(den))
+        return DictQScalar(mul_terms(self.num, other.num), den)
+
+    def __eq__(self, other):
+        return not (self - other)
+
+    def inverse(self):
+        if not self.num:
+            raise ZeroDivisionError("DictQScalar division by zero")
+        key, shift, sign = _unit_key(self.num)
+        num = _dict_den_product(self.den)
+        return DictQScalar({e - shift: sign * c for e, c in num.items()}, (key,))
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+
 _POINTS = (Fraction(2), Fraction(3), Fraction(1, 2))
 
 
@@ -64,17 +146,17 @@ def _qscalar_at(s, x):
     return Fraction(_poly_at(s.num, x)) / den
 
 
-def _leaf(rng):
+def _leaf(rng, scalar=QScalar):
     """A random q^k, integer or 1/(q^a - q^b), with its values at _POINTS."""
     kind = rng.randrange(3)
     if kind == 0:
         k = rng.randint(-2, 2)
-        return QScalar.q_power(k), [x ** k for x in _POINTS]
+        return scalar.q_power(k), [x ** k for x in _POINTS]
     if kind == 1:
         c = rng.randint(-3, 3)
-        return QScalar.from_int(c), [Fraction(c)] * len(_POINTS)
+        return scalar.from_int(c), [Fraction(c)] * len(_POINTS)
     a, b = rng.sample(range(4), 2)
-    unit = QScalar.q_power(a) - QScalar.q_power(b)
+    unit = scalar.q_power(a) - scalar.q_power(b)
     return unit.inverse(), [1 / (x ** a - x ** b) for x in _POINTS]
 
 
@@ -87,11 +169,11 @@ def _combine(op, left, right):
     return s * t, [a * b for a, b in zip(sv, tv)]
 
 
-def _expression(rng, depth):
+def _expression(rng, depth, scalar=QScalar):
     if depth == 0:
-        return _leaf(rng)
-    left = _expression(rng, depth - 1)
-    right = _expression(rng, rng.randrange(depth))
+        return _leaf(rng, scalar)
+    left = _expression(rng, depth - 1, scalar)
+    right = _expression(rng, rng.randrange(depth), scalar)
     return _combine(rng.choice("+-*"), left, right)
 
 
@@ -119,6 +201,108 @@ def test_qscalar_matches_exact_evaluation():
                 acc = _combine(op, acc, leaf)
             s, values = acc
             assert [_qscalar_at(s, x) for x in _POINTS] == values, (op, s)
+
+
+def test_packed_qscalar_matches_dict_reference():
+    # the same random expressions over the packed scalar and over the
+    # dict-numerator reference: numerators and denominators equal exactly
+    seen_units = set()
+    for seed in range(300):
+        depth = seed % 5
+        s, _ = _expression(random.Random(seed), depth)
+        ref, _ = _expression(random.Random(seed), depth, DictQScalar)
+        assert (s.num, s.den) == (ref.num, ref.den), seed
+        assert s._l1 >= sum(abs(c) for c in ref.num.values()), seed
+        seen_units.update(s.den)
+    # the unit keys of the vertices (0, 1, 3): 1 - q, 1 - q^3 and, from
+    # q - q^3, 1 - q^2
+    keys = {_unit_key(p)[0] for p in ({0: 1, 1: -1}, {0: 1, 3: -1}, {1: 1, 3: -1})}
+    assert len(keys) == 3 and keys <= seen_units
+
+
+@pytest.mark.parametrize("vertices", [(0, 1, 2), (0, 1, 3)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_affine_columns_match_dict_reference(n, vertices):
+    # every affine_T column at cutoff 4 is the same over both scalar types
+    br = HeckeBridge(n, 4, "affine", vertices)
+    ref = HeckeBridge(n, 4, "affine", vertices)
+    ref.one, ref.alpha = DictQScalar.from_int(1), DictQScalar.q_power(1)
+    ref.beta = DictQScalar.from_int(0)
+    ref.vertex_scalars = tuple(DictQScalar.q_power(k) for k in vertices)
+    for key in br.basis():
+        for i in range(1, n):
+            got = br.affine_T(i, br.monomial(*key))
+            expected = ref.affine_T(i, ref.monomial(*key))
+            assert {k: (c.num, c.den) for k, c in got.items()} == {
+                k: (c.num, c.den) for k, c in expected.items()
+            }, (i, key)
+
+
+def _drop_shift_mul(self, other):
+    """QScalar.__mul__ without the shift s_a + s_b: q^a q^b becomes 1."""
+    if not self or not other:
+        return QScalar.from_int(0)
+    return hb._make(
+        self._n * other._n, 0, self._l1 * other._l1,
+        tuple(sorted(self.den + other.den)),
+    )
+
+
+def test_packed_bound_is_enforced(monkeypatch):
+    # a zero n with a coefficient bound of 2^63 or more proves nothing
+    big = QScalar.from_int(2 ** 62)
+    with pytest.raises(ArithmeticError, match="zero test inconclusive"):
+        big + big - QScalar.from_int(2 ** 63)
+    with pytest.raises(ArithmeticError, match="cannot be unpacked"):
+        QScalar.from_int(2 ** 63).num
+    # below the bound, the balanced digits are the coefficients
+    poly = {-2: 2 ** 62, -1: -(2 ** 61), 1: 5, 2: -1}
+    assert QScalar(poly).num == poly
+    top = QScalar.from_int(2 ** 62 - 1)
+    assert (top - top).is_zero()
+    # a product that drops the q-shift must fail a relation
+    monkeypatch.setattr(QScalar, "__mul__", _drop_shift_mul)
+    with pytest.raises(ArithmeticError, match="affine Hecke relation .* fails"):
+        verify_affine_relations(2, 3)
+
+
+def test_packed_bound_is_enforced_under_optimize():
+    code = (
+        "import sys\n"
+        "import quiverhecke.heckebridge as hb\n"
+        "Q = hb.QScalar\n"
+        "def drop_shift(self, other):\n"
+        "    if not self or not other:\n"
+        "        return Q.from_int(0)\n"
+        "    return hb._make(self._n * other._n, 0, self._l1 * other._l1,\n"
+        "                    tuple(sorted(self.den + other.den)))\n"
+        "def relations():\n"
+        "    Q.__mul__ = drop_shift\n"
+        "    hb.verify_affine_relations(2, 3)\n"
+        "calls = [\n"
+        "    lambda: Q.from_int(2 ** 62) + Q.from_int(2 ** 62) - Q.from_int(2 ** 63),\n"
+        "    lambda: Q.from_int(2 ** 63).num,\n"
+        "    relations,\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "        print('returned')\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('raised', str(exc).split()[0])\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [
+        "raised", "zero", "raised", "numerator", "raised", "affine", "1"
+    ]
 
 
 # -- module primitives ----------------------------------------------------
@@ -453,7 +637,7 @@ def test_single_strand_has_no_relations(verify):
 @pytest.mark.parametrize("window", [0, -2, -5])
 def test_empty_window_raises(verify, window):
     # no monomial has degree < window, so no vacuous True; at -5 the
-    # cutoff window + 3 is below 1 as well
+    # cutoff window + 2 is below 1 as well
     with pytest.raises(ValueError, match="window must be at least 1"):
         verify(2, window)
     with pytest.raises(ValueError, match="window must be at least 1"):
@@ -487,11 +671,11 @@ def test_empty_window_raises_under_optimize():
     "verify", [verify_affine_relations, verify_degenerate_relations]
 )
 def test_module_size_guard(verify):
-    # n = 4 at window 4 has 81 * binomial(10, 4) = 17,010 basis monomials
-    with pytest.raises(ValueError, match="17010 basis monomials"):
-        verify(4, 4)
+    # n = 5 at window 2 has 243 * binomial(8, 5) = 13,608 basis monomials
+    with pytest.raises(ValueError, match="13608 basis monomials"):
+        verify(5, 2)
     with pytest.raises(ValueError, match="above the limit"):
-        verify(5, 1)
+        verify(6, 1)
 
 
 def _perturbed_operators(br):
@@ -562,17 +746,20 @@ def _unpruned_residuals(br, T, X, window):
     ],
 )
 def test_pruned_residuals_match_plain_composition(mode, n, window, vertices):
-    # the relation check drops the terms that cannot reach the window;
-    # with wrong operators its residuals must still be exactly the
-    # low parts of the plain compositions
-    br = HeckeBridge(n, window + 3, mode, vertices)
+    # the relation check drops the terms that cannot reach the window and
+    # builds no column layer at or above window + 2; with wrong operators
+    # its residuals must still be exactly the low parts of the plain
+    # compositions, taken on a deeper module (three operators on a basis
+    # monomial at cutoff window + 3 are exact below window + 1)
+    br = HeckeBridge(n, window + _CUTOFF_ABOVE_WINDOW, mode, vertices)
     T, X = _perturbed_operators(br)
     br.X = X
     pruned = {
         (name, key): low
         for name, key, low in _relation_residuals(br, T, window)
     }
-    expected = _unpruned_residuals(br, T, X, window)
+    deep = HeckeBridge(n, window + 3, mode, vertices)
+    expected = _unpruned_residuals(deep, *_perturbed_operators(deep), window)
     assert pruned.keys() == expected.keys()
     for k, low in pruned.items():
         assert br.is_zero_el(br.sub_el(low, expected[k])), k

@@ -54,6 +54,9 @@ def test_quiver_data_cartan():
     assert q.cartan(1, 1) == 2
     assert q.cartan(1, 2) == q.cartan(2, 1) == -1
     assert q.cartan(1, 3) == 0
+    for i, j in [(1, 4), (4, 1), (0, 0)]:
+        with pytest.raises(ValueError, match="needs vertices"):
+            q.cartan(i, j)
     with pytest.raises(ValueError):
         make_klr(QuiverData((1, 2), {(1, 1): 1}), 2)
 
@@ -65,6 +68,10 @@ def test_quiver_arrows_and_arrow_index():
     assert q.arrow_index == ((0, 1), (1, 0), (1, 0), (2, 2))
     assert q.cartan(1, 2) == q.cartan(2, 1) == -3
     assert q.cartan(3, 3) == 0 and q.cartan(5, 5) == 2
+    # the table built once holds 2 delta_ij - m_ij for every pair
+    for i in q.vertices:
+        for j in q.vertices:
+            assert q.cartan(i, j) == (2 if i == j else 0) - q.m(i, j)
 
 
 @pytest.mark.parametrize(
