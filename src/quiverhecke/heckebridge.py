@@ -70,11 +70,14 @@ more T's still to apply, a term of degree >= window + k cannot reach
 the degrees < window, so each operator keeps only its output terms
 below that bound: the braid relation applies T with bounds window + 2,
 window + 1, window.  The compared low parts are those of the untrimmed
-compositions.  Each memoized column is checked against the premise
-when it is built (a T column below deg - 1, or an X column below deg,
-raises ArithmeticError).  The module has |vertices|^n binomial(n +
-cutoff - 1, n) basis monomials; the check refuses more than
-_MAX_BASIS of them, and windows above _MAX_WINDOW.
+compositions.  Numbered once in order of total degree, the monomials
+of degree < b come first, so they are those of index < limit[b]; a
+memoized column, sorted by index, keeps its terms below a bound as a
+prefix.  Each column is checked against the premise when it is built
+(a T column below deg - 1, or an X column below deg, raises
+ArithmeticError).  The module has |vertices|^n binomial(n + cutoff -
+1, n) basis monomials; the check refuses more than _MAX_BASIS of them,
+and windows above _MAX_WINDOW.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 from .klr import QuiverData
 from .linalg import bump
@@ -235,12 +239,13 @@ class QScalar:
     def __bool__(self) -> bool:
         return bool(self._n)
 
-    def __add__(self, other: "QScalar") -> "QScalar":
+    def __add__(self, other: "QScalar", negate=False) -> "QScalar":
+        """self + other, or self - other when ``negate``."""
         na, nb = self._n, other._n
         if not nb:
             return self
         if not na:
-            return other
+            return -other if negate else other
         la, lb = self._l1, other._l1
         den = self.den
         if den != other.den:
@@ -252,13 +257,13 @@ class QScalar:
         elif sb < sa:
             na <<= _BITS * (sa - sb)
             sa = sb
-        return _make(na + nb, sa, la + lb, den)
+        return _make(na - nb if negate else na + nb, sa, la + lb, den)
 
     def __neg__(self) -> "QScalar":
         return _make(-self._n, self._shift, self._l1, self.den)
 
     def __sub__(self, other: "QScalar") -> "QScalar":
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __mul__(self, other: "QScalar") -> "QScalar":
         na, nb = self._n, other._n
@@ -326,6 +331,9 @@ class HeckeBridge:
         self.vertices = tuple(vertices if vertices is not None else (0, 1, 2))
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError(f"repeated vertex values in {self.vertices}")
+        ints = all(isinstance(k, int) for k in self.vertices)
+        if not self.vertices or mode == "affine" and not ints:
+            raise ValueError(f"no vertices, or non-int affine ones: {self.vertices}")
         self.quiver = QuiverData(
             self.vertices,
             {(a, a + 1): 1 for a in self.vertices if a + 1 in self.vertices},
@@ -381,7 +389,12 @@ class HeckeBridge:
         return {key: -val for key, val in a.items()}
 
     def sub_el(self, a, b):
-        return self.add_el(a, self.neg_el(b))
+        """a - b in one pass, zero entries dropped as in add_el."""
+        out = dict(a)
+        for key, c in b.items():
+            if c := out.pop(key) - c if key in out else -c:
+                out[key] = c
+        return out
 
     def is_zero_el(self, a) -> bool:
         return not any(a.values())
@@ -392,10 +405,6 @@ class HeckeBridge:
             for exps in exponent_tuples(self.n, bound - 1):
                 yield (v, exps)
 
-    def low_part(self, el, bound):
-        """Terms of total degree < bound (the exact window)."""
-        return {key: c for key, c in el.items() if sum(key[1]) < bound}
-
     # -- primitive operators ----------------------------------------------
 
     def x_shift(self, j: int):
@@ -404,25 +413,30 @@ class HeckeBridge:
         return tuple(e)
 
     def mul_linear(self, el, terms):
-        """Multiply by a polynomial [(shift, coeff), ...]."""
+        """Multiply by a polynomial [(shift, coeff), ...], each coeff nonzero."""
         out = {}
         self._add_product(out, el, terms)
         return out
 
     def _add_product(self, out, el, terms):
-        """out += el * (polynomial [(shift, coeff), ...]), truncated: a
-        product term is skipped by its degree before its exponents are
-        built, and a factor one is not multiplied."""
+        """out += el * (polynomial [(shift, coeff), ...], no coeff zero),
+        truncated, skipping el's zero entries: a product term is skipped by
+        its degree before its exponents are built; a factor one is not multiplied."""
         one = self.one
-        items = [(v, exps, sum(exps), c) for (v, exps), c in el.items()]
+        items = [(v, exps, sum(exps), c) for (v, exps), c in el.items() if c]
         for shift, coeff in terms:
             room = self.cutoff - sum(shift)
             for v, exps, deg, c in items:
                 if deg < room:
-                    e2 = tuple(a + b for a, b in zip(exps, shift))
+                    key = (v, tuple(map(add, exps, shift)))
                     if coeff is not one:
                         c = coeff if c is one else c * coeff
-                    bump(out, (v, e2), c)
+                    if key in out:  # `bump`, inlined in this hot loop
+                        c = out[key] + c
+                        if not c:
+                            del out[key]
+                            continue
+                    out[key] = c
 
     def demazure(self, i: int, el):
         """Componentwise divided difference (P - s_i P)/(x_{i+1}-x_i)."""
@@ -596,51 +610,62 @@ class HeckeBridge:
 # -- relation suites ------------------------------------------------------
 
 
-class _CachedOp:
-    """Memoizes a linear operator by its columns on basis monomials.
+def _indexed_basis(br):
+    """(keys, index, limit): the basis of ``br`` stably sorted by degree,
+    {key: its index}, and the count limit[b] of keys of degree < b."""
+    keys = sorted(br.basis(), key=lambda key: sum(key[1]))
+    degrees = [sum(exps) for _, exps in keys]
+    limit = [sum(map(b.__gt__, degrees)) for b in range(br.cutoff + 2)]
+    return keys, {key: k for k, key in enumerate(keys)}, limit
 
-    ``drop`` is the most the operator may lower total degree (1 for T_i,
-    0 for X_j); each column is checked against it once, when it is
-    built.  Calls keep only the output terms of degree < bound.
+
+class _CachedOp:
+    """A linear operator on elements {index: scalar} over the ``basis`` of
+    _indexed_basis, memoized by columns: fn({keys[k]: one}) as (index,
+    scalar) pairs sorted by index, with the count of its terms of degree
+    < b for each b in ``bounds``.  ``drop`` is the most it may lower total
+    degree (1 for T_i, 0 for X_j), checked once per column as it is built.
     """
 
-    def __init__(self, br, fn, name, drop):
-        self.br = br
-        self.fn = fn
-        self.name = name
-        self.drop = drop
+    def __init__(self, br, fn, name, drop, basis, bounds):
+        self.one, self.fn, self.name, self.drop = br.one, fn, name, drop
+        (self.keys, self.index, self.limit), self.bounds = basis, bounds
         self.cols = {}
 
-    def _column(self, key):
-        """The column of ``key``, as one list of terms per degree."""
-        layers = [[] for _ in range(self.br.cutoff)]
-        for k2, c2 in self.fn({key: self.br.one}).items():
-            layers[sum(k2[1])].append((k2, c2))
-        if any(layers[: max(sum(key[1]) - self.drop, 0)]):
+    def _column(self, k):
+        key, limit = self.keys[k], self.limit
+        image = self.fn({key: self.one})
+        ids = list(map(self.index.__getitem__, image))
+        entries = tuple(sorted(zip(ids, image.values())))
+        if entries and entries[0][0] < limit[max(sum(key[1]) - self.drop, 0)]:
             raise ArithmeticError(
                 f"{self.name} lowers the degree of {key} by more than "
                 f"{self.drop}"
             )
-        return layers
+        return entries, {b: sum(map(limit[b].__gt__, ids)) for b in self.bounds}
 
     def __call__(self, el, bound):
-        """el mapped column by column, zero entries dropped at the end; a
-        basis monomial {key: one} gets its column cut at the bound."""
-        one = self.br.one
+        """el mapped column by column, keeping the terms of degree < bound;
+        zero entries dropped at the end, where columns were summed."""
+        one, cols = self.one, self.cols
         out = {}
-        for key, c in el.items():
-            layers = self.cols.get(key)
-            if layers is None:
-                if sum(key[1]) - self.drop >= bound:
+        for k, c in el.items():
+            col = cols.get(k)
+            if col is None:
+                if k >= self.limit[bound + self.drop]:
                     continue  # every output term has degree >= bound
-                layers = self.cols[key] = self._column(key)
-            for layer in layers[:bound]:
-                for k2, c2 in layer:
-                    if c is not one:
-                        c2 = c * c2
-                    prev = out.get(k2)
-                    out[k2] = c2 if prev is None else prev + c2
-        return {k2: c2 for k2, c2 in out.items() if c2}
+                col = cols[k] = self._column(k)
+            entries = col[0][: col[1][bound]]
+            if c is one and not out:
+                out = dict(entries)
+                continue
+            for k2, c2 in entries:
+                if c is not one:
+                    c2 = c if c2 is one else c * c2
+                if k2 in out:
+                    c2 = out[k2] + c2
+                out[k2] = c2
+        return out if len(el) == 1 else {k2: c2 for k2, c2 in out.items() if c2}
 
 
 def verify_affine_relations(n, window, vertices=(0, 1, 2)):
@@ -666,24 +691,21 @@ def verify_degenerate_relations(n, window, vertices=(0, 1, 2)):
 
 
 # Basis monomials of the truncated module, |vertices|^n binomial(n +
-# cutoff - 1, n), above which the relation check is refused; the count
-# grows exponentially in n.  With three vertices it admits n = 4 at
-# window 4 (10,206 monomials; _MAX_WINDOW refuses it) and n = 5 at
-# window 1 (5,103; about 0.4 s affine and 0.3 s degenerate on a 2-vCPU
-# VM), and refuses n = 5 at window 2 (13,608; 3.2 s and 2.6 s) and every
-# n >= 6.  It does not bound the growth in the window at fixed n.
+# cutoff - 1, n), above which the check is refused; the count grows
+# exponentially in n.  With three vertices it admits n = 5 at window 1
+# (5,103; 0.35 s affine + 0.3 s degenerate on a 2-vCPU VM) and refuses
+# n = 5 at window 2 (13,608; 2.4 + 1.5 s) and n = 6 (20,412; 1.8 + 1.2 s).
 _MAX_BASIS = 12_000
 
-# Largest relation window per n (3 past n = 3), because the cost grows
-# much faster in the window than the basis count does.  The affine check
-# (degenerate takes half to three quarters of it) took on a 2-vCPU VM:
-# n = 2, 4.0 s at window 16, 9.1 s at 18; n = 3, 2.8 s at window 6,
-# 8.0 s at 7; n = 4, 1.7 s at window 3, 5.9 s at 4.
+# Largest relation window per n (3 past n = 3): the cost grows much faster
+# in the window than the basis count.  Affine + degenerate on a 2-vCPU VM:
+# n = 2, 3.8 + 2.0 s at window 16, 7.3 + 3.6 s at 18; n = 3, 3.2 + 2.5 s
+# at 6, 6.7 + 2.9 s at 7; n = 4, 1.3 + 0.9 s at 3, 3.8 + 2.6 s at 4.
 _MAX_WINDOW = {2: 16, 3: 6}
 
 # The relation check's cutoff is window + _CUTOFF_ABOVE_WINDOW.  Each
 # column is the image of one basis monomial, exact below any cutoff, and
-# the pruned compositions read no layer at or above window + 2 (the
+# the pruned compositions read no term of degree >= window + 2 (the
 # braid relation's bounds are window + 2, window + 1, window).
 _CUTOFF_ABOVE_WINDOW = 2
 
@@ -736,16 +758,18 @@ def _relation_residuals(br, generator, window):
     Each operator call keeps only the terms that can still reach the
     window: window + k after an operator with k more T's still to apply.
     """
-    n = br.n
+    n, one = br.n, br.one
     alpha, beta = br.alpha, br.beta
-    one_minus_alpha, alpha_minus_one = br.one - alpha, alpha - br.one
+    one_minus_alpha, alpha_minus_one = one - alpha, alpha - one
     w = window
+    basis = keys, index, limit = _indexed_basis(br)
+    bounds = (w, w + 1, w + 2)
     T = {
-        i: _CachedOp(br, lambda el, i=i: generator(i, el), f"T_{i}", 1)
+        i: _CachedOp(br, functools.partial(generator, i), f"T_{i}", 1, basis, bounds)
         for i in range(1, n)
     }
     X = {
-        j: _CachedOp(br, lambda el, j=j: br.X(j, el), f"X_{j}", 0)
+        j: _CachedOp(br, functools.partial(br.X, j), f"X_{j}", 0, basis, bounds)
         for j in range(1, n + 1)
     }
 
@@ -791,6 +815,7 @@ def _relation_residuals(br, generator, window):
     ]
     checks += [(f"braid T_{i} T_{i + 1}", braid, (i,)) for i in range(1, n - 1)]
     for key in br.basis(window):
-        m = br.monomial(*key)
+        m = {index[k]: c for k, c in br.monomial(*key).items()}
         for name, residual, args in checks:
-            yield name, key, br.low_part(residual(m, *args), window)
+            low = residual(m, *args).items()
+            yield name, key, {keys[k]: c for k, c in low if k < limit[w]}
