@@ -57,6 +57,10 @@ and become Fractions otherwise (never floats; rational vertex values
 are Fractions throughout).  QScalar, int and Fraction
 share +, -, * and truth testing, so one code path serves both.
 
+The polynomial steps are `polyring`'s (`demazure_exponents`,
+`swap_adjacent`, `add_product`), and ``tau``, the quiver Hecke
+intertwiner, reads `klr.tau_column` at each component's vertex labels.
+
 Degree bookkeeping: one application of T_i or s_i lowers total degree
 by at most 1 (only through the divided difference), X_j does not lower
 it, and the truncation drops degrees >= cutoff.  The image of one basis
@@ -88,9 +92,9 @@ import math
 from fractions import Fraction
 from operator import add
 
-from .klr import QuiverData
+from .klr import KLRContext, QuiverData, tau_column
 from .linalg import bump
-from .polyring import demazure_exponents, exponent_tuples
+from .polyring import add_product, demazure_exponents, exponent_tuples, swap_adjacent
 
 
 # -- scalars: Q(q) with tracked unit denominators -------------------------
@@ -106,6 +110,7 @@ _L1_LIMIT = 1 << (_BITS - 1)
 _MASK = (1 << _BITS) - 1
 
 _UNIT_POLYS = {}
+_UNIT_KEYS = {}  # one object per unit key: equal denominators compare by identity
 
 
 def _padd(a: dict, b: dict) -> dict:
@@ -124,12 +129,10 @@ def _unit_key(poly: dict):
     if not poly:
         raise ArithmeticError("the zero polynomial is not a unit")
     shift = min(poly)
-    shifted = {e - shift: c for e, c in poly.items()}
-    sign = 1
-    if shifted[0] < 0:
-        sign = -1
-        shifted = {e: -c for e, c in shifted.items()}
+    sign = -1 if poly[shift] < 0 else 1
+    shifted = {e - shift: sign * c for e, c in poly.items()}
     key = tuple(sorted(shifted.items()))
+    key = _UNIT_KEYS.setdefault(key, key)
     _UNIT_POLYS[key] = dict(shifted)
     return key, shift, sign
 
@@ -316,7 +319,8 @@ class HeckeBridge:
     the scalars and the constants (alpha, beta) of the one generator
     formula.
     ``quiver`` has an arrow a -> a+1 between vertex labels, in both
-    modes; ``tau`` reads its arrows from it.
+    modes; ``tau`` reads klr's columns on it, through ``klr``, its
+    quiver Hecke context, built once.
     """
 
     def __init__(self, n, cutoff, mode="affine", vertices=None):
@@ -338,6 +342,7 @@ class HeckeBridge:
             self.vertices,
             {(a, a + 1): 1 for a in self.vertices if a + 1 in self.vertices},
         )
+        self.klr = KLRContext(self.quiver, n)
         if mode == "affine":
             self.one = QScalar.from_int(1)
             self.alpha, self.beta = QScalar.q_power(1), QScalar.from_int(0)
@@ -412,12 +417,6 @@ class HeckeBridge:
         e[j - 1] = 1
         return tuple(e)
 
-    def mul_linear(self, el, terms):
-        """Multiply by a polynomial [(shift, coeff), ...], each coeff nonzero."""
-        out = {}
-        self._add_product(out, el, terms)
-        return out
-
     def _add_product(self, out, el, terms):
         """out += el * (polynomial [(shift, coeff), ...], no coeff zero),
         truncated, skipping el's zero entries: a product term is skipped by
@@ -438,48 +437,24 @@ class HeckeBridge:
                             continue
                     out[key] = c
 
-    def demazure(self, i: int, el):
-        """Componentwise divided difference (P - s_i P)/(x_{i+1}-x_i)."""
-        out = {}
-        for (v, exps), c in el.items():
-            sign, monomials = demazure_exponents(exps, i)
-            term = c if sign > 0 else -c
-            for e2 in monomials:
-                bump(out, (v, e2), term)
-        return out
-
-    def swap(self, i: int, el):
-        """M_v -> M_{s_i v}, exchanging x_i and x_{i+1}."""
-        out = {}
-        for (v, exps), c in el.items():
-            v2 = list(v)
-            v2[i - 1], v2[i] = v2[i], v2[i - 1]
-            e2 = list(exps)
-            e2[i - 1], e2[i] = e2[i], e2[i - 1]
-            out[(tuple(v2), tuple(e2))] = c
-        return out
-
     def tau(self, i: int, el):
-        """The quiver Hecke intertwiner on this module: the divided
-        difference on equal-value components, and the swap times
-        x_i - x_{i+1} (arrow source) or 1 (otherwise)."""
+        """The quiver Hecke intertwiner, x_j acting as X_j - v_j: klr's
+        column of each monomial at its component's vertex labels, truncated;
+        a coefficient other than +-1 raises ArithmeticError."""
         self._check_generator(i)
-        one = self.one
-        unit = [((0,) * self.n, one)]
-        arrow = [(self.x_shift(i), one), (self.x_shift(i + 1), -one)]
-        out = {}
+        labels, out = self.vertices, {}
         for (v, exps), c in el.items():
-            comp = {(v, exps): c}
-            if v[i - 1] == v[i]:
-                self._add_product(out, self.demazure(i, comp), unit)
-            else:
-                src, tgt = self.vertices[v[i - 1]], self.vertices[v[i]]
-                factor = arrow if self.quiver.d(src, tgt) else unit
-                self._add_product(out, self.swap(i, comp), factor)
+            target = swap_adjacent(v, i)
+            for m, d in tau_column(self.klr, labels[v[i - 1]], labels[v[i]], i, exps):
+                if d not in (1, -1):
+                    raise ArithmeticError(f"tau_{i} on {exps} at {v}: coefficient {d}")
+                if sum(m) < self.cutoff:
+                    bump(out, (target, m), c if d == 1 else -c)
         return out
 
     def series_inverse(self, const, lin):
-        """(const + lin)^{-1} truncated; lin is [(shift, coeff), ...].
+        """(const + lin)^{-1} truncated, as {shift: coeff}; lin is
+        {shift: coeff}.
 
         In degenerate mode const is a difference of vertex values, and
         1 / const stays an int when const is +-1."""
@@ -489,29 +464,17 @@ class HeckeBridge:
             cinv = int(const)
         else:
             cinv = 1 / Fraction(const)
-        out = {(0,) * self.n: cinv}
-        layer = dict(out)
-        while layer:
-            nxt = {}
-            for shift, coeff in layer.items():
-                for s2, c2 in lin:
-                    e = tuple(a + b for a, b in zip(shift, s2))
-                    if sum(e) < self.cutoff:
-                        bump(nxt, e, -(coeff * c2 * cinv))
-            for e, c in nxt.items():
-                bump(out, e, c)
-            layer = nxt
-        return list(out.items())
+        out = layer = {(0,) * self.n: cinv}
+        step = {e: -(c * cinv) for e, c in lin.items()}
+        while layer := self.series_mul(layer, step):
+            out = _padd(out, layer)
+        return out
 
     def series_mul(self, a, b):
-        """Truncated product of two term lists [(shift, coeff), ...]."""
-        out = {}
-        for s1, c1 in a:
-            for s2, c2 in b:
-                e = tuple(p + q for p, q in zip(s1, s2))
-                if sum(e) < self.cutoff:
-                    bump(out, e, c1 * c2)
-        return list(out.items())
+        """Truncated product of two series {shift: coeff}, without zero
+        coefficients."""
+        cut = self.cutoff
+        return {e: c for e, c in add_product({}, a, b).items() if c and sum(e) < cut}
 
     # -- the X action ------------------------------------------------------
 
@@ -519,7 +482,8 @@ class HeckeBridge:
         """X_j = x_j + v_j, componentwise."""
         if not 1 <= j <= self.n:
             raise ValueError(f"X_{j} is not a generator for n = {self.n}")
-        out = self.mul_linear(el, [(self.x_shift(j), self.one)])
+        out = {}
+        self._add_product(out, el, [(self.x_shift(j), self.one)])
         for key, c in el.items():
             value = self.vertex_scalars[key[0][j - 1]]
             bump(out, key, value if c is self.one else c * value)
@@ -551,22 +515,22 @@ class HeckeBridge:
         if key not in self._mult_cache:
             one, alpha = self.one, self.alpha
             a, b = self.vertex_scalars[va], self.vertex_scalars[vb]
-            diff = [(self.x_shift(i), one), (self.x_shift(i + 1), -one)]
+            diff = {self.x_shift(i): one, self.x_shift(i + 1): -one}
             inverses = self._inverse_cache
             for k, const in (((i, va, vb), a - b), ((i, vb, va), b - a)):
                 if k not in inverses:
                     inverses[k] = self.series_inverse(const, diff)
             source = self.series_mul(
                 inverses[i, va, vb],
-                [
-                    (self.x_shift(i + 1), one - alpha),
-                    ((0,) * self.n, (one - alpha) * b - self.beta),
-                ],
+                {
+                    self.x_shift(i + 1): one - alpha,
+                    (0,) * self.n: (one - alpha) * b - self.beta,
+                },
             )
             target = self.series_mul(
-                inverses[i, vb, va], self._n_terms(i, vb, va)
+                inverses[i, vb, va], dict(self._n_terms(i, vb, va))
             )
-            self._mult_cache[key] = (source, target)
+            self._mult_cache[key] = (list(source.items()), list(target.items()))
         return self._mult_cache[key]
 
     def _generator(self, i: int, el):
@@ -574,18 +538,20 @@ class HeckeBridge:
         self._check_generator(i)
         out = {}
         for key, c in el.items():
-            v = key[0]
-            comp = {key: c}
+            v, exps = key
             if v[i - 1] == v[i]:
                 # N_i d_i + alpha
-                self._add_product(
-                    out, self.demazure(i, comp), self._n_terms(i, v[i - 1], v[i])
-                )
+                sign, monomials = demazure_exponents(exps, i)
+                d = c if sign > 0 else -c
+                n_terms = self._n_terms(i, v[i - 1], v[i])
+                self._add_product(out, {(v, m): d for m in monomials}, n_terms)
                 bump(out, key, c * self.alpha)
             else:
                 source, target = self._mults(i, v[i - 1], v[i])
-                self._add_product(out, comp, source)
-                self._add_product(out, self.swap(i, comp), target)
+                self._add_product(out, {key: c}, source)
+                self._add_product(
+                    out, {(swap_adjacent(v, i), swap_adjacent(exps, i)): c}, target
+                )
         return out
 
     def affine_T(self, i: int, el):

@@ -23,6 +23,9 @@ polynomial numerators N_s over the one denominator Delta_u, the product
 of x_a - x_b over equal labels u_a = u_b of the target u = w(v).
 ``relation_cases`` checks the defining relations on a module given by its
 tau_i on term dicts: ``apply_tau``, or the Demazure operators at one vertex.
+On term dicts tau_l acts through `tau_column`, its memoized column on one
+monomial (built from `polyring`'s steps, summed with `linalg.add_column`),
+which the Hecke bridge's ``tau`` reads too.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from fractions import Fraction
 
 from .coxeter import Permutation, segments_of_canonical_word
 from .laurent import Laurent
-from .linalg import Combination, Echelon, bump
+from .linalg import Combination, Echelon, add_column, bump
 from .polyring import (
     MPoly,
     add_product,
@@ -44,7 +47,7 @@ from .polyring import (
     divide_exact_by_x_difference,
     elementary_symmetric,
     exponent_tuples,
-    swap_terms,
+    swap_adjacent,
 )
 
 
@@ -589,9 +592,7 @@ class KLRElement(Combination):
                     f"parameters {ctx.params}"
                 )
             tgt, img = _apply_word(ctx, v, w, a, p.terms)
-            out = acc.setdefault(tgt, {})
-            for e, d in img.items():
-                bump(out, e, c * d)
+            add_column(acc.setdefault(tgt, {}), img.items(), c)
         return {u: MPoly(ctx.n, ctx.params, t) for u, t in acc.items() if t}
 
     def sorted_terms(self):
@@ -624,32 +625,23 @@ def _apply_word(ctx: KLRContext, v, w: Permutation, a, terms: dict):
     current idempotent u, tau_l is the Demazure operator d_l when u_l =
     u_{l+1}, and otherwise swaps x_l and x_{l+1} and multiplies by
     P_{u_l u_{l+1}}(x_{l+1}, x_l).  The image of one monomial e under one
-    letter is a column of (exponents, coefficient) pairs memoized in
-    ``ctx._column_cache`` under (u_l, u_{l+1}, l, e): it depends on no
-    other entry of u.
+    letter is its `tau_column`, which depends on (u_l, u_{l+1}, l, e) alone.
     """
     if any(a):
         terms = {tuple(p + q for p, q in zip(e, a)): c for e, c in terms.items()}
-    u = list(v)
+    u = v
     for l in reversed(w.canonical_word()):
-        s, t = u[l - 1], u[l]
-        terms = _apply_letter(ctx, s, t, l, terms)
-        u[l - 1], u[l] = t, s
-    return tuple(u), terms
+        terms = _apply_letter(ctx, u[l - 1], u[l], l, terms)
+        u = swap_adjacent(u, l)
+    return u, terms
 
 
 def _apply_letter(ctx: KLRContext, s, t, l: int, terms: dict) -> dict:
     """tau_l on the term dict ``terms`` at an idempotent with u_l = s and
     u_{l+1} = t, through the memoized columns."""
-    cache = ctx._column_cache
     out = {}
     for e, c in terms.items():
-        key = (s, t, l, e)
-        col = cache.get(key)
-        if col is None:
-            col = cache[key] = _tau_column(ctx, s, t, l, e)
-        for m, d in col:
-            bump(out, m, c * d)
+        add_column(out, tau_column(ctx, s, t, l, e), c)
     return out
 
 
@@ -673,14 +665,22 @@ def apply_tau(ctx: KLRContext, i: int, module: dict) -> dict:
     return out
 
 
-def _tau_column(ctx: KLRContext, s, t, l: int, e) -> tuple:
+def tau_column(ctx: KLRContext, s, t, l: int, e) -> tuple:
     """tau_l applied to the monomial x^e at an idempotent with u_l = s and
-    u_{l+1} = t, as (exponents, coefficient) pairs."""
-    if s == t:
-        sign, monomials = demazure_exponents(e, l)
-        return tuple((m, sign) for m in monomials)
-    p = ctx.p_poly(s, t, l + 1, l).terms
-    return tuple(add_product({}, swap_terms({e: 1}, l), p).items())
+    u_{l+1} = t, as (exponents, coefficient) pairs: d_l(x^e) when s == t,
+    else x^e swapped at l times P_st(x_{l+1}, x_l).  Memoized in
+    ``ctx._column_cache``; `_apply_letter` and `HeckeBridge.tau` read it."""
+    key = (s, t, l, e)
+    col = ctx._column_cache.get(key)
+    if col is None:
+        if s == t:
+            sign, monomials = demazure_exponents(e, l)
+            col = tuple((m, sign) for m in monomials)
+        else:
+            p = ctx.p_poly(s, t, l + 1, l).terms
+            col = tuple(add_product({}, {swap_adjacent(e, l): 1}, p).items())
+        ctx._column_cache[key] = col
+    return col
 
 
 # -- defining relations on a module --------------------------------------

@@ -3,10 +3,11 @@ Sparse vectors and exact sparse linear algebra over Q, and a
 fraction-free determinant.
 
 A vector is a dict {key: nonzero coefficient}; `bump` adds into one
-entry and keeps it so.  `Combination` is the base of the package's
-element types (Laurent and multivariate polynomials, nil Hecke, KLR,
-Fock and Hall elements), which are such vectors over a basis, and
-`format_terms` is the text form of the polynomials among them.
+entry and keeps it so, and `add_column` adds c times a memoized column
+(of the nil Hecke and quiver Hecke layers).  `Combination` is the base of
+the package's element types (Laurent and multivariate polynomials, nil
+Hecke, KLR, Fock and Hall elements), which are such vectors over a basis,
+and `format_terms` is the text form of the polynomials among them.
 
 For elimination the keys are mutually comparable column keys, and a
 vector's smallest key is its lead.  Over Q (`Echelon`) coefficients are
@@ -35,6 +36,16 @@ def bump(out, key, val):
         out[key] = val
     else:
         out.pop(key, None)
+
+
+def add_column(out, column, c):
+    """out += c * column, column an iterable of (key, coefficient) pairs."""
+    for m, k in column:
+        k = out.get(m, 0) + k * c  # `bump`, inlined in this hot loop
+        if k:
+            out[m] = k
+        else:
+            out.pop(m, None)
 
 
 def format_terms(pairs) -> str:

@@ -14,7 +14,9 @@ The faithful polynomial representation sends T_i to the Demazure
 operator d_i and X_i to multiplication.
 
 Products, the representation and the Gram entries read memoized monomial
-columns: `_t_step` for T_i on x^e T_v, `_d_column` for d_w(x^e).
+columns: `_t_step` for T_i on x^e T_v, `_d_column` for d_w(x^e), both
+built from `polyring`'s steps, and add them up with `linalg.add_column`,
+the accumulate that `klr` applies its tau columns with too.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from functools import lru_cache
 from math import factorial
 
 from .coxeter import Permutation, length_order
-from .linalg import Combination, determinant
+from .linalg import Combination, add_column, determinant
 from .polyring import MPoly, add_product, demazure_exponents, demazure_terms
-from .polyring import schubert_basis_element, staircase_monomial, swap_terms
+from .polyring import schubert_basis_element, staircase_monomial, swap_adjacent
 
 
 class NilHeckeElement(Combination):
@@ -124,7 +126,7 @@ class NilHeckeElement(Combination):
         for w, p in self.terms.items():
             word, image = w.canonical_word(), {}
             for e, c in q.terms.items():
-                _add_column(image, _d_column(word, e), c)
+                add_column(image, _d_column(word, e), c)
             add_product(terms, p.terms, image)
         return out._like(terms)
 
@@ -224,17 +226,6 @@ def group_element(w: Permutation, params=()) -> NilHeckeElement:
 _permutation = lru_cache(maxsize=None)(Permutation)
 
 
-def _add_column(out, column, c):
-    """out += c * column on a term dict, column a tuple of (exponents,
-    coefficient) pairs."""
-    for m, k in column:
-        k = out.get(m, 0) + k * c  # `bump`, inlined in this hot loop
-        if k:
-            out[m] = k
-        else:
-            out.pop(m, None)
-
-
 @lru_cache(maxsize=None)
 def _d_column(word, e):
     """d_{i_1} o ... o d_{i_r}(x^e) for the word (i_1, ..., i_r), as a
@@ -253,7 +244,7 @@ def _t_step(v, e, i):
     a, b = v.index(i), v.index(i + 1)
     if a < b:
         u = v[:a] + (i + 1,) + v[a + 1:b] + (i,) + v[b + 1:]
-        step += ((u, tuple(swap_terms({e: 1}, i).items())),)
+        step += ((u, ((swap_adjacent(e, i), 1),)),)
     return step
 
 
@@ -265,7 +256,7 @@ def _lmul_t(terms, i):
     for v, p in terms.items():
         for e, c in p.items():
             for u, column in _t_step(v, e, i):
-                _add_column(out.setdefault(u, {}), column, c)
+                add_column(out.setdefault(u, {}), column, c)
     return out
 
 
@@ -387,7 +378,7 @@ def frobenius_gram_determinant(n: int):
                 ((w, p),) = a.terms.items()
                 entry = {}
                 for e, c in add_product({}, p.terms, columns[w]).items():
-                    _add_column(entry, _d_column(longest, e), c)
+                    add_column(entry, _d_column(longest, e), c)
                 if entry.keys() - {unit}:
                     raise ArithmeticError(
                         f"an entry of block d = {-d} is not a constant"

@@ -8,10 +8,12 @@ is carried along untouched by the group action.  Coefficients are exact
 2, parameters declare their own degrees.
 
 `MPoly` wraps kernels on term dicts {exponents: coefficient}: the product
-`add_product`, the swap `swap_terms` of X_i and X_{i+1}, and `demazure_terms`,
-a word of Demazure operators d_i(P) = (P - s_i(P)) / (X_{i+1} - X_i) applied
-right to left through the memoized closed-form column `demazure_exponents`;
-the nil Hecke monomial columns (`nilhecke._t_step`, `_d_column`) read it too.
+`add_product`, the swap `swap_terms` of X_i and X_{i+1} (`swap_adjacent` on
+one tuple), and `demazure_terms`, a word of Demazure operators d_i(P) =
+(P - s_i(P)) / (X_{i+1} - X_i) applied right to left through the memoized
+closed-form column `demazure_exponents`.  The nil Hecke monomial columns
+(`nilhecke._t_step`, `_d_column`), klr's `tau_column` and the Hecke
+bridge's generators are built from these steps too.
 Division by X_a - X_b is closed form monomial by monomial too
 (`try_divide_by_x_difference`).  `divide_exact_by_x_difference`, and
 `divide_exact` for any divisor, raise ArithmeticError when it is not exact.
@@ -189,9 +191,14 @@ def add_product(out, a, b):
     return out
 
 
+def swap_adjacent(e, i):
+    """The tuple e with its entries i and i + 1 (1-based) exchanged."""
+    return e[: i - 1] + (e[i], e[i - 1]) + e[i + 1:]
+
+
 def swap_terms(terms, i):
     """The term dict with the exponents of X_i and X_{i+1} swapped."""
-    return {e[: i - 1] + (e[i], e[i - 1]) + e[i + 1:]: c for e, c in terms.items()}
+    return {swap_adjacent(e, i): c for e, c in terms.items()}
 
 
 def demazure_terms(terms, word):

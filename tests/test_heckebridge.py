@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import quiverhecke.heckebridge as hb
+from quiverhecke import klr
 from quiverhecke.heckebridge import (
     _CUTOFF_ABOVE_WINDOW,
     _UNIT_POLYS,
@@ -25,7 +26,12 @@ from quiverhecke.heckebridge import (
 )
 from quiverhecke.laurent import mul_terms
 from quiverhecke.linalg import bump
-from quiverhecke.polyring import MPoly, divide_exact_by_x_difference
+from quiverhecke.polyring import (
+    MPoly,
+    demazure_exponents,
+    divide_exact_by_x_difference,
+    swap_adjacent,
+)
 
 
 # -- scalars --------------------------------------------------------------
@@ -320,10 +326,14 @@ def generator_column(mode, i, v, exps, n, cutoff=4):
 
 
 def test_truncation_drops_high_degrees():
+    # x_j times a monomial of degree cutoff - 1 is truncated away, so X_j
+    # acts on it by its vertex value alone
     br = HeckeBridge(2, 3, "affine")
     m = br.monomial((0, 1), (1, 1))
-    out = br.mul_linear(m, [((1, 0), br.one)])
-    assert out == {}
+    for j in (1, 2):
+        assert br.X(j, m) == br.scale_el(m, br.vertex_scalars[j - 1])
+    # so is tau_1 of it, the swap times x_1 - x_2 across the arrow 0 -> 1
+    assert br.tau(1, m) == {}
 
 
 def test_x_minus_vertex_is_nilpotent():
@@ -337,15 +347,20 @@ def test_x_minus_vertex_is_nilpotent():
 
 
 def test_swap_is_an_involution():
-    br = HeckeBridge(3, 4, "affine")
-    m = br.monomial((0, 2, 1), (1, 0, 2))
-    assert br.swap(2, br.swap(2, m)) == m
+    # labels 0 and 2 are joined by no arrow, so tau_2 is the swap
+    # M_v -> M_{s_2 v}, and its square is the identity
+    for mode in ("affine", "degenerate"):
+        br = HeckeBridge(3, 4, mode)
+        m = br.monomial((1, 0, 2), (1, 0, 2))
+        assert br.tau(2, m) == {((1, 2, 0), (1, 2, 0)): br.one}
+        assert br.tau(2, br.tau(2, m)) == m
 
 
 def test_demazure_example():
+    # on an equal-label component tau_1 is the divided difference:
     # (x1^2 - s x1^2) / (x2 - x1) = -(x1 + x2)
     br = HeckeBridge(2, 4, "degenerate")
-    out = br.demazure(1, br.monomial((0, 0), (2, 0)))
+    out = br.tau(1, br.monomial((0, 0), (2, 0)))
     assert out == {
         ((0, 0), (1, 0)): Fraction(-1),
         ((0, 0), (0, 1)): Fraction(-1),
@@ -353,14 +368,19 @@ def test_demazure_example():
 
 
 def test_series_inverse_inverts():
+    # (const + lin)^{-1} (const + lin) = 1 below the cutoff, with a
+    # Fraction inverse (degenerate) and a unit denominator (affine)
     br = HeckeBridge(2, 5, "degenerate")
     const = Fraction(3)
-    lin = [((1, 0), Fraction(1)), ((0, 1), Fraction(-2))]
+    lin = {(1, 0): Fraction(1), (0, 1): Fraction(-2)}
     inv = br.series_inverse(const, lin)
-    el = br.monomial((0, 1), (0, 0))
-    prod = br.mul_linear(el, inv)
-    prod = br.mul_linear(prod, lin + [((0, 0), const)])
-    assert prod == el
+    assert br.series_mul(inv, {**lin, (0, 0): const}) == {(0, 0): 1}
+    br = HeckeBridge(2, 5, "affine")
+    const = br.vertex_scalars[0] - br.vertex_scalars[1]
+    lin = {(1, 0): br.one, (0, 1): -br.one}
+    inv = br.series_inverse(const, lin)
+    assert inv[0, 0].den
+    assert br.series_mul(inv, {**lin, (0, 0): const}) == {(0, 0): br.one}
 
 
 # -- the affine action ----------------------------------------------------
@@ -683,6 +703,16 @@ def test_module_size_guard(verify):
         verify(6, 1)
 
 
+def _demazure(i, el):
+    """The divided difference d_i on each component of a bridge element."""
+    out = {}
+    for (v, exps), c in el.items():
+        sign, monomials = demazure_exponents(exps, i)
+        for m in monomials:
+            bump(out, (v, m), c if sign > 0 else -c)
+    return out
+
+
 def _perturbed_operators(br):
     """T_i + d_{n-i} + x_1 and X_j + s_1: wrong operators that still
     lower total degree by at most 1 and 0, so that every relation has
@@ -690,11 +720,16 @@ def _perturbed_operators(br):
     generator, x_op = br._generator, br.X
 
     def T(i, el):
-        out = br.add_el(generator(i, el), br.demazure(br.n - i, el))
-        return br.add_el(out, br.mul_linear(el, [(br.x_shift(1), br.one)]))
+        out = br.add_el(generator(i, el), _demazure(br.n - i, el))
+        br._add_product(out, el, [(br.x_shift(1), br.one)])
+        return out
 
     def X(j, el):
-        return br.add_el(x_op(j, el), br.swap(1, el))
+        swapped = {
+            (swap_adjacent(v, 1), swap_adjacent(exps, 1)): c
+            for (v, exps), c in el.items()
+        }
+        return br.add_el(x_op(j, el), swapped)
 
     return T, X
 
@@ -923,16 +958,87 @@ def test_tau_square_vanishes_on_equal_component():
     assert br.tau(1, br.tau(1, m)) == {}
 
 
+def _bridge_scalar(br, c):
+    """The int c as a scalar of the bridge ``br``."""
+    return QScalar.from_int(c) if br.mode == "affine" else c
+
+
 def test_tau_square_is_arrow_polynomial():
-    # tau^2 = +-(x_1 - x_2) on a component joined by an arrow
-    br = HeckeBridge(2, 5, "affine")
-    one = br.one
-    m = br.monomial((0, 1), (0, 0))
-    got = br.tau(1, br.tau(1, m))
-    expected = br.mul_linear(
-        m, [(br.x_shift(1), one), (br.x_shift(2), -one)]
+    # tau^2 e(v) = Q_{v_1 v_2}(x_1, x_2) e(v) on a component joined by an
+    # arrow: x_2 - x_1 at labels (0, 1) and x_1 - x_2 at (1, 0); tau commutes
+    # x^e past it on distinct labels
+    pinned = {(0, 1): {(0, 1): 1, (1, 0): -1}, (1, 0): {(1, 0): 1, (0, 1): -1}}
+    for mode in ("affine", "degenerate"):
+        br = HeckeBridge(2, 5, mode)
+        ctx = klr.make_klr(br.quiver, 2)
+        for v, q_terms in pinned.items():
+            s, t = (br.vertices[k] for k in v)
+            assert ctx.q_poly(s, t, 1, 2).terms == q_terms
+            for exps in ((0, 0), (1, 2)):
+                m = br.monomial(v, exps)
+                expected = {
+                    (v, tuple(map(sum, zip(exps, e)))): _bridge_scalar(br, c)
+                    for e, c in q_terms.items()
+                }
+                assert br.tau(1, br.tau(1, m)) == expected
+
+
+@pytest.mark.parametrize("mode", ["affine", "degenerate"])
+@pytest.mark.parametrize("vertices", [(0, 1, 2), (0, 2), (0, 1, 3)])
+@pytest.mark.parametrize("n, cutoff", [(2, 5), (3, 4), (4, 3)])
+def test_tau_matches_klr_apply_tau(n, cutoff, vertices, mode):
+    # column for column below cutoff - 1, where nothing is truncated, on a
+    # quiver Hecke context of its own, labels mapped to vertex indices
+    br = HeckeBridge(n, cutoff, mode, vertices)
+    ctx = klr.make_klr(br.quiver, n)
+    index = {label: k for k, label in enumerate(br.vertices)}
+    columns = arrows = 0
+    for v, exps in br.basis(cutoff - 1):
+        labels = tuple(br.vertices[k] for k in v)
+        for i in range(1, n):
+            image = klr.apply_tau(ctx, i, {labels: {exps: 1}})
+            expected = {
+                (tuple(index[s] for s in u), e): _bridge_scalar(br, c)
+                for u, terms in image.items()
+                for e, c in terms.items()
+            }
+            assert br.tau(i, br.monomial(v, exps)) == expected, (v, exps, i)
+            columns += 1
+            arrows += br.quiver.d(labels[i - 1], labels[i])
+    assert columns == len(vertices) ** n * math.comb(n + cutoff - 2, n) * (n - 1)
+    assert bool(arrows) == (vertices != (0, 2))
+
+
+@pytest.mark.parametrize("mode", ["affine", "degenerate"])
+def test_tau_refuses_other_coefficients_under_optimize(mode):
+    # klr's columns have coefficients +-1 on the bridge's quiver; a column
+    # doubled in klr's memo must make tau raise, also under `python -O`
+    code = (
+        "import sys\n"
+        "import quiverhecke.heckebridge as hb\n"
+        "import quiverhecke.klr as klr\n"
+        f"br = hb.HeckeBridge(2, 4, {mode!r})\n"
+        "for v in ((0, 0), (0, 1), (1, 0)):\n"
+        "    key = (br.vertices[v[0]], br.vertices[v[1]], 1, (1, 0))\n"
+        "    col = klr.tau_column(br.klr, *key)\n"
+        "    br.klr._column_cache[key] = tuple((m, 2 * c) for m, c in col)\n"
+        "    try:\n"
+        "        br.tau(1, br.monomial(v, (1, 0)))\n"
+        "        print('returned')\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('raised', str(exc).split()[-2:] in (\n"
+        "            ['coefficient', '2'], ['coefficient', '-2']))\n"
+        "print(sys.flags.optimize)\n"
     )
-    assert got in (expected, br.neg_el(expected))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised", "True"] * 3 + ["1"]
 
 
 def test_tau_is_swap_on_distant_component():

@@ -61,13 +61,13 @@ def double_q_poly(mp):
 
 
 def negate_columns(mp, where):
-    right = klr._tau_column
+    right = klr.tau_column
 
     def column(ctx, s, t, l, e):
         col = right(ctx, s, t, l, e)
         return tuple((m, -c) for m, c in col) if where(s, t, l) else col
 
-    mp.setattr(klr, "_tau_column", column)
+    mp.setattr(klr, "tau_column", column)
 
 
 def tau_times_x(mp):
