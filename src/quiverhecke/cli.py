@@ -379,8 +379,9 @@ def suite_hall(cfg, rng):
             dl = tuple(a + b for a, b in zip(dm, dn))
             for m in ctx.table(dm).representatives():
                 for nrep in ctx.table(dn).representatives():
+                    fs = ctx.product(m, nrep).terms
                     for l in ctx.table(dl).representatives():
-                        f = ctx.hall_number(m, nrep, l)
+                        f = fs.get((dl, ctx.label(l)), 0)
                         p = ctx.exact_sequence_count(m, nrep, l)
                         yield f * ctx.aut_order(m) * ctx.aut_order(nrep) == p
 
@@ -411,14 +412,11 @@ def suite_fock(cfg, rng):
     if max_size < 0:
         raise ValueError(f"--max-size must be at least 0, got {max_size}")
 
-    def vec(parts):
-        return FockVector({tuple(parts): 1})
-
     def commutators():
         # [e_i, f_j] |lam> = delta_ij (addable - removable i-boxes) |lam>
         for size in range(max_size + 1):
             for lam in all_partitions(size):
-                v = vec(lam)
+                v = FockVector.basis(lam)
                 fv = [f_op(j, p, v) for j in range(p)]
                 ev = [e_op(i, p, v) for i in range(p)]
                 for i in range(p):
@@ -444,14 +442,14 @@ def suite_fock(cfg, rng):
                 )
 
     if p == 3:
-        lam = vec((3, 1))
+        lam = FockVector.basis((3, 1))
         yield "fock-p3-example", {"p": p}, (
             op(i, p, lam) == expected
             for op, i, expected in (
-                (f_op, 0, vec((4, 1)) + vec((3, 2))),
-                (f_op, 1, vec((3, 1, 1))),
+                (f_op, 0, FockVector.basis((4, 1)) + FockVector.basis((3, 2))),
+                (f_op, 1, FockVector.basis((3, 1, 1))),
                 (f_op, 2, FockVector()),
-                (e_op, 2, vec((2, 1)) + vec((3,))),
+                (e_op, 2, FockVector.basis((2, 1)) + FockVector.basis((3,))),
                 (e_op, 0, FockVector()),
                 (e_op, 1, FockVector()),
             )
@@ -598,17 +596,15 @@ def compute_hall_table(cfg):
                 continue
             for m in reps[dm]:
                 for nrep in reps[dn]:
-                    for l in reps[dl]:
-                        f = ctx.hall_number(m, nrep, l)
-                        if f:
-                            fnumbers.append(
-                                {
-                                    "m": str(ctx.label(m)),
-                                    "n": str(ctx.label(nrep)),
-                                    "l": str(ctx.label(l)),
-                                    "f": f,
-                                }
-                            )
+                    for (_, l), f in ctx.product(m, nrep).terms.items():
+                        fnumbers.append(
+                            {
+                                "m": str(ctx.label(m)),
+                                "n": str(ctx.label(nrep)),
+                                "l": str(l),
+                                "f": f.terms[0],  # the constant F^L_{M,N}
+                            }
+                        )
     return {"q": q, "classes": classes, "hall_numbers": fnumbers}
 
 

@@ -142,11 +142,6 @@ class FockVector(Combination):
                 if c != 0:
                     self.terms[check_partition(parts)] = c
 
-    def _like(self, terms) -> "FockVector":
-        v = FockVector()
-        v.terms = terms
-        return v
-
     @staticmethod
     def basis(parts) -> "FockVector":
         return FockVector({tuple(parts): 1})

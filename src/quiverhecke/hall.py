@@ -722,15 +722,6 @@ class HallElement(Combination):
             if c:
                 self.terms[key] = c if isinstance(c, Laurent) else Laurent.const(c)
 
-    def _like(self, terms) -> "HallElement":
-        el = HallElement(self.ctx)
-        el.terms = terms
-        return el
-
-    def _check(self, other):
-        if other.ctx is not self.ctx:
-            raise ValueError("operands in different Hall contexts")
-
     def mul(self, other: "HallElement", twisted=False) -> "HallElement":
         self._check(other)
         out = {}

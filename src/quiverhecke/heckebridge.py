@@ -296,9 +296,6 @@ class QScalar:
         n, l1 = _den_product(self.den)
         return _make(sign * n, -shift, l1, (key,))
 
-    def __truediv__(self, other: "QScalar") -> "QScalar":
-        return self * other.inverse()
-
     def __repr__(self):
         if self._l1 >= _L1_LIMIT:
             return f"QScalar(packed {self._n} * q^{self._shift}, den={self.den})"
@@ -459,7 +456,7 @@ class HeckeBridge:
         In degenerate mode const is a difference of vertex values, and
         1 / const stays an int when const is +-1."""
         if self.mode == "affine":
-            cinv = self.one / const
+            cinv = const.inverse()
         elif const in (1, -1):
             cinv = int(const)
         else:

@@ -218,7 +218,11 @@ class QMatrix:
 
 
 class KLRContext:
-    """Immutable data for H_n of a quiver (or an explicit Q-matrix)."""
+    """Immutable data for H_n of a quiver (or an explicit Q-matrix).
+
+    Each monomial u^a u'^b of a parameter-free Q_ij must have a + b = m_ij;
+    a Q-matrix with parameters is not checked, as they have no degree yet.
+    """
 
     def __init__(self, quiver: QuiverData, n: int, qmat: QMatrix = None):
         if n < 1:
@@ -236,6 +240,11 @@ class KLRContext:
                 f"quiver's {list(quiver.vertices)}"
             )
         self.params = self.qmat.params
+        for (i, j), poly in self.qmat.entries.items():
+            if not self.params and any(a + b != quiver.m(i, j) for a, b in poly):
+                raise ValueError(
+                    f"Q_{{ij}} at ({i}, {j}) is not of degree m_ij = {quiver.m(i, j)}"
+                )
         self.width = n + len(self.params)
         self._q_cache = {}
         self._tau_cache = {}
@@ -503,30 +512,18 @@ class KLRElement(Combination):
 
     @staticmethod
     def idempotent(ctx, v) -> "KLRElement":
-        v = ctx.check_idempotent(v)
-        return KLRElement(
-            ctx, {(v, Permutation.identity(ctx.n), ctx.zero_exps()): 1}
-        )
+        return KLRElement.basis_word(ctx, v, Permutation.identity(ctx.n), (0,) * ctx.n)
 
     @staticmethod
     def x(ctx, i, v) -> "KLRElement":
-        v = ctx.check_idempotent(v)
         if not 1 <= i <= ctx.n:
             raise ValueError(f"x_{i} is not a generator of H_{ctx.n}")
-        exps = [0] * ctx.width
-        exps[i - 1] = 1
-        return KLRElement(
-            ctx, {(v, Permutation.identity(ctx.n), tuple(exps)): 1}
-        )
+        exps = (0,) * (i - 1) + (1,) + (0,) * (ctx.n - i)
+        return KLRElement.basis_word(ctx, v, Permutation.identity(ctx.n), exps)
 
     @staticmethod
     def tau(ctx, i, v) -> "KLRElement":
-        v = ctx.check_idempotent(v)
-        if not 1 <= i <= ctx.n - 1:
-            raise ValueError(f"tau_{i} is not a generator of H_{ctx.n}")
-        return KLRElement(
-            ctx, {(v, Permutation.simple(i, ctx.n), ctx.zero_exps()): 1}
-        )
+        return KLRElement.basis_word(ctx, v, Permutation.simple(i, ctx.n), (0,) * ctx.n)
 
     @staticmethod
     def basis_word(ctx, v, w: Permutation, exps) -> "KLRElement":
@@ -537,15 +534,6 @@ class KLRElement(Combination):
         if len(exps) == ctx.n:
             exps = exps + (0,) * len(ctx.params)
         return KLRElement(ctx, {(v, w, exps): 1})
-
-    def _like(self, terms) -> "KLRElement":
-        el = KLRElement(self.ctx)
-        el.terms = terms
-        return el
-
-    def _check(self, other):
-        if other.ctx is not self.ctx:
-            raise ValueError("operands in different KLR contexts")
 
     def __mul__(self, other) -> "KLRElement":
         if not isinstance(other, KLRElement):
@@ -789,15 +777,6 @@ class KLROperator(Combination):
     def __init__(self, ctx: KLRContext, terms=None):
         self.ctx = ctx
         self.terms = {(tuple(v), s): f for (v, s), f in (terms or {}).items() if f}
-
-    def _like(self, terms) -> "KLROperator":
-        op = KLROperator(self.ctx)
-        op.terms = terms
-        return op
-
-    def _check(self, other):
-        if other.ctx is not self.ctx:
-            raise ValueError("operators of different algebra contexts")
 
 
 def _expand_word(ctx: KLRContext, w: Permutation, v) -> dict:

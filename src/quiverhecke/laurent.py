@@ -28,11 +28,6 @@ class Laurent(Combination):
                 if c != 0:
                     self.terms[k] = c
 
-    def _like(self, terms) -> "Laurent":
-        res = Laurent()
-        res.terms = terms
-        return res
-
     @staticmethod
     def zero() -> "Laurent":
         return Laurent()

@@ -7,7 +7,9 @@ entry and keeps it so, and `add_column` adds c times a memoized column
 (of the nil Hecke and quiver Hecke layers).  `Combination` is the base of
 the package's element types (Laurent and multivariate polynomials, nil
 Hecke, KLR, Fock and Hall elements), which are such vectors over a basis,
-and `format_terms` is the text form of the polynomials among them.
+and `format_terms` is the text form of the polynomials among them.  Their
+parent slots precede ``terms``, so they inherit ``_like`` and ``_check``;
+`MPoly` and `NilHeckeElement` override both for measured speed.
 
 For elimination the keys are mutually comparable column keys, and a
 vector's smallest key is its lead.  Over Q (`Echelon`) coefficients are
@@ -75,19 +77,32 @@ class Combination:
     """A finite linear combination: ``terms`` maps basis keys to nonzero
     coefficients (exact scalars, or ring elements such as polynomials).
 
-    A subclass keeps ``terms`` and its parent (the ring, algebra or
-    module it lies in) in its slots and supplies ``_like(terms)``, a
-    sibling built from trusted terms; ``_check(other)``, raising
-    ValueError when ``other`` has another parent (default: one parent);
-    and ``_coerce(c)``, c * 1 for an int or Fraction c (default None: no
-    unit).  An operand of another type gives NotImplemented, ``==`` is
-    False across parents, and powers use the subclass's ``__mul__``.
+    A subclass lists its parent (the ring, algebra or module it lies in)
+    in its ``__slots__`` before ``terms``, which comes last.  It inherits
+    ``_like(terms)``, a sibling with the same parent built from trusted
+    terms, and ``_check(other)``, raising ValueError when a parent slot of
+    ``other`` differs (`MPoly` and `NilHeckeElement` override both for
+    measured speed), and may supply ``_coerce(c)``, c * 1 for an int or
+    Fraction c (default None: no unit).  An operand of another type gives
+    NotImplemented, ``==`` is False across parents, and powers use the
+    subclass's ``__mul__``.
     """
 
     __slots__ = ()
 
+    def _like(self, terms):
+        out = object.__new__(type(self))
+        for name in self.__slots__[:-1]:
+            setattr(out, name, getattr(self, name))
+        out.terms = terms
+        return out
+
     def _check(self, other):
-        pass
+        for name in self.__slots__[:-1]:
+            if getattr(self, name) != getattr(other, name):
+                raise ValueError(
+                    f"operands of {type(self).__name__} with different {name}"
+                )
 
     def _coerce(self, c):
         return None

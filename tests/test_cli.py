@@ -415,6 +415,13 @@ STDOUT_SHA256 = {
         "00187ccbb546bae41906c18ee594df3b5ba15426bd08abee319ef01ae0672da3",
     "compute poincare --n 6":
         "796bab1ed64eb33f3c8c357180bb35f1ba5056c42487144580fe21294b1e642b",
+    # Hall tables over GF(4) and GF(5), and in the csv and text formats
+    "compute hall-table --q 4 --max-dim 2,1":
+        "349e8edf6988bf02d0af3951baf1bc98199738405333895644efd71725e25925",
+    "compute hall-table --q 2 --max-dim 2,1 --format csv":
+        "34ef4ed45e3090fde242eadaf0c70bc19d86685bf1d4d024f56c8261e1fb792d",
+    "compute hall-table --q 5 --max-dim 1,2 --format text":
+        "a21af0cf93f7171e8fa00aa5b64422977cf98afac3d00638369852aac1e90327",
 }
 
 

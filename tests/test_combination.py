@@ -1,8 +1,11 @@
 """The linear structure that every element type shares through
 `linalg.Combination`: one hypothesis strategy per subclass, scalar
-coercion, and the operand errors that must survive ``python -O``."""
+coercion, the sibling copy and parent check, and the operand errors that
+must survive ``python -O``."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quiverhecke
 from quiverhecke.coxeter import Permutation
 from quiverhecke.fock import FockVector, all_partitions
 from quiverhecke.hall import HallContext, HallElement, a2_quiver
-from quiverhecke.klr import KLRElement, linear_quiver, make_klr
+from quiverhecke.klr import KLRElement, linear_quiver, make_klr, represent
 from quiverhecke.laurent import Laurent
+from quiverhecke.linalg import Combination
 from quiverhecke.nilhecke import NilHeckeElement
 from quiverhecke.polyring import MPoly
 
@@ -135,6 +140,77 @@ def test_scalars_next_to_elements():
     assert KLRElement.zero(KLR_CTX) != KLRElement.zero(make_klr(linear_quiver(2), 2))
     with pytest.raises(TypeError):
         Laurent.one() + MPoly.one(1)
+
+
+OTHER_KLR_CTX = make_klr(linear_quiver(2), 2)
+A2_REP = HALL_CTX.rep_of_key(HALL_KEYS[-1])
+
+# per element type: an element, and elements of the same type with
+# another parent (none for the types with one parent)
+PARENTS = {
+    "Laurent": (Laurent({-1: 2, 3: 1}), []),
+    "MPoly": (MPoly.x(1, 2), [MPoly.x(1, 3), MPoly.x(1, 2, ("t",))]),
+    "NilHeckeElement": (
+        NilHeckeElement.t(1, 2),
+        [NilHeckeElement.t(1, 3), NilHeckeElement.t(1, 2, ("t",))],
+    ),
+    "KLRElement": (
+        KLRElement.tau(KLR_CTX, 1, (1, 2)),
+        [KLRElement.tau(OTHER_KLR_CTX, 1, (1, 2))],
+    ),
+    "KLROperator": (
+        represent(KLRElement.tau(KLR_CTX, 1, (1, 2))),
+        [represent(KLRElement.tau(OTHER_KLR_CTX, 1, (1, 2)))],
+    ),
+    "FockVector": (FockVector.basis((2, 1)), []),
+    "HallElement": (
+        HALL_CTX.element(A2_REP),
+        [HallContext(a2_quiver(), 2).element(A2_REP)],
+    ),
+}
+
+
+def element_types():
+    for info in pkgutil.iter_modules(quiverhecke.__path__):
+        importlib.import_module("quiverhecke." + info.name)
+    found, stack = set(), [Combination]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub.__module__.startswith("quiverhecke.") and sub not in found:
+                found.add(sub)
+                stack.append(sub)
+    return found
+
+
+@pytest.mark.parametrize("kind", sorted(PARENTS))
+def test_siblings_keep_the_parent_and_checks_refuse_another(kind):
+    x, others = PARENTS[kind]
+    assert type(x).__name__ == kind
+    terms = dict(x.scale(2).terms)
+    y = x._like(terms)
+    assert type(y) is type(x) and y.terms is terms
+    assert all(getattr(y, s) is getattr(x, s) for s in type(x).__slots__[:-1])
+    x._check(y)
+    assert y == x.scale(2) and x + y == x.scale(3)
+    for z in others:
+        assert type(z) is type(x)
+        with pytest.raises(ValueError):
+            x._check(z)
+        with pytest.raises(ValueError):
+            x + z
+        assert (x == z) is False and (z == x) is False and x != z
+
+
+def test_every_element_type_ends_its_slots_with_terms():
+    # the inherited `_like` and `_check` read the parent slots as every
+    # slot before "terms"
+    kinds = element_types()
+    assert {kind.__name__ for kind in kinds} == set(PARENTS)
+    for kind in kinds:
+        slots = vars(kind)["__slots__"]
+        assert slots[-1] == "terms" and "terms" not in slots[:-1], kind
+        own = {"_like", "_check"} & vars(kind).keys()
+        assert own == ({"_like", "_check"} if kind in (MPoly, NilHeckeElement) else set())
 
 
 def test_operand_errors_survive_optimize():

@@ -127,6 +127,29 @@ def test_q_matrix_needs_every_entry():
     assert len(qm.entries) == 6
 
 
+def test_q_matrix_of_another_grading_is_refused():
+    # B2's Q_12 = u + u'^2 has monomials of degree 1 and 2, and A2's m_12
+    # is 1: taken on A2, its PBW leads would be certified with A2 degrees
+    qm = QMatrix((1, 2), {(1, 2): {(1, 0): 1, (0, 2): 1}, (2, 1): {(0, 1): 1, (2, 0): 1}})
+    with pytest.raises(ValueError, match=r"at \(1, 2\) is not of degree m_ij = 1"):
+        KLRContext(linear_quiver(2), 2, qm)
+
+
+@pytest.mark.parametrize(
+    "quiver",
+    [
+        linear_quiver(2),
+        linear_quiver(3),
+        cyclic_quiver(2),
+        cyclic_quiver(3),
+        QuiverData((1, 2), {(1, 2): 2}),
+    ],
+    ids=["a2", "a3", "cyclic2", "cyclic3", "kronecker"],
+)
+def test_q_matrix_of_the_quiver_is_accepted(quiver):
+    assert KLRContext(quiver, 2, QMatrix.from_quiver(quiver)).qmat.entries
+
+
 def test_parse_quiver():
     q = parse_quiver("vertex 3\n1 -> 2\n# comment\n1 -> 2\n")
     assert q.vertices == (1, 2, 3)
@@ -550,7 +573,7 @@ def test_operators_of_two_contexts_neither_compare_nor_subtract():
     twin = represent(KLRElement.tau(other, 1, (1, 2)))
     assert op.terms == twin.terms
     assert (op == twin) is False
-    with pytest.raises(ValueError, match="different algebra contexts"):
+    with pytest.raises(ValueError, match="KLROperator with different ctx"):
         op - twin
     assert (op - op).is_zero() and op == represent(KLRElement.tau(ctx, 1, (1, 2)))
 
@@ -891,6 +914,8 @@ def test_input_checks_raise_under_optimize():
         "attempt(lambda: klr.KLRContext(a2, 0))\n"
         "one = {(0, 0): 1}\n"
         "attempt(lambda: klr.KLRContext(a2, 2, klr.QMatrix((1, 3), {(1, 3): one, (3, 1): one})))\n"
+        "b2 = {(1, 2): {(1, 0): 1, (0, 2): 1}, (2, 1): {(0, 1): 1, (2, 0): 1}}\n"
+        "attempt(lambda: klr.KLRContext(a2, 2, klr.QMatrix((1, 2), b2)))\n"
         "ctx = klr.make_klr(a2, 2)\n"
         "attempt(lambda: ctx.p_poly(1, 1, 1, 2))\n"
         "attempt(lambda: a2.cartan(1, 5))\n"
@@ -910,7 +935,7 @@ def test_input_checks_raise_under_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["ValueError"] * 11 + ["ArithmeticError", "1"]
+    assert res.stdout.split() == ["ValueError"] * 12 + ["ArithmeticError", "1"]
 
 
 def test_single_vertex_braid_is_exact():
