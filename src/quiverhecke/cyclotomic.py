@@ -13,11 +13,13 @@ r_{j+1} = -d_j(r_j), all inside the left ideal.  r_j involves only
 x_1..x_j and carries the monomial x_j^{n-j+1} with coefficient 1; every
 other monomial has strictly smaller x_j exponent.  Rewriting with these
 pivots terminates and puts the polynomial module into the span of the
-monomials x^a with a_j <= n-j, a free Z[z]-module of rank n!/(n-i)!.
-The algebra acts faithfully there, so exhibiting i! * n!/(n-i)! many
-independent operators x^a T_w certifies the rank of C_i(n).  Their
-independence is checked modulo a prime at integer z: each operator is
-composed from sparse generator columns and flattened into one row of a
+monomials x^a with a_j <= n-j, a free Z[z]-module of rank n!/(n-i)!, so
+each monomial has one normal form (`CycloContext._normal`, memoized per
+context).  The algebra acts faithfully there, so exhibiting
+i! * n!/(n-i)! many independent operators x^a T_w certifies the rank of
+C_i(n).  Their independence is checked modulo a prime at integer z: the
+columns of x^a and of T_w are normal forms of monomials and of
+`nilhecke._d_column`, and each operator is flattened into one row of a
 sparse elimination (`spanning_rank`).
 
 For i > n the chain reaches the constant r_{n+1} = 1, so the quotient
@@ -32,12 +34,13 @@ from __future__ import annotations
 
 import itertools
 from math import factorial, perm
+from operator import add
 
 from .coxeter import length_order, poincare_polynomial
 from .fock import all_partitions, residue_content
 from .laurent import Laurent, q_binomial, q_factorial
-from .linalg import PRIME, Echelon, rank_mod_p
-from .nilhecke import NilHeckeElement
+from .linalg import PRIME, Echelon, add_column, rank_mod_p
+from .nilhecke import NilHeckeElement, _d_column
 from .polyring import MPoly, elementary_symmetric, exponent_tuples
 
 
@@ -87,6 +90,7 @@ class CycloContext:
         self.z_values = None if z_values is None else tuple(z_values)
         self.params = highest_weight_params(n) if z_values is None else ()
         self.is_zero_algebra = i > n
+        self._memo = {}  # exponents -> the pairs of `_normal`
         # reduction elements r_1..r_jmax; r_j pivots on x_j^{n-j+1}
         self.rules = []
         jmax = min(i, n + 1)
@@ -108,19 +112,27 @@ class CycloContext:
         ranges = [range(self.n - j + 1) for j in range(1, self.i + 1)]
         return sorted(itertools.product(*ranges))
 
-    def _find_violation(self, p: MPoly):
-        best = None
-        jmax = len(self.rules)
-        for exps, c in p.terms.items():
-            for j in range(jmax, 0, -1):
-                if exps[j - 1] >= self.n - j + 1:
-                    key = exps[self.i - 1 :: -1]
-                    if best is None or key > best[0]:
-                        best = (key, exps, c, j)
-                    break
-        if best is None:
-            return None
-        return best[1], best[2], best[3]
+    def _normal(self, e):
+        """The normal form of the monomial x^e, as (exponents, coefficient)
+        pairs, memoized.  At the largest j with e_j > n-j, x^e = x^f
+        x_j^{n-j+1} becomes x^f (x_j^{n-j+1} - r_j), whose monomials keep
+        the exponents above j and have a smaller x_j exponent."""
+        if e in self._memo:
+            return self._memo[e]
+        for j in range(len(self.rules), 0, -1):
+            if e[j - 1] > self.n - j:
+                break
+        else:
+            self._memo[e] = ((e, 1),)
+            return self._memo[e]
+        f = e[: j - 1] + (e[j - 1] - self.n + j - 1,) + e[j:]
+        out = {}
+        for g, c in self.rules[j - 1].terms.items():
+            g = tuple(map(add, f, g))
+            if g != e:
+                add_column(out, self._normal(g), -c)
+        self._memo[e] = tuple(out.items())
+        return self._memo[e]
 
     def reduce(self, p: MPoly) -> MPoly:
         """Normal form of p modulo the left-ideal submodule."""
@@ -128,15 +140,10 @@ class CycloContext:
             raise ValueError(
                 f"C_{self.i}({self.n}) reduces in {self.i} variables over {self.params}"
             )
-        while True:
-            hit = self._find_violation(p)
-            if hit is None:
-                return p
-            exps, c, j = hit
-            cof = list(exps)
-            cof[j - 1] -= self.n - j + 1
-            mono = MPoly(self.i, self.params, {tuple(cof): c})
-            p = p - mono * self.rules[j - 1]
+        out = {}
+        for e, c in p.terms.items():
+            add_column(out, self._normal(e), c)
+        return p._like(out)
 
     def spanning_set(self):
         """Pairs (exponents, permutation) of the spanning operators."""
@@ -162,39 +169,13 @@ def cyclotomic_basis(n: int, i: int):
 # -- rank certification by action on the module ---------------------------
 
 
-def _generator_columns(ctx: CycloContext, basis):
-    """Columns {row: value mod PRIME} of x_1..x_i and T_1..T_{i-1} on basis."""
-    index = {a: r for r, a in enumerate(basis)}
-
-    def columns(op):
-        out = []
-        for a in basis:
-            img = ctx.reduce(op(MPoly(ctx.i, ctx.params, {a: 1})))
-            out.append({index[e]: c % PRIME for e, c in img.terms.items() if c % PRIME})
-        return out
-
-    xcols = [columns(lambda q, j=j: MPoly.x(j, ctx.i) * q) for j in range(1, ctx.i + 1)]
-    tcols = [columns(lambda q, j=j: q.demazure(j)) for j in range(1, ctx.i)]
-    return xcols, tcols
-
-
-def _compose(a, b):
-    """Columns of the product a b of two maps given by their columns."""
-    out = []
-    for col in b:
-        acc = {}
-        for k, t in col.items():
-            for r, x in a[k].items():
-                acc[r] = acc.get(r, 0) + x * t
-        out.append({r: v % PRIME for r, v in acc.items() if v % PRIME})
-    return out
-
-
 def _action_rows(ctx: CycloContext):
     """The spanning operators x^a T_w, in spanning_set order, each
-    flattened into one sparse row {key: value}; an iterator.  The rows
-    are summed straight from the columns of x^a and of T_w: composing
-    the two first and then flattening takes 1.5-2 times as long.
+    flattened into one sparse row {key: value}; an iterator.  The column
+    of x^a on x^b is the normal form of x^{a+b}, that of T_w on x^c the
+    normal form of d_w(x^c) (`nilhecke._d_column`), both modulo PRIME.
+    The rows are summed straight from those columns: composing x^a with
+    T_w first and then flattening takes 1.5-2 times as long.
 
     The entry at (r, c), for basis monomials of total degrees deg r and
     deg c, gets the key ((top + deg c - deg r) d + r) d + c, where d is
@@ -207,38 +188,36 @@ def _action_rows(ctx: CycloContext):
         raise ValueError("action rows need integer z_values, not parameters")
     basis = ctx.module_basis()
     d = len(basis)
-    xcols, tcols = _generator_columns(ctx, basis)
-    tcache = {(): [{c: 1} for c in range(d)]}
+    index = {a: r for r, a in enumerate(basis)}
 
-    def t_columns(word):
-        if word not in tcache:
-            tcache[word] = _compose(t_columns(word[:-1]), tcols[word[-1] - 1])
-        return tcache[word]
+    def column(pairs):
+        out = {}
+        for e, c in pairs:
+            add_column(out, ctx._normal(e), c)
+        return {index[e]: c % PRIME for e, c in out.items() if c % PRIME}
 
-    # x^a = x_j x^b, b = a lowered at its first nonzero a_j, sorts before a
-    dcols = {}
-    for a in basis:
-        j = next((k for k, e in enumerate(a) if e), None)
-        dcols[a] = tcache[()] if j is None else _compose(
-            xcols[j], dcols[a[:j] + (a[j] - 1,) + a[j + 1 :]]
-        )
+    xcols = {a: [column(((tuple(map(add, a, b)), 1),)) for b in basis] for a in basis}
     degs = [sum(a) for a in basis]
     top = max(degs)
     row_key = [(top - deg) * d * d + r * d for r, deg in enumerate(degs)]
     col_key = [deg * d * d + c for c, deg in enumerate(degs)]
-    for a, w in ctx.spanning_set():
-        left, row = dcols[a], {}
-        for c, col in enumerate(t_columns(w.canonical_word())):
-            ck = col_key[c]
-            for k, t in col.items():
-                for r, x in left[k].items():
-                    key = row_key[r] + ck
-                    row[key] = row.get(key, 0) + x * t
-        yield row
+    for w in length_order(ctx.i):
+        word = w.canonical_word()
+        tcols = [column(_d_column(word, c)) for c in basis]
+        for a in basis:
+            left, row = xcols[a], {}
+            for c, col in enumerate(tcols):
+                ck = col_key[c]
+                for k, t in col.items():
+                    for r, x in left[k].items():
+                        key = row_key[r] + ck
+                        row[key] = row.get(key, 0) + x * t
+            yield row
 
 
 # the cost follows the module rank more than the operator count: C_5(5)
-# takes 7.4 s at a random z, C_2(16) (480 operators, rank 240) 16 s, 1.2 GB
+# takes 4.1-5.9 s CPU at a random z (2-vCPU x86_64, Python 3.11), and
+# C_2(16) (480 operators, rank 240) took 16 s, 1.2 GB on an earlier engine
 _MAX_MODULE_RANK = 120
 
 

@@ -473,6 +473,9 @@ class ClassTable:
             }
             for x in orbit:
                 label_of[nest(x)] = label
+        self._representatives = tuple(
+            self.classes[label]["rep"] for label in sorted(self.classes)
+        )
 
     def label(self, rep: QuiverRep):
         if rep.dims != self.dims:
@@ -483,7 +486,8 @@ class ClassTable:
         return self.classes[self.label(rep)]["aut_order"]
 
     def representatives(self):
-        return [self.classes[label]["rep"] for label in sorted(self.classes)]
+        """One representation per class, sorted by label."""
+        return self._representatives
 
 
 class HallContext:
@@ -565,13 +569,19 @@ class HallContext:
         key = (self.label(m), self.label(n), self.label(l))
         if tuple(a + b for a, b in zip(m.dims, n.dims)) != l.dims:
             return 0
-        # one subrepresentation pass per (L, dim N) answers every (M, N)
-        pairs_key = (key[2], n.dims)
-        if pairs_key not in self._subrep_pairs:
-            self._subrep_pairs[pairs_key] = Counter(
-                (quot, sub) for sub, quot in self.subrep_data(l, n.dims)
+        return self._pairs(key[2], l, n.dims)[key[:2]]
+
+    def _pairs(self, label, l: QuiverRep, sub_dims) -> Counter:
+        """Counter of (label M, label N) over the subrepresentations N of
+        L (of the given label) with dimension vector ``sub_dims``, M the
+        quotient: one subrepresentation pass per (L, dim N) answers every
+        (M, N)."""
+        key = (label, sub_dims)
+        if key not in self._subrep_pairs:
+            self._subrep_pairs[key] = Counter(
+                (quot, sub) for sub, quot in self.subrep_data(l, sub_dims)
             )
-        return self._subrep_pairs[pairs_key][key[:2]]
+        return self._subrep_pairs[key]
 
     def exact_sequence_count(self, m: QuiverRep, n: QuiverRep, l: QuiverRep) -> int:
         """P^L_{M,N}: exact sequences 0 -> N -> L -> M -> 0, counted as
@@ -676,11 +686,13 @@ class HallContext:
     def product(self, m: QuiverRep, n: QuiverRep, twisted=False) -> "HallElement":
         dims = tuple(a + b for a, b in zip(m.dims, n.dims))
         table = self.table(dims)
+        key = (self.label(m), self.label(n))
         terms = {}
         for l in table.representatives():
-            c = self.hall_number(m, n, l)
+            label = table.label_of[l.mats]
+            c = self._pairs(label, l, n.dims)[key]
             if c:
-                terms[(dims, self.label(l))] = Laurent.const(c)
+                terms[(dims, label)] = Laurent.const(c)
         out = HallElement(self, terms)
         if twisted:
             out = out.scale(Laurent.gen(self.euler_form(m.dims, n.dims)))

@@ -4,7 +4,8 @@ fraction-free determinant.
 
 A vector is a dict {key: nonzero coefficient}; `bump` adds into one
 entry and keeps it so, and `add_column` adds c times a memoized column
-(of the nil Hecke and quiver Hecke layers).  `Combination` is the base of
+(of the nil Hecke and quiver Hecke layers, and the cyclotomic normal
+forms).  `Combination` is the base of
 the package's element types (Laurent and multivariate polynomials, nil
 Hecke, KLR, Fock and Hall elements), which are such vectors over a basis,
 and `format_terms` is the text form of the polynomials among them.  Their

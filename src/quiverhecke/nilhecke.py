@@ -16,7 +16,8 @@ operator d_i and X_i to multiplication.
 Products, the representation and the Gram entries read memoized monomial
 columns: `_t_step` for T_i on x^e T_v, `_d_column` for d_w(x^e), both
 built from `polyring`'s steps, and add them up with `linalg.add_column`,
-the accumulate that `klr` applies its tau columns with too.
+the accumulate that `klr` applies its tau columns with too.  `cyclotomic`
+reads `_d_column` for the T_w columns of its quotients.
 """
 
 from __future__ import annotations
@@ -230,7 +231,8 @@ _permutation = lru_cache(maxsize=None)(Permutation)
 @lru_cache(maxsize=None)
 def _d_column(word, e):
     """d_{i_1} o ... o d_{i_r}(x^e) for the word (i_1, ..., i_r), as a
-    tuple of (exponents, coefficient) pairs."""
+    tuple of (exponents, coefficient) pairs.  Read by this module's
+    representation and Gram entries and by `cyclotomic`'s T_w columns."""
     return tuple(demazure_terms({e: 1}, word).items())
 
 

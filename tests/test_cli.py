@@ -259,6 +259,14 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
             ["verify", "heckebridge", "--n", "5", "--window", "2"],
             "13608 basis monomials, above the limit",
         ),
+        (
+            ["verify", "nilhecke", "--n", "2", "--trials", "-1"],
+            "--trials must be nonnegative, got -1",
+        ),
+        (
+            ["verify", "demazure", "--n", "2", "--trials", "-3"],
+            "--trials must be nonnegative, got -3",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):

@@ -11,6 +11,7 @@ import pytest
 
 from quiverhecke.cyclotomic import (
     CycloContext,
+    _action_rows,
     cyclotomic_basis,
     cyclotomic_polynomial,
     expected_rank,
@@ -27,6 +28,7 @@ from quiverhecke.cyclotomic import (
 from quiverhecke.coxeter import poincare_polynomial
 from quiverhecke.klr import linear_quiver, make_klr, single_vertex_quiver
 from quiverhecke.laurent import Laurent
+from quiverhecke.linalg import PRIME
 from quiverhecke.nilhecke import NilHeckeElement
 from quiverhecke.polyring import MPoly
 
@@ -72,6 +74,86 @@ def test_reduction_is_linear_over_z():
         p = MPoly(2, params, terms)
         q = MPoly(2, params, {e: 2 * c for e, c in terms.items()})
         assert ctx.reduce(q) == ctx.reduce(p) + ctx.reduce(p)
+
+
+def rewrite_reduce(ctx, p):
+    """The reference normal form: the rewrite loop that subtracts x^f r_j
+    at the violating term whose reversed x-exponents are largest, until
+    no term violates a bound a_j <= n-j."""
+    while True:
+        best = None
+        for exps, c in p.terms.items():
+            for j in range(len(ctx.rules), 0, -1):
+                if exps[j - 1] >= ctx.n - j + 1:
+                    key = exps[ctx.i - 1 :: -1]
+                    if best is None or key > best[0]:
+                        best = (key, exps, c, j)
+                    break
+        if best is None:
+            return p
+        _, exps, c, j = best
+        cof = list(exps)
+        cof[j - 1] -= ctx.n - j + 1
+        p = p - MPoly(ctx.i, ctx.params, {tuple(cof): c}) * ctx.rules[j - 1]
+
+
+ORACLE_SHAPES = [(n, i) for n in range(5) for i in range(1, n + 2)] + [(5, 3)]
+
+
+@pytest.mark.parametrize("generic", [True, False])
+@pytest.mark.parametrize("n,i", ORACLE_SHAPES)
+def test_reduction_matches_the_rewrite_loop(n, i, generic):
+    # seeded random polynomials, over the parameter tail (generic z) or
+    # at integer z, up to twice the bounds in each x exponent
+    rng = random.Random(1000 * n + 10 * i + generic)
+    z = None if generic else tuple(rng.randint(-4, 4) for _ in range(n))
+    ctx = CycloContext(n, i, z_values=z)
+    for _ in range(6):
+        terms = {}
+        for _ in range(5):
+            e = tuple(rng.randrange(2 * (n - j) + 3) for j in range(1, i + 1))
+            e += tuple(rng.randrange(2) for _ in ctx.params)
+            terms[e] = rng.randint(-3, 3)
+        p = MPoly(i, ctx.params, terms)
+        assert ctx.reduce(p) == rewrite_reduce(ctx, p)
+
+
+def test_ranks_at_a_seeded_z():
+    # every spanning_rank(n, i, z) with n <= 4, i <= n + 2, pinned
+    rng = random.Random(34)
+    ranks = []
+    for n in range(5):
+        z = tuple(rng.randint(-5, 5) for _ in range(n))
+        ranks.append([spanning_rank(n, i, z) for i in range(n + 3)])
+    assert ranks == [
+        [1, 0, 0],
+        [1, 1, 0, 0],
+        [1, 2, 4, 0, 0],
+        [1, 3, 12, 36, 0, 0],
+        [1, 4, 24, 144, 576, 0, 0],
+    ]
+
+
+@pytest.mark.parametrize("n,i", [(2, 2), (3, 2), (3, 3), (4, 2)])
+def test_action_rows_are_the_operators(n, i):
+    # row k holds the matrix of the k-th spanning operator x^a T_w modulo
+    # PRIME, entry (r, c) under a key with r = key // d % d, c = key % d;
+    # its column c is the rewrite loop's normal form of x^a d_w(x^c)
+    rng = random.Random(10 * n + i)
+    ctx = CycloContext(n, i, z_values=tuple(rng.randint(-5, 5) for _ in range(n)))
+    basis = ctx.module_basis()
+    d = len(basis)
+    rows = list(_action_rows(ctx))
+    assert len(rows) == len(ctx.spanning_set())
+    for (a, w), row in zip(ctx.spanning_set(), rows):
+        got = {(k // d % d, k % d): v % PRIME for k, v in row.items() if v % PRIME}
+        expected = {}
+        for c, b in enumerate(basis):
+            image = MPoly(i, (), {a: 1}) * MPoly(i, (), {b: 1}).demazure_perm(w)
+            for e, v in rewrite_reduce(ctx, image).terms.items():
+                if v % PRIME:
+                    expected[basis.index(e), c] = v % PRIME
+        assert got == expected
 
 
 def test_zero_algebra_above_the_weight():
@@ -167,27 +249,29 @@ def test_wrong_rank_raises_under_optimize():
 
 @pytest.mark.parametrize("flags", [(), ("-O",)])
 def test_perturbed_generator_column_fails_the_rank(flags):
-    # negative control: T_1 has one nonzero column on the module of C_2(2);
-    # zeroing it lowers the rank from 4 to 2, and verify_rank must raise,
-    # under -O too.  (On C_2(3) no single zeroed column of T_1 changes
-    # the rank: the perturbed operators still span 12 dimensions.)
+    # negative control: T_1 has one nonzero column on the module of C_2(2),
+    # d_1(x_1) = -1; emptying it lowers the rank from 4 to 2, and
+    # verify_rank must raise, under -O too.  (On C_2(3) no single zeroed
+    # column of T_1 changes the rank: the perturbed operators still span
+    # 12 dimensions.)
     code = (
         "import sys\n"
         "import quiverhecke.cyclotomic as cyc\n"
-        "right = cyc._generator_columns\n"
-        "def perturbed(*args):\n"
-        "    xcols, tcols = right(*args)\n"
-        "    c = next(c for c, col in enumerate(tcols[0]) if col)\n"
-        "    tcols[0][c] = {}\n"
-        "    return xcols, tcols\n"
-        "cyc._generator_columns = perturbed\n"
-        "print(cyc.spanning_rank(2, 2, (0, 0)))\n"
+        "right, emptied = cyc._d_column, []\n"
+        "def perturbed(word, e):\n"
+        "    column = right(word, e)\n"
+        "    if word == (1,) and column:\n"
+        "        emptied.append(e)\n"
+        "        return ()\n"
+        "    return column\n"
+        "cyc._d_column = perturbed\n"
+        "print(cyc.spanning_rank(2, 2, (0, 0)), emptied)\n"
         "try:\n"
         "    cyc.verify_rank(2, 2)\n"
         "except ArithmeticError:\n"
         "    print('raised', sys.flags.optimize)\n"
     )
-    assert run_python(code, *flags) == ["2", "raised", str(len(flags))]
+    assert run_python(code, *flags) == ["2", "[(1,", "0)]", "raised", str(len(flags))]
 
 
 def test_import_leaves_numpy_out():

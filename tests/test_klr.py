@@ -1030,6 +1030,35 @@ def test_central_probe_inconclusive_returns_none():
     assert central_ideal_probe(ctx, (1, 2), [], max_deg=2) is None
 
 
+def test_central_probe_refuses_a_tau_word_at_the_base_under_optimize():
+    # a candidate carrying tau_1 at the base idempotent: its real part
+    # reduces into the ideal of tau, which holds 1, and reading its base
+    # polynomial must raise ArithmeticError under `python -O` too
+    code = (
+        "import sys\n"
+        "import quiverhecke.klr as klr\n"
+        "ctx = klr.make_klr(klr.single_vertex_quiver(), 2)\n"
+        "tau = klr.KLRElement.tau(ctx, 1, (1, 1))\n"
+        "right = klr._symmetric_candidates\n"
+        "klr._symmetric_candidates = lambda *args: [\n"
+        "    (label, el + tau) for label, el in right(*args)\n"
+        "]\n"
+        "try:\n"
+        "    print('returned', klr.central_ideal_probe(ctx, (1, 1), [tau], max_deg=2))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', sys.flags.optimize, exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised 1 candidate term at (1, 1) has tau-word"), res.stdout
+
+
 # -- text form and generic parameters ------------------------------------
 
 
