@@ -395,15 +395,7 @@ def suite_hall(cfg, rng):
 
 @_suite
 def suite_fock(cfg, rng):
-    from .fock import (
-        FockVector,
-        addable_boxes,
-        all_partitions,
-        e_op,
-        f_op,
-        operator_matrix,
-        removable_boxes,
-    )
+    from .fock import FockVector, all_partitions, e_op, f_op, operator_matrix, weight_pairing
 
     p = cfg["p"]
     max_size = cfg["max_size"]
@@ -411,20 +403,34 @@ def suite_fock(cfg, rng):
         raise ValueError(f"--p must be at least 1, got {p}")
     if max_size < 0:
         raise ValueError(f"--max-size must be at least 0, got {max_size}")
+    # fock-commutators examines p^2 cases per partition of size <= --max-size, each
+    # dearer as they grow, on 2 vCPUs: p = 1 at 30 (28629 cases) 1.9 s, 70 MB; p = 3
+    # at 26 (105588) 1.4 s; p = 4 at 24 (117408) 1.1 s; p = 1 at 34 4.5 s, 148 MB
+    if max_size > 30:
+        raise ValueError(f"--max-size must be at most 30, got {max_size}")
+    counts = [1] + [0] * max_size  # counts[m]: the number of partitions of m
+    for part in range(1, max_size + 1):
+        for m in range(part, max_size + 1):
+            counts[m] += counts[m - part]
+    if (cases := p * p * sum(counts)) > 120_000:
+        raise ValueError(
+            f"--max-size {max_size} at --p {p} gives {cases} commutator cases, "
+            "above the limit 120000"
+        )
 
     def commutators():
-        # [e_i, f_j] |lam> = delta_ij (addable - removable i-boxes) |lam>
+        # [e_i, f_j] |lam> = delta_ij <wt(lam), alpha_i^vee> |lam>, the weight
+        # read off the residue content and the Cartan matrix, not the box moves
         for size in range(max_size + 1):
             for lam in all_partitions(size):
                 v = FockVector.basis(lam)
                 fv = [f_op(j, p, v) for j in range(p)]
                 ev = [e_op(i, p, v) for i in range(p)]
                 for i in range(p):
-                    add = sum(1 for *_, r in addable_boxes(lam, p) if r == i)
-                    rem = sum(1 for *_, r in removable_boxes(lam, p) if r == i)
+                    h = weight_pairing(lam, i, p)
                     for j in range(p):
                         lhs = e_op(i, p, fv[j]) - f_op(j, p, ev[i])
-                        yield lhs == v.scale(add - rem if i == j else 0)
+                        yield lhs == v.scale(h if i == j else 0)
 
     def adjointness():
         for size in range(min(max_size, 6)):
@@ -616,6 +622,10 @@ def compute_fock_matrix(cfg):
         raise ValueError(f"--p must be at least 1, got {p}")
     if size < 0:
         raise ValueError(f"--size must be at least 0, got {size}")
+    if size > 22:
+        # dense: 792 x 627 at --op f --size 20 (0.22 s, 61 MB, a 5.6 MB report),
+        # 1255 x 1002 at 22 (0.54 s, 129 MB, 14 MB), 2.5 times that at 24 (2 vCPU)
+        raise ValueError(f"--size must be at most 22, got {size}")
     rows, cols, mat = operator_matrix(cfg["op"], i, p, size)
     return {
         "op": cfg["op"],

@@ -116,23 +116,33 @@ class CycloContext:
         """The normal form of the monomial x^e, as (exponents, coefficient)
         pairs, memoized.  At the largest j with e_j > n-j, x^e = x^f
         x_j^{n-j+1} becomes x^f (x_j^{n-j+1} - r_j), whose monomials keep
-        the exponents above j and have a smaller x_j exponent."""
+        the exponents above j and have a smaller x_j exponent; a work stack,
+        not recursion, reduces those first, whatever the depth of the rewrite."""
         if e in self._memo:
             return self._memo[e]
-        for j in range(len(self.rules), 0, -1):
-            if e[j - 1] > self.n - j:
-                break
-        else:
-            self._memo[e] = ((e, 1),)
-            return self._memo[e]
-        f = e[: j - 1] + (e[j - 1] - self.n + j - 1,) + e[j:]
-        out = {}
-        for g, c in self.rules[j - 1].terms.items():
-            g = tuple(map(add, f, g))
-            if g != e:
-                add_column(out, self._normal(g), -c)
-        self._memo[e] = tuple(out.items())
-        return self._memo[e]
+        memo, stack = self._memo, [(e, None)]
+        while stack:
+            top, steps = stack.pop()
+            if steps is not None:  # its monomials are reduced by now
+                out = {}
+                for g, c in steps:
+                    add_column(out, memo[g], -c)
+                memo[top] = tuple(out.items())
+                continue
+            if top in memo:  # pushed twice before its first reduction
+                continue
+            for j in range(len(self.rules), 0, -1):
+                if top[j - 1] > self.n - j:
+                    break
+            else:
+                memo[top] = ((top, 1),)
+                continue
+            f = top[: j - 1] + (top[j - 1] - self.n + j - 1,) + top[j:]
+            steps = [(tuple(map(add, f, g)), c) for g, c in self.rules[j - 1].terms.items()]
+            steps = [(g, c) for g, c in steps if g != top]
+            stack.append((top, steps))
+            stack += [(g, None) for g, _ in steps if g not in memo]
+        return memo[e]
 
     def reduce(self, p: MPoly) -> MPoly:
         """Normal form of p modulo the left-ideal submodule."""

@@ -4,7 +4,8 @@ Level-one Fock space combinatorics for affine sl_p.
 Basis: partitions, written as weakly decreasing tuples of positive
 integers.  The box in row r, column c (both 1-indexed) has residue
 (c - r) mod p.  The operator f_i adds, and e_i removes, one box of
-residue i (summing over all ways); d counts the boxes of residue 0.
+residue i (summing over all ways), as the memoized table ``_box_moves``
+of each (partition, p) lists them; d counts the boxes of residue 0.
 
 The weight of a partition is recorded through its residue content
 c_j = #{boxes of residue j}; the pairing of Lambda_0 - sum_j c_j alpha_j
@@ -62,62 +63,22 @@ def residue(row: int, col: int, p: int) -> int:
     return (col - row) % p
 
 
-def addable_boxes(parts, p: int):
-    """All (row, col, residue) where a box may be added."""
-    return _addable(check_partition(parts), p)
-
-
 @lru_cache(maxsize=None)
-def _addable(parts: tuple, p: int) -> tuple:
-    """``addable_boxes`` of a partition already checked, computed once
-    per (partition, p)."""
-    out = []
-    for r in range(1, len(parts) + 2):
-        row_len = parts[r - 1] if r <= len(parts) else 0
-        prev_len = parts[r - 2] if r >= 2 else None
-        if prev_len is None or row_len < prev_len:
-            c = row_len + 1
-            out.append((r, c, residue(r, c, p)))
-    return tuple(out)
-
-
-def removable_boxes(parts, p: int):
-    """All (row, col, residue) where a box may be removed."""
-    return _removable(check_partition(parts), p)
-
-
-@lru_cache(maxsize=None)
-def _removable(parts: tuple, p: int) -> tuple:
-    """``removable_boxes`` of a partition already checked, computed once
-    per (partition, p)."""
-    out = []
-    for r in range(1, len(parts) + 1):
-        row_len = parts[r - 1]
-        next_len = parts[r] if r < len(parts) else 0
-        if row_len > next_len:
-            out.append((r, row_len, residue(r, row_len, p)))
-    return tuple(out)
-
-
-def add_box(parts, row: int) -> tuple:
-    """``parts`` plus a box in ``row``, unchecked: f_op takes ``row`` from
-    the addable boxes of a checked partition, so this is a partition."""
-    parts = list(parts)
-    if row == len(parts) + 1:
-        parts.append(1)
-    else:
-        parts[row - 1] += 1
-    return tuple(parts)
-
-
-def remove_box(parts, row: int) -> tuple:
-    """``parts`` less a box in ``row``, unchecked: e_op takes ``row`` from
-    the removable boxes of a checked partition, so this is a partition."""
-    parts = list(parts)
-    parts[row - 1] -= 1
-    if parts[row - 1] == 0:
-        parts.pop(row - 1)
-    return tuple(parts)
+def _box_moves(parts: tuple, p: int) -> dict:
+    """The box moves of a partition already checked, memoized per
+    (partition, p) and never mutated: residue i -> the pair (the
+    partitions that adding one box of residue i gives, those that
+    removing one leaves), each in row order.  Only the residues of its
+    at most 2 len(parts) + 1 corners are keys, whatever p is."""
+    moves = {}
+    for r, (length, below) in enumerate(zip(parts + (0,), parts[1:] + (0, 0))):
+        if r == 0 or length < parts[r - 1]:
+            grown = parts[:r] + (length + 1,) + parts[r + 1 :]
+            moves.setdefault(residue(r + 1, length + 1, p), ([], []))[0].append(grown)
+        if length > below:
+            shrunk = parts[:r] + ((length - 1,) if length > 1 else ()) + parts[r + 1 :]
+            moves.setdefault(residue(r + 1, length, p), ([], []))[1].append(shrunk)
+    return {i: (tuple(grown), tuple(shrunk)) for i, (grown, shrunk) in moves.items()}
 
 
 def residue_content(parts, p: int) -> tuple:
@@ -158,9 +119,8 @@ def f_op(i: int, p: int, v: FockVector) -> FockVector:
     are partitions checked when it was built)."""
     out = {}
     for parts, c in v.terms.items():
-        for r, _, res in _addable(parts, p):
-            if res == i % p:
-                bump(out, add_box(parts, r), c)
+        for grown in _box_moves(parts, p).get(i % p, ((), ()))[0]:
+            bump(out, grown, c)
     return v._like(out)
 
 
@@ -169,9 +129,8 @@ def e_op(i: int, p: int, v: FockVector) -> FockVector:
     ``v`` are partitions checked when it was built)."""
     out = {}
     for parts, c in v.terms.items():
-        for r, _, res in _removable(parts, p):
-            if res == i % p:
-                bump(out, remove_box(parts, r), c)
+        for shrunk in _box_moves(parts, p).get(i % p, ((), ()))[1]:
+            bump(out, shrunk, c)
     return v._like(out)
 
 
@@ -183,6 +142,7 @@ def d_op(p: int, v: FockVector) -> FockVector:
     return v._like(out)
 
 
+@lru_cache(maxsize=None)
 def affine_cartan(p: int):
     """Cartan matrix of type A_{p-1}^{(1)}, indices 0..p-1: that of the
     cyclic quiver with p vertices (a_{00} = 0 at p = 1 from its loop,

@@ -267,6 +267,24 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
             ["verify", "demazure", "--n", "2", "--trials", "-3"],
             "--trials must be nonnegative, got -3",
         ),
+        (["compute", "fock-matrix", "--size", "23"], "--size must be at most 22, got 23"),
+        (
+            ["compute", "fock-matrix", "--op", "e", "--size", "10000000000"],
+            "--size must be at most 22, got 10000000000",
+        ),
+        (["verify", "fock", "--p", "1", "--max-size", "31"], "--max-size must be at most 30, got 31"),
+        (
+            ["verify", "fock", "--p", "3", "--max-size", "27"],
+            "--max-size 27 at --p 3 gives 132678 commutator cases, above the limit 120000",
+        ),
+        (
+            ["verify", "fock", "--p", "100", "--max-size", "6"],
+            "--max-size 6 at --p 100 gives 300000 commutator cases, above the limit 120000",
+        ),
+        (
+            ["verify", "fock", "--p", "1000000000", "--max-size", "0"],
+            "--max-size 0 at --p 1000000000 gives 1000000000000000000 commutator cases",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):
@@ -430,6 +448,15 @@ STDOUT_SHA256 = {
         "34ef4ed45e3090fde242eadaf0c70bc19d86685bf1d4d024f56c8261e1fb792d",
     "compute hall-table --q 5 --max-dim 1,2 --format text":
         "a21af0cf93f7171e8fa00aa5b64422977cf98afac3d00638369852aac1e90327",
+    # the Fock space at p = 1, 2 and 4, both operators, all three formats
+    "verify fock --p 2 --max-size 10":
+        "f5f5cb75f7ffad69324d072c42e1e283e63c35e7d64037294d1fe6054b685bbe",
+    "verify fock --p 4 --max-size 8 --format text":
+        "d64de8d1fe4316507f412c9dde75d7a5493c2844b2712d68b97d2114236cf0fe",
+    "compute fock-matrix --p 2 --i 1 --size 9 --op e":
+        "f72e0d2575ceac58c198769fffd59ece066b891f92fec0e371d01ce926384915",
+    "compute fock-matrix --p 1 --i 0 --size 7 --format csv":
+        "c13bd2ac03bca78ef3263c81e96ee98a96429792ff486499d4789d600c713a85",
 }
 
 
@@ -468,6 +495,12 @@ STDERR_CASES = {
     },
     "verify klr-relations --quiver a3 --n 3": {
         "klr-quadratic": 1080, "klr-straightening": 3240, "klr-braid": 540,
+    },
+    "verify fock --p 3 --max-size 8": {
+        "fock-p3-example": 6, "fock-commutators": 603, "fock-transpose-adjointness": 18,
+    },
+    "verify fock --p 4 --max-size 8": {
+        "fock-commutators": 1072, "fock-transpose-adjointness": 24,
     },
 }
 

@@ -118,6 +118,18 @@ def test_reduction_matches_the_rewrite_loop(n, i, generic):
         assert ctx.reduce(p) == rewrite_reduce(ctx, p)
 
 
+def test_deep_reduction_matches_the_rewrite_loop():
+    # the rewrite chain of a high power is longer than Python's recursion
+    # limit: x_1^1200 on C_1(1) takes 1200 steps; and a degree-20
+    # polynomial on C_3(3) at integer z
+    ctx = CycloContext(1, 1)
+    p = MPoly(1, ctx.params, {(1200, 0): 1})
+    assert ctx.reduce(p) == rewrite_reduce(ctx, p) == MPoly(1, ctx.params, {(0, 1200): 1})
+    ctx = CycloContext(3, 3, z_values=(2, -3, 1))
+    p = MPoly(3, (), {(20, 10, 3): 1, (6, 20, 1): -2, (1, 2, 20): 3})
+    assert ctx.reduce(p) == rewrite_reduce(ctx, p)
+
+
 def test_ranks_at_a_seeded_z():
     # every spanning_rank(n, i, z) with n <= 4, i <= n + 2, pinned
     rng = random.Random(34)

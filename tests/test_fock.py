@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from quiverhecke import cli, fock
 from quiverhecke.fock import (
     FockVector,
-    addable_boxes,
+    _box_moves,
     affine_cartan,
     all_partitions,
     check_partition,
@@ -14,7 +17,6 @@ from quiverhecke.fock import (
     e_op,
     f_op,
     operator_matrix,
-    removable_boxes,
     residue_content,
     transpose,
     weight_pairing,
@@ -49,6 +51,12 @@ def test_worked_example_p3():
     assert e_op(1, p, vec(lam)).is_zero()
 
 
+def _box_count(parts, i, p):
+    """Addable less removable boxes of residue i, read off the diagram."""
+    addable, removable = _reference_boxes(parts, p)
+    return sum(res == i for *_, res in addable) - sum(res == i for *_, res in removable)
+
+
 def test_commutator_e_f():
     # [e_i, f_j] = delta_ij * (addable_i - removable_i) on each partition
     for p in (2, 3, 5):
@@ -63,12 +71,7 @@ def test_commutator_e_f():
                         if i != j:
                             assert lhs.is_zero(), (p, parts, i, j)
                         else:
-                            diff = len(
-                                [b for b in addable_boxes(parts, p) if b[2] == i]
-                            ) - len(
-                                [b for b in removable_boxes(parts, p) if b[2] == i]
-                            )
-                            assert lhs == v.scale(diff), (p, parts, i)
+                            assert lhs == v.scale(_box_count(parts, i, p)), (p, parts, i)
 
 
 def test_commutator_matches_weight_pairing():
@@ -76,12 +79,7 @@ def test_commutator_matches_weight_pairing():
         for n in range(8):
             for parts in all_partitions(n):
                 for i in range(p):
-                    diff = len(
-                        [b for b in addable_boxes(parts, p) if b[2] == i]
-                    ) - len(
-                        [b for b in removable_boxes(parts, p) if b[2] == i]
-                    )
-                    assert diff == weight_pairing(parts, i, p), (p, parts, i)
+                    assert _box_count(parts, i, p) == weight_pairing(parts, i, p), (p, parts, i)
 
 
 def test_transpose_adjointness():
@@ -199,8 +197,8 @@ def test_malformed_partition_raises_under_optimize():
 
 
 def test_box_moves_give_partitions():
-    # add_box and remove_box do not re-check their result: every image of
-    # f_i and e_i must be a partition of the adjacent size all the same
+    # the table of box moves does not re-check what it builds: every image
+    # of f_i and e_i must be a partition of the adjacent size all the same
     for size in range(11):
         for parts in all_partitions(size):
             for p in (2, 3, 5):
@@ -231,12 +229,44 @@ def _reference_boxes(parts, p):
     return addable, removable
 
 
+def _shape(cells):
+    """The partition whose Young diagram is the set of cells ``cells``."""
+    rows = [r for r, _ in cells]
+    return tuple(rows.count(r) for r in range(1, max(rows, default=0) + 1))
+
+
 def test_memoized_boxes_match_the_diagram():
-    # addable_boxes and removable_boxes are memoized per (partition, p):
-    # asked twice, they give the boxes read off the diagram both times
+    # the table of box moves is memoized per (partition, p): asked twice,
+    # it holds, per residue that has a move and in row order, the diagram
+    # plus each addable cell and the diagram less each removable cell
     for _ in range(2):
         for size in range(9):
             for parts in all_partitions(size):
+                cells = {(r, c) for r, n in enumerate(parts, start=1) for c in range(1, n + 1)}
                 for p in (1, 2, 3, 5):
-                    expected = _reference_boxes(parts, p)
-                    assert (addable_boxes(parts, p), removable_boxes(parts, p)) == expected
+                    addable, removable = _reference_boxes(parts, p)
+                    expected = {}
+                    for r, c, res in addable:
+                        expected.setdefault(res, ([], []))[0].append(_shape(cells | {(r, c)}))
+                    for r, c, res in removable:
+                        expected.setdefault(res, ([], []))[1].append(_shape(cells - {(r, c)}))
+                    expected = {i: (tuple(a), tuple(b)) for i, (a, b) in expected.items()}
+                    assert _box_moves(parts, p) == expected, (parts, p)
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_shifted_residue_fails_the_commutator_check(monkeypatch, capsys, p):
+    # with the residue off by one, the box moves are those of a Fock space
+    # whose first box has residue 1, so [e_0, f_0] no longer pairs with
+    # Lambda_0; fock-p3-example, which would catch it, runs at p = 3 only.
+    # The memo is cleared on both sides, so no shifted entry outlives this
+    _box_moves.cache_clear()
+    monkeypatch.setattr(fock, "residue", lambda row, col, p: (col - row + 1) % p)
+    try:
+        code = cli.main(["verify", "fock", "--p", str(p), "--max-size", "6", "--format", "text"])
+    finally:
+        _box_moves.cache_clear()
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f'FAIL fock-commutators {{"max_size": 6, "p": {p}}}' in out
+    assert "PASS fock-transpose-adjointness" in out

@@ -30,7 +30,6 @@ TEST_ONLY = {
     "ideal_stability_check": "well-definedness of the cyclotomic quotient action",
     "weight_space_dims_fock_check": "Fock weight spaces grouped by residue content",
     "d_op": "Fock space degree operator d",
-    "weight_pairing": "Fock space weight pairing with a simple coroot",
     "transpose": "conjugate partition",
     "filtration_count": "Hall algebra filtration count of a composite product",
     "jordan_quiver": "one-loop quiver: conjugacy classes of matrices",
