@@ -396,6 +396,7 @@ def suite_hall(cfg, rng):
 @_suite
 def suite_fock(cfg, rng):
     from .fock import FockVector, all_partitions, e_op, f_op, operator_matrix, weight_pairing
+    from .linalg import bump
 
     p = cfg["p"]
     max_size = cfg["max_size"]
@@ -420,7 +421,8 @@ def suite_fock(cfg, rng):
 
     def commutators():
         # [e_i, f_j] |lam> = delta_ij <wt(lam), alpha_i^vee> |lam>, the weight
-        # read off the residue content and the Cartan matrix, not the box moves
+        # read off the residue content and the Cartan matrix, not the box moves;
+        # both sides compared as term dicts
         for size in range(max_size + 1):
             for lam in all_partitions(size):
                 v = FockVector.basis(lam)
@@ -429,8 +431,10 @@ def suite_fock(cfg, rng):
                 for i in range(p):
                     h = weight_pairing(lam, i, p)
                     for j in range(p):
-                        lhs = e_op(i, p, fv[j]) - f_op(j, p, ev[i])
-                        yield lhs == v.scale(h if i == j else 0)
+                        lhs = dict(e_op(i, p, fv[j]).terms)
+                        for parts, c in f_op(j, p, ev[i]).terms.items():
+                            bump(lhs, parts, -c)
+                        yield lhs == ({lam: h} if i == j and h else {})
 
     def adjointness():
         for size in range(min(max_size, 6)):
@@ -553,7 +557,7 @@ def compute_cyclotomic_basis(cfg):
 
 
 def compute_hall_table(cfg):
-    from .hall import HallContext, a2_quiver
+    from .hall import HallContext, a2_quiver, subspace_count
 
     q = cfg["q"]
     max_dim = tuple(int(t) for t in cfg["max_dim"].split(","))
@@ -572,8 +576,6 @@ def compute_hall_table(cfg):
             f"--max-dim {cfg['max_dim']} at q = {q} enumerates {matrices} "
             "matrices, more than 3^9 = 19683"
         )
-    ctx = HallContext(a2_quiver(), q)
-    classes = []
     dims_list = [
         dims
         for dims in itertools.product(
@@ -581,6 +583,25 @@ def compute_hall_table(cfg):
         )
         if any(dims)
     ]
+    # the products walk every tuple of subspaces once per class L and
+    # dimension vector of N: a2's classes at dims (d1, d2) are the ranks
+    # 0..min(d1, d2).  On 2 vCPUs q = 5 at 1,5 (216820 tuples) takes 1.5 s
+    # and q = 3 at 1,6 (297684) 2.0 s, the largest admitted; q = 4 at 0,6
+    # (578571) takes 6.7 s and 99 MB, and q = 5 at 1,6 (18132974) ran past
+    # 150 s at 1.4 GB
+    tuples = sum(
+        (min(dl) + 1) * subspace_count(q, dl[0], dn[0]) * subspace_count(q, dl[1], dn[1])
+        for dl in dims_list
+        for dn in dims_list
+        if dn != dl and dn[0] <= dl[0] and dn[1] <= dl[1]
+    )
+    if tuples > 300_000:
+        raise ValueError(
+            f"--max-dim {cfg['max_dim']} at q = {q} enumerates {tuples} "
+            "subspace tuples, more than 300000"
+        )
+    ctx = HallContext(a2_quiver(), q)
+    classes = []
     reps = {}
     for dims in dims_list:
         table = ctx.table(dims)

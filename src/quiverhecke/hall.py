@@ -21,7 +21,10 @@ becomes a matrix tuple once, as a key of the class table.
 Hall numbers F^L_{M,N} count submodules of L isomorphic to N with
 quotient isomorphic to M.  Submodules are read off one RREF basis per
 vertex, with no linear solve: membership, coordinates and the quotient
-all come from the pivots (``HallContext.subrep_data``).  The untwisted
+all come from the pivots (``HallContext.subrep_data``).  Each vertex's
+subspaces, with their pivots, are listed once per (dimension, subspace
+dimension) and kept on the context, and each arrow's images M b are
+computed once per source subspace.  The untwisted
 product is [M] * [N] = sum_L F^L_{M,N} [L].  The Ringel twist multiplies
 by v^{<M,N>} where v^2 = q and <M,N> is the Euler form, computed for a
 loop-free quiver as sum_i d_i(M) d_i(N) - sum_{a:i->j} d_i(M) d_j(N).
@@ -33,6 +36,8 @@ against an independent count of the exact sequences 0 -> N -> L -> M -> 0
 (``HallContext.exact_sequence_count``): homomorphisms are the null space
 of the linear equations b_a f_s = f_t a_a, and injections are matched to
 surjections by image and kernel, each keyed by one RREF basis per vertex.
+Its RREF results are memoized per context by matrix, apart from every
+memo the submodule count reads, so the two counts stay independent.
 
 Supported field sizes: 2, 3, 4, 5 (other q raise ValueError).  Field
 arithmetic is table lookup, with tables built once per q.
@@ -221,6 +226,16 @@ def subspaces(q: int, n: int, k: int):
             for (r, c), val in zip(free_positions, values):
                 rows[r][c] = val
             yield tuple(tuple(r) for r in rows)
+
+
+def subspace_count(q: int, n: int, k: int) -> int:
+    """The number of k-dimensional subspaces of F_q^n, the Gaussian
+    binomial prod_{i<k} (q^{n-i} - 1) / (q^{i+1} - 1); each partial
+    product is itself a Gaussian binomial, so every division is exact."""
+    out = 1
+    for i in range(k):
+        out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return out
 
 
 def gl_order(q: int, n: int) -> int:
@@ -498,7 +513,9 @@ class HallContext:
         self.quiver = quiver
         self.q = q
         self._tables = {}
+        self._subspace_data = {}  # (d, k) -> (basis, pivots, other columns) per subspace
         self._subrep_pairs = {}  # (label L, dims N) -> Counter of (label M, label N)
+        self._reduced = {}  # matrix -> rref, for the exact-sequence oracle only
         self._image_counts = {}  # (rep N, rep L) -> Counter of injection images
         self._kernel_counts = {}  # (rep L, rep M) -> Counter of surjection kernels
 
@@ -516,48 +533,65 @@ class HallContext:
 
     # -- submodule machinery ------------------------------------------
 
+    def _vertex_subspaces(self, d: int, k: int):
+        """The k-dimensional subspaces of F_q^d, each as (B, P, C): its
+        RREF basis B from ``subspaces``, the pivot columns P of B (read
+        as ``row.index(1)``) and the other columns C.  Built once per
+        (d, k) and kept on the context, with equal rows and equal column
+        tuples shared."""
+        key = (d, k)
+        if key not in self._subspace_data:
+            rows, columns, data = {}, {}, []
+            for B in subspaces(self.q, d, k):
+                B = tuple([rows.setdefault(row, row) for row in B])
+                P = tuple(row.index(1) for row in B)
+                if P not in columns:
+                    columns[P] = (P, tuple(c for c in range(d) if c not in P))
+                data.append((B, *columns[P]))
+            self._subspace_data[key] = tuple(data)
+        return self._subspace_data[key]
+
     def subrep_data(self, rep: QuiverRep, sub_dims):
         """Yield the labels (sub, quotient) of every subrepresentation of
         the given dimension vector, read from ``table(dims).label_of``.
 
-        Each vertex space runs through the RREF bases B of ``subspaces``;
-        the pivot columns P of B are read as ``row.index(1)``.  The unit
-        vectors e_c, c not in P, complete B to a basis, and the residue
-        of a vector (see ``residue``) is supported off P.  So for an
-        arrow matrix M from vertex s to vertex t:
+        Each vertex space runs through its subspaces (B, P, C) of
+        ``_vertex_subspaces``.  The unit vectors e_c, c in C, complete B
+        to a basis, and the residue of a vector (see ``residue``) is
+        supported on C.  So for an arrow matrix M from vertex s to
+        vertex t:
 
         - B_s is invariant exactly when every M b, b in B_s, has zero
           residue against B_t; the sub matrix's columns are then the
           coordinates (M b)[P_t];
-        - the quotient matrix's column for e_c, c not in P_s, is the
-          residue of M e_c (column c of M) read off the columns outside
-          P_t.
+        - the quotient matrix's column for e_c, c in C_s, is the residue
+          of M e_c (column c of M) read off C_t.
 
-        The quotient's basis is the classes of those unit vectors; only
-        the isomorphism classes, the canonical labels, are used downstream.
+        The images M b depend only on B_s, so each arrow computes them
+        once per source subspace, and the columns of M once per call,
+        before the loop over the tuples of subspaces.  The quotient's
+        basis is the classes of the unit vectors e_c; only the
+        isomorphism classes, the canonical labels, are used downstream.
         """
         F = field(self.q)
-        choices = []  # per vertex: (basis, pivot columns, other columns)
-        for d, k in zip(rep.dims, sub_dims):
-            vertex = []
-            for B in subspaces(self.q, d, k):
-                P = tuple(row.index(1) for row in B)
-                vertex.append((B, P, tuple(c for c in range(d) if c not in P)))
-            choices.append(vertex)
+        choices = [self._vertex_subspaces(d, k) for d, k in zip(rep.dims, sub_dims)]
+        arrows = []  # per arrow: s, t, the columns of M, the images M b per B_s
+        for (si, ti), m in zip(self.quiver.arrow_index, rep.mats):
+            columns = [tuple(row[c] for row in m) for c in range(rep.dims[si])]
+            images = [[mat_vec(F, m, b) for b in B] for B, _, _ in choices[si]]
+            arrows.append((si, ti, columns, images))
         sub_labels = self.table(sub_dims).label_of
         quot_labels = self.table(d - k for d, k in zip(rep.dims, sub_dims)).label_of
-        for bases in itertools.product(*choices):
+        for picks in itertools.product(*[range(len(c)) for c in choices]):
             sub_mats, quot_mats = [], []
-            for (si, ti), m in zip(self.quiver.arrow_index, rep.mats):
-                Bs, _, free_s = bases[si]
-                Bt, Pt, free_t = bases[ti]
-                images = [mat_vec(F, m, b) for b in Bs]
-                if any(any(residue(F, Bt, Pt, y)) for y in images):
+            for si, ti, columns, images in arrows:
+                _, _, free_s = choices[si][picks[si]]
+                Bt, Pt, free_t = choices[ti][picks[ti]]
+                ys = images[picks[si]]
+                if any(any(residue(F, Bt, Pt, y)) for y in ys):
                     break
-                sub_mats.append(tuple(tuple(y[p] for y in images) for p in Pt))
-                quot_cols = [
-                    residue(F, Bt, Pt, [row[c] for row in m]) for c in free_s
-                ]
+                sub_mats.append(tuple(tuple(y[p] for y in ys) for p in Pt))
+                quot_cols = [residue(F, Bt, Pt, columns[c]) for c in free_s]
                 quot_mats.append(
                     tuple(tuple(col[c] for col in quot_cols) for c in free_t)
                 )
@@ -593,21 +627,30 @@ class HallContext:
         alone is not counted: that gives only im f inside ker g, so when
         dim L != dim M + dim N no key matches and the count is 0.
         Independent of hall_number: no class table, ``subspaces`` or
-        ``residue``, and the memos are keyed by representations.
+        ``residue``, and its memos (counts keyed by representations,
+        ``_rref`` keyed by matrices) are not the ones ``subrep_data``
+        reads.
         """
         images = self._images(n, l)
         return sum(c * images[key] for key, c in self._kernels(l, m).items())
 
+    def _rref(self, rows):
+        """``rref`` of the matrix ``rows`` (a tuple of row tuples),
+        memoized per context for the exact-sequence oracle; a miss calls
+        the module's ``rref``."""
+        if rows not in self._reduced:
+            self._reduced[rows] = rref(field(self.q), rows)
+        return self._reduced[rows]
+
     def _images(self, n: QuiverRep, l: QuiverRep) -> Counter:
         """#{f : im f = U} over the injections f : N -> L, each image U
-        keyed by one RREF basis per vertex, from ``rref`` of the columns
+        keyed by one RREF basis per vertex, from ``_rref`` of the columns
         of f_i; counted once per (N, L)."""
         key = (n, l)
         if key not in self._image_counts:
-            F = field(self.q)
             images = Counter()
             for f in self._homs(n, l):
-                basis = tuple(rref(F, tuple(zip(*fi)))[0] for fi in f)
+                basis = tuple(self._rref(tuple(zip(*fi)))[0] for fi in f)
                 if all(len(b) == d for b, d in zip(basis, n.dims)):
                     images[basis] += 1
             self._image_counts[key] = images
@@ -615,7 +658,7 @@ class HallContext:
 
     def _kernels(self, l: QuiverRep, m: QuiverRep) -> Counter:
         """#{g : ker g = U} over the surjections g : L -> M, each kernel U
-        keyed by one RREF basis per vertex, from ``rref`` of the
+        keyed by one RREF basis per vertex, from ``_rref`` of the
         ``null_space`` basis of g_i; counted once per (L, M)."""
         key = (l, m)
         if key not in self._kernel_counts:
@@ -624,10 +667,10 @@ class HallContext:
             for g in self._homs(l, m):
                 basis = []
                 for gi, dl, dm in zip(g, l.dims, m.dims):
-                    reduced, pivots = rref(F, gi)
+                    reduced, pivots = self._rref(gi)
                     if len(reduced) != dm:
                         break
-                    basis.append(rref(F, null_space(F, reduced, pivots, dl))[0])
+                    basis.append(self._rref(tuple(null_space(F, reduced, pivots, dl)))[0])
                 else:
                     kernels[tuple(basis)] += 1
             self._kernel_counts[key] = kernels

@@ -285,6 +285,10 @@ LOOP_QUIVER = "vertex 1\n1 -> 1\n"
             ["verify", "fock", "--p", "1000000000", "--max-size", "0"],
             "--max-size 0 at --p 1000000000 gives 1000000000000000000 commutator cases",
         ),
+        (
+            ["compute", "hall-table", "--q", "5", "--max-dim", "1,6"],
+            "--max-dim 1,6 at q = 5 enumerates 18132974 subspace tuples, more than 300000",
+        ),
     ],
 )
 def test_unsupported_parameter_exits_two(capsys, tmp_path, argv, message):

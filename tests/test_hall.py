@@ -1,8 +1,10 @@
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter, deque
 from pathlib import Path
 
@@ -22,11 +24,13 @@ from quiverhecke.hall import (
     jordan_quiver,
     mat_inverse,
     mat_mul,
+    mat_vec,
     matrix_tuples,
     residue,
     rref,
     serre_relation_check,
     simple_rep,
+    subspace_count,
     subspaces,
     unit,
     QuiverRep,
@@ -296,7 +300,7 @@ def test_subspace_counts(q):
             expected = Fraction(1)
             for i in range(k):
                 expected *= Fraction(q ** (n - i) - 1, q ** (i + 1) - 1)
-            assert count == expected
+            assert count == expected == subspace_count(q, n, k)
 
 
 # -- classification ------------------------------------------------------
@@ -816,3 +820,163 @@ def test_no_exact_sequence_unless_dimensions_add():
     for m, n, l in itertools.product(reps, repeat=3):
         if tuple(a + b for a, b in zip(m.dims, n.dims)) != l.dims:
             assert ctx.exact_sequence_count(m, n, l) == 0, (m, n, l)
+
+
+# -- subrepresentations against brute force -------------------------------
+
+
+def _reference_subreps(ctx, rep, sub_dims):
+    """Counter of (sub label, quotient label) over every tuple of
+    subspaces, invariance decided by ``mat_vec`` and ``residue``; both
+    matrices read off the coordinates of M v in the basis B + (e_c, c off
+    the pivots of B), from its ``mat_inverse``."""
+    F = field(ctx.q)
+    arrows = list(zip(ctx.quiver.arrow_index, rep.mats))
+    quot_dims = tuple(d - k for d, k in zip(rep.dims, sub_dims))
+    out = Counter()
+    for bases in itertools.product(
+        *[subspaces(ctx.q, d, k) for d, k in zip(rep.dims, sub_dims)]
+    ):
+        pivots = [tuple(row.index(1) for row in B) for B in bases]
+        if any(
+            any(residue(F, bases[t], pivots[t], mat_vec(F, m, b)))
+            for (s, t), m in arrows
+            for b in bases[s]
+        ):
+            continue
+        full = [
+            B + tuple(tuple(int(c == j) for j in range(d)) for c in range(d) if c not in P)
+            for B, P, d in zip(bases, pivots, rep.dims)
+        ]
+        inverses = [mat_inverse(F, f) for f in full]
+        sub_mats, quot_mats = [], []
+        for (s, t), m in arrows:
+            # column j: the coordinates x of M full_s[j], x full_t = M full_s[j]
+            cols = [
+                mat_mul(F, (mat_vec(F, m, v),), inverses[t], cols=rep.dims[t])[0]
+                for v in full[s]
+            ]
+            ks, kt = sub_dims[s], sub_dims[t]
+            sub_mats.append(tuple(tuple(col[r] for col in cols[:ks]) for r in range(kt)))
+            quot_mats.append(
+                tuple(tuple(col[r] for col in cols[ks:]) for r in range(kt, rep.dims[t]))
+            )
+        out[
+            ctx.table(sub_dims).label_of[tuple(sub_mats)],
+            ctx.table(quot_dims).label_of[tuple(quot_mats)],
+        ] += 1
+    return out
+
+
+SUBREP_CASES = (
+    [("jordan", jordan_quiver(), 2, (d,)) for d in (1, 2, 3)]
+    + [("jordan", jordan_quiver(), 3, (d,)) for d in (1, 2)]
+    + [("kronecker", KRONECKER, 2, d) for d in ((1, 1), (1, 2), (2, 1), (2, 2))]
+    + [("kronecker", KRONECKER, 3, d) for d in ((1, 1), (1, 2), (2, 1))]
+    + [("a3-sink", A3_SINK, 2, d) for d in ((1, 1, 1), (1, 2, 1))]
+    + [("a3-sink", A3_SINK, 3, d) for d in ((1, 1, 1), (1, 2, 1))]
+)
+
+
+@pytest.mark.parametrize(
+    "quiver, q, dims",
+    [case[1:] for case in SUBREP_CASES],
+    ids=[f"{name}-q{q}-{','.join(map(str, d))}" for name, _, q, d in SUBREP_CASES],
+)
+def test_subrep_data_matches_brute_force(quiver, q, dims):
+    ctx = HallContext(quiver, q)
+    for rep in ctx.table(dims).representatives():
+        for sub_dims in itertools.product(*[range(d + 1) for d in dims]):
+            expected = _reference_subreps(ctx, rep, sub_dims)
+            assert Counter(ctx.subrep_data(rep, sub_dims)) == expected, (rep, sub_dims)
+
+
+def test_subspace_data_is_built_once_and_freed_with_its_context(monkeypatch):
+    from quiverhecke import hall
+
+    calls = Counter()
+
+    def counted(q, n, k):
+        calls[n, k] += 1
+        return subspaces(q, n, k)
+
+    monkeypatch.setattr(hall, "subspaces", counted)
+    ctx = HallContext(a2_quiver(), 3)
+    reps = [r for dims in A2_DIMS for r in ctx.table(dims).representatives()]
+    for m, n, l in itertools.product(reps, repeat=3):
+        ctx.hall_number(m, n, l)
+    assert set(calls.values()) == {1}
+    assert calls.keys() == ctx._subspace_data.keys()
+    assert all(
+        len(data) == subspace_count(3, d, k) for (d, k), data in ctx._subspace_data.items()
+    )
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None
+
+
+def test_exact_sequence_count_reads_no_subspace_data(monkeypatch):
+    # Riedtmann's check stays independent: with the builder of the
+    # subspace data refusing, the oracle still gives F |Aut M| |Aut N|
+    q = 3
+    ref = HallContext(a2_quiver(), q)
+    expected = {
+        (m, n, l): ref.hall_number(m, n, l) * ref.aut_order(m) * ref.aut_order(n)
+        for m, n, l in _triples(ref, SUITE_DIM_PAIRS)
+    }
+
+    def refuse(self, d, k):
+        raise RuntimeError("the subspace data was read")
+
+    monkeypatch.setattr(HallContext, "_vertex_subspaces", refuse)
+    ctx = HallContext(a2_quiver(), q)
+    for (m, n, l), count in expected.items():
+        assert ctx.exact_sequence_count(m, n, l) == count
+    with pytest.raises(RuntimeError, match="the subspace data was read"):
+        ctx.hall_number(*next(iter(expected)))
+
+
+CORRUPT_IMAGES = """
+from quiverhecke import hall
+
+right = hall.mat_vec
+
+
+def corrupted(F, A, v):
+    # one added to the first entry of every nonzero image M b
+    y = right(F, A, v)
+    return (F.ADD[y[0]][1],) + y[1:] if any(y) else y
+"""
+
+
+def test_corrupted_images_fail_verify_hall(capsys, monkeypatch):
+    from quiverhecke import cli, hall
+
+    scope = {}
+    exec(CORRUPT_IMAGES, scope)
+    monkeypatch.setattr(hall, "mat_vec", scope["corrupted"])
+    assert cli.main(["verify", "hall", "--q", "3", "--format", "text"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith("FAIL hall-exact-sequence-count") for ln in lines)
+
+
+def test_corrupted_images_fail_verify_hall_under_optimize():
+    code = CORRUPT_IMAGES + (
+        "import sys\n"
+        "from quiverhecke import cli\n"
+        "hall.mat_vec = corrupted\n"
+        "print(sys.flags.optimize)\n"
+        "sys.exit(cli.main(['verify', 'hall', '--q', '3', '--format', 'text']))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 1, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "1"
+    assert any(ln.startswith("FAIL hall-exact-sequence-count") for ln in lines)
