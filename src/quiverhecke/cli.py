@@ -421,8 +421,7 @@ def suite_fock(cfg, rng):
 
     def commutators():
         # [e_i, f_j] |lam> = delta_ij <wt(lam), alpha_i^vee> |lam>, the weight
-        # read off the residue content and the Cartan matrix, not the box moves;
-        # both sides compared as term dicts
+        # read off the residue content and the Cartan matrix, not the box moves
         for size in range(max_size + 1):
             for lam in all_partitions(size):
                 v = FockVector.basis(lam)
@@ -568,6 +567,29 @@ def compute_hall_table(cfg):
     if not any(max_dim):
         # the zero dimension vector has no table: nothing would be computed
         raise ValueError(f"--max-dim must have a positive entry, got {cfg['max_dim']}")
+    ctx = HallContext(a2_quiver(), q)  # rejects an unsupported q first
+    # the products walk every tuple of subspaces once per class L and
+    # dimension vector of N: a2's classes at dims (d1, d2) are the ranks
+    # 0..min(d1, d2).  On 2 vCPUs q = 5 at 1,5 (216820 tuples) takes
+    # 1.4-2.3 s and 25 MB, q = 3 at 1,6 (297684), the largest admitted,
+    # 1.9-3.2 s and 27 MB; q = 4 at 0,6 (578571) takes 6.7 s and 99 MB,
+    # and q = 5 at 1,6 (18132974) ran past 150 s at 1.4 GB uncapped.  The
+    # count runs lazily and stops once past the cap, so a huge --max-dim is
+    # refused at once (itertools.product would first list its ranges)
+    tuples = 0
+    for dl in ((a, b) for a in range(max_dim[0] + 1) for b in range(max_dim[1] + 1)):
+        for dn in itertools.product(range(dl[0] + 1), range(dl[1] + 1)):
+            if any(dn) and dn != dl:
+                tuples += (
+                    (min(dl) + 1)
+                    * subspace_count(q, dl[0], dn[0])
+                    * subspace_count(q, dl[1], dn[1])
+                )
+        if tuples > 300_000:
+            raise ValueError(
+                f"--max-dim {cfg['max_dim']} at q = {q} enumerates more than "
+                "300000 subspace tuples"
+            )
     matrices = q ** (max_dim[0] * max_dim[1])
     if matrices > 3**9:
         # the orbit enumeration visits every matrix: q = 3 at 3,3 takes
@@ -576,6 +598,7 @@ def compute_hall_table(cfg):
             f"--max-dim {cfg['max_dim']} at q = {q} enumerates {matrices} "
             "matrices, more than 3^9 = 19683"
         )
+    classes = []
     dims_list = [
         dims
         for dims in itertools.product(
@@ -583,25 +606,6 @@ def compute_hall_table(cfg):
         )
         if any(dims)
     ]
-    # the products walk every tuple of subspaces once per class L and
-    # dimension vector of N: a2's classes at dims (d1, d2) are the ranks
-    # 0..min(d1, d2).  On 2 vCPUs q = 5 at 1,5 (216820 tuples) takes 1.5 s
-    # and q = 3 at 1,6 (297684) 2.0 s, the largest admitted; q = 4 at 0,6
-    # (578571) takes 6.7 s and 99 MB, and q = 5 at 1,6 (18132974) ran past
-    # 150 s at 1.4 GB
-    tuples = sum(
-        (min(dl) + 1) * subspace_count(q, dl[0], dn[0]) * subspace_count(q, dl[1], dn[1])
-        for dl in dims_list
-        for dn in dims_list
-        if dn != dl and dn[0] <= dl[0] and dn[1] <= dl[1]
-    )
-    if tuples > 300_000:
-        raise ValueError(
-            f"--max-dim {cfg['max_dim']} at q = {q} enumerates {tuples} "
-            "subspace tuples, more than 300000"
-        )
-    ctx = HallContext(a2_quiver(), q)
-    classes = []
     reps = {}
     for dims in dims_list:
         table = ctx.table(dims)
