@@ -395,7 +395,7 @@ def suite_hall(cfg, rng):
 
 @_suite
 def suite_fock(cfg, rng):
-    from .fock import FockVector, all_partitions, e_op, f_op, operator_matrix, weight_pairing
+    from .fock import FockVector, all_partitions, e_op, f_op, operator_matrix, weight_pairings
     from .linalg import bump
 
     p = cfg["p"]
@@ -427,8 +427,7 @@ def suite_fock(cfg, rng):
                 v = FockVector.basis(lam)
                 fv = [f_op(j, p, v) for j in range(p)]
                 ev = [e_op(i, p, v) for i in range(p)]
-                for i in range(p):
-                    h = weight_pairing(lam, i, p)
+                for i, h in enumerate(weight_pairings(lam, p)):
                     for j in range(p):
                         lhs = dict(e_op(i, p, fv[j]).terms)
                         for parts, c in f_op(j, p, ev[i]).terms.items():
@@ -570,12 +569,13 @@ def compute_hall_table(cfg):
     ctx = HallContext(a2_quiver(), q)  # rejects an unsupported q first
     # the products walk every tuple of subspaces once per class L and
     # dimension vector of N: a2's classes at dims (d1, d2) are the ranks
-    # 0..min(d1, d2).  On 2 vCPUs q = 5 at 1,5 (216820 tuples) takes
-    # 1.4-2.3 s and 25 MB, q = 3 at 1,6 (297684), the largest admitted,
-    # 1.9-3.2 s and 27 MB; q = 4 at 0,6 (578571) takes 6.7 s and 99 MB,
-    # and q = 5 at 1,6 (18132974) ran past 150 s at 1.4 GB uncapped.  The
-    # count runs lazily and stops once past the cap, so a huge --max-dim is
-    # refused at once (itertools.product would first list its ranges)
+    # 0..min(d1, d2).  On 2 vCPUs (cli.main in a fresh process) q = 5 at
+    # 1,5 (216820 tuples) takes 0.8-0.9 s and 28 MB, q = 3 at 1,6 (297684),
+    # the largest admitted, 1.2-1.7 s and 31 MB; uncapped, q = 4 at 0,6
+    # (578571) took 6.7 s and 99 MB and q = 5 at 1,6 (18132974) ran past
+    # 150 s at 1.4 GB (not re-run).  The count runs lazily and stops once
+    # past the cap, so a huge --max-dim is refused at once
+    # (itertools.product would first list its ranges)
     tuples = 0
     for dl in ((a, b) for a in range(max_dim[0] + 1) for b in range(max_dim[1] + 1)):
         for dn in itertools.product(range(dl[0] + 1), range(dl[1] + 1)):
@@ -592,8 +592,8 @@ def compute_hall_table(cfg):
             )
     matrices = q ** (max_dim[0] * max_dim[1])
     if matrices > 3**9:
-        # the orbit enumeration visits every matrix: q = 3 at 3,3 takes
-        # seconds
+        # the orbit enumeration visits every matrix: q = 3 at 3,3 (the
+        # largest admitted) takes 0.3-0.4 s
         raise ValueError(
             f"--max-dim {cfg['max_dim']} at q = {q} enumerates {matrices} "
             "matrices, more than 3^9 = 19683"
@@ -648,8 +648,9 @@ def compute_fock_matrix(cfg):
     if size < 0:
         raise ValueError(f"--size must be at least 0, got {size}")
     if size > 22:
-        # dense: 792 x 627 at --op f --size 20 (0.22 s, 61 MB, a 5.6 MB report),
-        # 1255 x 1002 at 22 (0.54 s, 129 MB, 14 MB), 2.5 times that at 24 (2 vCPU)
+        # dense: 792 x 627 at --op f --size 20 (0.13-0.18 s, 35 MB, a 5.6 MB
+        # report), 1255 x 1002 at 22 (0.24-0.35 s, 58 MB, 14 MB; csv about the
+        # same), 2.5 times that at 24 (cli.main in a fresh process, 2 vCPU)
         raise ValueError(f"--size must be at most 22, got {size}")
     rows, cols, mat = operator_matrix(cfg["op"], i, p, size)
     return {
@@ -676,9 +677,60 @@ _COMPUTES = {
 # -- report emission ------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _items_encoder(depth):
+    """The C encoder's ``encode`` with one item per line at the given
+    indent depth: the json module runs its pure-Python encoder whenever
+    ``indent`` is set, and the C one only without it."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+
+
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _write_json(value, out, depth):
+    """Append to ``out`` the text of ``json.dumps(value, sort_keys=True,
+    indent=2)`` for a value at the given indent depth.  A scalar, and a
+    dict or list of scalars, is one call of the C encoder; other lists,
+    and dicts with str keys, are opened here; anything else (a tuple, a
+    non-str key, a subclass of a scalar type) is written by ``json.dumps``
+    and re-indented.  No JSON string holds a raw newline, so every
+    newline is layout."""
+    pad = "\n" + "  " * depth
+    if isinstance(value, (dict, list)) and _SCALAR_TYPES.issuperset(
+        map(type, value.values() if isinstance(value, dict) else value)
+    ):
+        text = _items_encoder(depth + 1)(value)
+        out += (text[0], pad, "  ", text[1:-1], pad, text[-1]) if value else (text,)
+    elif isinstance(value, list):
+        sep = "[" + pad + "  "
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, depth + 1)
+            sep = "," + pad + "  "
+        out.append(pad + "]")
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        sep = "{" + pad + "  "
+        for key in sorted(value):
+            out += (sep, json.encoder.encode_basestring_ascii(key), ": ")
+            _write_json(value[key], out, depth + 1)
+            sep = "," + pad + "  "
+        out.append(pad + "}")
+    elif type(value) in _SCALAR_TYPES:
+        out.append(_items_encoder(depth)(value))
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
+
+
 def _emit(report, fmt):
+    """The report as text: JSON, byte for byte
+    ``json.dumps(report, sort_keys=True, indent=2)`` (``_write_json``),
+    csv or text."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        out = []
+        _write_json(report, out, 0)
+        out.append("\n")
+        return "".join(out)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

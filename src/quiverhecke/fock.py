@@ -9,7 +9,8 @@ of each (partition, p) lists them; d counts the boxes of residue 0.
 
 The weight of a partition is recorded through its residue content
 c_j = #{boxes of residue j}; the pairing of Lambda_0 - sum_j c_j alpha_j
-with alpha_i^vee is delta_{i,0} - sum_j c_j a_{ij}, where a is the
+with alpha_i^vee is delta_{i,0} - sum_j c_j a_{ij} (``weight_pairings``
+gives all p of them), where a is the
 affine Cartan matrix of type A_{p-1}^{(1)}, read from the cyclic quiver
 ``klr.cyclic_quiver(p)`` (so a_{01} = a_{10} = -2 at p = 2).
 """
@@ -154,11 +155,14 @@ def affine_cartan(p: int):
     )
 
 
-def weight_pairing(parts, i: int, p: int) -> int:
-    """<Lambda_0 - sum_j c_j alpha_j, alpha_i^vee> for the given partition."""
+def weight_pairings(parts, p: int) -> tuple:
+    """<Lambda_0 - sum_j c_j alpha_j, alpha_i^vee> for i = 0..p-1, all
+    from one residue content of the given partition."""
     c = residue_content(parts, p)
-    a = affine_cartan(p)
-    return (1 if i % p == 0 else 0) - sum(c[j] * a[i % p][j] for j in range(p))
+    return tuple(
+        (1 if i == 0 else 0) - sum(map(operator.mul, c, row))
+        for i, row in enumerate(affine_cartan(p))
+    )
 
 
 def operator_matrix(op_letter: str, i: int, p: int, size: int):

@@ -7,29 +7,33 @@ vector d assigns to each arrow a : i -> j, in the order of
 convention).
 Isomorphism classes are G_d-orbits, G_d = prod_i GL_{d_i}(q), acting by
 g . (f_a) = (g_j f_a g_i^{-1}); each class is identified by its
-canonical label, the lexicographically smallest flattened matrix tuple
-in the orbit.  |Aut M| = |G_d| / |orbit|.  The orbits are walked one
-generator of some GL_{d_i}(q) per step (``elementary_ops``: a diagonal
-or an adjacent transvection).  ``act`` defines a step: one elementary
+canonical label, the orbit's lexicographically smallest matrix tuple.
+|Aut M| = |G_d| / |orbit|.  The orbits are walked one generator of
+some GL_{d_i}(q) per step (``elementary_ops``: a diagonal or an
+adjacent transvection).  ``act`` defines a step: one elementary
 row operation on the arrow matrices into vertex i and one elementary
 column operation on those out of it, with no matrix product.  A step is
 linear, so ``compile_step`` turns it, once per dimension vector, into a
 sparse linear map on flat entry tuples, read off ``act`` on the unit
-matrix tuples.  The walk runs on flat tuples, and each orbit element
-becomes a matrix tuple once, as a key of the class table.
+matrix tuples.  The walk runs on flat entry tuples (the entries, row
+by row and matrix by matrix), and the class table's ``label_of`` is
+keyed by them: only each class's least tuple is nested into matrices,
+as its label.
 
 Hall numbers F^L_{M,N} count submodules of L isomorphic to N with
 quotient isomorphic to M.  Submodules are read off one RREF basis per
 vertex, with no linear solve: membership, coordinates and the quotient
-all come from the pivots (``HallContext.subrep_data``).  Each vertex's
-subspaces, with their pivots, are listed once per (dimension, subspace
-dimension) and kept on the context, and each arrow's images M b are
-computed once per source subspace.  The untwisted
-product is [M] * [N] = sum_L F^L_{M,N} [L].  The Ringel twist multiplies
-by v^{<M,N>} where v^2 = q and <M,N> is the Euler form, computed for a
-loop-free quiver as sum_i d_i(M) d_i(N) - sum_{a:i->j} d_i(M) d_j(N).
-The Serre relation of vertices i, j has exponent 1 - a_ij, read from the
-quiver's Cartan matrix.
+all come from the pivots (``HallContext.subrep_data``), and the sub and
+quotient matrices are built as flat entry tuples, the keys of
+``label_of``.  Each vertex's subspaces, with their pivots, are listed
+once per (dimension, subspace dimension) and kept on the context, and
+each arrow's images M b are computed once per source subspace.  The
+untwisted product is [M] * [N] = sum_L F^L_{M,N} [L].  The Ringel
+twist multiplies by v^{<M,N>} where v^2 = q and <M,N> is the Euler
+form, computed for a loop-free quiver as
+sum_i d_i(M) d_i(N) - sum_{a:i->j} d_i(M) d_j(N).  The Serre relation
+of vertices i, j has exponent 1 - a_ij, read from the quiver's Cartan
+matrix.
 
 Riedtmann's identity F^L_{M,N} |Aut M| |Aut N| = P^L_{M,N} is checked
 against an independent count of the exact sequences 0 -> N -> L -> M -> 0
@@ -271,8 +275,8 @@ def elementary_ops(q: int, n: int):
 def _nester(shapes):
     """The map from a flat entry tuple (the entries of matrices of the
     given (rows, cols) shapes, row by row and matrix by matrix) to its
-    tuple of matrices.  Equal rows are one shared tuple object, which
-    keeps the matrix tuples kept as class-table keys small."""
+    tuple of matrices: the class labels, and the unit matrix tuples of
+    ``compile_step``.  Equal rows are one shared tuple object."""
     slices, pos = [], 0
     for r, c in shapes:
         slices.append([slice(pos + k * c, pos + (k + 1) * c) for k in range(r)])
@@ -285,12 +289,10 @@ def _nester(shapes):
     return nest
 
 
-def matrix_tuples(q: int, shapes):
-    """Every tuple of matrices over F_q with the given (rows, cols)
-    shapes: the entries, row by row and matrix by matrix, run through
-    itertools.product of the field elements."""
-    total = sum(r * c for r, c in shapes)
-    return map(_nester(shapes), itertools.product(field(q).elements, repeat=total))
+def entries(mats) -> tuple:
+    """The flat entry tuple of a matrix tuple: the entries, row by row
+    and matrix by matrix."""
+    return tuple([e for m in mats for row in m for e in row])
 
 
 # -- quivers and representations ----------------------------------------
@@ -407,19 +409,18 @@ def act(F: GF, arrow_index, vi: int, op, mats):
 def compile_step(F: GF, arrow_index, shapes, vi: int, op):
     """The step ``act(F, arrow_index, vi, op, .)`` as a sparse linear map
     on flat entry tuples x (the entries of matrices of the given (rows,
-    cols) shapes, row by row and matrix by matrix, as ``matrix_tuples``
-    runs through them).  It is a tuple of (p, k0, m0, rest), one for
-    each entry p that the step changes, whose new value is m0[x[k0]]
-    plus the sum of mc[x[k]] over (k, mc) in ``rest``; each m is the
-    row MUL[c] of a nonzero coefficient c.  Column k of the map is
-    ``act`` applied to the k-th unit matrix tuple, so ``act`` stays the
-    one definition of a step."""
+    cols) shapes, row by row and matrix by matrix; see ``entries``).  It
+    is a tuple of (p, k0, m0, rest), one for each entry p that the step
+    changes, whose new value is m0[x[k0]] plus the sum of mc[x[k]] over
+    (k, mc) in ``rest``; each m is the row MUL[c] of a nonzero
+    coefficient c.  Column k of the map is ``act`` applied to the k-th
+    unit matrix tuple, so ``act`` stays the one definition of a step."""
     nest = _nester(shapes)
     n = sum(r * c for r, c in shapes)
     rows = [[] for _ in range(n)]
     for k in range(n):
         image = act(F, arrow_index, vi, op, nest((0,) * k + (1,) + (0,) * (n - k - 1)))
-        for p, c in enumerate(e for m in image for row in m for e in row):
+        for p, c in enumerate(entries(image)):
             if c:
                 rows[p].append((k, F.MUL[c]))
     return tuple(
@@ -436,17 +437,17 @@ class ClassTable:
         self.quiver = quiver
         self.q = q
         self.dims = tuple(dims)
-        self.label_of = {}  # arrow matrix tuple -> canonical label
+        self.label_of = {}  # flat entry tuple -> canonical label
         self.classes = {}  # label -> dict(rep, aut_order)
         self._classify()
 
     def _classify(self):
-        """Walk the orbit of every matrix tuple not yet labelled, one
-        compiled generator step at a time, on flat entry tuples.  The
-        orbit's least flat tuple is its least matrix tuple (every tuple
-        has the same shapes), the label; each orbit element becomes its
-        matrix tuple once, as a key of ``label_of``, and a QuiverRep is
-        built only for the label of each class."""
+        """Walk the orbit of every flat entry tuple not yet labelled, in
+        itertools.product order, one compiled generator step at a time.
+        Every orbit element is a key of ``label_of`` as it is.  The
+        orbit's least flat tuple nests to its least matrix tuple (every
+        tuple has the same shapes), the label, and a QuiverRep is built
+        only for the label of each class."""
         quiver, q, dims = self.quiver, self.q, self.dims
         F = field(q)
         ADD = F.ADD
@@ -460,10 +461,9 @@ class ClassTable:
         ]
         g_order = group_order(quiver, q, dims)
         label_of = self.label_of
-        for mats in matrix_tuples(q, shapes):
-            if mats in label_of:
+        for start in itertools.product(F.elements, repeat=sum(r * c for r, c in shapes)):
+            if start in label_of:
                 continue
-            start = tuple(e for m in mats for row in m for e in row)
             orbit = {start}
             todo = [start]
             while todo:
@@ -486,8 +486,7 @@ class ClassTable:
                 "rep": QuiverRep(quiver, q, dims, label[1]),
                 "aut_order": g_order // len(orbit),
             }
-            for x in orbit:
-                label_of[nest(x)] = label
+            label_of.update(dict.fromkeys(orbit, label))
         self._representatives = tuple(
             self.classes[label]["rep"] for label in sorted(self.classes)
         )
@@ -495,7 +494,7 @@ class ClassTable:
     def label(self, rep: QuiverRep):
         if rep.dims != self.dims:
             raise ValueError(f"dimension vector {rep.dims} is not {self.dims}")
-        return self.label_of[rep.mats]
+        return self.label_of[entries(rep.mats)]
 
     def aut_order(self, rep: QuiverRep) -> int:
         return self.classes[self.label(rep)]["aut_order"]
@@ -572,7 +571,9 @@ class HallContext:
         once per source subspace, and the columns of M once per call,
         before the loop over the tuples of subspaces.  The quotient's
         basis is the classes of the unit vectors e_c; only the
-        isomorphism classes, the canonical labels, are used downstream.
+        isomorphism classes, the canonical labels, are used downstream,
+        so both matrices are built as the flat entry tuples that key
+        ``label_of``, row by row and arrow by arrow.
         """
         F = field(self.q)
         choices = [self._vertex_subspaces(d, k) for d, k in zip(rep.dims, sub_dims)]
@@ -584,20 +585,18 @@ class HallContext:
         sub_labels = self.table(sub_dims).label_of
         quot_labels = self.table(d - k for d, k in zip(rep.dims, sub_dims)).label_of
         for picks in itertools.product(*[range(len(c)) for c in choices]):
-            sub_mats, quot_mats = [], []
+            sub, quot = [], []
             for si, ti, columns, images in arrows:
                 _, _, free_s = choices[si][picks[si]]
                 Bt, Pt, free_t = choices[ti][picks[ti]]
                 ys = images[picks[si]]
                 if any(any(residue(F, Bt, Pt, y)) for y in ys):
                     break
-                sub_mats.append(tuple(tuple(y[p] for y in ys) for p in Pt))
+                sub += [y[p] for p in Pt for y in ys]
                 quot_cols = [residue(F, Bt, Pt, columns[c]) for c in free_s]
-                quot_mats.append(
-                    tuple(tuple(col[c] for col in quot_cols) for c in free_t)
-                )
+                quot += [col[c] for c in free_t for col in quot_cols]
             else:
-                yield sub_labels[tuple(sub_mats)], quot_labels[tuple(quot_mats)]
+                yield sub_labels[tuple(sub)], quot_labels[tuple(quot)]
 
     def hall_number(self, m: QuiverRep, n: QuiverRep, l: QuiverRep) -> int:
         """F^L_{M,N}: submodules of L isomorphic to N with quotient M."""
@@ -733,7 +732,7 @@ class HallContext:
         key = (self.label(m), self.label(n))
         terms = {}
         for l in table.representatives():
-            label = table.label_of[l.mats]
+            label = table.label(l)
             c = self._pairs(label, l, n.dims)[key]
             if c:
                 terms[(dims, label)] = Laurent.const(c)

@@ -8,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quiverhecke import __version__
 from quiverhecke import cli
@@ -461,6 +463,12 @@ STDOUT_SHA256 = {
         "f72e0d2575ceac58c198769fffd59ece066b891f92fec0e371d01ce926384915",
     "compute fock-matrix --p 1 --i 0 --size 7 --format csv":
         "c13bd2ac03bca78ef3263c81e96ee98a96429792ff486499d4789d600c713a85",
+    # the largest reports the guards admit (14 MB and 3.6 MB), as
+    # json.dumps(report, sort_keys=True, indent=2) wrote them
+    "compute fock-matrix --p 3 --i 0 --size 22":
+        "13fcdf80475a4f56ea37db259fa33c398de152bc29b6d85c549627ca9d32ed7c",
+    "compute hall-table --q 3 --max-dim 1,6":
+        "f76bcc1fdcd0466ef079bf4e93ba11af243d542c40a722a53dc76dfa60bac959",
 }
 
 
@@ -469,6 +477,44 @@ def test_stdout_is_pinned(capsys, command):
     code, out = run_cli(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+# quotes, backslashes, newlines, the separators, brackets, non-ASCII
+_TRICKY_TEXT = st.lists(
+    st.sampled_from(
+        ['"', "\\", "\n", ", ", ": ", "[", "]", "{", "}", "a", "\u00e9", "\u6f22", "\U0001f600"]
+    ),
+    max_size=6,
+).map("".join)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TRICKY_TEXT | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TRICKY_TEXT, inner, max_size=4)
+        | st.dictionaries(st.integers(), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_JSON_VALUES)
+@example([[], {}, [[], {"a": {}}], {"b": [[]], "c": ()}])
+@example({1: [[]], 2: {"x": {}}, 3: 0.5})
+@example((1, [], {"k": ()}))
+def test_json_writer_is_json_dumps(value):
+    # byte for byte the layout of json.dumps(value, sort_keys=True, indent=2)
+    assert cli._emit(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_json_writer_empties_at_every_depth(depth):
+    for empty in ([], {}, ()):
+        value = empty
+        for _ in range(depth):
+            value = {"k": [value, 0, value]}
+        assert cli._emit(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 # cases examined per check, as stderr reports them: a relation check that

@@ -12,6 +12,7 @@ import pytest
 
 from quiverhecke.hall import (
     ClassTable,
+    _nester,
     HallContext,
     a2_quiver,
     act,
@@ -25,7 +26,6 @@ from quiverhecke.hall import (
     mat_inverse,
     mat_mul,
     mat_vec,
-    matrix_tuples,
     residue,
     rref,
     serre_relation_check,
@@ -316,12 +316,25 @@ def test_a2_classification_dim11():
     assert auts == [2, 4]
 
 
+def matrix_tuples(q, shapes):
+    """Every tuple of matrices over F_q with the given (rows, cols)
+    shapes: the entries, row by row and matrix by matrix, run through
+    itertools.product of the field elements."""
+    total = sum(r * c for r, c in shapes)
+    return map(_nester(shapes), itertools.product(field(q).elements, repeat=total))
+
+
+def _flat(mats):
+    """The entries of a matrix tuple, row by row and matrix by matrix:
+    the keys of ``ClassTable.label_of``."""
+    return tuple(e for m in mats for row in m for e in row)
+
+
 def test_matrix_tuples_order():
     shapes = [(2, 2), (0, 3), (2, 1)]
     got = list(matrix_tuples(2, shapes))
     # the entries, row by row and matrix by matrix, in product order
-    flat = [tuple(x for m in mats for row in m for x in row) for mats in got]
-    assert flat == list(itertools.product(range(2), repeat=6))
+    assert [_flat(mats) for mats in got] == list(itertools.product(range(2), repeat=6))
     for mats in got:
         assert [len(m) for m in mats] == [2, 0, 2]
         assert [len(row) for m in mats for row in m] == [2, 2, 1, 1]
@@ -679,7 +692,7 @@ CLASS_CASES = (
 def test_classes_match_quiverrep_bfs(quiver, q, dims):
     label_of, classes = _reference_classes(quiver, q, dims)
     table = ClassTable(quiver, q, dims)
-    assert {(dims, mats): label for mats, label in table.label_of.items()} == label_of
+    assert table.label_of == {_flat(mats): label for (_, mats), label in label_of.items()}
     orbit_sizes = Counter(table.label_of.values())
     assert {
         label: (orbit_sizes[label], info["aut_order"])
@@ -862,8 +875,8 @@ def _reference_subreps(ctx, rep, sub_dims):
                 tuple(tuple(col[r] for col in cols[ks:]) for r in range(kt, rep.dims[t]))
             )
         out[
-            ctx.table(sub_dims).label_of[tuple(sub_mats)],
-            ctx.table(quot_dims).label_of[tuple(quot_mats)],
+            ctx.table(sub_dims).label_of[_flat(sub_mats)],
+            ctx.table(quot_dims).label_of[_flat(quot_mats)],
         ] += 1
     return out
 
@@ -875,6 +888,9 @@ SUBREP_CASES = (
     + [("kronecker", KRONECKER, 3, d) for d in ((1, 1), (1, 2), (2, 1))]
     + [("a3-sink", A3_SINK, 2, d) for d in ((1, 1, 1), (1, 2, 1))]
     + [("a3-sink", A3_SINK, 3, d) for d in ((1, 1, 1), (1, 2, 1))]
+    # sub blocks of 2 x 2 and 2 x 3 (sub dims (2, 2), (3, 2)), and quotient
+    # blocks up to 3 x 3: a key read column by column is a different matrix
+    + [("a2", a2_quiver(), 2, d) for d in ((3, 2), (3, 3))]
 )
 
 
