@@ -10,9 +10,9 @@ of each (partition, p) lists them; d counts the boxes of residue 0.
 The weight of a partition is recorded through its residue content
 c_j = #{boxes of residue j}; the pairing of Lambda_0 - sum_j c_j alpha_j
 with alpha_i^vee is delta_{i,0} - sum_j c_j a_{ij} (``weight_pairings``
-gives all p of them), where a is the
-affine Cartan matrix of type A_{p-1}^{(1)}, read from the cyclic quiver
-``klr.cyclic_quiver(p)`` (so a_{01} = a_{10} = -2 at p = 2).
+gives all p of them), where a is the affine Cartan matrix of type
+A_{p-1}^{(1)}, read from the cyclic quiver ``klr.cyclic_quiver(p)`` (so
+a_{01} = a_{10} = -2 at p = 2).
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ import pytest
 
 from quiverhecke.hall import (
     ClassTable,
-    _nester,
     HallContext,
     a2_quiver,
     act,
@@ -35,6 +34,7 @@ from quiverhecke.hall import (
     unit,
     QuiverRep,
     zero_rep,
+    _nester,
 )
 from quiverhecke.klr import QuiverData
 from quiverhecke.laurent import Laurent, q_binomial
